@@ -3,12 +3,13 @@
 //
 // All rows run on generated netlists (cell::generate_netlist, the
 // bench_sharded_throughput workload family) against the reference library:
-//   * BM_StaGraphBuild:    netlist validation + per-arc extraction (the
+//   * BM_StaGraphBuild:    netlist validation + nominal arc extraction (the
 //                          one-time TimingGraph construction);
 //   * BM_StaAnalyze:       one deterministic arrival/required/slack pass;
-//   * BM_StaCriticalPaths: top-5 path enumeration;
+//   * BM_StaCriticalPaths: top-5 path enumeration (deviation search);
 //   * BM_StaCorner:        one sampled corner -- at_corner library
-//                          derivation, arc re-extraction, analysis (the
+//                          derivation, one arc table per distinct cell
+//                          copied into the flat arc set, analysis (the
 //                          per-corner marginal cost);
 //   * BM_StaSsta:          one canonical SSTA pass over prebuilt canonical
 //                          arcs (the whole-distribution query).
@@ -57,7 +58,7 @@ void BM_StaGraphBuild(benchmark::State& state) {
   const auto library = bench_library();
   for (auto _ : state) {
     const sta::TimingGraph graph(desc, library);
-    benchmark::DoNotOptimize(graph.nominal_arcs().elements.size());
+    benchmark::DoNotOptimize(graph.nominal_arcs().n_elements());
   }
   state.counters["elements/s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * (desc.n_gates() +

@@ -1,5 +1,5 @@
-// Static per-arc delay extraction: the bridge from the fitted hybrid model
-// to the timing graph.
+// Static per-arc delays: the bridge from the fitted hybrid model to the
+// timing graph.
 //
 // The event engine answers "when does this output cross V_th" per stimulus;
 // static timing analysis wants one number per (input pin, output direction)
@@ -15,41 +15,37 @@
 //   * wires: the collapsed Pade model's settled-line step-response crossing
 //     plus the drive-shape correction (wire::WireModeTables::step_delay).
 //
+// sta::TimingGraph fills these per cell, not per instance: every instance
+// of a cell shares one arc_table() evaluation, and wires (process-
+// independent, matching sim::ProcessBinder) are extracted once.
+//
 // The conservatism argument (why these bound the event engine's delays over
 // every switching context) is spelled out in docs/sta.md.
 #pragma once
 
+#include <cstddef>
 #include <vector>
-
-#include "cell/cell_library.hpp"
-#include "cell/netlist.hpp"
-#include "sim/circuit_builder.hpp"
 
 namespace charlie::sta {
 
-/// Static pin-to-pin arcs of one netlist element (gate or wire): entry i
-/// bounds the delay from input i's transition to the output crossing in the
-/// named direction.
-struct ElementArcs {
-  std::vector<double> rise;  // arc input i -> output rising [s]
-  std::vector<double> fall;  // arc input i -> output falling [s]
+/// Arcs of every element of a netlist in one flat layout. Elements use the
+/// unified indexing (gates first in netlist order, wires after;
+/// sim::NetlistTopology); element e owns the entries
+/// [offsets[e], offsets[e + 1]) of `rise` and `fall`, one per input pin in
+/// pin order. rise[offsets[e] + i] bounds the delay from input i's
+/// transition to element e's output rising crossing, fall[...] the falling
+/// one. V is double (ArcSet) or sta::Canonical (CanonicalArcSet).
+template <typename V>
+struct FlatArcs {
+  std::vector<std::size_t> offsets;  // n_elements() + 1 entries, from 0
+  std::vector<V> rise;               // arc input pin -> output rising [s]
+  std::vector<V> fall;               // arc input pin -> output falling [s]
+
+  std::size_t n_elements() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
 };
 
-/// Arc delays of every element of a netlist, unified element indexing
-/// (gates first in netlist order, wires after; sim::NetlistTopology).
-struct ArcSet {
-  std::vector<ElementArcs> elements;
-};
-
-/// Extract the static arc set of `desc` at `library`'s process point. Gate
-/// arcs evaluate once per distinct cell spec (instances share); wire arcs
-/// read the collapsed tables through `wire_builder` (memoized per geometry,
-/// and process-independent: wires stay nominal at every corner, matching
-/// sim::ProcessBinder). `library` may be a corner library (at_corner);
-/// `wire_builder` may be bound to a different (e.g. nominal) library.
-/// Throws ConfigError for instances of cells the library does not have.
-ArcSet extract_arcs(const cell::NetlistDesc& desc,
-                    const cell::CellLibrary& library,
-                    const sim::CircuitBuilder& wire_builder);
+using ArcSet = FlatArcs<double>;
 
 }  // namespace charlie::sta

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <unordered_map>
 #include <utility>
 
+#include "sim/circuit_builder.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sta {
@@ -45,104 +46,168 @@ bool feeds_opposite(sim::GateKind kind) {
 
 TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
                          std::shared_ptr<const cell::CellLibrary> library)
-    : desc_(desc), library_(std::move(library)), builder_(library_) {
-  const sim::NetlistTopology topo = builder_.analyze_topology(desc_);
-  const std::size_t n_gates = desc_.instances.size();
-  const std::size_t n_elems = n_gates + desc_.wires.size();
+    : library_(std::move(library)) {
+  const sim::CircuitBuilder builder(library_);
+  const sim::NetlistTopology topo = builder.analyze_topology(desc);
+  const std::size_t n_gates = desc.instances.size();
+  const std::size_t n_elems = n_gates + desc.wires.size();
 
+  std::unordered_map<std::string, int> net_index;
   auto add_net = [&](const std::string& name, int driver) {
-    const int id = static_cast<int>(net_names_.size());
+    net_index.emplace(name, static_cast<int>(net_names_.size()));
     net_names_.push_back(name);
-    net_index_.emplace(name, id);
     driver_.push_back(driver);
-    return id;
   };
-  for (const auto& name : desc_.inputs) add_net(name, -1);
+  const auto net_id = [&](const std::string& name) {
+    const auto it = net_index.find(name);
+    CHARLIE_ASSERT_MSG(it != net_index.end(), "timing graph: unknown net");
+    return it->second;
+  };
+  for (const auto& name : desc.inputs) add_net(name, -1);
   for (std::size_t e = 0; e < n_elems; ++e) {
-    add_net(sim::NetlistTopology::output_of(desc_, e), static_cast<int>(e));
+    add_net(sim::NetlistTopology::output_of(desc, e), static_cast<int>(e));
   }
 
+  // One arc per input pin: the fan-in list and every arc set share the
+  // offsets of nominal_arcs_.
+  std::vector<std::size_t>& offsets = nominal_arcs_.offsets;
+  offsets.assign(1, 0);
+  offsets.reserve(n_elems + 1);
   elements_.resize(n_elems);
   for (std::size_t e = 0; e < n_elems; ++e) {
     Element& el = elements_[e];
-    el.wire = sim::NetlistTopology::is_wire(desc_, e);
-    el.kind = el.wire ? sim::GateKind::kBuf : topo.specs[e]->kind;
-    el.output = net_id(sim::NetlistTopology::output_of(desc_, e));
+    el.kind = sim::NetlistTopology::is_wire(desc, e) ? sim::GateKind::kBuf
+                                                     : topo.specs[e]->kind;
+    el.output = net_id(sim::NetlistTopology::output_of(desc, e));
     sim::NetlistTopology::for_each_input(
-        desc_, e, [&](const std::string& in) {
-          el.inputs.push_back(net_id(in));
-        });
+        desc, e, [&](const std::string& in) { fanin_.push_back(net_id(in)); });
+    offsets.push_back(fanin_.size());
   }
   order_ = topo.order;
 
-  endpoints_ = desc_.outputs;
-  if (endpoints_.empty() && !desc_.instances.empty()) {
-    endpoints_.push_back(desc_.instances.back().output);
+  endpoints_ = desc.outputs;
+  if (endpoints_.empty() && !desc.instances.empty()) {
+    endpoints_.push_back(desc.instances.back().output);
   }
-  if (endpoints_.empty() && !desc_.wires.empty()) {
-    endpoints_.push_back(desc_.wires.back().output);
+  if (endpoints_.empty() && !desc.wires.empty()) {
+    endpoints_.push_back(desc.wires.back().output);
   }
   endpoint_ids_.reserve(endpoints_.size());
   for (const auto& name : endpoints_) endpoint_ids_.push_back(net_id(name));
 
-  nominal_arcs_ = extract_arcs(desc_, *library_, builder_);
+  // Each gate's cell as an index into specs(), which at_corner preserves,
+  // so a corner library resolves the same cells without name lookups.
+  const std::vector<cell::CellSpec>& specs = library_->specs();
+  std::vector<bool> used(specs.size(), false);
+  cell_of_.resize(n_gates);
+  for (std::size_t g = 0; g < n_gates; ++g) {
+    const auto c = static_cast<std::size_t>(topo.specs[g] - specs.data());
+    CHARLIE_ASSERT_MSG(c < specs.size(), "timing graph: foreign cell spec");
+    cell_of_[g] = c;
+    used[c] = true;
+  }
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    if (used[c]) cells_.push_back(c);
+  }
+
+  // Wire arcs read the collapsed tables once: wires are process-independent,
+  // so every corner's arc set copies them from here.
+  nominal_arcs_.rise.assign(fanin_.size(), 0.0);
+  nominal_arcs_.fall.assign(fanin_.size(), 0.0);
+  for (std::size_t w = 0; w < desc.wires.size(); ++w) {
+    const auto tables = builder.wire_tables(desc.wires[w]);
+    const std::size_t a = offsets[n_gates + w];
+    nominal_arcs_.rise[a] = tables->step_delay(/*rising=*/true);
+    nominal_arcs_.fall[a] = tables->step_delay(/*rising=*/false);
+  }
+  fill_gate_arcs(*library_, nominal_arcs_);
 }
 
-int TimingGraph::net_id(const std::string& name) const {
-  const auto it = net_index_.find(name);
-  CHARLIE_ASSERT_MSG(it != net_index_.end(), "timing graph: unknown net");
-  return it->second;
+void TimingGraph::fill_gate_arcs(const cell::CellLibrary& library,
+                                 ArcSet& arcs) const {
+  // One arc_table() evaluation per distinct cell: the envelope solves a
+  // handful of crossing problems per cell, and a netlist instantiates each
+  // cell many times.
+  const std::vector<cell::CellSpec>& specs = library.specs();
+  std::vector<cell::CellArcTable> tables(specs.size());
+  for (const std::size_t c : cells_) {
+    tables[c] = specs[c].arc_table();
+    const auto arity = static_cast<std::size_t>(specs[c].arity);
+    CHARLIE_ASSERT_MSG(tables[c].output_rise.size() == arity &&
+                           tables[c].output_fall.size() == arity,
+                       "timing graph: arc table does not match the cell");
+  }
+  for (std::size_t g = 0; g < cell_of_.size(); ++g) {
+    const cell::CellArcTable& t = tables[cell_of_[g]];
+    const auto at = static_cast<std::ptrdiff_t>(arcs.offsets[g]);
+    std::copy(t.output_rise.begin(), t.output_rise.end(),
+              arcs.rise.begin() + at);
+    std::copy(t.output_fall.begin(), t.output_fall.end(),
+              arcs.fall.begin() + at);
+  }
 }
 
 ArcSet TimingGraph::arcs_at(const core::ProcessPoint& point) const {
-  if (point.is_nominal()) return nominal_arcs_;
-  const cell::CellLibrary corner = library_->at_corner(point);
-  return extract_arcs(desc_, corner, builder_);
+  ArcSet arcs = nominal_arcs_;  // wire arcs stay nominal
+  if (!point.is_nominal()) fill_gate_arcs(library_->at_corner(point), arcs);
+  return arcs;
+}
+
+template <typename V>
+void TimingGraph::check_arcs(const FlatArcs<V>& arcs) const {
+  CHARLIE_ASSERT_MSG(arcs.n_elements() == elements_.size() &&
+                         arcs.rise.size() == fanin_.size() &&
+                         arcs.fall.size() == fanin_.size(),
+                     "timing graph: arc set does not match the netlist");
+}
+
+template <typename Visit>
+void TimingGraph::for_each_arc(std::size_t e, bool out_rising,
+                               Visit&& visit) const {
+  const bool same = feeds_same(elements_[e].kind);
+  const bool opposite = feeds_opposite(elements_[e].kind);
+  for (std::size_t a = nominal_arcs_.offsets[e];
+       a < nominal_arcs_.offsets[e + 1]; ++a) {
+    if (same) visit(a, fanin_[a], out_rising);
+    if (opposite) visit(a, fanin_[a], !out_rising);
+  }
 }
 
 // Generic forward pass: latest/statistical arrival per (net, direction)
-// over the topological order. `arc_of(e, pin, out_rising)` supplies the arc
-// as a V; `join` merges competing contributions (max / statistical max).
-// Every primary input arrives at V{} (time zero) in both directions.
-template <typename V, typename ArcOf, typename Join>
-void TimingGraph::propagate(ArcOf&& arc_of, Join&& join, std::vector<V>& rise,
+// over the topological order; `join` merges competing contributions (max /
+// statistical max) and keeps the first of equal ones. Every primary input
+// arrives at V{} (time zero) in both directions.
+template <typename V, typename Join>
+void TimingGraph::propagate(const FlatArcs<V>& arcs, Join&& join,
+                            std::vector<V>& rise,
                             std::vector<V>& fall) const {
+  check_arcs(arcs);
   rise.assign(net_names_.size(), V{});
   fall.assign(net_names_.size(), V{});
   for (const int e : order_) {
-    const Element& el = elements_[static_cast<std::size_t>(e)];
-    const bool same = feeds_same(el.kind);
-    const bool opposite = feeds_opposite(el.kind);
+    const auto el = static_cast<std::size_t>(e);
     for (const bool out_rising : {false, true}) {
+      const std::vector<V>& arc = out_rising ? arcs.rise : arcs.fall;
       V best{};
       bool has = false;
-      for (std::size_t p = 0; p < el.inputs.size(); ++p) {
-        const auto in = static_cast<std::size_t>(el.inputs[p]);
-        const V arc = arc_of(static_cast<std::size_t>(e), p, out_rising);
-        const auto consider = [&](const V& arrival) {
-          V cand = arrival + arc;
-          best = has ? join(best, cand) : cand;
-          has = true;
-        };
-        if (same) consider(out_rising ? rise[in] : fall[in]);
-        if (opposite) consider(out_rising ? fall[in] : rise[in]);
-      }
+      for_each_arc(el, out_rising, [&](std::size_t a, int in, bool in_rising) {
+        V cand = (in_rising ? rise : fall)[static_cast<std::size_t>(in)] +
+                 arc[a];
+        best = has ? join(best, cand) : cand;
+        has = true;
+      });
       CHARLIE_ASSERT_MSG(has, "timing graph: element with no timing arc");
-      (out_rising ? rise : fall)[static_cast<std::size_t>(el.output)] = best;
+      (out_rising ? rise : fall)[static_cast<std::size_t>(
+          elements_[el].output)] = best;
     }
   }
 }
 
 TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
-  CHARLIE_ASSERT_MSG(arcs.elements.size() == elements_.size(),
-                     "timing graph: arc set does not match the netlist");
   std::vector<double> rise;
   std::vector<double> fall;
   propagate<double>(
-      [&](std::size_t e, std::size_t p, bool out_rising) {
-        return out_rising ? arcs.elements[e].rise[p] : arcs.elements[e].fall[p];
-      },
-      [](double a, double b) { return std::max(a, b); }, rise, fall);
+      arcs, [](double a, double b) { return std::max(a, b); }, rise, fall);
 
   TimingResult res;
   bool first = true;
@@ -159,41 +224,35 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
     }
   }
 
-  // Required times backward from the endpoints. A deadline of 0 measures
-  // slack against the critical delay itself.
+  // Slack backward from the endpoints. An arc adds its edge slack
+  // arr(out) - (arr(in) + arc): arr(out) is the max of exactly those sums,
+  // so the edge slack is >= 0 in floating point and 0 on the arc that set
+  // arr(out). With a deadline of 0 (slack against the critical delay
+  // itself) every slack is therefore >= 0 and the critical path's is 0;
+  // back-computing required times as req - arc instead rounds below zero.
   const double target = deadline > 0.0 ? deadline : res.critical_delay;
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> req_rise(net_names_.size(), inf);
-  std::vector<double> req_fall(net_names_.size(), inf);
-  for (const int id : endpoint_ids_) {
-    req_rise[static_cast<std::size_t>(id)] = target;
-    req_fall[static_cast<std::size_t>(id)] = target;
+  std::vector<double> slack_rise(net_names_.size(), inf);
+  std::vector<double> slack_fall(net_names_.size(), inf);
+  for (const int endpoint : endpoint_ids_) {
+    const auto id = static_cast<std::size_t>(endpoint);
+    slack_rise[id] = target - rise[id];
+    slack_fall[id] = target - fall[id];
   }
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    const Element& el = elements_[static_cast<std::size_t>(*it)];
-    const bool same = feeds_same(el.kind);
-    const bool opposite = feeds_opposite(el.kind);
+    const auto e = static_cast<std::size_t>(*it);
+    const auto out = static_cast<std::size_t>(elements_[e].output);
     for (const bool out_rising : {false, true}) {
-      const double r = out_rising
-                           ? req_rise[static_cast<std::size_t>(el.output)]
-                           : req_fall[static_cast<std::size_t>(el.output)];
-      if (!std::isfinite(r)) continue;
-      for (std::size_t p = 0; p < el.inputs.size(); ++p) {
-        const auto in = static_cast<std::size_t>(el.inputs[p]);
-        const double arc = out_rising
-                               ? arcs.elements[static_cast<std::size_t>(*it)]
-                                     .rise[p]
-                               : arcs.elements[static_cast<std::size_t>(*it)]
-                                     .fall[p];
-        if (same) {
-          double& t = out_rising ? req_rise[in] : req_fall[in];
-          t = std::min(t, r - arc);
-        }
-        if (opposite) {
-          double& t = out_rising ? req_fall[in] : req_rise[in];
-          t = std::min(t, r - arc);
-        }
-      }
+      const double s = out_rising ? slack_rise[out] : slack_fall[out];
+      if (!std::isfinite(s)) continue;
+      const double arr_out = out_rising ? rise[out] : fall[out];
+      const std::vector<double>& arc = out_rising ? arcs.rise : arcs.fall;
+      for_each_arc(e, out_rising, [&](std::size_t a, int in, bool in_rising) {
+        const auto i = static_cast<std::size_t>(in);
+        const double arr_in = in_rising ? rise[i] : fall[i];
+        double& t = in_rising ? slack_rise[i] : slack_fall[i];
+        t = std::min(t, s + (arr_out - (arr_in + arc[a])));
+      });
     }
   }
 
@@ -204,9 +263,9 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
     t.net = net_names_[n];
     t.arrival_rise = rise[n];
     t.arrival_fall = fall[n];
-    t.required_rise = req_rise[n];
-    t.required_fall = req_fall[n];
-    t.slack = std::min(req_rise[n] - rise[n], req_fall[n] - fall[n]);
+    t.required_rise = rise[n] + slack_rise[n];
+    t.required_fall = fall[n] + slack_fall[n];
+    t.slack = std::min(slack_rise[n], slack_fall[n]);
     if (std::isfinite(t.slack)) res.worst_slack = std::min(res.worst_slack, t.slack);
   }
   if (!std::isfinite(res.worst_slack)) res.worst_slack = 0.0;
@@ -215,96 +274,113 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
 
 std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
                                                       std::size_t k) const {
-  CHARLIE_ASSERT_MSG(arcs.elements.size() == elements_.size(),
-                     "timing graph: arc set does not match the netlist");
   std::vector<CriticalPath> out;
   if (k == 0 || endpoint_ids_.empty()) return out;
 
   std::vector<double> rise;
   std::vector<double> fall;
   propagate<double>(
-      [&](std::size_t e, std::size_t p, bool out_rising) {
-        return out_rising ? arcs.elements[e].rise[p] : arcs.elements[e].fall[p];
-      },
-      [](double a, double b) { return std::max(a, b); }, rise, fall);
+      arcs, [](double a, double b) { return std::max(a, b); }, rise, fall);
   const auto arrival = [&](int net, bool rising) {
-    return rising ? rise[static_cast<std::size_t>(net)]
-                  : fall[static_cast<std::size_t>(net)];
+    return (rising ? rise : fall)[static_cast<std::size_t>(net)];
   };
 
-  // Best-first backward search from the endpoints. A state is a partial
-  // path (endpoint back to `net` transitioning in `rising` direction) with
-  // `suffix` = exact delay of that tail; its priority adds the head's
-  // arrival, the exact maximum any completion can reach. Popping in
-  // priority order therefore emits complete paths in exact decreasing
-  // delay order (best-first search with a perfect heuristic). Each step
-  // records the tail delay below it so the final times fall out of the
-  // total.
-  struct State {
+  // Deviation (sidetrack) search. Read backward from its endpoint, a path
+  // chooses one arc into every transition it passes. The greedy choice is
+  // the arc whose sum set the transition's arrival (the first maximum
+  // propagate keeps); every other arc is a sidetrack. A path is named by
+  // its endpoint and the sidetracks it takes, and completing any tail
+  // greedily gives its longest path: the greedy head reaches the tail's
+  // first transition at exactly that transition's arrival, which bounds
+  // every other head, and floating-point addition is monotone. Each heap
+  // entry is such a tail, keyed by that exact completion delay; popping
+  // one completes its path and queues every sidetrack the completion
+  // passes. A sidetrack's completion never beats its parent's, so paths
+  // come out in exact non-increasing delay order, each exactly once.
+  //
+  // Path nodes live in one arena: a transition, the arc from it to the
+  // next transition toward the endpoint, and that transition's node.
+  constexpr std::size_t kEndpoint = std::numeric_limits<std::size_t>::max();
+  struct Node {
     int net = -1;
     bool rising = true;
-    double suffix = 0.0;
-    double priority = 0.0;
-    std::vector<PathStep> steps;  // endpoint first; t holds the tail delay
+    std::size_t parent = kEndpoint;  // node toward the endpoint
+    double arc = 0.0;  // delay of the arc into the parent's transition
   };
-  const auto cmp = [](const State& a, const State& b) {
-    return a.priority < b.priority;
+  struct Entry {
+    double delay = 0.0;  // exact delay of the greedy completion
+    std::size_t node = 0;
   };
-  std::priority_queue<State, std::vector<State>, decltype(cmp)> queue(cmp);
-  for (std::size_t i = 0; i < endpoint_ids_.size(); ++i) {
+  // Max-heap on delay; equal delays pop in node creation order.
+  const auto below = [](const Entry& a, const Entry& b) {
+    return a.delay < b.delay || (a.delay == b.delay && a.node > b.node);
+  };
+  std::vector<Node> arena;
+  std::vector<Entry> heap;
+  const auto push = [&](const Node& node, double delay) {
+    arena.push_back(node);
+    heap.push_back({delay, arena.size() - 1});
+    std::push_heap(heap.begin(), heap.end(), below);
+  };
+  // A path's delay is its arcs summed input first -- propagate's own
+  // summation order, so the greedy head sums to exactly its arrival.
+  const auto completion = [&](const Node& node) {
+    double t = arrival(node.net, node.rising) + node.arc;
+    for (std::size_t i = node.parent; arena[i].parent != kEndpoint;
+         i = arena[i].parent) {
+      t += arena[i].arc;
+    }
+    return t;
+  };
+
+  for (const int id : endpoint_ids_) {
     for (const bool rising : {true, false}) {
-      State s;
-      s.net = endpoint_ids_[i];
-      s.rising = rising;
-      s.priority = arrival(s.net, rising);
-      s.steps.push_back({endpoints_[i], rising, 0.0});
-      queue.push(std::move(s));
+      push({id, rising, kEndpoint, 0.0}, arrival(id, rising));
     }
   }
+  while (out.size() < k && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), below);
+    const Entry entry = heap.back();
+    heap.pop_back();
 
-  // Expansion guard: with exact arrivals the search only touches states on
-  // top-k-competitive prefixes, but a dense graph of near-equal paths could
-  // still blow up; cap the work and return what is proven so far.
-  constexpr std::size_t kMaxExpansions = 200000;
-  std::size_t expansions = 0;
-  while (!queue.empty() && out.size() < k && expansions < kMaxExpansions) {
-    ++expansions;
-    State s = queue.top();
-    queue.pop();
-    const int d = driver_[static_cast<std::size_t>(s.net)];
-    if (d < 0) {
-      // Head is a primary input: the path is complete and its priority is
-      // its exact delay.
-      CriticalPath path;
-      path.delay = s.suffix;
-      path.steps.reserve(s.steps.size());
-      for (auto it = s.steps.rbegin(); it != s.steps.rend(); ++it) {
-        path.steps.push_back({it->net, it->rising, s.suffix - it->t});
-      }
-      out.push_back(std::move(path));
-      continue;
+    // Complete greedily back to a primary input, queueing every sidetrack.
+    std::size_t head = entry.node;
+    while (true) {
+      const Node at = arena[head];
+      const int d = driver_[static_cast<std::size_t>(at.net)];
+      if (d < 0) break;
+      const double arr = arrival(at.net, at.rising);
+      std::size_t greedy = kEndpoint;
+      for_each_arc(static_cast<std::size_t>(d), at.rising,
+                   [&](std::size_t a, int in, bool in_rising) {
+                     const double arc = (at.rising ? arcs.rise : arcs.fall)[a];
+                     const Node node{in, in_rising, head, arc};
+                     if (greedy == kEndpoint &&
+                         arrival(in, in_rising) + arc == arr) {
+                       arena.push_back(node);
+                       greedy = arena.size() - 1;
+                     } else {
+                       push(node, completion(node));
+                     }
+                   });
+      CHARLIE_ASSERT_MSG(greedy != kEndpoint,
+                         "timing graph: arrival not reproduced by any arc");
+      head = greedy;
     }
-    const Element& el = elements_[static_cast<std::size_t>(d)];
-    const bool same = feeds_same(el.kind);
-    const bool opposite = feeds_opposite(el.kind);
-    for (std::size_t p = 0; p < el.inputs.size(); ++p) {
-      const int in = el.inputs[p];
-      const double arc =
-          s.rising ? arcs.elements[static_cast<std::size_t>(d)].rise[p]
-                   : arcs.elements[static_cast<std::size_t>(d)].fall[p];
-      const auto push = [&](bool in_rising) {
-        State n = s;
-        n.net = in;
-        n.rising = in_rising;
-        n.suffix += arc;
-        n.priority = arrival(in, in_rising) + n.suffix;
-        n.steps.push_back({net_names_[static_cast<std::size_t>(in)], in_rising,
-                           n.suffix});
-        queue.push(std::move(n));
-      };
-      if (same) push(s.rising);
-      if (opposite) push(!s.rising);
+
+    CriticalPath path;
+    double t = 0.0;
+    for (std::size_t i = head;; i = arena[i].parent) {
+      const Node& node = arena[i];
+      path.steps.push_back(
+          {net_names_[static_cast<std::size_t>(node.net)], node.rising, t});
+      if (node.parent == kEndpoint) break;
+      t += node.arc;
     }
+    CHARLIE_ASSERT_MSG(t == entry.delay,
+                       "timing graph: path delay differs from its key");
+    path.delay = t;
+    out.push_back(std::move(path));
   }
   return out;
 }
@@ -312,16 +388,15 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
 CanonicalArcSet TimingGraph::canonical_arcs(
     const sim::ProcessVariation& variation) const {
   variation.validate();
-  const std::size_t n_elems = elements_.size();
   CanonicalArcSet set;
-  set.rise.resize(n_elems);
-  set.fall.resize(n_elems);
-  for (std::size_t e = 0; e < n_elems; ++e) {
-    const ElementArcs& arcs = nominal_arcs_.elements[e];
-    set.rise[e].reserve(arcs.rise.size());
-    set.fall[e].reserve(arcs.fall.size());
-    for (const double d : arcs.rise) set.rise[e].push_back(Canonical::constant(d));
-    for (const double d : arcs.fall) set.fall[e].push_back(Canonical::constant(d));
+  set.offsets = nominal_arcs_.offsets;
+  set.rise.reserve(nominal_arcs_.rise.size());
+  set.fall.reserve(nominal_arcs_.fall.size());
+  for (const double d : nominal_arcs_.rise) {
+    set.rise.push_back(Canonical::constant(d));
+  }
+  for (const double d : nominal_arcs_.fall) {
+    set.fall.push_back(Canonical::constant(d));
   }
 
   const std::array<double, kNAxes> sigmas = {
@@ -346,30 +421,19 @@ CanonicalArcSet TimingGraph::canonical_arcs(
     }
     const ArcSet up = arcs_at(plus);
     const ArcSet down = arcs_at(minus);
-    for (std::size_t e = 0; e < n_elems; ++e) {
-      for (std::size_t p = 0; p < set.rise[e].size(); ++p) {
-        set.rise[e][p].sens[axis] =
-            0.5 * (up.elements[e].rise[p] - down.elements[e].rise[p]);
-      }
-      for (std::size_t p = 0; p < set.fall[e].size(); ++p) {
-        set.fall[e][p].sens[axis] =
-            0.5 * (up.elements[e].fall[p] - down.elements[e].fall[p]);
-      }
+    for (std::size_t a = 0; a < set.rise.size(); ++a) {
+      set.rise[a].sens[axis] = 0.5 * (up.rise[a] - down.rise[a]);
+      set.fall[a].sens[axis] = 0.5 * (up.fall[a] - down.fall[a]);
     }
   }
   return set;
 }
 
 Canonical TimingGraph::analyze_ssta(const CanonicalArcSet& arcs) const {
-  CHARLIE_ASSERT_MSG(arcs.rise.size() == elements_.size() &&
-                         arcs.fall.size() == elements_.size(),
-                     "timing graph: canonical arc set does not match");
   std::vector<Canonical> rise;
   std::vector<Canonical> fall;
   propagate<Canonical>(
-      [&](std::size_t e, std::size_t p, bool out_rising) {
-        return out_rising ? arcs.rise[e][p] : arcs.fall[e][p];
-      },
+      arcs,
       [](const Canonical& a, const Canonical& b) {
         return statistical_max(a, b);
       },

@@ -5,13 +5,13 @@
 // and propagates per-direction (rise/fall) worst-case times over it:
 //
 //   * deterministic mode: latest arrival per (net, direction) forward,
-//     earliest required time backward from the endpoints against a
-//     deadline, slack per net, and top-K critical-path enumeration
-//     (best-first backward search scored by exact arrivals, so paths come
-//     out in exact decreasing-delay order);
-//   * corner mode: the same propagation with arcs re-extracted from a
-//     cell::CellLibrary::at_corner derivation of the library (wires stay
-//     nominal, matching sim::ProcessBinder);
+//     slack per net backward from the endpoints against a deadline, and
+//     top-K critical-path enumeration (a deviation search over the
+//     exact-arrival argmax arcs, so paths come out in exact decreasing-delay
+//     order);
+//   * corner mode: the same propagation with gate arcs re-extracted from a
+//     cell::CellLibrary::at_corner derivation of the library, once per
+//     distinct cell (wires stay nominal, matching sim::ProcessBinder);
 //   * statistical mode: canonical first-order forms (sta::Canonical)
 //     propagated with Clark's statistical max; arc sensitivities come from
 //     central differences of the arc set at +-1 sigma per active
@@ -29,13 +29,11 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
 #include "core/process_point.hpp"
-#include "sim/circuit_builder.hpp"
 #include "sim/process_variation.hpp"
 #include "sta/arc_delays.hpp"
 #include "sta/canonical.hpp"
@@ -52,12 +50,12 @@ struct PathStep {
 /// One register-to-register (here: input-to-endpoint) path, primary input
 /// first.
 struct CriticalPath {
-  double delay = 0.0;  // total path delay [s]
+  double delay = 0.0;  // total path delay: the arcs summed input first [s]
   std::vector<PathStep> steps;
 };
 
-/// Per-net deterministic timing. Required times are +infinity for nets no
-/// declared endpoint depends on (their slack is +infinity too).
+/// Per-net deterministic timing. Required times are arrival + slack per
+/// direction; both are +infinity for nets no declared endpoint depends on.
 struct NetTiming {
   std::string net;
   double arrival_rise = 0.0;
@@ -75,19 +73,17 @@ struct TimingResult {
   std::vector<NetTiming> nets;  // graph net order (inputs first, then topo)
 };
 
-/// Canonical (statistical) arc set: one Canonical per element arc, parallel
-/// to ArcSet.
-struct CanonicalArcSet {
-  std::vector<std::vector<Canonical>> rise;  // [element][pin]
-  std::vector<std::vector<Canonical>> fall;
-};
+/// Canonical (statistical) arc set: one Canonical per element arc, in the
+/// ArcSet layout.
+using CanonicalArcSet = FlatArcs<Canonical>;
 
 class TimingGraph {
  public:
   /// Validates `desc` against `library` (same checks and ConfigError
-  /// diagnostics as CircuitBuilder::build) and extracts the nominal arc
-  /// set. Endpoints are the declared `output(...)` nets, falling back to
-  /// the last instance's output (BatchRunner's observation convention).
+  /// diagnostics as CircuitBuilder::build), maps each gate instance to its
+  /// cell and extracts the nominal arc set. Endpoints are the declared
+  /// `output(...)` nets, falling back to the last instance's output
+  /// (BatchRunner's observation convention).
   TimingGraph(const cell::NetlistDesc& desc,
               std::shared_ptr<const cell::CellLibrary> library);
 
@@ -96,18 +92,20 @@ class TimingGraph {
   const ArcSet& nominal_arcs() const { return nominal_arcs_; }
 
   /// Arc set at a process corner: gates re-derived analytically
-  /// (at_corner), wires nominal.
+  /// (at_corner, one arc_table() per distinct cell), wires nominal.
   ArcSet arcs_at(const core::ProcessPoint& point) const;
 
-  /// Deterministic arrival/required/slack pass. `deadline` <= 0 measures
-  /// slack against the critical delay itself (worst slack exactly 0).
+  /// Deterministic arrival/required/slack pass. Slack propagates backward
+  /// through each arc's non-negative edge slack, so `deadline` <= 0 (slack
+  /// against the critical delay itself) gives every net slack >= 0 and
+  /// worst slack exactly 0.
   TimingResult analyze(const ArcSet& arcs, double deadline) const;
 
-  /// Top-k input-to-endpoint paths in exact decreasing delay order
-  /// (best-first backward search; arrivals are an exact admissible bound,
-  /// so no path is emitted out of order). Fewer than k paths are returned
-  /// only when the circuit has fewer distinct paths (or the expansion
-  /// guard trips on a pathologically dense graph).
+  /// Top-k input-to-endpoint paths in exact decreasing delay order: a
+  /// deviation search in which each step completes one path along the
+  /// exact-arrival argmax arcs, so k paths cost O(k * depth * fanin) heap
+  /// operations. Fewer than k paths are returned only when the circuit has
+  /// fewer paths. paths[0].delay equals analyze()'s critical delay.
   std::vector<CriticalPath> critical_paths(const ArcSet& arcs,
                                            std::size_t k) const;
 
@@ -124,32 +122,43 @@ class TimingGraph {
 
  private:
   struct Element {
-    sim::GateKind kind = sim::GateKind::kBuf;
-    bool wire = false;
-    std::vector<int> inputs;  // net ids, pin order
-    int output = -1;          // net id
+    sim::GateKind kind = sim::GateKind::kBuf;  // wires: kBuf
+    int output = -1;                           // net id
   };
 
-  int net_id(const std::string& name) const;
+  /// Visit every timing arc into element `e`'s output transition in
+  /// direction `out_rising` as visit(arc index, input net, input rising):
+  /// pin order, same-direction input before the opposite one.
+  template <typename Visit>
+  void for_each_arc(std::size_t e, bool out_rising, Visit&& visit) const;
 
   /// Generic forward (net, direction) propagation over the topo order;
   /// V is double (deterministic max) or Canonical (statistical max).
   /// Instantiated in timing_graph.cpp only.
-  template <typename V, typename ArcOf, typename Join>
-  void propagate(ArcOf&& arc_of, Join&& join, std::vector<V>& rise,
+  template <typename V, typename Join>
+  void propagate(const FlatArcs<V>& arcs, Join&& join, std::vector<V>& rise,
                  std::vector<V>& fall) const;
 
-  cell::NetlistDesc desc_;
+  /// Overwrite the gate arcs of `arcs` from `library` (the graph's library
+  /// or an at_corner derivation of it): one arc_table() per distinct cell,
+  /// then a flat copy per instance. The one arc-fill path.
+  void fill_gate_arcs(const cell::CellLibrary& library, ArcSet& arcs) const;
+
+  /// Asserts that `arcs` has this graph's layout.
+  template <typename V>
+  void check_arcs(const FlatArcs<V>& arcs) const;
+
   std::shared_ptr<const cell::CellLibrary> library_;
-  sim::CircuitBuilder builder_;  // wire-table memoization across corners
-  std::vector<std::string> net_names_;          // inputs first, element order
-  std::unordered_map<std::string, int> net_index_;
-  std::vector<int> driver_;                     // net id -> element or -1
-  std::vector<Element> elements_;               // unified element indexing
-  std::vector<int> order_;                      // element topo order
+  std::vector<std::string> net_names_;  // inputs first, element order
+  std::vector<int> driver_;             // net id -> element or -1
+  std::vector<Element> elements_;       // unified element indexing
+  std::vector<int> fanin_;              // input net id per arc (ArcSet layout)
+  std::vector<int> order_;              // element topo order
+  std::vector<std::size_t> cell_of_;    // gate -> index in library specs()
+  std::vector<std::size_t> cells_;      // distinct cell indices in use
   std::vector<std::string> endpoints_;
   std::vector<int> endpoint_ids_;
-  ArcSet nominal_arcs_;
+  ArcSet nominal_arcs_;  // its offsets are the graph's arc layout
 };
 
 }  // namespace charlie::sta

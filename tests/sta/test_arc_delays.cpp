@@ -1,6 +1,7 @@
 // Static arc extraction: SIS arcs are the characterized inertial delays,
 // hybrid arcs are the conservative characteristic envelope plus the pure
-// delay, wire arcs are the settled-line step crossing -- and the envelope
+// delay, wire arcs are the settled-line step crossing, all in one flat
+// per-pin layout with corner arcs taken per cell -- and the envelope
 // really does bound staggered-arrival crossings of the underlying model.
 #include "sta/arc_delays.hpp"
 
@@ -8,13 +9,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
 #include "core/gate_delay.hpp"
+#include "core/process_point.hpp"
 #include "sim/circuit_builder.hpp"
+#include "sta/timing_graph.hpp"
 #include "wire/wire_tables.hpp"
 
 namespace charlie::sta {
@@ -158,30 +162,75 @@ TEST(WireArcs, DriveShapeCorrectionAddsToTheStepDelay) {
   EXPECT_NEAR(with_drive.drive_delay(), correction, 1e-15);
 }
 
-TEST(ExtractArcs, UnifiedElementOrderGatesFirstThenWires) {
-  const cell::NetlistDesc desc = cell::parse_netlist(
+// Element e's arcs in one direction, pin order.
+std::vector<double> element_arcs(const ArcSet& arcs, std::size_t e,
+                                 bool rising) {
+  const std::vector<double>& all = rising ? arcs.rise : arcs.fall;
+  return {all.begin() + static_cast<std::ptrdiff_t>(arcs.offsets[e]),
+          all.begin() + static_cast<std::ptrdiff_t>(arcs.offsets[e + 1])};
+}
+
+const cell::NetlistDesc& gate_gate_wire_netlist() {
+  static const cell::NetlistDesc desc = cell::parse_netlist(
       "input(a, b, c)\n"
       "NOR2(x, a, b)\n"
       "AND2(y, x, c)\n"
       "WIRE(z, y, r=200, c=50e-15, tdrive=10e-12)\n"
       "output(z)\n");
+  return desc;
+}
+
+TEST(ExtractArcs, UnifiedElementOrderGatesFirstThenWires) {
+  const cell::NetlistDesc& desc = gate_gate_wire_netlist();
   const auto library = reference_library();
-  const sim::CircuitBuilder builder(library);
-  const ArcSet arcs = extract_arcs(desc, *library, builder);
-  ASSERT_EQ(arcs.elements.size(), 3u);
+  const TimingGraph graph(desc, library);
+  const ArcSet& arcs = graph.nominal_arcs();
+  ASSERT_EQ(arcs.n_elements(), 3u);
+  // One arc per input pin: NOR2 2, AND2 2, wire 1.
+  EXPECT_EQ(arcs.offsets, (std::vector<std::size_t>{0, 2, 4, 5}));
+  ASSERT_EQ(arcs.rise.size(), 5u);
+  ASSERT_EQ(arcs.fall.size(), 5u);
 
   const cell::CellArcTable nor2 = library->find("NOR2")->arc_table();
   const cell::CellArcTable and2 = library->find("AND2")->arc_table();
-  EXPECT_EQ(arcs.elements[0].rise, nor2.output_rise);
-  EXPECT_EQ(arcs.elements[0].fall, nor2.output_fall);
-  EXPECT_EQ(arcs.elements[1].rise, and2.output_rise);
-  EXPECT_EQ(arcs.elements[1].fall, and2.output_fall);
+  EXPECT_EQ(element_arcs(arcs, 0, true), nor2.output_rise);
+  EXPECT_EQ(element_arcs(arcs, 0, false), nor2.output_fall);
+  EXPECT_EQ(element_arcs(arcs, 1, true), and2.output_rise);
+  EXPECT_EQ(element_arcs(arcs, 1, false), and2.output_fall);
 
+  const sim::CircuitBuilder builder(library);
   const auto wire_tables = builder.wire_tables(desc.wires[0]);
-  ASSERT_EQ(arcs.elements[2].rise.size(), 1u);
-  EXPECT_DOUBLE_EQ(arcs.elements[2].rise[0], wire_tables->step_delay(true));
-  EXPECT_DOUBLE_EQ(arcs.elements[2].fall[0], wire_tables->step_delay(false));
-  EXPECT_GT(arcs.elements[2].rise[0], 0.0);
+  EXPECT_DOUBLE_EQ(arcs.rise[arcs.offsets[2]], wire_tables->step_delay(true));
+  EXPECT_DOUBLE_EQ(arcs.fall[arcs.offsets[2]], wire_tables->step_delay(false));
+  EXPECT_GT(arcs.rise[arcs.offsets[2]], 0.0);
+}
+
+// Corner arcs are the corner library's per-cell tables on every instance,
+// and the nominal wire arcs (wires are process-independent).
+TEST(ExtractArcs, CornerArcsArePerCellTablesAndNominalWires) {
+  const cell::NetlistDesc& desc = gate_gate_wire_netlist();
+  const auto library = reference_library();
+  const TimingGraph graph(desc, library);
+  core::ProcessPoint point = core::ProcessPoint::nominal();
+  point.vdd_scale = 0.93;
+  point.vth_shift = 0.02;
+  point.drive_scale = 1.04;
+  const ArcSet arcs = graph.arcs_at(point);
+  EXPECT_EQ(arcs.offsets, graph.nominal_arcs().offsets);
+
+  const cell::CellLibrary corner = library->at_corner(point);
+  const cell::CellArcTable nor2 = corner.spec("NOR2").arc_table();
+  const cell::CellArcTable and2 = corner.spec("AND2").arc_table();
+  EXPECT_EQ(element_arcs(arcs, 0, true), nor2.output_rise);
+  EXPECT_EQ(element_arcs(arcs, 0, false), nor2.output_fall);
+  EXPECT_EQ(element_arcs(arcs, 1, true), and2.output_rise);
+  EXPECT_EQ(element_arcs(arcs, 1, false), and2.output_fall);
+  EXPECT_NE(element_arcs(arcs, 0, true),
+            element_arcs(graph.nominal_arcs(), 0, true));
+  EXPECT_EQ(element_arcs(arcs, 2, true),
+            element_arcs(graph.nominal_arcs(), 2, true));
+  EXPECT_EQ(element_arcs(arcs, 2, false),
+            element_arcs(graph.nominal_arcs(), 2, false));
 }
 
 }  // namespace
