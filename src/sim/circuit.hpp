@@ -166,6 +166,14 @@ class Circuit {
   /// i-th declared input (stimulus order).
   NetId input_net(std::size_t i) const { return primary_inputs_[i]; }
 
+  /// Output and input nets of gate `g`. Gates are numbered in construction
+  /// order, which is a topological order: every input net exists before
+  /// the gate reading it, so its driving gate (if any) has a lower index.
+  NetId gate_output(std::size_t g) const { return gates_[g].output; }
+  std::span<const NetId> gate_inputs(std::size_t g) const {
+    return gates_[g].inputs;
+  }
+
   /// Visit every native multi-input (MIS) channel, in gate construction
   /// order. Process-variation binding walks these to retarget channels
   /// between runs; mutating a channel mid-simulation is undefined.

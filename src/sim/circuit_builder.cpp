@@ -1,8 +1,6 @@
 #include "sim/circuit_builder.hpp"
 
-#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,10 +46,6 @@ bool is_wire(const cell::NetlistDesc& desc, std::size_t e) {
 const cell::NetlistWire& wire_of(const cell::NetlistDesc& desc,
                                  std::size_t e) {
   return NetlistTopology::wire_of(desc, e);
-}
-
-const std::string& output_of(const cell::NetlistDesc& desc, std::size_t e) {
-  return NetlistTopology::output_of(desc, e);
 }
 
 template <typename Visit>
@@ -245,144 +239,7 @@ std::unique_ptr<Circuit> CircuitBuilder::build(
 
 std::unique_ptr<ShardedCircuit> CircuitBuilder::build_sharded(
     const cell::NetlistDesc& desc, std::size_t n_shards) const {
-  const NetlistTopology prep = prepare_netlist(desc, *library_);
-  const std::size_t n_elems = prep.order.size();
-  const std::size_t n_parts = std::clamp<std::size_t>(
-      n_shards, 1, std::max<std::size_t>(n_elems, 1));
-
-  // --- cut placement -------------------------------------------------------
-  // A cut at topo position p separates order[0..p) from order[p..). Its
-  // cost is the number of nets live across it: nets produced before p whose
-  // last consumer sits at or after p. Costs for every p come from one
-  // difference array over the net live ranges; each of the K-1 cuts then
-  // takes the cheapest position within a balance slack around its ideal
-  // (equal-element) position.
-  std::vector<int> pos(n_elems, 0);
-  for (std::size_t i = 0; i < n_elems; ++i) {
-    pos[static_cast<std::size_t>(prep.order[i])] = static_cast<int>(i);
-  }
-  std::vector<int> last_use(n_elems, -1);
-  for (std::size_t e = 0; e < n_elems; ++e) {
-    for_each_input(desc, e, [&](const std::string& input) {
-      const int d = prep.driver.at(input);
-      if (d >= 0) {
-        last_use[static_cast<std::size_t>(d)] = std::max(
-            last_use[static_cast<std::size_t>(d)], pos[e]);
-      }
-    });
-  }
-  std::vector<int> live(n_elems + 1, 0);
-  for (std::size_t d = 0; d < n_elems; ++d) {
-    if (last_use[d] < 0) continue;  // output consumed by no element
-    ++live[static_cast<std::size_t>(pos[d]) + 1];
-    --live[static_cast<std::size_t>(last_use[d]) + 1];
-  }
-  for (std::size_t p = 1; p <= n_elems; ++p) live[p] += live[p - 1];
-
-  std::vector<std::size_t> cut(n_parts + 1, 0);
-  cut[n_parts] = n_elems;
-  const std::size_t slack =
-      std::max<std::size_t>(1, n_elems / (4 * n_parts));
-  for (std::size_t i = 1; i < n_parts; ++i) {
-    const std::size_t ideal = i * n_elems / n_parts;
-    // Every shard keeps at least one element: cut i stays in
-    // [cut[i-1] + 1, n_elems - (n_parts - i)].
-    const std::size_t floor_p = cut[i - 1] + 1;
-    const std::size_t ceil_p = n_elems - (n_parts - i);
-    std::size_t lo = std::max(floor_p, ideal > slack ? ideal - slack : 1);
-    std::size_t hi = std::min(ceil_p, ideal + slack);
-    if (lo > hi) {
-      lo = hi = std::clamp(ideal, floor_p, ceil_p);
-    }
-    std::size_t best = lo;
-    for (std::size_t p = lo; p <= hi; ++p) {
-      const auto distance = [&](std::size_t q) {
-        return q > ideal ? q - ideal : ideal - q;
-      };
-      if (live[p] < live[best] ||
-          (live[p] == live[best] && distance(p) < distance(best))) {
-        best = p;
-      }
-    }
-    cut[i] = best;
-  }
-
-  std::vector<int> shard_of(n_elems, 0);
-  for (std::size_t s = 0; s < n_parts; ++s) {
-    for (std::size_t p = cut[s]; p < cut[s + 1]; ++p) {
-      shard_of[static_cast<std::size_t>(prep.order[p])] =
-          static_cast<int>(s);
-    }
-  }
-
-  // --- per-shard emission --------------------------------------------------
-  std::unordered_map<std::string, std::size_t> input_index;
-  for (std::size_t i = 0; i < desc.inputs.size(); ++i) {
-    input_index.emplace(desc.inputs[i], i);
-  }
-
-  std::vector<ShardedCircuit::Shard> shards(n_parts);
-  std::vector<ShardedCircuit::BoundaryEdge> edges;
-  std::unordered_map<std::string, std::pair<std::size_t, Circuit::NetId>>
-      net_home;
-  for (std::size_t s = 0; s < n_parts; ++s) {
-    // External nets of this shard: global primary inputs it reads (declared
-    // in global stimulus order) and boundary nets from earlier shards
-    // (declared in producer topo order) -- both deterministic.
-    std::unordered_set<std::string> seen;
-    std::vector<std::size_t> primaries;  // global input indices
-    std::vector<int> producers;          // upstream element indices
-    for (std::size_t p = cut[s]; p < cut[s + 1]; ++p) {
-      const auto e = static_cast<std::size_t>(prep.order[p]);
-      for_each_input(desc, e, [&](const std::string& input) {
-        if (!seen.insert(input).second) return;
-        const int d = prep.driver.at(input);
-        if (d < 0) {
-          primaries.push_back(input_index.at(input));
-        } else if (shard_of[static_cast<std::size_t>(d)] !=
-                   static_cast<int>(s)) {
-          producers.push_back(d);
-        }
-      });
-    }
-    std::sort(primaries.begin(), primaries.end());
-    std::sort(producers.begin(), producers.end(), [&](int a, int b) {
-      return pos[static_cast<std::size_t>(a)] <
-             pos[static_cast<std::size_t>(b)];
-    });
-
-    auto circuit = std::make_unique<Circuit>();
-    std::vector<int> binding;
-    binding.reserve(primaries.size() + producers.size());
-    for (const std::size_t g : primaries) {
-      circuit->add_input(desc.inputs[g]);
-      binding.push_back(static_cast<int>(g));
-    }
-    for (const int d : producers) {
-      const std::string& net = output_of(desc, static_cast<std::size_t>(d));
-      const std::size_t from_shard =
-          static_cast<std::size_t>(shard_of[static_cast<std::size_t>(d)]);
-      ShardedCircuit::BoundaryEdge edge;
-      edge.from_shard = from_shard;
-      edge.from_net = shards[from_shard].circuit->find_net(net);
-      edge.to_shard = s;
-      edge.to_input = circuit->n_inputs();
-      circuit->add_input(net);
-      binding.push_back(-1);
-      edges.push_back(edge);
-    }
-    for (std::size_t p = cut[s]; p < cut[s + 1]; ++p) {
-      const auto e = static_cast<std::size_t>(prep.order[p]);
-      emit_element(*circuit, desc, prep.specs, e);
-      const std::string& net = output_of(desc, e);
-      net_home.emplace(net, std::make_pair(s, circuit->find_net(net)));
-    }
-    shards[s].circuit = std::move(circuit);
-    shards[s].input_binding = std::move(binding);
-  }
-
-  return std::make_unique<ShardedCircuit>(std::move(shards), std::move(edges),
-                                          desc.inputs, std::move(net_home));
+  return std::make_unique<ShardedCircuit>(build(desc), n_shards);
 }
 
 std::unique_ptr<Circuit> CircuitBuilder::build_text(

@@ -23,7 +23,9 @@
 //   * declared primary outputs that no net defines;
 //   * combinational cycles (the engine requires acyclic circuits).
 // Instances and wires may appear in any order; the builder topologically
-// sorts them.
+// sorts them, so the emitted circuit's gates are in topological order.
+// build_sharded() is build() plus a first cut of those gates into
+// contiguous ranges for sim::ShardedCircuit; nothing is emitted per shard.
 #pragma once
 
 #include <memory>
@@ -46,8 +48,8 @@ namespace charlie::sim {
 /// netlist order, wires after, so element e >= desc.instances.size() is
 /// wire e - desc.instances.size(). Produced by
 /// CircuitBuilder::analyze_topology (which performs the full build()
-/// validation pass) and consumed by build()/build_sharded() internally and
-/// by the sta layer's timing graph construction.
+/// validation pass) and consumed by build() internally and by the sta
+/// layer's timing graph construction.
 struct NetlistTopology {
   std::vector<const cell::CellSpec*> specs;     // per instance, netlist order
   std::unordered_map<std::string, int> driver;  // net -> -1 (primary input)
@@ -96,14 +98,14 @@ class CircuitBuilder {
   std::unique_ptr<Circuit> build_text(const std::string& netlist_text) const;
   std::unique_ptr<Circuit> build_file(const std::string& path) const;
 
-  /// Validate `desc` and emit it as `n_shards` shard circuits for parallel
-  /// simulation by sim::ShardedCircuit. Elements are split into contiguous
-  /// runs of the topological order, balanced by element count, with each
-  /// cut placed (within a balance slack) at the topo position where the
-  /// fewest nets are live -- a cheap min-cut that keeps the shard graph
-  /// acyclic by construction. n_shards is clamped to [1, n_elements];
-  /// simulation output is bit-identical to build() + Circuit::simulate for
-  /// any shard count.
+  /// build(desc), split into `n_shards` gate-range shards for parallel
+  /// simulation by sim::ShardedCircuit. The built circuit's gates are in
+  /// topological order; the first cut balances gate counts, each cut placed
+  /// (within a balance slack) where the fewest nets are live -- a cheap
+  /// min-cut that keeps the shard graph acyclic by construction -- and
+  /// every completed run re-cuts on its measured work. n_shards is clamped
+  /// to [1, n_elements]; simulation output is bit-identical to build() +
+  /// Circuit::simulate for any shard count and cut.
   std::unique_ptr<ShardedCircuit> build_sharded(const cell::NetlistDesc& desc,
                                                 std::size_t n_shards) const;
 

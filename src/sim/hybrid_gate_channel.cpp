@@ -58,11 +58,12 @@ void HybridGateChannel::initialize(double t0,
   output_ = tables_->output_value(state_);
   refresh_scalar();
   committed_.clear();
+  committed_head_ = 0;
   live_.reset();
 }
 
 std::optional<PendingEvent> HybridGateChannel::pending() const {
-  if (!committed_.empty()) return committed_.front();
+  if (committed_head_ < committed_.size()) return committed_[committed_head_];
   return live_;
 }
 
@@ -150,14 +151,18 @@ void HybridGateChannel::on_input(double t, int port, bool value) {
 
 void HybridGateChannel::on_fire(const PendingEvent& fired) {
   output_ = fired.value;
-  if (!committed_.empty()) {
+  if (committed_head_ < committed_.size()) {
     // Desync between the engine's queue and the channel's committed list
     // would silently corrupt output traces; fail loudly instead.
-    const PendingEvent& front = committed_.front();
+    const PendingEvent& front = committed_[committed_head_];
     CHARLIE_ASSERT_MSG(front.t == fired.t && front.value == fired.value,
                        "hybrid channel: fired event does not match the "
                        "committed front");
-    committed_.pop_front();
+    // Pop the front; a drained queue rewinds and keeps its capacity.
+    if (++committed_head_ == committed_.size()) {
+      committed_.clear();
+      committed_head_ = 0;
+    }
     return;
   }
   CHARLIE_ASSERT(live_.has_value());

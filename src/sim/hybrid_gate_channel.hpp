@@ -21,8 +21,8 @@
 // plus a Newton crossing solve.
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "core/gate_mode_tables.hpp"
 #include "sim/channel.hpp"
@@ -85,8 +85,11 @@ class HybridGateChannel final : public GateChannel {
   bool output_ = false;
   // Crossings that precede the effective time of the latest input are
   // physically decided and can no longer be cancelled; the live crossing
-  // of the current mode can. See on_input.
-  std::deque<PendingEvent> committed_;
+  // of the current mode can. See on_input. The committed queue is a FIFO
+  // of committed_[committed_head_..]: almost always empty, so unlike a
+  // std::deque it allocates nothing until the first push.
+  std::vector<PendingEvent> committed_;
+  std::size_t committed_head_ = 0;
   std::optional<PendingEvent> live_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -11,45 +12,217 @@
 
 namespace charlie::sim {
 
-ShardedCircuit::ShardedCircuit(
-    std::vector<Shard> shards, std::vector<BoundaryEdge> edges,
-    std::vector<std::string> global_inputs,
-    std::unordered_map<std::string, std::pair<std::size_t, Circuit::NetId>>
-        net_home)
-    : shards_(std::move(shards)),
-      edges_(std::move(edges)),
-      global_inputs_(std::move(global_inputs)),
-      net_home_(std::move(net_home)) {
-  CHARLIE_ASSERT_MSG(!shards_.empty(), "sharded circuit: no shards");
-  for (std::size_t i = 0; i < global_inputs_.size(); ++i) {
-    input_index_.emplace(global_inputs_[i], i);
+ShardedCircuit::ShardedCircuit(std::unique_ptr<Circuit> circuit,
+                               std::size_t n_shards)
+    : circuit_(std::move(circuit)) {
+  CHARLIE_ASSERT_MSG(circuit_ != nullptr, "sharded circuit: no circuit");
+  driver_.assign(circuit_->n_nets(), -1);
+  for (std::size_t g = 0; g < circuit_->n_gates(); ++g) {
+    driver_[static_cast<std::size_t>(circuit_->gate_output(g))] =
+        static_cast<int>(g);
   }
-  out_edges_.resize(shards_.size());
-  in_edges_.resize(shards_.size());
+  set_cut(structural_cut(n_shards));
+}
+
+std::size_t ShardedCircuit::shard_of(std::size_t gate) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(cut_.begin(), cut_.end(), gate) - cut_.begin() - 1);
+}
+
+void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
+  const std::size_t n_gates = circuit_->n_gates();
+  CHARLIE_ASSERT(cut.size() >= 2 && cut.front() == 0 &&
+                 cut.back() == n_gates);
+  for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
+    // Every shard keeps at least one gate (an empty circuit is one empty
+    // shard).
+    CHARLIE_ASSERT(cut[s] < cut[s + 1] || n_gates == 0);
+  }
+  cut_ = std::move(cut);
+  const std::size_t n_shards = cut_.size() - 1;
+
+  // Boundary edges: per consumer shard, the nets its gates read from
+  // earlier shards, in producer (topological) order -- deterministic.
+  edges_.clear();
+  std::vector<std::size_t> seen_by(circuit_->n_nets(), n_shards);
+  std::vector<std::size_t> producers;
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    producers.clear();
+    for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
+      for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
+        const int d = driver_[static_cast<std::size_t>(net)];
+        if (d < 0 || static_cast<std::size_t>(d) >= cut_[s]) continue;
+        if (seen_by[static_cast<std::size_t>(net)] == s) continue;
+        seen_by[static_cast<std::size_t>(net)] = s;
+        producers.push_back(static_cast<std::size_t>(d));
+      }
+    }
+    std::sort(producers.begin(), producers.end());
+    for (const std::size_t d : producers) {
+      edges_.push_back({circuit_->gate_output(d), shard_of(d), s});
+    }
+  }
+  out_edges_.assign(n_shards, {});
+  in_edges_.assign(n_shards, {});
   for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const BoundaryEdge& e = edges_[i];
-    // The shard graph must be acyclic; contiguous topo-order partitions
-    // guarantee the stronger from < to.
-    CHARLIE_ASSERT(e.from_shard < e.to_shard && e.to_shard < shards_.size());
-    const Circuit& consumer = *shards_[e.to_shard].circuit;
-    CHARLIE_ASSERT(e.to_input < consumer.n_inputs());
-    CHARLIE_ASSERT_MSG(
-        shards_[e.to_shard].input_binding[e.to_input] == -1,
-        "sharded circuit: boundary edge targets a global-input binding");
-    out_edges_[e.from_shard].push_back(i);
-    in_edges_[e.to_shard].push_back(i);
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    CHARLIE_ASSERT(shard.circuit != nullptr);
-    CHARLIE_ASSERT(shard.input_binding.size() == shard.circuit->n_inputs());
+    out_edges_[edges_[i].from_shard].push_back(i);
+    in_edges_[edges_[i].to_shard].push_back(i);
   }
 }
 
-std::size_t ShardedCircuit::n_gates() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) n += shard.circuit->n_gates();
-  return n;
+std::vector<std::size_t> ShardedCircuit::structural_cut(
+    std::size_t n_shards) const {
+  const std::size_t n_gates = circuit_->n_gates();
+  const std::size_t n_parts = std::clamp<std::size_t>(
+      n_shards, 1, std::max<std::size_t>(n_gates, 1));
+
+  // A cut at gate p separates gates [0, p) from [p, n). Its cost is the
+  // number of nets live across it: nets driven before p whose last reader
+  // sits at or after p. Costs for every p come from one difference array
+  // over the net live ranges; each of the K-1 cuts then takes the cheapest
+  // position within a balance slack around its ideal (equal-count)
+  // position.
+  std::vector<int> last_use(n_gates, -1);
+  for (std::size_t g = 0; g < n_gates; ++g) {
+    for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
+      const int d = driver_[static_cast<std::size_t>(net)];
+      if (d >= 0) {
+        last_use[static_cast<std::size_t>(d)] =
+            std::max(last_use[static_cast<std::size_t>(d)],
+                     static_cast<int>(g));
+      }
+    }
+  }
+  std::vector<int> live(n_gates + 1, 0);
+  for (std::size_t d = 0; d < n_gates; ++d) {
+    if (last_use[d] < 0) continue;  // output read by no gate
+    ++live[d + 1];
+    --live[static_cast<std::size_t>(last_use[d]) + 1];
+  }
+  for (std::size_t p = 1; p <= n_gates; ++p) live[p] += live[p - 1];
+
+  std::vector<std::size_t> cut(n_parts + 1, 0);
+  cut[n_parts] = n_gates;
+  const std::size_t slack =
+      std::max<std::size_t>(1, n_gates / (4 * n_parts));
+  for (std::size_t i = 1; i < n_parts; ++i) {
+    const std::size_t ideal = i * n_gates / n_parts;
+    // Every shard keeps at least one gate: cut i stays in
+    // [cut[i-1] + 1, n_gates - (n_parts - i)].
+    const std::size_t floor_p = cut[i - 1] + 1;
+    const std::size_t ceil_p = n_gates - (n_parts - i);
+    std::size_t lo = std::max(floor_p, ideal > slack ? ideal - slack : 1);
+    std::size_t hi = std::min(ceil_p, ideal + slack);
+    if (lo > hi) {
+      lo = hi = std::clamp(ideal, floor_p, ceil_p);
+    }
+    std::size_t best = lo;
+    for (std::size_t p = lo; p <= hi; ++p) {
+      const auto distance = [&](std::size_t q) {
+        return q > ideal ? q - ideal : ideal - q;
+      };
+      if (live[p] < live[best] ||
+          (live[p] == live[best] && distance(p) < distance(best))) {
+        best = p;
+      }
+    }
+    cut[i] = best;
+  }
+  return cut;
+}
+
+std::vector<std::size_t> ShardedCircuit::balanced_cut(
+    const std::vector<waveform::DigitalTrace>& traces) const {
+  const std::size_t n_gates = circuit_->n_gates();
+  const std::size_t n_parts = n_shards();
+  if (n_parts == 1) return cut_;
+
+  // Work model: gate g costs its firings (its output's transitions); a
+  // shard additionally costs one event per transition of each distinct net
+  // it reads from before its first gate. Most gates read only nets of
+  // their own shard, so each gate's lowest input driver is computed once,
+  // and a probe below visits a gate's inputs only when that driver lies
+  // before the shard start.
+  auto transitions = [&](Circuit::NetId net) {
+    return static_cast<long>(
+        traces[static_cast<std::size_t>(net)].n_transitions());
+  };
+  std::vector<long> fires(n_gates);
+  std::vector<int> min_driver(n_gates);
+  long total = 0;  // every firing plus every input read: always feasible
+  for (std::size_t g = 0; g < n_gates; ++g) {
+    fires[g] = transitions(circuit_->gate_output(g));
+    total += fires[g];
+    int lowest = std::numeric_limits<int>::max();
+    for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
+      lowest = std::min(lowest, driver_[static_cast<std::size_t>(net)]);
+      total += transitions(net);
+    }
+    min_driver[g] = lowest;
+  }
+
+  // Greedy sweep under a max shard load: each shard takes gates while they
+  // fit, and every remaining gate opens its own shard once only as many
+  // gates as unopened shards remain. A shard's load only grows as it
+  // extends right and only shrinks as its start moves right, so the sweep
+  // fits a load iff any K-way contiguous split does.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> counted_by(traces.size(), kNone);  // shard start
+  auto fits = [&](long limit, std::vector<std::size_t>* cuts) {
+    std::fill(counted_by.begin(), counted_by.end(), kNone);
+    std::size_t first = 0;   // first gate of the open shard
+    std::size_t opened = 1;  // shards opened so far
+    long load = 0;
+    // Load gate g adds to the shard starting at `start`; marks its external
+    // nets as counted there (a shard that then closes never looks again).
+    auto cost = [&](std::size_t g, std::size_t start) {
+      long c = fires[g];
+      if (min_driver[g] >= static_cast<long>(start)) return c;
+      for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
+        const auto n = static_cast<std::size_t>(net);
+        if (driver_[n] >= static_cast<long>(start) ||
+            counted_by[n] == start) {
+          continue;
+        }
+        counted_by[n] = start;
+        c += transitions(net);
+      }
+      return c;
+    };
+    for (std::size_t g = 0; g < n_gates; ++g) {
+      long add = cost(g, first);
+      if (g > first &&
+          (load + add > limit || n_gates - g == n_parts - opened)) {
+        if (++opened > n_parts) return false;
+        first = g;
+        if (cuts != nullptr) cuts->push_back(g);
+        load = 0;
+        add = cost(g, first);
+      }
+      if (load + add > limit) return false;
+      load += add;
+    }
+    return true;
+  };
+
+  // Smallest feasible max load, in integer events: the busiest shard does
+  // at least its share of the firings.
+  long fired = 0;
+  for (const long f : fires) fired += f;
+  long lo = fired / static_cast<long>(n_parts);
+  long hi = total;
+  while (lo < hi) {
+    const long mid = lo + (hi - lo) / 2;
+    if (fits(mid, nullptr)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  std::vector<std::size_t> cut{0};
+  fits(hi, &cut);
+  cut.push_back(n_gates);
+  return cut;
 }
 
 double ShardedCircuit::Result::load_imbalance() const {
@@ -71,15 +244,7 @@ double ShardedCircuit::Result::load_imbalance() const {
 const waveform::DigitalTrace& ShardedCircuit::Result::trace(
     const std::string& net) const {
   CHARLIE_ASSERT(owner != nullptr);
-  const auto home = owner->net_home_.find(net);
-  if (home != owner->net_home_.end()) {
-    return shard_results[home->second.first].trace(home->second.second);
-  }
-  const auto input = owner->input_index_.find(net);
-  if (input != owner->input_index_.end()) {
-    return input_traces[input->second];
-  }
-  throw ConfigError("sharded circuit: unknown net " + net);
+  return traces[static_cast<std::size_t>(owner->circuit_->find_net(net))];
 }
 
 namespace {
@@ -89,7 +254,6 @@ namespace {
 struct BoundaryEvent {
   double t = 0.0;
   bool value = false;
-  std::size_t to_input = 0;
 };
 
 }  // namespace
@@ -98,9 +262,9 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
     double t_end, const ShardedSimConfig& config) {
   CHARLIE_ASSERT(t_end > t_begin);
-  CHARLIE_ASSERT_MSG(stimuli.size() == global_inputs_.size(),
+  CHARLIE_ASSERT_MSG(stimuli.size() == circuit_->n_inputs(),
                      "sharded circuit: one stimulus per primary input");
-  const std::size_t n_shards = shards_.size();
+  const std::size_t n_shards = this->n_shards();
 
   // --- window schedule -----------------------------------------------------
   // W windows of quantum q; the last window's end is exactly t_end, and every
@@ -126,37 +290,22 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     pool_ = std::make_unique<util::ThreadPool>(n_threads);
   }
 
-  // --- sessions, in shard (topo) order -------------------------------------
-  // A downstream shard's boundary inputs settle at the value its producer
-  // settled to, so sessions are constructed in ascending shard order and
-  // boundary stimuli start as constant traces at the producer's t_begin
-  // value; their transitions arrive later through inject().
+  // --- sessions, one per gate range ----------------------------------------
+  // Each session settles the gates before its range itself, so the nets it
+  // reads from upstream shards start at the value their producer settles
+  // to; their transitions arrive later through inject().
   std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
   // Shard tasks poll only the wall clock and the cancellation token; the
   // event ceiling is enforced below, on the coordinating thread at step
   // granularity, so a budget trip is deterministic for a fixed config.
   RunBudget task_budget = config.budget;
   task_budget.max_events = 0;
-  {
-    std::vector<waveform::DigitalTrace> shard_stimuli;
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const Shard& shard = shards_[s];
-      shard_stimuli.clear();
-      shard_stimuli.reserve(shard.circuit->n_inputs());
-      for (const int binding : shard.input_binding) {
-        shard_stimuli.push_back(
-            binding >= 0 ? stimuli[static_cast<std::size_t>(binding)]
-                         : waveform::DigitalTrace());
-      }
-      for (const std::size_t edge_index : in_edges_[s]) {
-        const BoundaryEdge& e = edges_[edge_index];
-        shard_stimuli[e.to_input] = waveform::DigitalTrace(
-            sessions[e.from_shard]->value(e.from_net), {});
-      }
-      sessions[s] = std::make_unique<SimSession>(*shard.circuit, shard_stimuli,
-                                                 t_begin, task_budget);
-    }
-  }
+  // Sessions over disjoint ranges settle and initialize concurrently: each
+  // writes only its own gates' state.
+  pool_->parallel_for(n_shards, 1, [&](std::size_t /*worker*/, std::size_t s) {
+    sessions[s] = std::make_unique<SimSession>(
+        *circuit_, cut_[s], cut_[s + 1], stimuli, t_begin, task_budget);
+  });
 
   // --- exchange buckets ----------------------------------------------------
   // buckets[edge][w] holds the producer's window-w boundary transitions. The
@@ -177,8 +326,9 @@ ShardedCircuit::Result ShardedCircuit::simulate(
 
   // --- conservative wavefront ----------------------------------------------
   // Task (shard k, window w) runs at step k + w; all tasks of one step are
-  // mutually independent (distinct sessions, disjoint buckets), so each step
-  // is one parallel_for. Grain 1: shard/window tasks are coarse already.
+  // mutually independent (distinct sessions over disjoint gate ranges,
+  // disjoint buckets), so each step is one parallel_for. Grain 1:
+  // shard/window tasks are coarse already.
   RunStatus status = RunStatus::kOk;
   std::string error;
   RunGuard guard(config.budget);
@@ -197,24 +347,14 @@ ShardedCircuit::Result ShardedCircuit::simulate(
             const long events_before =
                 session.n_stimulus_events() + session.n_gate_events();
             try {
-              // Inject this window's boundary transitions, globally
-              // time-sorted; the edge iteration order breaks (measure-zero)
-              // exact-time ties deterministically.
-              std::vector<BoundaryEvent> incoming;
+              // Inject this window's boundary transitions in edge order;
+              // the session time-sorts them stably, so the edge order
+              // breaks (measure-zero) exact-time ties deterministically.
               for (const std::size_t edge_index : in_edges_[k]) {
-                const auto& bucket = buckets[edge_index][w];
-                const std::size_t to_input = edges_[edge_index].to_input;
-                for (const BoundaryEvent& ev : bucket) {
-                  incoming.push_back({ev.t, ev.value, to_input});
+                const Circuit::NetId net = edges_[edge_index].net;
+                for (const BoundaryEvent& ev : buckets[edge_index][w]) {
+                  session.inject(net, ev.t, ev.value);
                 }
-              }
-              std::stable_sort(
-                  incoming.begin(), incoming.end(),
-                  [](const BoundaryEvent& a, const BoundaryEvent& b) {
-                    return a.t < b.t;
-                  });
-              for (const BoundaryEvent& ev : incoming) {
-                session.inject(ev.to_input, ev.t, ev.value);
               }
               session.advance(window_end(w));
               shard_window_events[k][w] = session.n_stimulus_events() +
@@ -223,15 +363,14 @@ ShardedCircuit::Result ShardedCircuit::simulate(
               // Export this window's production on every out-edge: all
               // not-yet-exported transitions up to the new horizon.
               for (const std::size_t edge_index : out_edges_[k]) {
-                const BoundaryEdge& e = edges_[edge_index];
                 const waveform::DigitalTrace& produced =
-                    session.result().trace(e.from_net);
+                    session.trace(edges_[edge_index].net);
                 std::size_t& cursor = export_cursor[edge_index];
                 auto& bucket = buckets[edge_index][w];
                 while (cursor < produced.n_transitions() &&
                        produced.transitions()[cursor] <= session.t_horizon()) {
                   bucket.push_back({produced.transitions()[cursor],
-                                    produced.is_rising(cursor), e.to_input});
+                                    produced.is_rising(cursor)});
                   ++cursor;
                 }
               }
@@ -269,15 +408,28 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   }
 
   // --- assembly ------------------------------------------------------------
+  // Each net's trace moves out of the session whose gates drive it.
   Result result;
   result.owner = this;
+  result.cut = cut_;
   result.n_windows = n_windows;
   result.shard_window_events = std::move(shard_window_events);
-  result.shard_results.reserve(n_shards);
+  result.traces.resize(circuit_->n_nets());
   long n_gate_events = 0;
+  std::vector<long> max_heap_depth(n_shards, 0);
+  // Overall horizon actually covered: the lowest point any shard fully
+  // reached (a terminated run's traces are only trustworthy below it).
+  double t_reached = t_end;
   for (std::size_t s = 0; s < n_shards; ++s) {
     n_gate_events += sessions[s]->n_gate_events();
-    result.shard_results.push_back(sessions[s]->take_result());
+    Circuit::SimResult shard_result = sessions[s]->take_result();
+    sessions[s].reset();
+    max_heap_depth[s] = shard_result.max_heap_depth;
+    t_reached = std::min(t_reached, shard_result.diagnostics.t_horizon);
+    for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
+      const auto net = static_cast<std::size_t>(circuit_->gate_output(g));
+      result.traces[net] = std::move(shard_result.traces[net]);
+    }
   }
 
   // Observability aggregate, filled in fixed shard/window/edge order on the
@@ -292,9 +444,8 @@ ShardedCircuit::Result ShardedCircuit::simulate(
       result.metrics.observe("shard.window_events", static_cast<double>(n));
     }
     result.metrics.observe("shard.events", static_cast<double>(shard_total));
-    result.metrics.observe(
-        "sim.max_heap_depth",
-        static_cast<double>(result.shard_results[s].max_heap_depth));
+    result.metrics.observe("sim.max_heap_depth",
+                           static_cast<double>(max_heap_depth[s]));
   }
   long long boundary_transitions = 0;
   for (std::size_t e = 0; e < buckets.size(); ++e) {
@@ -310,28 +461,29 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // injections and multi-shard fanout of primary inputs, so the stimulus
   // share is recomputed from the global traces instead.
   long n_stimulus_events = 0;
-  result.input_traces.reserve(global_inputs_.size());
-  for (const waveform::DigitalTrace& stimulus : stimuli) {
+  for (std::size_t i = 0; i < stimuli.size(); ++i) {
+    const waveform::DigitalTrace& stimulus = stimuli[i];
     waveform::DigitalTrace windowed(stimulus.value_at(t_begin), {});
-    for (std::size_t i = 0; i < stimulus.n_transitions(); ++i) {
-      const double t = stimulus.transitions()[i];
+    for (std::size_t k = 0; k < stimulus.n_transitions(); ++k) {
+      const double t = stimulus.transitions()[k];
       if (t > t_begin && t <= t_end) windowed.append_transition(t);
     }
     n_stimulus_events += static_cast<long>(windowed.n_transitions());
-    result.input_traces.push_back(std::move(windowed));
+    result.traces[static_cast<std::size_t>(circuit_->input_net(i))] =
+        std::move(windowed);
   }
   result.n_events = n_stimulus_events + n_gate_events;
   result.status = status;
-  // Overall horizon actually covered: the lowest point any shard fully
-  // reached (a terminated run's traces are only trustworthy below it).
-  double t_reached = t_end;
-  for (const Circuit::SimResult& shard_result : result.shard_results) {
-    t_reached = std::min(t_reached, shard_result.diagnostics.t_horizon);
-  }
   result.diagnostics =
       guard.finish(status, result.n_events,
                    status == RunStatus::kOk ? t_end : t_reached);
   result.diagnostics.error = error;
+
+  // Re-cut on this run's measured work for the next run.
+  if (status == RunStatus::kOk && result.n_events > 0) {
+    std::vector<std::size_t> next = balanced_cut(result.traces);
+    if (next != cut_) set_cut(std::move(next));
+  }
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "sim/sim_session.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/trace_recorder.hpp"
 #include "util/error.hpp"
@@ -21,9 +22,21 @@ SimSession::SimSession(Circuit& circuit,
                        const std::vector<waveform::DigitalTrace>& stimuli,
                        double t_begin, const RunBudget& budget,
                        Circuit::SimResult&& arena)
-    : circuit_(&circuit), t_begin_(t_begin), horizon_(t_begin),
-      guard_(budget), guard_active_(budget.enabled()),
-      t_processed_(t_begin), result_(std::move(arena)) {
+    : SimSession(circuit, 0, circuit.n_gates(), stimuli, t_begin, budget,
+                 std::move(arena)) {}
+
+SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
+                       std::size_t gate_end,
+                       const std::vector<waveform::DigitalTrace>& stimuli,
+                       double t_begin, const RunBudget& budget,
+                       Circuit::SimResult&& arena)
+    : circuit_(&circuit), gate_begin_(gate_begin), gate_end_(gate_end),
+      whole_(gate_begin == 0 && gate_end == circuit.n_gates()),
+      t_begin_(t_begin), horizon_(t_begin), guard_(budget),
+      guard_active_(budget.enabled()), t_processed_(t_begin),
+      result_(std::move(arena)) {
+  CHARLIE_ASSERT_MSG(gate_begin <= gate_end && gate_end <= circuit.n_gates(),
+                     "sim session: gate range out of bounds");
   CHARLIE_ASSERT_MSG(stimuli.size() == circuit_->primary_inputs_.size(),
                      "circuit: one stimulus trace per primary input");
   initialize(stimuli);
@@ -33,6 +46,31 @@ void SimSession::mark_failed(const std::string& what) {
   if (status_ != RunStatus::kOk) return;  // first terminal status wins
   status_ = RunStatus::kFailed;
   error_ = what;
+}
+
+namespace {
+
+using FanoutList = std::vector<std::pair<std::size_t, int>>;
+
+// First fanout entry at or after gate `first`: lists are in gate order, so
+// a gate range's readers of a net are one contiguous run.
+FanoutList::const_iterator fanout_from(const FanoutList& fanout,
+                                       std::size_t first) {
+  if (first == 0) return fanout.begin();
+  return std::lower_bound(
+      fanout.begin(), fanout.end(), first,
+      [](const std::pair<std::size_t, int>& entry, std::size_t gate) {
+        return entry.first < gate;
+      });
+}
+
+}  // namespace
+
+bool SimSession::reads(Circuit::NetId net) const {
+  const FanoutList& fanout =
+      circuit_->fanout_[static_cast<std::size_t>(net)];
+  const auto it = fanout_from(fanout, gate_begin_);
+  return it != fanout.end() && it->first < gate_end_;
 }
 
 void SimSession::initialize(
@@ -50,20 +88,29 @@ void SimSession::initialize(
         stimuli[i].value_at(t_begin_) ? 1 : 0;
   }
   // Gates were appended after their input nets exist, so a forward sweep
-  // settles an acyclic circuit (two passes as a fixpoint safety net).
+  // settles an acyclic circuit (two passes as a fixpoint safety net). The
+  // sweep covers every gate up to the range end, because earlier gates'
+  // nets feed the range, but writes gate state only inside the range: the
+  // other gates belong to other sessions.
   for (int pass = 0; pass < 2; ++pass) {
-    for (auto& gate : c.gates_) {
+    for (std::size_t g = 0; g < gate_end_; ++g) {
+      Circuit::Gate& gate = c.gates_[g];
+      std::array<bool, kMaxGateArity> in_values{};
       for (std::size_t p = 0; p < gate.inputs.size(); ++p) {
-        gate.in_values[p] =
+        in_values[p] =
             net_value_[static_cast<std::size_t>(gate.inputs[p])] != 0;
       }
-      gate.zero_time_value = eval_gate(gate.kind, gate.in_values[0],
-                                       gate.in_values[1], gate.in_values[2]);
-      net_value_[static_cast<std::size_t>(gate.output)] =
-          gate.zero_time_value ? 1 : 0;
+      const bool out =
+          eval_gate(gate.kind, in_values[0], in_values[1], in_values[2]);
+      net_value_[static_cast<std::size_t>(gate.output)] = out ? 1 : 0;
+      if (g >= gate_begin_) {
+        gate.in_values = in_values;
+        gate.zero_time_value = out;
+      }
     }
   }
-  for (auto& gate : c.gates_) {
+  for (std::size_t g = gate_begin_; g < gate_end_; ++g) {
+    Circuit::Gate& gate = c.gates_[g];
     if (gate.sis) {
       gate.sis->initialize(t_begin_, gate.zero_time_value);
     } else {
@@ -79,17 +126,25 @@ void SimSession::initialize(
   // by an index beats pushing them through the gate heap. Equal-time order
   // is input-declaration order (stable sort over per-input appends), and a
   // stimulus always precedes gate firings at the same instant. Transitions
-  // beyond the final horizon simply never get processed.
+  // beyond the final horizon simply never get processed. A partial range
+  // queues only the inputs its gates read.
+  auto queued = [&](std::size_t i) {
+    return whole_ || reads(c.primary_inputs_[i]);
+  };
   std::size_t n_stim = 0;
-  for (const auto& trace : stimuli) n_stim += trace.n_transitions();
+  for (std::size_t i = 0; i < stimuli.size(); ++i) {
+    if (queued(i)) n_stim += stimuli[i].n_transitions();
+  }
   stim_events_.clear();
   stim_events_.reserve(n_stim);
   for (std::size_t i = 0; i < stimuli.size(); ++i) {
+    if (!queued(i)) continue;
+    const Circuit::NetId net = c.primary_inputs_[i];
     const auto& trace = stimuli[i];
     for (std::size_t k = 0; k < trace.n_transitions(); ++k) {
       const double t = trace.transitions()[k];
       if (t <= t_begin_) continue;
-      stim_events_.push_back({t, c.primary_inputs_[i], trace.is_rising(k)});
+      stim_events_.push_back({t, net, trace.is_rising(k)});
     }
   }
   std::stable_sort(stim_events_.begin(), stim_events_.end(),
@@ -97,54 +152,57 @@ void SimSession::initialize(
                      return x.t < y.t;
                    });
 
-  // --- result traces, pre-sized from stimulus statistics -------------------
-  // The arena path resets existing traces in place, keeping their
-  // capacity; extra traces from a larger previous circuit are dropped.
-  const std::size_t per_net_estimate =
-      stimuli.empty() ? 0 : stim_events_.size() / stimuli.size() + 1;
+  // --- result traces -------------------------------------------------------
+  // Nothing is reserved per net: activity differs by orders of magnitude
+  // across nets (glitch cancellation thins it with logic depth), so any
+  // stimulus-derived guess over-reserves most of them. Traces grow
+  // geometrically; the arena path resets existing traces in place, keeping
+  // their capacity, and drops extra traces from a larger previous circuit.
   result_.n_events = 0;
   if (result_.traces.size() > n_nets) result_.traces.resize(n_nets);
   for (std::size_t i = 0; i < result_.traces.size(); ++i) {
     result_.traces[i].reset(net_value_[i] != 0);
-    result_.traces[i].reserve(per_net_estimate);
   }
   result_.traces.reserve(n_nets);
   for (std::size_t i = result_.traces.size(); i < n_nets; ++i) {
     result_.traces.emplace_back(net_value_[i] != 0, std::vector<double>{});
-    result_.traces.back().reserve(per_net_estimate);
   }
 
-  heap_.reset(c.gates_.size());
+  heap_.reset(gate_end_ - gate_begin_);
   seq_ = 0;
   deferred_.clear();
-  is_deferred_.assign(c.gates_.size(), 0);
+  is_deferred_.assign(gate_end_ - gate_begin_, 0);
 }
 
 void SimSession::reschedule(std::size_t gate_index) {
   Circuit::Gate& gate = circuit_->gates_[gate_index];
+  const std::size_t slot = gate_index - gate_begin_;
   const auto pending = gate.sis ? gate.sis->pending() : gate.mis->pending();
   if (pending.has_value() && pending->t <= horizon_) {
-    heap_.schedule(gate_index, pending->t, seq_++, pending->value);
+    heap_.schedule(slot, pending->t, seq_++, pending->value);
     return;
   }
-  heap_.cancel(gate_index);
+  heap_.cancel(slot);
   // A pending event beyond the horizon must be re-armed when the horizon
   // moves; remember the gate (once -- insertion order preserves the
   // original schedule order across windows).
-  if (pending.has_value() && is_deferred_[gate_index] == 0) {
-    is_deferred_[gate_index] = 1;
+  if (pending.has_value() && is_deferred_[slot] == 0) {
+    is_deferred_[slot] = 1;
     deferred_.push_back(gate_index);
   }
 }
 
 void SimSession::propagate_net_change(Circuit::NetId net, double t,
-                                      bool value) {
+                                      bool value, bool record) {
   Circuit& c = *circuit_;
   const auto net_index = static_cast<std::size_t>(net);
   if ((net_value_[net_index] != 0) == value) return;  // defensive
   net_value_[net_index] = value ? 1 : 0;
-  result_.traces[net_index].append_transition(t);
-  for (const auto& [gate_index, port] : c.fanout_[net_index]) {
+  if (record) result_.traces[net_index].append_transition(t);
+  const FanoutList& fanout = c.fanout_[net_index];
+  for (auto it = fanout_from(fanout, gate_begin_);
+       it != fanout.end() && it->first < gate_end_; ++it) {
+    const auto [gate_index, port] = *it;
     Circuit::Gate& gate = c.gates_[gate_index];
     gate.in_values[static_cast<std::size_t>(port)] = value;
     if (gate.sis) {
@@ -161,12 +219,12 @@ void SimSession::propagate_net_change(Circuit::NetId net, double t,
   }
 }
 
-void SimSession::inject(std::size_t input_index, double t, bool input_value) {
-  CHARLIE_ASSERT(input_index < circuit_->primary_inputs_.size());
+void SimSession::inject(Circuit::NetId net, double t, bool net_value) {
+  CHARLIE_ASSERT(net >= 0 &&
+                 static_cast<std::size_t>(net) < net_value_.size());
   CHARLIE_ASSERT_MSG(t > horizon_,
                      "sim session: injected event at or before the horizon");
-  injected_.push_back({t, circuit_->primary_inputs_[input_index],
-                       input_value});
+  injected_.push_back({t, net, net_value});
 }
 
 void SimSession::advance(double t_horizon) {
@@ -210,7 +268,7 @@ void SimSession::advance(double t_horizon) {
     std::vector<std::size_t> rearm;
     rearm.swap(deferred_);
     for (const std::size_t gate_index : rearm) {
-      is_deferred_[gate_index] = 0;
+      is_deferred_[gate_index - gate_begin_] = 0;
     }
     for (const std::size_t gate_index : rearm) {
       reschedule(gate_index);
@@ -243,13 +301,15 @@ void SimSession::advance(double t_horizon) {
       const StimulusEvent& ev = stim_events_[stim_index_++];
       ++n_stimulus_events_;
       t_processed_ = ev.t;
-      propagate_net_change(ev.net, ev.t, ev.value);
+      // Stimulus-stream nets are primary inputs or upstream ranges' nets:
+      // only a whole-circuit session owns (records) them.
+      propagate_net_change(ev.net, ev.t, ev.value, whole_);
       if (static_cast<long>(heap_.size()) > max_heap_depth_) {
         max_heap_depth_ = static_cast<long>(heap_.size());
       }
       continue;
     }
-    const std::size_t gate_index = heap_.top_slot();
+    const std::size_t gate_index = heap_.top_slot() + gate_begin_;
     const EventHeap::Entry fired = heap_.top();
     heap_.pop();
     ++n_gate_events_;
@@ -262,7 +322,7 @@ void SimSession::advance(double t_horizon) {
       gate.mis->on_fire(event);
     }
     reschedule(gate_index);
-    propagate_net_change(gate.output, fired.t, fired.value);
+    propagate_net_change(gate.output, fired.t, fired.value, true);
     // Heap occupancy peaks right after an event's reschedules, before the
     // next pop -- one compare per event keeps the counter always-on cheap.
     if (static_cast<long>(heap_.size()) > max_heap_depth_) {

@@ -1,12 +1,24 @@
-// Resumable event-driven simulation session over a Circuit.
+// Resumable event-driven simulation session over a range of gates.
 //
 // SimSession is the engine behind Circuit::simulate, exposed separately so
-// simulated time can be advanced in windows: the sharded circuit runner
-// (sim/sharded_circuit.hpp) advances each shard one conservative window
-// quantum at a time, injecting the boundary transitions produced by
-// upstream shards between advances. A session borrows the circuit's
-// channel state, so at most one session may be active per Circuit at a
-// time.
+// simulated time can be advanced in windows and a circuit can be split by
+// gate: the sharded circuit runner (sim/sharded_circuit.hpp) gives each
+// shard a session over one contiguous gate range of a shared Circuit,
+// advances it one conservative window quantum at a time, and injects the
+// transitions produced by upstream shards between advances. A session
+// borrows the channel state of the gates in its range, so at most one
+// session may be active per gate at a time; sessions over disjoint ranges
+// of one Circuit may run concurrently.
+//
+// Gate ranges: a Circuit's gates are in topological order by construction
+// (every input net exists before the gate that reads it), so a contiguous
+// range [gate_begin, gate_end) reads only primary inputs, nets of earlier
+// gates, and its own nets. A range session queues the stimulus transitions
+// of the primary inputs its gates read, takes transitions of upstream
+// gates' nets through inject(net, t, value), walks only the in-range part
+// of each fanout list, and records only the nets its gates drive. A
+// session over every gate is the whole engine: it queues and records
+// every primary input as well.
 //
 // Window convention (same as Circuit::simulate): construction settles the
 // circuit at t_begin from stimuli[i].value_at(t_begin); each advance(t)
@@ -29,9 +41,7 @@ namespace charlie::sim {
 
 class SimSession {
  public:
-  /// Settle `circuit` at t_begin and queue the stimulus transitions. Traces
-  /// with no transitions are valid stimuli (e.g. shard boundary inputs that
-  /// receive their transitions later through inject()).
+  /// Settle `circuit` at t_begin and queue the stimulus transitions.
   SimSession(Circuit& circuit,
              const std::vector<waveform::DigitalTrace>& stimuli,
              double t_begin);
@@ -51,6 +61,15 @@ class SimSession {
              double t_begin, const RunBudget& budget,
              Circuit::SimResult&& arena = Circuit::SimResult{});
 
+  /// Range variant: simulate gates [gate_begin, gate_end) of `circuit`
+  /// only (see the header comment). `stimuli` drive the primary inputs as
+  /// in the whole-circuit variants; nets of gates before gate_begin settle
+  /// at their t_begin value and change only through inject().
+  SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
+             const std::vector<waveform::DigitalTrace>& stimuli,
+             double t_begin, const RunBudget& budget = RunBudget{},
+             Circuit::SimResult&& arena = Circuit::SimResult{});
+
   SimSession(const SimSession&) = delete;
   SimSession& operator=(const SimSession&) = delete;
 
@@ -62,10 +81,10 @@ class SimSession {
     return net_value_[static_cast<std::size_t>(net)] != 0;
   }
 
-  /// Queue an externally produced transition on the `input_index`-th
-  /// declared primary input (shard boundary exchange). Must satisfy
-  /// t > t_horizon(); takes effect on the next advance().
-  void inject(std::size_t input_index, double t, bool input_value);
+  /// Queue an externally produced transition on `net`, which the session's
+  /// gates read but none of them drives (shard boundary exchange). Must
+  /// satisfy t > t_horizon(); takes effect on the next advance().
+  void inject(Circuit::NetId net, double t, bool net_value);
 
   /// Process every event with t <= t_horizon (stimuli, injected boundary
   /// transitions, and gate firings). Horizons must not decrease.
@@ -85,6 +104,11 @@ class SimSession {
   /// budget trip; only the first terminal status wins.
   void mark_failed(const std::string& what);
 
+  /// Transitions recorded on `net` so far (up to the current horizon).
+  const waveform::DigitalTrace& trace(Circuit::NetId net) const {
+    return result_.trace(net);
+  }
+
   /// Traces appended so far (up to the current horizon); n_events is the
   /// processed stimulus + gate event count.
   const Circuit::SimResult& result();
@@ -100,10 +124,15 @@ class SimSession {
   };
 
   void initialize(const std::vector<waveform::DigitalTrace>& stimuli);
+  bool reads(Circuit::NetId net) const;
   void reschedule(std::size_t gate_index);
-  void propagate_net_change(Circuit::NetId net, double t, bool value);
+  void propagate_net_change(Circuit::NetId net, double t, bool value,
+                            bool record);
 
   Circuit* circuit_;
+  std::size_t gate_begin_ = 0;    // the session's gates: [gate_begin_,
+  std::size_t gate_end_ = 0;      // gate_end_); heap slots are offsets
+  bool whole_ = true;             // every gate: record primary inputs too
   double t_begin_ = 0.0;
   double horizon_ = 0.0;
   RunGuard guard_;
@@ -123,7 +152,7 @@ class SimSession {
   // re-armed (in insertion order, preserving schedule order) on the next
   // advance.
   std::vector<std::size_t> deferred_;
-  std::vector<std::uint8_t> is_deferred_;
+  std::vector<std::uint8_t> is_deferred_;  // by heap slot
   long n_stimulus_events_ = 0;
   long n_gate_events_ = 0;
   long max_heap_depth_ = 0;

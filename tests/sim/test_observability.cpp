@@ -238,10 +238,12 @@ TEST(ShardedCircuitObservability, SingleShardTaskViewMatchesGlobalCount) {
 }
 
 TEST(ShardedCircuitObservability, MetricsBitIdenticalAcrossThreadCounts) {
-  const auto sharded = builder().build_sharded(c432(), 4);
+  // A completed run re-cuts its instance, so each compared run starts from
+  // a fresh build_sharded: same run history, same cut.
   const auto stimuli = stimuli_for(c432().inputs.size());
   const double t_end = t_end_for(stimuli);
   auto metrics_with = [&](std::size_t n_threads) {
+    const auto sharded = builder().build_sharded(c432(), 4);
     ShardedSimConfig config;
     config.n_threads = n_threads;
     return sharded->simulate(stimuli, 0.0, t_end, config).metrics.to_json();
@@ -268,9 +270,11 @@ TEST(ShardedCircuitObservability, ArmedTracingSeesEveryWavefrontTask) {
   // One shard.task span per (shard, window) wavefront task.
   EXPECT_EQ(count_spans(snapshot, "shard.task"),
             static_cast<int>(n_shards * result.n_windows));
-  // Tracing is pure observation: the run still matches the untraced one.
-  const auto untraced = sharded->simulate(stimuli, 0.0, t_end_for(stimuli),
-                                          config);
+  // Tracing is pure observation: the run still matches an untraced one
+  // with the same run history (a fresh instance).
+  const auto untraced_sharded = builder().build_sharded(c432(), n_shards);
+  const auto untraced = untraced_sharded->simulate(
+      stimuli, 0.0, t_end_for(stimuli), config);
   EXPECT_EQ(result.n_events, untraced.n_events);
   EXPECT_EQ(result.metrics.to_json(), untraced.metrics.to_json());
 }

@@ -13,6 +13,7 @@
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "cell/netlist_gen.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/sharded_circuit.hpp"
 #include "util/error.hpp"
@@ -35,12 +36,13 @@ sim::CircuitBuilder builder() {
   return sim::CircuitBuilder(library);
 }
 
-std::vector<waveform::DigitalTrace> stimuli_for(std::size_t n_inputs,
-                                                std::uint64_t seed) {
+std::vector<waveform::DigitalTrace> stimuli_for(
+    std::size_t n_inputs, std::uint64_t seed,
+    std::size_t n_transitions = 40) {
   waveform::TraceConfig config;
   config.mu = 150e-12;
   config.sigma = 60e-12;
-  config.n_transitions = 40;
+  config.n_transitions = n_transitions;
   util::Rng rng(seed);
   return waveform::generate_traces(config, n_inputs, rng);
 }
@@ -153,6 +155,59 @@ TEST(ShardedCircuit, RepeatedSimulationsOnOneInstanceAgree) {
     EXPECT_EQ(first.trace(net).transitions(), second.trace(net).transitions())
         << net;
   }
+}
+
+TEST(ShardedCircuit, SecondRunBalancesMeasuredEvents) {
+  // Activity thins with logic depth, so the structural (equal-count) first
+  // cut overloads the shallow shard. A completed run re-cuts on its own
+  // per-net transition counts; for the same stimuli the second run's
+  // session events then split evenly, and the cut has converged: runs 2
+  // and 3 report identical metrics. Every run stays bit-identical to the
+  // monolithic engine.
+  cell::NetlistGenConfig gen;
+  gen.n_gates = 5000;
+  const cell::NetlistDesc desc = cell::generate_netlist(gen);
+  const auto b = builder();
+  const auto mono_circuit = b.build(desc);
+  const auto stimuli = stimuli_for(mono_circuit->n_inputs(), 1, 64);
+  const double t_end = t_end_for(stimuli);
+  const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+
+  auto sharded = b.build_sharded(desc, 4);
+  const std::vector<std::size_t> first_cut = sharded->cut();
+  sim::ShardedSimConfig config;
+  config.n_threads = 4;
+  std::vector<sim::ShardedCircuit::Result> runs;
+  for (int run = 1; run <= 3; ++run) {
+    runs.push_back(sharded->simulate(stimuli, 0.0, t_end, config));
+    ASSERT_TRUE(runs.back().ok()) << "run " << run;
+    expect_bit_identical(mono, *mono_circuit, runs.back(), desc,
+                         "run " + std::to_string(run));
+  }
+  EXPECT_EQ(runs[0].cut, first_cut);
+  EXPECT_NE(runs[1].cut, first_cut);
+  EXPECT_EQ(runs[2].cut, runs[1].cut);
+  EXPECT_GT(runs[0].load_imbalance(), 1.3);
+  EXPECT_LE(runs[1].load_imbalance(), 1.05);
+  EXPECT_EQ(runs[2].metrics.to_json(), runs[1].metrics.to_json());
+}
+
+TEST(ShardedCircuit, FailedRunKeepsTheCut) {
+  // Only a completed run re-cuts: a tripped run's counts are partial.
+  const auto b = builder();
+  auto sharded = b.build_sharded(c432(), 4);
+  const auto stimuli = stimuli_for(sharded->n_inputs(), 7);
+  const double t_end = t_end_for(stimuli);
+  const std::vector<std::size_t> first_cut = sharded->cut();
+  sim::ShardedSimConfig config;
+  config.budget.max_events = 50;
+  const auto tripped = sharded->simulate(stimuli, 0.0, t_end, config);
+  EXPECT_EQ(tripped.status, sim::RunStatus::kBudgetExhausted);
+  EXPECT_EQ(sharded->cut(), first_cut);
+  const auto full = sharded->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full.cut, first_cut);
+  EXPECT_NE(sharded->cut(), first_cut);
 }
 
 TEST(ShardedCircuit, UnknownNetThrows) {

@@ -7,6 +7,7 @@
 //             --trace-out run.trace.json --metrics-out run.metrics.json \
 //             --vcd-out run.vcd
 //   trace_run --netlist big.net --shards 4 --trace-out wavefront.json
+//   trace_run --netlist big.net --shards 4 --repeat 2
 //
 // Flags:
 //   --netlist FILE    netlist to simulate (docs/netlist_format.md); required
@@ -15,17 +16,23 @@
 //   --shards K        K > 0 switches to the sharded single-circuit engine:
 //                     one simulation of the netlist partitioned into K
 //                     shards, traced per (shard, window) wavefront task
+//   --repeat N        sharded mode: simulate the same stimuli N times on one
+//                     instance (each completed run re-cuts the shards on its
+//                     measured work) and print every run's wall time, engine
+//                     events and load imbalance; artifacts come from the
+//                     last run (default 1)
 //   --seed S          stimulus seed (default 2022)
 //   --transitions N   stimulus transitions per input (default 64)
 //   --trace-out FILE  Chrome trace-event JSON of the armed run
 //   --metrics-out FILE metrics registry JSON (schema: docs/observability.md)
 //   --vcd-out FILE    VCD waveforms (batch: run 0's inputs + observed nets;
-//                     sharded: the single run's inputs + outputs)
+//                     sharded: the last run's inputs + outputs)
 //
-// The tracer is armed for the simulation only when --trace-out is given;
-// with no output flags the tool still runs and prints the summary (useful
-// as a smoke check). Exit status 0 iff every run finished kOk.
+// The tracer is armed for the (last) simulation only when --trace-out is
+// given; with no output flags the tool still runs and prints the summary
+// (useful as a smoke check). Exit status 0 iff every run finished kOk.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -60,8 +67,13 @@ int main(int argc, char** argv) {
     const std::string trace_out = cli.get_string("--trace-out", "");
     const std::string metrics_out = cli.get_string("--metrics-out", "");
     const std::string vcd_out = cli.get_string("--vcd-out", "");
+    const int n_repeat = cli.get_int("--repeat", 1);
     cli.finish();
     if (netlist_path.empty()) throw ConfigError("--netlist is required");
+    if (n_repeat < 1) throw ConfigError("--repeat must be >= 1");
+    if (n_repeat > 1 && n_shards == 0) {
+      throw ConfigError("--repeat needs --shards");
+    }
 
     const cell::NetlistDesc desc = cell::read_netlist_file(netlist_path);
     const auto library = std::make_shared<const cell::CellLibrary>(
@@ -83,8 +95,6 @@ int main(int argc, char** argv) {
     // borrows BatchResult::captured instead).
     bool all_ok = true;
 
-    if (!trace_out.empty()) obs::TraceRecorder::start();
-
     sim::BatchResult batch;           // kept alive for captured traces
     sim::ShardedCircuit::Result sharded;  // keeps pointers into `circuit`
     std::unique_ptr<sim::ShardedCircuit> circuit;
@@ -103,8 +113,24 @@ int main(int argc, char** argv) {
       }
       sim::ShardedSimConfig config;
       config.n_threads = n_threads;
-      sharded = circuit->simulate(stimuli, 0.0, t_last + 1e-9, config);
-      all_ok = sharded.ok();
+      for (int run = 1; run <= n_repeat; ++run) {
+        if (run == n_repeat && !trace_out.empty()) {
+          obs::TraceRecorder::start();
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        sharded = circuit->simulate(stimuli, 0.0, t_last + 1e-9, config);
+        const std::chrono::duration<double> wall =
+            std::chrono::steady_clock::now() - t0;
+        all_ok = all_ok && sharded.ok();
+        if (n_repeat > 1) {
+          const std::string label =
+              std::to_string(run) + "/" + std::to_string(n_repeat);
+          std::printf("run %-12s: %.3f s wall, %ld events, "
+                      "load imbalance %.3f\n",
+                      label.c_str(), wall.count(), sharded.n_events,
+                      sharded.load_imbalance());
+        }
+      }
       metrics = sharded.metrics;
       std::printf("mode            : sharded (%zu shards, %zu windows)\n",
                   circuit->n_shards(), sharded.n_windows);
@@ -127,6 +153,7 @@ int main(int argc, char** argv) {
       config.n_threads = n_threads;
       config.base_seed = seed;
       if (!vcd_out.empty()) config.capture_run = 0;
+      if (!trace_out.empty()) obs::TraceRecorder::start();
       sim::BatchRunner runner([&] { return builder.build(desc); }, out_nets,
                               config);
       batch = runner.run();
