@@ -97,6 +97,10 @@ void BM_CircuitMeshTrace(benchmark::State& state) {
   long long events = 0;
   for (auto _ : state) {
     const auto result = circuit->simulate(stimuli, 0.0, t_end);
+    if (!result.ok()) {
+      state.SkipWithError(result.diagnostics.summary().c_str());
+      break;
+    }
     events += result.n_events;
     benchmark::DoNotOptimize(result.n_events);
   }

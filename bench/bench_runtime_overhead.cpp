@@ -122,6 +122,10 @@ void BM_HybridCircuitTrace(benchmark::State& state) {
   const std::vector<waveform::DigitalTrace> stimuli{trace_a(), trace_b()};
   for (auto _ : state) {
     const auto out = circuit.simulate(stimuli, 0.0, t_end());
+    if (!out.ok()) {
+      state.SkipWithError(out.diagnostics.summary().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(out.n_events);
   }
 }
@@ -140,6 +144,10 @@ void BM_HybridCircuitTraceGuarded(benchmark::State& state) {
   budget.max_wall_seconds = 3600.0;
   for (auto _ : state) {
     const auto out = circuit.simulate(stimuli, 0.0, t_end(), budget);
+    if (!out.ok()) {
+      state.SkipWithError(out.diagnostics.summary().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(out.n_events);
   }
 }
@@ -162,6 +170,10 @@ void BM_HybridCircuitTraceInstrumented(benchmark::State& state) {
   obs::TraceRecorder::start();
   for (auto _ : state) {
     const auto out = circuit.simulate(stimuli, 0.0, t_end());
+    if (!out.ok()) {
+      state.SkipWithError(out.diagnostics.summary().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(out.n_events);
   }
   obs::TraceRecorder::stop();

@@ -73,6 +73,10 @@ int main() {
     for (const bool mis : {false, true}) {
       auto c = build(mis, inv_delay);
       const auto result = c->simulate({stimulus}, 0.0, 5e-9);
+      if (!result.ok()) {
+        std::cerr << "circuit_timing: " << result.diagnostics.summary() << "\n";
+        return 1;
+      }
       table.add_row(
           {mis ? "hybrid (MIS-aware)" : "inertial",
            util::fmt(inv_delay / units::ps, 0),
@@ -106,6 +110,10 @@ int main() {
     const waveform::DigitalTrace pulse(
         false, {1e-9, 1e-9 + w_ps * units::ps});
     const auto r = c->simulate({quiet, pulse}, 0.0, 3e-9);
+    if (!r.ok()) {
+      std::cerr << "circuit_timing: " << r.diagnostics.summary() << "\n";
+      return 1;
+    }
     sweep.add_row({util::fmt(w_ps, 0),
                    std::to_string(
                        r.trace(c->find_net("out")).n_transitions())});

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/trace_recorder.hpp"
+#include "sim/sim_session.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
@@ -104,7 +105,7 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
                  const BatchConfig& config, const RunSpec& spec,
                  ProcessBinder* binder, double pulse_hi, double response_hi) {
   // Retarget the worker's clone to this run's process sample before any
-  // channel state is initialized (simulate_into reinitializes all of it).
+  // channel state is initialized (the session reinitializes all of it).
   if (binder != nullptr) binder->bind(spec.point);
   util::Rng rng(spec.stimulus_seed);
   const auto stimuli =
@@ -114,11 +115,14 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
     if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
   }
   const double t_end = t_last + config.t_settle;
-  // Arena-reusing simulation: the worker's trace storage is reset in place,
-  // not reallocated (bit-identical to Circuit::simulate). The budgeted
-  // entry point never throws through the engine -- a failure or budget
-  // trip comes back as a structured non-kOk result.
-  circuit.simulate_into(stimuli, 0.0, t_end, config.budget, arena);
+  // The worker's trace arena goes through the session and back: storage is
+  // reset in place, not reallocated (bit-identical to Circuit::simulate).
+  // The session never throws for a run failure -- a failure or budget trip
+  // comes back as a structured non-kOk result.
+  SimSession session(circuit, 0, circuit.n_gates(), stimuli, 0.0,
+                     config.budget, std::move(arena));
+  session.advance(t_end);
+  arena = session.take_result();
   const Circuit::SimResult& result = arena;
 
   RunStats stats;
@@ -181,9 +185,9 @@ void BatchRunner::ensure_workers() {
   const std::size_t n_workers = pool_->n_threads();
 
   // One circuit clone per worker, built up front on this thread (the
-  // factory need not be thread-safe). Circuit::simulate_into reinitializes
-  // all channel state and reuses the worker's trace arena, so a clone
-  // serves every run its worker claims, across every run() call.
+  // factory need not be thread-safe). Each run's session reinitializes all
+  // channel state and reuses the worker's trace arena, so a clone serves
+  // every run its worker claims, across every run() call.
   workers_.resize(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers_[w].circuit = factory_();

@@ -98,45 +98,13 @@ const waveform::DigitalTrace& Circuit::SimResult::trace(NetId id) const {
 
 Circuit::SimResult Circuit::simulate(
     const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
-    double t_end) {
+    double t_end, const RunBudget& budget) {
   CHARLIE_ASSERT(t_end > t_begin);
   // The whole window in one advance: reproduces the original single-pass
   // engine bit-for-bit (see sim/sim_session.hpp).
-  SimSession session(*this, stimuli, t_begin);
+  SimSession session(*this, 0, n_gates(), stimuli, t_begin, budget);
   session.advance(t_end);
   return session.take_result();
-}
-
-void Circuit::simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                            double t_begin, double t_end, SimResult& out) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  SimSession session(*this, stimuli, t_begin, std::move(out));
-  session.advance(t_end);
-  out = session.take_result();
-}
-
-Circuit::SimResult Circuit::simulate(
-    const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
-    double t_end, const RunBudget& budget) {
-  SimResult out;
-  simulate_into(stimuli, t_begin, t_end, budget, out);
-  return out;
-}
-
-void Circuit::simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                            double t_begin, double t_end,
-                            const RunBudget& budget, SimResult& out) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  SimSession session(*this, stimuli, t_begin, budget, std::move(out));
-  // The budgeted entry point is the no-throw boundary: a failure anywhere
-  // in the run (solver non-convergence, assertion, injected fault) becomes
-  // a structured kFailed result with the traces produced so far.
-  try {
-    session.advance(t_end);
-  } catch (const std::exception& e) {
-    session.mark_failed(e.what());
-  }
-  out = session.take_result();
 }
 
 }  // namespace charlie::sim

@@ -13,6 +13,7 @@
 // Most circuits should instead come from a structural netlist through
 // sim::CircuitBuilder + cell::CellLibrary (sim/circuit_builder.hpp), which
 // validates the topology and instantiates characterized cells.
+// simulate() runs a sim::SimSession (sim/sim_session.hpp) over every gate.
 #pragma once
 
 #include <array>
@@ -114,8 +115,7 @@ class Circuit {
     long n_events = 0;
     /// Peak event-heap occupancy over the run: how many gate firings were
     /// simultaneously scheduled. A cheap always-on observability counter
-    /// (obs::MetricsRegistry aggregates it across batch runs); lives here
-    /// rather than in RunDiagnostics, whose layout is frozen.
+    /// (obs::MetricsRegistry aggregates it across batch runs and shards).
     long max_heap_depth = 0;
     /// kOk unless the run was terminated early (budget, deadline,
     /// cancellation, captured failure). A non-kOk result's traces are a
@@ -128,7 +128,7 @@ class Circuit {
   };
 
   /// Simulate with `stimuli[i]` driving the i-th declared input (order of
-  /// add_input calls).
+  /// add_input calls), supervised by `budget` (default: no limits).
   ///
   /// Window convention: the simulated event window is (t_begin, t_end].
   /// The initial net values are the stimuli evaluated *at* t_begin
@@ -137,30 +137,15 @@ class Circuit {
   /// initialization, not an event -- it appears in no trace and triggers no
   /// gate activity. Transitions after t_end are ignored; gate output events
   /// land in the result only if their (channel-delayed) time is <= t_end.
+  ///
+  /// Never throws for a run failure: a budget trip or a captured exception
+  /// (ConvergenceError, AssertionError, injected fault) ends the run with a
+  /// partial result whose status and diagnostics say what happened, so
+  /// callers that treat a failure as fatal check ok(). An event-count trip
+  /// stops after exactly budget.max_events events on every host.
   SimResult simulate(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, double t_end);
-
-  /// Arena-reusing variant: identical semantics and bit-identical output,
-  /// but `out`'s per-net trace storage is reset and reused instead of
-  /// reallocated -- the batch runner calls this with one arena per worker
-  /// so repeated runs stop paying the trace-vector allocations.
-  void simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, double t_end, SimResult& out);
-
-  /// Budgeted variant: the run is supervised by `budget` and NEVER throws
-  /// through the engine -- a tripped budget/deadline/cancellation or a
-  /// captured exception (ConvergenceError, AssertionError, injected fault)
-  /// terminates the run with a structured partial result whose status and
-  /// diagnostics say what happened. Event-count termination is
-  /// deterministic: the run stops after exactly budget.max_events processed
-  /// events, so the partial traces are bit-identical on every host.
-  SimResult simulate(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, double t_end, const RunBudget& budget);
-
-  /// Budgeted arena variant (same semantics as the pair above combined).
-  void simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, double t_end, const RunBudget& budget,
-                     SimResult& out);
+                     double t_begin, double t_end,
+                     const RunBudget& budget = RunBudget{});
 
   /// Number of declared primary inputs; input_net(i) is the NetId of the
   /// i-th declared input (stimulus order).

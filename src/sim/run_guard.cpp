@@ -45,7 +45,6 @@ std::string RunDiagnostics::summary() const {
 RunGuard::RunGuard(const RunBudget& budget)
     : budget_(budget),
       t_start_(std::chrono::steady_clock::now()),
-      baseline_(util::RunCounters::local()),
       next_poll_(budget.check_interval > 0 ? budget.check_interval : 512) {}
 
 RunStatus RunGuard::poll(long n_events) {
@@ -66,12 +65,13 @@ RunStatus RunGuard::poll(long n_events) {
 }
 
 RunDiagnostics RunGuard::finish(RunStatus status, long n_events,
-                                double t_horizon) const {
+                                double t_horizon,
+                                const util::RunCounters& counters) const {
   RunDiagnostics d;
   d.status = status;
   d.n_events = n_events;
   d.t_horizon = t_horizon;
-  d.counters = util::RunCounters::local() - baseline_;
+  d.counters = counters;
   return d;
 }
 

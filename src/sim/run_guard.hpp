@@ -11,8 +11,9 @@
 //                     / failed. Anything but kOk means the run terminated
 //                     early; its traces are a valid prefix of the full run.
 //   RunDiagnostics -- status, event count, horizon reached, the numerical
-//                     guard/fallback counters (util::RunCounters) consumed
-//                     by the run, and the captured error text for kFailed.
+//                     guard/fallback counters (util::RunCounters) the run's
+//                     session added up, and the captured error text for
+//                     kFailed.
 //   RunGuard       -- the supervisor SimSession polls in its event loop.
 //
 // Determinism: the event-count budget is checked against the engine's own
@@ -63,8 +64,8 @@ struct RunDiagnostics {
   RunStatus status = RunStatus::kOk;
   long n_events = 0;          // events processed before termination
   double t_horizon = 0.0;     // simulated time actually reached
-  /// Guard/fallback counters consumed by this run (snapshot diff of the
-  /// executing thread's util::RunCounters).
+  /// Guard/fallback counters consumed by this run: the util::RunCounters
+  /// increments made inside its session's (or shards' sessions') calls.
   util::RunCounters counters;
   /// what() of the captured exception; empty unless status == kFailed.
   std::string error;
@@ -74,9 +75,9 @@ struct RunDiagnostics {
   std::string summary() const;
 };
 
-/// Budget supervisor for one run. Construction snapshots the thread's
-/// fallback counters and stamps the wall clock; check() is the per-event
-/// poll; finish() produces the diagnostics record.
+/// Budget supervisor for one run. Construction stamps the wall clock;
+/// check() is the per-event poll; finish() produces the diagnostics record
+/// from the counters the run's session added up.
 class RunGuard {
  public:
   explicit RunGuard(const RunBudget& budget);
@@ -92,15 +93,14 @@ class RunGuard {
     return RunStatus::kOk;
   }
 
-  RunDiagnostics finish(RunStatus status, long n_events,
-                        double t_horizon) const;
+  RunDiagnostics finish(RunStatus status, long n_events, double t_horizon,
+                        const util::RunCounters& counters) const;
 
  private:
   RunStatus poll(long n_events);
 
   RunBudget budget_;
   std::chrono::steady_clock::time_point t_start_;
-  util::RunCounters baseline_;
   long next_poll_ = 0;
 };
 

@@ -346,53 +346,49 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                                      static_cast<long long>(w));
             const long events_before =
                 session.n_stimulus_events() + session.n_gate_events();
-            try {
-              // Inject this window's boundary transitions in edge order;
-              // the session time-sorts them stably, so the edge order
-              // breaks (measure-zero) exact-time ties deterministically.
-              for (const std::size_t edge_index : in_edges_[k]) {
-                const Circuit::NetId net = edges_[edge_index].net;
-                for (const BoundaryEvent& ev : buckets[edge_index][w]) {
-                  session.inject(net, ev.t, ev.value);
-                }
+            // Inject this window's boundary transitions in edge order; the
+            // session time-sorts them stably, so the edge order breaks
+            // (measure-zero) exact-time ties deterministically.
+            for (const std::size_t edge_index : in_edges_[k]) {
+              const Circuit::NetId net = edges_[edge_index].net;
+              for (const BoundaryEvent& ev : buckets[edge_index][w]) {
+                session.inject(net, ev.t, ev.value);
               }
-              session.advance(window_end(w));
-              shard_window_events[k][w] = session.n_stimulus_events() +
-                                          session.n_gate_events() -
-                                          events_before;
-              // Export this window's production on every out-edge: all
-              // not-yet-exported transitions up to the new horizon.
-              for (const std::size_t edge_index : out_edges_[k]) {
-                const waveform::DigitalTrace& produced =
-                    session.trace(edges_[edge_index].net);
-                std::size_t& cursor = export_cursor[edge_index];
-                auto& bucket = buckets[edge_index][w];
-                while (cursor < produced.n_transitions() &&
-                       produced.transitions()[cursor] <= session.t_horizon()) {
-                  bucket.push_back({produced.transitions()[cursor],
-                                    produced.is_rising(cursor)});
-                  ++cursor;
-                }
+            }
+            session.advance(window_end(w));
+            shard_window_events[k][w] = session.n_stimulus_events() +
+                                        session.n_gate_events() -
+                                        events_before;
+            // Export this window's production on every out-edge: all
+            // not-yet-exported transitions up to the new horizon.
+            for (const std::size_t edge_index : out_edges_[k]) {
+              const waveform::DigitalTrace& produced =
+                  session.trace(edges_[edge_index].net);
+              std::size_t& cursor = export_cursor[edge_index];
+              auto& bucket = buckets[edge_index][w];
+              while (cursor < produced.n_transitions() &&
+                     produced.transitions()[cursor] <= session.t_horizon()) {
+                bucket.push_back({produced.transitions()[cursor],
+                                  produced.is_rising(cursor)});
+                ++cursor;
               }
-            } catch (const std::exception& e) {
-              // Stamp the failing shard's own result, then let the pool
-              // carry the exception to the coordinating thread (remaining
-              // tasks of this step still complete; the pool stays usable).
-              session.mark_failed(e.what());
-              throw;
             }
           });
     } catch (const std::exception& e) {
+      // A fault outside every session (the pool itself).
       status = RunStatus::kFailed;
       error = e.what();
       break;
     }
-    // In-task deadline/cancellation trips are sticky in the session; stop
-    // scheduling further steps once any shard has terminated.
-    for (std::size_t s = 0; s < n_shards && status == RunStatus::kOk; ++s) {
-      if (sessions[s]->status() != RunStatus::kOk) {
-        status = sessions[s]->status();
+    // Failures and deadline/cancellation trips are sticky in the session;
+    // stop scheduling further steps once any shard has terminated. A
+    // failure outranks a trip: its error is the more useful report.
+    for (const auto& session : sessions) {
+      if (session->status() == RunStatus::kFailed) {
+        status = RunStatus::kFailed;
+        break;
       }
+      if (status == RunStatus::kOk) status = session->status();
     }
     // Deterministic event-budget check at step granularity: the summed
     // event count after a completed step does not depend on thread count.
@@ -420,12 +416,19 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // Overall horizon actually covered: the lowest point any shard fully
   // reached (a terminated run's traces are only trustworthy below it).
   double t_reached = t_end;
+  // Guard counters sum in shard order; a failed run reports the lowest-
+  // numbered failed shard's error, unless the pool itself failed.
+  util::RunCounters counters;
   for (std::size_t s = 0; s < n_shards; ++s) {
     n_gate_events += sessions[s]->n_gate_events();
     Circuit::SimResult shard_result = sessions[s]->take_result();
     sessions[s].reset();
     max_heap_depth[s] = shard_result.max_heap_depth;
     t_reached = std::min(t_reached, shard_result.diagnostics.t_horizon);
+    counters += shard_result.diagnostics.counters;
+    if (status == RunStatus::kFailed && error.empty()) {
+      error = shard_result.diagnostics.error;
+    }
     for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
       const auto net = static_cast<std::size_t>(circuit_->gate_output(g));
       result.traces[net] = std::move(shard_result.traces[net]);
@@ -456,6 +459,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     }
   }
   result.metrics.add("shard.boundary_transitions", boundary_transitions);
+  obs::absorb_run_counters(result.metrics, counters);
   // The monolithic engine's event count is its processed stimulus events
   // plus gate firings. Shard-local stimulus counts double-count boundary
   // injections and multi-shard fanout of primary inputs, so the stimulus
@@ -476,7 +480,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   result.status = status;
   result.diagnostics =
       guard.finish(status, result.n_events,
-                   status == RunStatus::kOk ? t_end : t_reached);
+                   status == RunStatus::kOk ? t_end : t_reached, counters);
   result.diagnostics.error = error;
 
   // Re-cut on this run's measured work for the next run.

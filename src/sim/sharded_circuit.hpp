@@ -5,7 +5,9 @@
 // range of the circuit's gates; gates are in topological order, so every
 // cross-shard net flows from a lower shard to a higher one and the shard
 // graph is acyclic. All shards share the one sim::Circuit, each running a
-// SimSession over its own gate range (sim/sim_session.hpp).
+// SimSession over its own gate range (sim/sim_session.hpp), which keeps
+// its own failure and guard counters; simulate() reduces both in shard
+// order.
 //
 // Cuts: the first run uses the structural cut (equal gate counts, each cut
 // moved within a balance slack to where the fewest nets are live -- a
@@ -93,11 +95,13 @@ class ShardedCircuit {
     long n_events = 0;       // matches Circuit::simulate's count
     std::size_t n_windows = 0;
     /// kOk unless the run terminated early: budget/deadline/cancellation
-    /// trip, or a failure captured out of a shard task (the wavefront
+    /// trip, or a failure captured by a shard's session (the wavefront
     /// stops at the end of the step that tripped; traces are best-effort
     /// up to diagnostics.t_horizon, the lowest horizon any shard fully
     /// reached). The pool stays usable either way.
     RunStatus status = RunStatus::kOk;
+    /// diagnostics.counters sums the sessions' guard counters in shard
+    /// order; diagnostics.error is the lowest-numbered failed shard's.
     RunDiagnostics diagnostics;
 
     bool ok() const { return status == RunStatus::kOk; }
@@ -119,8 +123,9 @@ class ShardedCircuit {
 
     /// Observability aggregate for this run: shard.* counters and
     /// histograms (per-task window events, per-shard totals, exchange
-    /// bucket occupancy) of this run's cut, filled in deterministic
-    /// shard/edge order. docs/observability.md lists the names.
+    /// bucket occupancy) of this run's cut and the run.* guard counters,
+    /// filled in deterministic shard/edge order. docs/observability.md
+    /// lists the names.
     obs::MetricsRegistry metrics;
 
     /// Traces by NetId of the sharded circuit: primary inputs carry the

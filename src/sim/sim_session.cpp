@@ -8,23 +8,6 @@
 
 namespace charlie::sim {
 
-SimSession::SimSession(Circuit& circuit,
-                       const std::vector<waveform::DigitalTrace>& stimuli,
-                       double t_begin)
-    : SimSession(circuit, stimuli, t_begin, Circuit::SimResult{}) {}
-
-SimSession::SimSession(Circuit& circuit,
-                       const std::vector<waveform::DigitalTrace>& stimuli,
-                       double t_begin, Circuit::SimResult&& arena)
-    : SimSession(circuit, stimuli, t_begin, RunBudget{}, std::move(arena)) {}
-
-SimSession::SimSession(Circuit& circuit,
-                       const std::vector<waveform::DigitalTrace>& stimuli,
-                       double t_begin, const RunBudget& budget,
-                       Circuit::SimResult&& arena)
-    : SimSession(circuit, 0, circuit.n_gates(), stimuli, t_begin, budget,
-                 std::move(arena)) {}
-
 SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                        std::size_t gate_end,
                        const std::vector<waveform::DigitalTrace>& stimuli,
@@ -39,13 +22,11 @@ SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                      "sim session: gate range out of bounds");
   CHARLIE_ASSERT_MSG(stimuli.size() == circuit_->primary_inputs_.size(),
                      "circuit: one stimulus trace per primary input");
+  // Guard sites bump the executing thread's counters: each call adds its
+  // own increments, on whichever thread runs it.
+  const util::RunCounters before = util::RunCounters::local();
   initialize(stimuli);
-}
-
-void SimSession::mark_failed(const std::string& what) {
-  if (status_ != RunStatus::kOk) return;  // first terminal status wins
-  status_ = RunStatus::kFailed;
-  error_ = what;
+  counters_ += util::RunCounters::local() - before;
 }
 
 namespace {
@@ -234,7 +215,20 @@ void SimSession::advance(double t_horizon) {
   if (status_ != RunStatus::kOk) return;
   CHARLIE_ASSERT(t_horizon >= horizon_);
   horizon_ = t_horizon;
+  const util::RunCounters before = util::RunCounters::local();
+  // The no-throw boundary: a failure anywhere in the run (solver
+  // non-convergence, assertion, injected fault) ends the session with the
+  // traces produced so far.
+  try {
+    run_window();
+  } catch (const std::exception& e) {
+    status_ = RunStatus::kFailed;
+    error_ = e.what();
+  }
+  counters_ += util::RunCounters::local() - before;
+}
 
+void SimSession::run_window() {
   // One span per advance slice; the event count is filled in at the end so
   // windowed schedules (sharded wavefront) show per-window event volume.
   const long events_before = n_stimulus_events_ + n_gate_events_;
@@ -332,28 +326,16 @@ void SimSession::advance(double t_horizon) {
   obs_span.set_value0(n_stimulus_events_ + n_gate_events_ - events_before);
 }
 
-namespace {
-
-void stamp(Circuit::SimResult& result, const RunGuard& guard,
-           RunStatus status, long n_events, double t_reached,
-           const std::string& error) {
-  result.n_events = n_events;
-  result.status = status;
-  result.diagnostics = guard.finish(status, n_events, t_reached);
-  result.diagnostics.error = error;
-}
-
-}  // namespace
-
-const Circuit::SimResult& SimSession::result() {
-  stamp(result_, guard_, status_, n_stimulus_events_ + n_gate_events_,
-        status_ == RunStatus::kOk ? horizon_ : t_processed_, error_);
-  result_.max_heap_depth = max_heap_depth_;
-  return result_;
-}
-
 Circuit::SimResult SimSession::take_result() {
-  result();
+  const long n_events = n_stimulus_events_ + n_gate_events_;
+  result_.n_events = n_events;
+  result_.max_heap_depth = max_heap_depth_;
+  result_.status = status_;
+  result_.diagnostics =
+      guard_.finish(status_, n_events,
+                    status_ == RunStatus::kOk ? horizon_ : t_processed_,
+                    counters_);
+  result_.diagnostics.error = error_;
   return std::move(result_);
 }
 

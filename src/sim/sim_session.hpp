@@ -1,14 +1,14 @@
 // Resumable event-driven simulation session over a range of gates.
 //
-// SimSession is the engine behind Circuit::simulate, exposed separately so
-// simulated time can be advanced in windows and a circuit can be split by
-// gate: the sharded circuit runner (sim/sharded_circuit.hpp) gives each
-// shard a session over one contiguous gate range of a shared Circuit,
-// advances it one conservative window quantum at a time, and injects the
-// transitions produced by upstream shards between advances. A session
-// borrows the channel state of the gates in its range, so at most one
-// session may be active per gate at a time; sessions over disjoint ranges
-// of one Circuit may run concurrently.
+// SimSession is the only way into the event loop: Circuit::simulate runs
+// one session over every gate, BatchRunner one per run over its worker's
+// trace arena, and the sharded circuit runner (sim/sharded_circuit.hpp)
+// one per shard over a contiguous gate range of a shared Circuit, advanced
+// one conservative window quantum at a time with the transitions of
+// upstream shards injected between advances. A session borrows the channel
+// state of the gates in its range, so at most one session may be active
+// per gate at a time; sessions over disjoint ranges of one Circuit may run
+// concurrently.
 //
 // Gate ranges: a Circuit's gates are in topological order by construction
 // (every input net exists before the gate that reads it), so a contiguous
@@ -28,6 +28,11 @@
 // bookkeeping re-arms them, preserving the original schedule order for
 // equal-time events. A single advance(t_end) therefore reproduces
 // Circuit::simulate bit-for-bit.
+//
+// advance() is the engine's no-throw boundary: an exception out of a run
+// ends the session with a sticky kFailed status and its what() text. The
+// session adds up the util::RunCounters increments made inside its own
+// constructor and advance() calls, on whichever thread runs them.
 #pragma once
 
 #include <cstddef>
@@ -41,30 +46,14 @@ namespace charlie::sim {
 
 class SimSession {
  public:
-  /// Settle `circuit` at t_begin and queue the stimulus transitions.
-  SimSession(Circuit& circuit,
-             const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin);
-
-  /// Arena variant: reuses `arena`'s trace storage (reset, not
-  /// reallocated). take_result() hands the storage back.
-  SimSession(Circuit& circuit,
-             const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin, Circuit::SimResult&& arena);
-
-  /// Budgeted variant: advance() polls `budget` and terminates the session
-  /// early with the corresponding RunStatus instead of running to the
-  /// horizon. After a trip the session is finished: further advance()
-  /// calls are no-ops and the result carries the partial traces.
-  SimSession(Circuit& circuit,
-             const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin, const RunBudget& budget,
-             Circuit::SimResult&& arena = Circuit::SimResult{});
-
-  /// Range variant: simulate gates [gate_begin, gate_end) of `circuit`
-  /// only (see the header comment). `stimuli` drive the primary inputs as
-  /// in the whole-circuit variants; nets of gates before gate_begin settle
-  /// at their t_begin value and change only through inject().
+  /// Settle gates [gate_begin, gate_end) of `circuit` at t_begin and queue
+  /// the stimulus transitions they read; [0, circuit.n_gates()) is the
+  /// whole circuit. Nets of gates before gate_begin settle at their t_begin
+  /// value and change only through inject(). advance() polls `budget` and
+  /// ends the session early with the tripped RunStatus. `arena`'s trace
+  /// storage is reset and reused, not reallocated; take_result() hands it
+  /// back. Misuse (a range out of bounds, a stimulus count that does not
+  /// match the primary inputs) throws.
   SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
              const std::vector<waveform::DigitalTrace>& stimuli,
              double t_begin, const RunBudget& budget = RunBudget{},
@@ -87,7 +76,9 @@ class SimSession {
   void inject(Circuit::NetId net, double t, bool net_value);
 
   /// Process every event with t <= t_horizon (stimuli, injected boundary
-  /// transitions, and gate firings). Horizons must not decrease.
+  /// transitions, and gate firings). Horizons must not decrease. A run
+  /// failure or budget trip ends the session instead of throwing; further
+  /// calls are then no-ops.
   void advance(double t_horizon);
 
   long n_stimulus_events() const { return n_stimulus_events_; }
@@ -99,21 +90,13 @@ class SimSession {
   /// kOk while the session may still advance; any other value is sticky.
   RunStatus status() const { return status_; }
 
-  /// Record a failure captured outside the event loop (the budgeted
-  /// Circuit::simulate catches and forwards exception text). Sticky like a
-  /// budget trip; only the first terminal status wins.
-  void mark_failed(const std::string& what);
-
   /// Transitions recorded on `net` so far (up to the current horizon).
   const waveform::DigitalTrace& trace(Circuit::NetId net) const {
     return result_.trace(net);
   }
 
-  /// Traces appended so far (up to the current horizon); n_events is the
-  /// processed stimulus + gate event count.
-  const Circuit::SimResult& result();
-
-  /// Move the result out; the session must not be advanced afterwards.
+  /// Move the result out, stamped with status, event count and
+  /// diagnostics; the session must not be advanced afterwards.
   Circuit::SimResult take_result();
 
  private:
@@ -124,6 +107,7 @@ class SimSession {
   };
 
   void initialize(const std::vector<waveform::DigitalTrace>& stimuli);
+  void run_window();
   bool reads(Circuit::NetId net) const;
   void reschedule(std::size_t gate_index);
   void propagate_net_change(Circuit::NetId net, double t, bool value,
@@ -139,6 +123,7 @@ class SimSession {
   bool guard_active_ = false;     // false: the loop skips every poll
   RunStatus status_ = RunStatus::kOk;
   std::string error_;             // captured failure text (kFailed)
+  util::RunCounters counters_;    // increments made inside this session
   double t_processed_ = 0.0;      // time of the last processed event
   Circuit::SimResult result_;
   std::vector<std::uint8_t> net_value_;  // hot path: byte per net, no

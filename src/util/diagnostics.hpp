@@ -6,9 +6,10 @@
 // ConvergenceError as an infeasible-corner penalty -- are silent by design:
 // the run keeps going. RunCounters makes them countable without making
 // them chatty. Guard sites bump the executing thread's counters (no
-// atomics, no locks, nothing shared, safe under any thread pool); a run
-// supervisor (sim::RunGuard) snapshots the counters at run start and diffs
-// at the end, so a per-run diagnostics record costs two struct copies.
+// atomics, no locks, nothing shared, safe under any thread pool); a
+// simulation session (sim::SimSession) snapshots them around each of its
+// calls and adds up the differences, so a per-run record costs two struct
+// copies per call, whichever thread runs it.
 #pragma once
 
 namespace charlie::util {

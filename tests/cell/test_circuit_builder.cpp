@@ -47,6 +47,7 @@ TEST(CircuitBuilder, InstancesMayAppearInAnyOrder) {
   const waveform::DigitalTrace step(false, {1e-9});
   const waveform::DigitalTrace quiet(false, {});
   const auto result = circuit->simulate({step, quiet}, 0.0, 3e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   EXPECT_GE(result.n_events, 1);
 }
 
@@ -147,6 +148,8 @@ TEST(CircuitBuilder, HandWiredMisGateIsBitIdenticalToBuilderPath) {
 
   const auto old_result = old_circuit.simulate(stimuli, 0.0, t_end);
   const auto new_result = new_circuit->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(old_result.ok()) << old_result.diagnostics.summary();
+  ASSERT_TRUE(new_result.ok()) << new_result.diagnostics.summary();
 
   ASSERT_EQ(old_result.n_events, new_result.n_events);
   for (const char* net : {"x", "y"}) {

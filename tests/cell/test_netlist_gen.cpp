@@ -95,6 +95,7 @@ TEST(NetlistGen, GeneratedNetlistBuildsAndShardsBitIdentically) {
   const double t_end = t_last + 2e-9;
 
   const auto expected = mono->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(expected.ok()) << expected.diagnostics.summary();
   sim::ShardedSimConfig config;
   config.n_threads = 2;
   const auto actual = sharded->simulate(stimuli, 0.0, t_end, config);

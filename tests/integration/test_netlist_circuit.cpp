@@ -180,6 +180,7 @@ TEST(NetlistCircuit, CircuitGatesMatchPerGateGoldenTraces) {
       waveform::generate_traces(config, circuit->n_inputs(), rng);
   const double t_end = 60e-9;
   const auto result = circuit->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
 
   int checked = 0;
   for (const auto& inst : desc.instances) {

@@ -231,6 +231,8 @@ TEST(WireInterconnect, NetlistWiresBuildAndDelayTheChain) {
   stim.emplace_back(false, std::vector<double>{});
   const auto wired_res = wired->simulate(stim, 0.0, 3e-9);
   const auto plain_res = plain->simulate(stim, 0.0, 3e-9);
+  ASSERT_TRUE(wired_res.ok()) << wired_res.diagnostics.summary();
+  ASSERT_TRUE(plain_res.ok()) << plain_res.diagnostics.summary();
   const auto& wired_y = wired_res.trace(wired->find_net("y"));
   const auto& plain_y = plain_res.trace(plain->find_net("y"));
   ASSERT_EQ(wired_y.n_transitions(), 2u);

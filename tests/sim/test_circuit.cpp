@@ -42,6 +42,7 @@ TEST(Circuit, SingleInverter) {
                               std::make_unique<PureDelayChannel>(10e-12));
   const waveform::DigitalTrace stim(false, {1e-9, 2e-9});
   const auto result = c.simulate({stim}, 0.0, 3e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   const auto& trace = result.trace(out);
   EXPECT_TRUE(trace.initial_value());
   ASSERT_EQ(trace.n_transitions(), 2u);
@@ -59,6 +60,7 @@ TEST(Circuit, InverterChainAccumulatesDelay) {
   }
   const waveform::DigitalTrace stim(false, {1e-9});
   const auto result = c.simulate({stim}, 0.0, 2e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   const auto& out = result.trace(prev);
   ASSERT_EQ(out.n_transitions(), 1u);
   EXPECT_NEAR(out.transitions()[0], 1e-9 + 4 * 5e-12, 1e-15);
@@ -79,6 +81,7 @@ TEST(Circuit, SteadyStateSettlesThroughLogic) {
   const waveform::DigitalTrace s1(true, {});
   const waveform::DigitalTrace s2(false, {});
   const auto result = c.simulate({s1, s2}, 0.0, 1e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   EXPECT_FALSE(result.trace(inv).initial_value());
   EXPECT_TRUE(result.trace(nor).initial_value());
   EXPECT_EQ(result.trace(nor).n_transitions(), 0u);
@@ -101,10 +104,12 @@ TEST(Circuit, ReconvergentFanoutGlitch) {
 
   auto c_pure = build(std::make_unique<PureDelayChannel>(5e-12));
   const auto r_pure = c_pure->simulate({stim}, 0.0, 2e-9);
+  ASSERT_TRUE(r_pure.ok()) << r_pure.diagnostics.summary();
   EXPECT_EQ(r_pure.trace(c_pure->find_net("out")).n_transitions(), 2u);
 
   auto c_inertial = build(std::make_unique<InertialChannel>(30e-12, 30e-12));
   const auto r_inertial = c_inertial->simulate({stim}, 0.0, 2e-9);
+  ASSERT_TRUE(r_inertial.ok()) << r_inertial.diagnostics.summary();
   EXPECT_EQ(r_inertial.trace(c_inertial->find_net("out")).n_transitions(),
             0u);
 }
@@ -119,6 +124,7 @@ TEST(Circuit, MisAwareNorInsideCircuit) {
   // Simultaneous rising inputs: Charlie speed-up vs. lone input.
   const waveform::DigitalTrace both(false, {1e-9});
   const auto r_both = c.simulate({both, both}, 0.0, 2e-9);
+  ASSERT_TRUE(r_both.ok()) << r_both.diagnostics.summary();
   const double t_both = r_both.trace(out).transitions().at(0);
 
   Circuit c2;
@@ -130,6 +136,7 @@ TEST(Circuit, MisAwareNorInsideCircuit) {
   const waveform::DigitalTrace lone(false, {1e-9});
   const waveform::DigitalTrace quiet(false, {});
   const auto r_lone = c2.simulate({lone, quiet}, 0.0, 2e-9);
+  ASSERT_TRUE(r_lone.ok()) << r_lone.diagnostics.summary();
   const double t_lone = r_lone.trace(out2).transitions().at(0);
   EXPECT_LT(t_both, t_lone - 5e-12);
 }
@@ -149,6 +156,7 @@ TEST(Circuit, TwoStageNorChain) {
   const waveform::DigitalTrace sa(false, {1e-9});
   const waveform::DigitalTrace quiet(false, {});
   const auto r = c.simulate({sa, quiet, quiet}, 0.0, 3e-9);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.summary();
   ASSERT_EQ(r.trace(x).n_transitions(), 1u);
   ASSERT_EQ(r.trace(y).n_transitions(), 1u);
   EXPECT_FALSE(r.trace(x).is_rising(0));
@@ -166,6 +174,7 @@ TEST(Circuit, WindowBoundarySemantics) {
                               std::make_unique<PureDelayChannel>(10e-12));
   const waveform::DigitalTrace stim(false, {1e-9, 2e-9});
   const auto result = c.simulate({stim}, 1e-9, 3e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   // The rising edge at exactly t_begin = 1 ns is initial state: input
   // starts high, inverter starts low, and no transition is recorded for it.
   EXPECT_TRUE(result.trace(in).initial_value());
@@ -181,6 +190,7 @@ TEST(Circuit, WindowBoundarySemantics) {
   c2.add_gate(GateKind::kInv, "out", {in2},
               std::make_unique<PureDelayChannel>(10e-12));
   const auto r2 = c2.simulate({stim}, 0.0, 2e-9);
+  ASSERT_TRUE(r2.ok()) << r2.diagnostics.summary();
   EXPECT_EQ(r2.trace(in2).n_transitions(), 2u);
   EXPECT_EQ(r2.trace(c2.find_net("out")).n_transitions(), 1u);
 }

@@ -177,6 +177,7 @@ TEST(CircuitMultiInput, Nor3AndNand3GatesSimulate) {
   waveform::DigitalTrace sb(false, {1e-9});
   waveform::DigitalTrace sd(false, {});
   const auto result = c.simulate({sa, sb, sd}, 0.0, 10e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   const auto& nor_trace = result.trace(nor_out);
   // a, b rising pulls the NOR3 low once.
   ASSERT_EQ(nor_trace.n_transitions(), 1u);

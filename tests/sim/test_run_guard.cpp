@@ -60,6 +60,7 @@ TEST(RunGuard, DisabledBudgetIsBitIdenticalToPlainSimulate) {
   auto c2 = chain_circuit(6);
   const auto plain = c1->simulate({edges(10)}, 0.0, 1e-7);
   const auto budgeted = c2->simulate({edges(10)}, 0.0, 1e-7, RunBudget{});
+  ASSERT_TRUE(plain.ok()) << plain.diagnostics.summary();
   ASSERT_EQ(budgeted.status, RunStatus::kOk);
   ASSERT_EQ(plain.n_events, budgeted.n_events);
   ASSERT_EQ(plain.traces.size(), budgeted.traces.size());
@@ -76,6 +77,7 @@ TEST(RunGuard, DisabledBudgetIsBitIdenticalToPlainSimulate) {
 TEST(RunGuard, EventBudgetStopsAfterExactlyMaxEvents) {
   auto full_circuit = chain_circuit(6);
   const auto full = full_circuit->simulate({edges(10)}, 0.0, 1e-7);
+  ASSERT_TRUE(full.ok()) << full.diagnostics.summary();
   ASSERT_GT(full.n_events, 20);
 
   RunBudget budget;
@@ -156,9 +158,9 @@ TEST(RunGuard, InjectedSolverFaultBecomesStructuredFailure) {
   const waveform::DigitalTrace stim_a(false, {1e-9});
   const waveform::DigitalTrace stim_b(false, {});
 
-  // Budgeted entry point: the injected ConvergenceError is captured, not
-  // thrown through the engine.
-  const auto result = c.simulate({stim_a, stim_b}, 0.0, 1e-8, RunBudget{});
+  // The one entry point captures the injected ConvergenceError instead of
+  // throwing it through the engine.
+  const auto result = c.simulate({stim_a, stim_b}, 0.0, 1e-8);
   EXPECT_EQ(result.status, RunStatus::kFailed);
   EXPECT_NE(result.diagnostics.error.find("injected fault"),
             std::string::npos)
@@ -219,7 +221,7 @@ TEST(RunGuard, SessionStatusIsStickyAcrossAdvances) {
   budget.max_events = 5;
   auto c = chain_circuit(6);
   const std::vector<waveform::DigitalTrace> stimuli{edges(10)};
-  SimSession session(*c, stimuli, 0.0, budget);
+  SimSession session(*c, 0, c->n_gates(), stimuli, 0.0, budget);
   session.advance(5e-9);
   EXPECT_EQ(session.status(), RunStatus::kBudgetExhausted);
   const long events_at_trip =

@@ -68,6 +68,8 @@ void expect_bit_identical(const sim::Circuit::SimResult& mono,
                           const sim::ShardedCircuit::Result& sharded,
                           const cell::NetlistDesc& desc,
                           const std::string& label) {
+  ASSERT_TRUE(mono.ok()) << label << ": " << mono.diagnostics.summary();
+  ASSERT_TRUE(sharded.ok()) << label << ": " << sharded.diagnostics.summary();
   EXPECT_EQ(mono.n_events, sharded.n_events) << label;
   for (const std::string& net : all_nets(desc)) {
     const auto& expected = mono.trace(mono_circuit.find_net(net));
@@ -275,6 +277,38 @@ TEST(ShardedCircuit, PresetCancellationStopsTheWavefront) {
   EXPECT_FALSE(result.ok());
 }
 
+TEST(ShardedCircuit, GuardCountersMatchMonolithic) {
+  // Guard sites count on the thread that runs them, and a shard's session
+  // moves between pool workers from window to window. Each session adds up
+  // the increments of its own calls, so the sharded run reports exactly
+  // the monolithic run's Newton->Brent fallbacks at any thread count.
+  util::FaultInjector::Scope scope;
+  util::FaultInjector::reset_local_hits();
+  util::FaultInjector::arm(
+      "crossing.newton", {util::FaultInjector::Action::kForceBranch, 0, -1});
+
+  const auto b = builder();
+  const auto mono_circuit = b.build(c432());
+  const auto stimuli = stimuli_for(mono_circuit->n_inputs(), 7);
+  const double t_end = t_end_for(stimuli);
+  const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  const long fallbacks = mono.diagnostics.counters.newton_brent_fallbacks;
+  ASSERT_GT(fallbacks, 0);
+
+  auto sharded = b.build_sharded(c432(), 4);
+  for (const std::size_t n_threads : {1u, 2u, 4u}) {
+    sim::ShardedSimConfig config;
+    config.n_threads = n_threads;
+    const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+    const std::string label = "threads=" + std::to_string(n_threads);
+    expect_bit_identical(mono, *mono_circuit, result, c432(), label);
+    EXPECT_EQ(result.diagnostics.counters.newton_brent_fallbacks, fallbacks)
+        << label;
+    EXPECT_EQ(result.metrics.counter("run.newton_brent_fallbacks"), fallbacks)
+        << label;
+  }
+}
+
 TEST(ShardedCircuit, InjectedShardFaultYieldsStructuredFailure) {
   util::FaultInjector::Scope scope;
   util::FaultInjector::reset_local_hits();
@@ -289,9 +323,9 @@ TEST(ShardedCircuit, InjectedShardFaultYieldsStructuredFailure) {
   sim::ShardedSimConfig config;
   config.n_threads = 2;
 
-  // Poison the first hybrid mode switch: the failing shard's session is
-  // stamped, the exception reaches the coordinator through the pool, and
-  // the whole run reports kFailed instead of throwing or hanging.
+  // Poison the first hybrid mode switch: the failing shard's session
+  // captures the failure and counts the guard trip, and the whole run
+  // reports kFailed instead of throwing or hanging.
   util::FaultInjector::arm(
       "hybrid_channel.state", {util::FaultInjector::Action::kNanValue, 0, -1});
   const auto faulted = sharded->simulate(stimuli, 0.0, t_end, config);
@@ -300,6 +334,7 @@ TEST(ShardedCircuit, InjectedShardFaultYieldsStructuredFailure) {
   EXPECT_NE(faulted.diagnostics.error.find("non-finite"), std::string::npos)
       << faulted.diagnostics.error;
   EXPECT_LE(faulted.diagnostics.t_horizon, t_end);
+  EXPECT_GE(faulted.diagnostics.counters.nonfinite_guard_trips, 1);
 
   // The instance (pool, shard circuits) survives the failure: a disarmed
   // re-simulation is bit-identical to the monolithic engine.

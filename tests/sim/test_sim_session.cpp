@@ -49,6 +49,7 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
   const auto stimuli = stimuli_for(mono_circuit->n_inputs());
   const double t_end = t_end_for(stimuli);
   const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(mono.ok()) << mono.diagnostics.summary();
 
   // Two sessions over [0, m) and [m, n) of one circuit, advanced window by
   // window; between windows the upper one receives the lower one's new
@@ -122,6 +123,7 @@ TEST(SimSession, FreshRunReservesNoIdleTraceStorage) {
   const auto circuit = build_c432();
   const auto stimuli = stimuli_for(circuit->n_inputs());
   const auto result = circuit->simulate(stimuli, 0.0, t_end_for(stimuli));
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
   for (std::size_t net = 0; net < circuit->n_nets(); ++net) {
     const auto& trace = result.traces[net];
     EXPECT_LE(trace.transitions().capacity(), 2 * trace.n_transitions())

@@ -112,6 +112,11 @@ int main(int argc, char** argv) {
       }
       const sim::Circuit::SimResult sim_result =
           circuit->simulate(stimuli, 0.0, t_last + 1e-9);
+      if (!sim_result.ok()) {
+        std::fprintf(stderr, "sta_report: --vcd-out run: %s\n",
+                     sim_result.diagnostics.summary().c_str());
+        return 1;
+      }
       std::vector<waveform::VcdDigitalSignal> signals;
       for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
         const sim::Circuit::NetId id = circuit->input_net(i);

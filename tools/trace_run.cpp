@@ -91,12 +91,12 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry metrics;
     std::vector<waveform::VcdDigitalSignal> vcd_signals;
-    // Backing storage for vcd_signals in the sharded path (the batch path
-    // borrows BatchResult::captured instead).
     bool all_ok = true;
 
     sim::BatchResult batch;           // kept alive for captured traces
-    sim::ShardedCircuit::Result sharded;  // keeps pointers into `circuit`
+    // Backing storage for vcd_signals in the sharded path (the batch path
+    // borrows BatchResult::captured instead); keeps pointers into `circuit`.
+    sim::ShardedCircuit::Result sharded;
     std::unique_ptr<sim::ShardedCircuit> circuit;
     if (n_shards > 0) {
       // Sharded mode: one simulation of the whole netlist, wavefront-
