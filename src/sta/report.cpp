@@ -21,6 +21,7 @@ Report analyze(const cell::NetlistDesc& desc,
 
   Report report;
   report.endpoints = graph.endpoints();
+  report.nets = graph.nets();
   {
     CHARLIE_OBS_SPAN("sta.nominal");
     report.nominal = graph.analyze(graph.nominal_arcs(), options.deadline);

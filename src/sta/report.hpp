@@ -63,7 +63,8 @@ struct SstaSummary {
 struct Report {
   double deadline = 0.0;  // effective deadline slack was measured against
   std::vector<std::string> endpoints;  // analyzed endpoint nets
-  TimingResult nominal;
+  std::vector<std::string> nets;       // TimingGraph::nets(): row names
+  TimingResult nominal;                // nominal.nets[n] is nets[n]
   std::vector<CriticalPath> paths;
   std::vector<CornerSummary> corners;
   // Endpoint criticality across the sampled corners (shared presentation
@@ -77,7 +78,7 @@ struct Report {
 
 /// Full STA pass over `desc` at `library`'s process point. Throws
 /// ConfigError for the same netlist/library problems CircuitBuilder::build
-/// rejects.
+/// rejects, and for a netlist with no endpoint (TimingGraph).
 Report analyze(const cell::NetlistDesc& desc,
                std::shared_ptr<const cell::CellLibrary> library,
                const StaOptions& options);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -10,39 +12,18 @@
 
 namespace charlie::sta {
 
-namespace {
-
-// Unateness of the supported gate kinds. "Same" feeds input rise into
-// output rise (positive unate); "opposite" feeds input rise into output
-// fall (negative unate). XOR is both (non-unate). Wires are emitted as
-// kBuf, so they land in "same".
-bool feeds_same(sim::GateKind kind) {
+TimingGraph::Unate TimingGraph::unateness(sim::GateKind kind) {
   switch (kind) {
-    case sim::GateKind::kBuf:
+    case sim::GateKind::kBuf:  // and wires, which are emitted as kBuf
     case sim::GateKind::kAnd2:
     case sim::GateKind::kOr2:
+      return Unate::kPositive;
     case sim::GateKind::kXor2:
-      return true;
+      return Unate::kNon;
     default:
-      return false;
+      return Unate::kNegative;
   }
 }
-
-bool feeds_opposite(sim::GateKind kind) {
-  switch (kind) {
-    case sim::GateKind::kInv:
-    case sim::GateKind::kNand2:
-    case sim::GateKind::kNor2:
-    case sim::GateKind::kNand3:
-    case sim::GateKind::kNor3:
-    case sim::GateKind::kXor2:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
                          std::shared_ptr<const cell::CellLibrary> library)
@@ -52,38 +33,58 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
   const std::size_t n_gates = desc.instances.size();
   const std::size_t n_elems = n_gates + desc.wires.size();
 
-  std::unordered_map<std::string, int> net_index;
+  std::unordered_map<std::string, std::uint32_t> net_index;
+  std::vector<int> element_of;  // net id -> driving element or -1
   auto add_net = [&](const std::string& name, int driver) {
-    net_index.emplace(name, static_cast<int>(net_names_.size()));
     net_names_.push_back(name);
-    driver_.push_back(driver);
+    element_of.push_back(driver);
+    return net_index
+        .emplace(name, static_cast<std::uint32_t>(net_names_.size() - 1))
+        .first->second;
   };
   const auto net_id = [&](const std::string& name) {
     const auto it = net_index.find(name);
     CHARLIE_ASSERT_MSG(it != net_index.end(), "timing graph: unknown net");
     return it->second;
   };
-  for (const auto& name : desc.inputs) add_net(name, -1);
-  for (std::size_t e = 0; e < n_elems; ++e) {
-    add_net(sim::NetlistTopology::output_of(desc, e), static_cast<int>(e));
+
+  // Times live in 32-bit (fall, rise) slots, arcs behind 32-bit indices.
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t n_nets = desc.inputs.size() + n_elems;
+  if (n_nets > kMaxIndex / 2) {
+    throw ConfigError("timing graph: netlist exceeds 2^31 nets");
   }
 
-  // One arc per input pin: the fan-in list and every arc set share the
-  // offsets of nominal_arcs_.
+  net_names_.reserve(n_nets);
+  for (const auto& name : desc.inputs) add_net(name, -1);
+  std::vector<std::uint32_t> output(n_elems);  // element -> output net
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    output[e] =
+        add_net(sim::NetlistTopology::output_of(desc, e), static_cast<int>(e));
+  }
+
+  // One arc per input pin, in element order: the ArcSet layout every arc
+  // set shares through the offsets of nominal_arcs_.
   std::vector<std::size_t>& offsets = nominal_arcs_.offsets;
   offsets.assign(1, 0);
   offsets.reserve(n_elems + 1);
-  elements_.resize(n_elems);
+  std::vector<std::uint32_t> fanin;  // input net per arc
+  std::vector<Unate> unate(n_elems);
   for (std::size_t e = 0; e < n_elems; ++e) {
-    Element& el = elements_[e];
-    el.kind = sim::NetlistTopology::is_wire(desc, e) ? sim::GateKind::kBuf
-                                                     : topo.specs[e]->kind;
-    el.output = net_id(sim::NetlistTopology::output_of(desc, e));
+    unate[e] = unateness(sim::NetlistTopology::is_wire(desc, e)
+                             ? sim::GateKind::kBuf
+                             : topo.specs[e]->kind);
     sim::NetlistTopology::for_each_input(
-        desc, e, [&](const std::string& in) { fanin_.push_back(net_id(in)); });
-    offsets.push_back(fanin_.size());
+        desc, e, [&](const std::string& in) { fanin.push_back(net_id(in)); });
+    offsets.push_back(fanin.size());
+    const std::size_t arity = offsets[e + 1] - offsets[e];
+    CHARLIE_ASSERT_MSG(arity >= 1 && arity <= sim::kMaxGateArity,
+                       "timing graph: element arity out of range");
   }
-  order_ = topo.order;
+  const std::size_t n_arcs = fanin.size();
+  if (n_arcs > kMaxIndex) {
+    throw ConfigError("timing graph: netlist exceeds 2^32 arcs");
+  }
 
   endpoints_ = desc.outputs;
   if (endpoints_.empty() && !desc.instances.empty()) {
@@ -92,8 +93,58 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
   if (endpoints_.empty() && !desc.wires.empty()) {
     endpoints_.push_back(desc.wires.back().output);
   }
+  if (endpoints_.empty()) {
+    throw ConfigError(
+        "timing graph: netlist has no endpoint (no output, instance or "
+        "wire)");
+  }
   endpoint_ids_.reserve(endpoints_.size());
   for (const auto& name : endpoints_) endpoint_ids_.push_back(net_id(name));
+
+  // Sweep schedule: a counting sort of the elements by (level, unateness,
+  // arity), stable in element order -- three unateness classes, arity 1 to
+  // kMaxGateArity. Level 0 reads primary inputs only; every other element
+  // sits one level past its deepest driver.
+  std::vector<std::size_t> key(n_elems);
+  std::size_t n_keys = 0;
+  {
+    std::vector<std::size_t> level(n_elems, 0);
+    for (const int te : topo.order) {
+      const auto e = static_cast<std::size_t>(te);
+      for (std::size_t a = offsets[e]; a < offsets[e + 1]; ++a) {
+        const int d = element_of[fanin[a]];
+        if (d >= 0) {
+          level[e] = std::max(level[e], level[static_cast<std::size_t>(d)] + 1);
+        }
+      }
+      const std::size_t arity = offsets[e + 1] - offsets[e];
+      key[e] = (level[e] * 3 + static_cast<std::size_t>(unate[e])) *
+                   sim::kMaxGateArity +
+               arity - 1;
+      n_keys = std::max(n_keys, key[e] + 1);
+    }
+  }
+  std::vector<std::size_t> first(n_keys + 1, 0);
+  for (std::size_t e = 0; e < n_elems; ++e) ++first[key[e] + 1];
+  for (std::size_t k = 0; k < n_keys; ++k) first[k + 1] += first[k];
+  std::vector<std::size_t> element_at(n_elems);
+  for (std::size_t e = 0; e < n_elems; ++e) element_at[first[key[e]]++] = e;
+
+  schedule_.resize(n_elems);
+  pins_.reserve(n_arcs);
+  driver_.assign(n_nets, -1);
+  for (std::size_t p = 0; p < n_elems; ++p) {
+    const std::size_t e = element_at[p];
+    Step& step = schedule_[p];
+    step.out = 2 * output[e];
+    step.first_pin = static_cast<std::uint32_t>(pins_.size());
+    step.unate = unate[e];
+    step.n_pins = static_cast<std::uint8_t>(offsets[e + 1] - offsets[e]);
+    for (std::size_t a = offsets[e]; a < offsets[e + 1]; ++a) {
+      pins_.push_back({2 * fanin[a], static_cast<std::uint32_t>(a)});
+    }
+    driver_[output[e]] = static_cast<std::int32_t>(p);
+  }
 
   // Each gate's cell as an index into specs(), which at_corner preserves,
   // so a corner library resolves the same cells without name lookups.
@@ -111,20 +162,19 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
   }
 
   // Wire arcs read the collapsed tables once: wires are process-independent,
-  // so every corner's arc set copies them from here.
-  nominal_arcs_.rise.assign(fanin_.size(), 0.0);
-  nominal_arcs_.fall.assign(fanin_.size(), 0.0);
+  // so every arc set copies them from here.
+  nominal_arcs_.rise.assign(n_arcs, 0.0);
+  nominal_arcs_.fall.assign(n_arcs, 0.0);
   for (std::size_t w = 0; w < desc.wires.size(); ++w) {
     const auto tables = builder.wire_tables(desc.wires[w]);
     const std::size_t a = offsets[n_gates + w];
     nominal_arcs_.rise[a] = tables->step_delay(/*rising=*/true);
     nominal_arcs_.fall[a] = tables->step_delay(/*rising=*/false);
   }
-  fill_gate_arcs(*library_, nominal_arcs_);
+  nominal_arcs_ = extract_arcs(*library_);
 }
 
-void TimingGraph::fill_gate_arcs(const cell::CellLibrary& library,
-                                 ArcSet& arcs) const {
+ArcSet TimingGraph::extract_arcs(const cell::CellLibrary& library) const {
   // One arc_table() evaluation per distinct cell: the envelope solves a
   // handful of crossing problems per cell, and a netlist instantiates each
   // cell many times.
@@ -137,84 +187,109 @@ void TimingGraph::fill_gate_arcs(const cell::CellLibrary& library,
                            tables[c].output_fall.size() == arity,
                        "timing graph: arc table does not match the cell");
   }
-  for (std::size_t g = 0; g < cell_of_.size(); ++g) {
-    const cell::CellArcTable& t = tables[cell_of_[g]];
-    const auto at = static_cast<std::ptrdiff_t>(arcs.offsets[g]);
-    std::copy(t.output_rise.begin(), t.output_rise.end(),
-              arcs.rise.begin() + at);
-    std::copy(t.output_fall.begin(), t.output_fall.end(),
-              arcs.fall.begin() + at);
+  ArcSet arcs;
+  arcs.offsets = nominal_arcs_.offsets;
+  arcs.rise.resize(pins_.size());
+  arcs.fall.resize(pins_.size());
+  double* rise = arcs.rise.data();
+  double* fall = arcs.fall.data();
+  for (const std::size_t c : cell_of_) {
+    const cell::CellArcTable& t = tables[c];
+    rise = std::copy(t.output_rise.begin(), t.output_rise.end(), rise);
+    fall = std::copy(t.output_fall.begin(), t.output_fall.end(), fall);
   }
+  // Wires (elements after the gates) keep their nominal arcs.
+  const std::size_t wires = arcs.offsets[cell_of_.size()];
+  std::copy(nominal_arcs_.rise.begin() + static_cast<std::ptrdiff_t>(wires),
+            nominal_arcs_.rise.end(), rise);
+  std::copy(nominal_arcs_.fall.begin() + static_cast<std::ptrdiff_t>(wires),
+            nominal_arcs_.fall.end(), fall);
+  return arcs;
 }
 
 ArcSet TimingGraph::arcs_at(const core::ProcessPoint& point) const {
-  ArcSet arcs = nominal_arcs_;  // wire arcs stay nominal
-  if (!point.is_nominal()) fill_gate_arcs(library_->at_corner(point), arcs);
-  return arcs;
+  if (point.is_nominal()) return nominal_arcs_;
+  return extract_arcs(library_->at_corner(point));
 }
 
 template <typename V>
 void TimingGraph::check_arcs(const FlatArcs<V>& arcs) const {
-  CHARLIE_ASSERT_MSG(arcs.n_elements() == elements_.size() &&
-                         arcs.rise.size() == fanin_.size() &&
-                         arcs.fall.size() == fanin_.size(),
+  CHARLIE_ASSERT_MSG(arcs.n_elements() == schedule_.size() &&
+                         arcs.rise.size() == pins_.size() &&
+                         arcs.fall.size() == pins_.size(),
                      "timing graph: arc set does not match the netlist");
 }
 
 template <typename Visit>
-void TimingGraph::for_each_arc(std::size_t e, bool out_rising,
+void TimingGraph::for_each_arc(const Step& step, bool out_rising,
                                Visit&& visit) const {
-  const bool same = feeds_same(elements_[e].kind);
-  const bool opposite = feeds_opposite(elements_[e].kind);
-  for (std::size_t a = nominal_arcs_.offsets[e];
-       a < nominal_arcs_.offsets[e + 1]; ++a) {
-    if (same) visit(a, fanin_[a], out_rising);
-    if (opposite) visit(a, fanin_[a], !out_rising);
+  const bool same = step.unate != Unate::kNegative;
+  const bool opposite = step.unate != Unate::kPositive;
+  const Pin* pin = pins_.data() + step.first_pin;
+  for (const Pin* end = pin + step.n_pins; pin != end; ++pin) {
+    if (same) visit(pin->arc, pin->slot + (out_rising ? 1 : 0));
+    if (opposite) visit(pin->arc, pin->slot + (out_rising ? 0 : 1));
   }
 }
 
-// Generic forward pass: latest/statistical arrival per (net, direction)
-// over the topological order; `join` merges competing contributions (max /
-// statistical max) and keeps the first of equal ones. Every primary input
-// arrives at V{} (time zero) in both directions.
-template <typename V, typename Join>
-void TimingGraph::propagate(const FlatArcs<V>& arcs, Join&& join,
-                            std::vector<V>& rise,
-                            std::vector<V>& fall) const {
+// Forward sweep: each output transition takes the max of its arcs' sums in
+// for_each_arc order, keeping the first of equal ones. Every primary input
+// arrives at 0 in both directions.
+std::vector<double> TimingGraph::arrivals(const ArcSet& arcs) const {
   check_arcs(arcs);
-  rise.assign(net_names_.size(), V{});
-  fall.assign(net_names_.size(), V{});
-  for (const int e : order_) {
-    const auto el = static_cast<std::size_t>(e);
-    for (const bool out_rising : {false, true}) {
-      const std::vector<V>& arc = out_rising ? arcs.rise : arcs.fall;
-      V best{};
-      bool has = false;
-      for_each_arc(el, out_rising, [&](std::size_t a, int in, bool in_rising) {
-        V cand = (in_rising ? rise : fall)[static_cast<std::size_t>(in)] +
-                 arc[a];
-        best = has ? join(best, cand) : cand;
-        has = true;
-      });
-      CHARLIE_ASSERT_MSG(has, "timing graph: element with no timing arc");
-      (out_rising ? rise : fall)[static_cast<std::size_t>(
-          elements_[el].output)] = best;
+  std::vector<double> at(2 * net_names_.size(), 0.0);
+  const double* rise = arcs.rise.data();
+  const double* fall = arcs.fall.data();
+  for (const Step& step : schedule_) {
+    const Pin* pin = pins_.data() + step.first_pin;
+    const Pin* const end = pin + step.n_pins;
+    double f = 0.0;
+    double r = 0.0;
+    switch (step.unate) {
+      case Unate::kPositive:
+        f = at[pin->slot] + fall[pin->arc];
+        r = at[pin->slot + 1] + rise[pin->arc];
+        for (++pin; pin != end; ++pin) {
+          f = std::max(f, at[pin->slot] + fall[pin->arc]);
+          r = std::max(r, at[pin->slot + 1] + rise[pin->arc]);
+        }
+        break;
+      case Unate::kNegative:
+        f = at[pin->slot + 1] + fall[pin->arc];
+        r = at[pin->slot] + rise[pin->arc];
+        for (++pin; pin != end; ++pin) {
+          f = std::max(f, at[pin->slot + 1] + fall[pin->arc]);
+          r = std::max(r, at[pin->slot] + rise[pin->arc]);
+        }
+        break;
+      case Unate::kNon:
+        f = at[pin->slot] + fall[pin->arc];
+        r = at[pin->slot + 1] + rise[pin->arc];
+        f = std::max(f, at[pin->slot + 1] + fall[pin->arc]);
+        r = std::max(r, at[pin->slot] + rise[pin->arc]);
+        for (++pin; pin != end; ++pin) {
+          f = std::max(f, at[pin->slot] + fall[pin->arc]);
+          r = std::max(r, at[pin->slot + 1] + rise[pin->arc]);
+          f = std::max(f, at[pin->slot + 1] + fall[pin->arc]);
+          r = std::max(r, at[pin->slot] + rise[pin->arc]);
+        }
+        break;
     }
+    at[step.out] = f;
+    at[step.out + 1] = r;
   }
+  return at;
 }
 
 TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
-  std::vector<double> rise;
-  std::vector<double> fall;
-  propagate<double>(
-      arcs, [](double a, double b) { return std::max(a, b); }, rise, fall);
+  const std::vector<double> at = arrivals(arcs);
 
   TimingResult res;
   bool first = true;
   for (std::size_t i = 0; i < endpoint_ids_.size(); ++i) {
-    const auto id = static_cast<std::size_t>(endpoint_ids_[i]);
+    const std::size_t slot = 2 * std::size_t{endpoint_ids_[i]};
     for (const bool rising : {true, false}) {
-      const double a = rising ? rise[id] : fall[id];
+      const double a = at[slot + (rising ? 1 : 0)];
       if (first || a > res.critical_delay) {
         res.critical_delay = a;
         res.critical_endpoint = endpoints_[i];
@@ -230,43 +305,52 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
   // arr(out). With a deadline of 0 (slack against the critical delay
   // itself) every slack is therefore >= 0 and the critical path's is 0;
   // back-computing required times as req - arc instead rounds below zero.
+  // A net's slack is a min over its fanout edges, so the sweep order is
+  // free here too; nets outside every endpoint's cone keep +infinity.
   const double target = deadline > 0.0 ? deadline : res.critical_delay;
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> slack_rise(net_names_.size(), inf);
-  std::vector<double> slack_fall(net_names_.size(), inf);
-  for (const int endpoint : endpoint_ids_) {
-    const auto id = static_cast<std::size_t>(endpoint);
-    slack_rise[id] = target - rise[id];
-    slack_fall[id] = target - fall[id];
+  std::vector<double> slack(at.size(), inf);
+  for (const std::uint32_t id : endpoint_ids_) {
+    slack[2 * id] = target - at[2 * id];
+    slack[2 * id + 1] = target - at[2 * id + 1];
   }
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    const auto e = static_cast<std::size_t>(*it);
-    const auto out = static_cast<std::size_t>(elements_[e].output);
-    for (const bool out_rising : {false, true}) {
-      const double s = out_rising ? slack_rise[out] : slack_fall[out];
-      if (!std::isfinite(s)) continue;
-      const double arr_out = out_rising ? rise[out] : fall[out];
-      const std::vector<double>& arc = out_rising ? arcs.rise : arcs.fall;
-      for_each_arc(e, out_rising, [&](std::size_t a, int in, bool in_rising) {
-        const auto i = static_cast<std::size_t>(in);
-        const double arr_in = in_rising ? rise[i] : fall[i];
-        double& t = in_rising ? slack_rise[i] : slack_fall[i];
-        t = std::min(t, s + (arr_out - (arr_in + arc[a])));
-      });
+  const double* rise = arcs.rise.data();
+  const double* fall = arcs.fall.data();
+  const auto relax = [&](std::uint32_t in, double s, double arr_out,
+                         double arc) {
+    slack[in] = std::min(slack[in], s + (arr_out - (at[in] + arc)));
+  };
+  for (auto it = schedule_.rbegin(); it != schedule_.rend(); ++it) {
+    const Step& step = *it;
+    const double sf = slack[step.out];
+    const double sr = slack[step.out + 1];
+    const double af = at[step.out];
+    const double ar = at[step.out + 1];
+    const Pin* pin = pins_.data() + step.first_pin;
+    for (const Pin* end = pin + step.n_pins; pin != end; ++pin) {
+      if (step.unate != Unate::kNegative) {
+        relax(pin->slot, sf, af, fall[pin->arc]);
+        relax(pin->slot + 1, sr, ar, rise[pin->arc]);
+      }
+      if (step.unate != Unate::kPositive) {
+        relax(pin->slot + 1, sf, af, fall[pin->arc]);
+        relax(pin->slot, sr, ar, rise[pin->arc]);
+      }
     }
   }
 
   res.nets.resize(net_names_.size());
   res.worst_slack = inf;
-  for (std::size_t n = 0; n < net_names_.size(); ++n) {
+  for (std::size_t n = 0; n < res.nets.size(); ++n) {
     NetTiming& t = res.nets[n];
-    t.net = net_names_[n];
-    t.arrival_rise = rise[n];
-    t.arrival_fall = fall[n];
-    t.required_rise = rise[n] + slack_rise[n];
-    t.required_fall = fall[n] + slack_fall[n];
-    t.slack = std::min(slack_rise[n], slack_fall[n]);
-    if (std::isfinite(t.slack)) res.worst_slack = std::min(res.worst_slack, t.slack);
+    t.arrival_rise = at[2 * n + 1];
+    t.arrival_fall = at[2 * n];
+    t.required_rise = at[2 * n + 1] + slack[2 * n + 1];
+    t.required_fall = at[2 * n] + slack[2 * n];
+    t.slack = std::min(slack[2 * n + 1], slack[2 * n]);
+    if (std::isfinite(t.slack)) {
+      res.worst_slack = std::min(res.worst_slack, t.slack);
+    }
   }
   if (!std::isfinite(res.worst_slack)) res.worst_slack = 0.0;
   return res;
@@ -275,21 +359,15 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
 std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
                                                       std::size_t k) const {
   std::vector<CriticalPath> out;
-  if (k == 0 || endpoint_ids_.empty()) return out;
+  if (k == 0) return out;
 
-  std::vector<double> rise;
-  std::vector<double> fall;
-  propagate<double>(
-      arcs, [](double a, double b) { return std::max(a, b); }, rise, fall);
-  const auto arrival = [&](int net, bool rising) {
-    return (rising ? rise : fall)[static_cast<std::size_t>(net)];
-  };
+  const std::vector<double> at = arrivals(arcs);
 
   // Deviation (sidetrack) search. Read backward from its endpoint, a path
   // chooses one arc into every transition it passes. The greedy choice is
-  // the arc whose sum set the transition's arrival (the first maximum
-  // propagate keeps); every other arc is a sidetrack. A path is named by
-  // its endpoint and the sidetracks it takes, and completing any tail
+  // the arc whose sum set the transition's arrival (the first maximum the
+  // forward sweep keeps); every other arc is a sidetrack. A path is named
+  // by its endpoint and the sidetracks it takes, and completing any tail
   // greedily gives its longest path: the greedy head reaches the tail's
   // first transition at exactly that transition's arrival, which bounds
   // every other head, and floating-point addition is monotone. Each heap
@@ -298,12 +376,11 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
   // passes. A sidetrack's completion never beats its parent's, so paths
   // come out in exact non-increasing delay order, each exactly once.
   //
-  // Path nodes live in one arena: a transition, the arc from it to the
-  // next transition toward the endpoint, and that transition's node.
+  // Path nodes live in one arena: a transition slot, the arc from it to
+  // the next transition toward the endpoint, and that transition's node.
   constexpr std::size_t kEndpoint = std::numeric_limits<std::size_t>::max();
   struct Node {
-    int net = -1;
-    bool rising = true;
+    std::uint32_t slot = 0;          // 2 * net + rising
     std::size_t parent = kEndpoint;  // node toward the endpoint
     double arc = 0.0;  // delay of the arc into the parent's transition
   };
@@ -322,10 +399,10 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
     heap.push_back({delay, arena.size() - 1});
     std::push_heap(heap.begin(), heap.end(), below);
   };
-  // A path's delay is its arcs summed input first -- propagate's own
-  // summation order, so the greedy head sums to exactly its arrival.
+  // A path's delay is its arcs summed input first -- the forward sweep's
+  // own summation order, so the greedy head sums to exactly its arrival.
   const auto completion = [&](const Node& node) {
-    double t = arrival(node.net, node.rising) + node.arc;
+    double t = at[node.slot] + node.arc;
     for (std::size_t i = node.parent; arena[i].parent != kEndpoint;
          i = arena[i].parent) {
       t += arena[i].arc;
@@ -333,9 +410,9 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
     return t;
   };
 
-  for (const int id : endpoint_ids_) {
-    for (const bool rising : {true, false}) {
-      push({id, rising, kEndpoint, 0.0}, arrival(id, rising));
+  for (const std::uint32_t id : endpoint_ids_) {
+    for (const std::uint32_t slot : {2 * id + 1, 2 * id}) {  // rise, fall
+      push({slot, kEndpoint, 0.0}, at[slot]);
     }
   }
   while (out.size() < k && !heap.empty()) {
@@ -346,17 +423,16 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
     // Complete greedily back to a primary input, queueing every sidetrack.
     std::size_t head = entry.node;
     while (true) {
-      const Node at = arena[head];
-      const int d = driver_[static_cast<std::size_t>(at.net)];
+      const std::uint32_t slot = arena[head].slot;
+      const std::int32_t d = driver_[slot / 2];
       if (d < 0) break;
-      const double arr = arrival(at.net, at.rising);
+      const bool rising = (slot & 1U) != 0;
+      const std::vector<double>& arc_of = rising ? arcs.rise : arcs.fall;
       std::size_t greedy = kEndpoint;
-      for_each_arc(static_cast<std::size_t>(d), at.rising,
-                   [&](std::size_t a, int in, bool in_rising) {
-                     const double arc = (at.rising ? arcs.rise : arcs.fall)[a];
-                     const Node node{in, in_rising, head, arc};
-                     if (greedy == kEndpoint &&
-                         arrival(in, in_rising) + arc == arr) {
+      for_each_arc(schedule_[static_cast<std::size_t>(d)], rising,
+                   [&](std::uint32_t a, std::uint32_t in) {
+                     const Node node{in, head, arc_of[a]};
+                     if (greedy == kEndpoint && at[in] + node.arc == at[slot]) {
                        arena.push_back(node);
                        greedy = arena.size() - 1;
                      } else {
@@ -373,7 +449,7 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
     for (std::size_t i = head;; i = arena[i].parent) {
       const Node& node = arena[i];
       path.steps.push_back(
-          {net_names_[static_cast<std::size_t>(node.net)], node.rising, t});
+          {net_names_[node.slot / 2], (node.slot & 1U) != 0, t});
       if (node.parent == kEndpoint) break;
       t += node.arc;
     }
@@ -430,21 +506,29 @@ CanonicalArcSet TimingGraph::canonical_arcs(
 }
 
 Canonical TimingGraph::analyze_ssta(const CanonicalArcSet& arcs) const {
-  std::vector<Canonical> rise;
-  std::vector<Canonical> fall;
-  propagate<Canonical>(
-      arcs,
-      [](const Canonical& a, const Canonical& b) {
-        return statistical_max(a, b);
-      },
-      rise, fall);
+  // The schedule's order, each element's Clark joins in for_each_arc order:
+  // the statistical max is neither associative nor commutative, so the
+  // join order within an element is part of the result.
+  check_arcs(arcs);
+  std::vector<Canonical> at(2 * net_names_.size());
+  for (const Step& step : schedule_) {
+    for (const bool out_rising : {false, true}) {
+      const std::vector<Canonical>& arc = out_rising ? arcs.rise : arcs.fall;
+      Canonical best;
+      bool has = false;
+      for_each_arc(step, out_rising, [&](std::uint32_t a, std::uint32_t in) {
+        Canonical cand = at[in] + arc[a];
+        best = has ? statistical_max(best, cand) : cand;
+        has = true;
+      });
+      at[step.out + (out_rising ? 1 : 0)] = best;
+    }
+  }
   Canonical worst;
   bool first = true;
-  for (const int id : endpoint_ids_) {
-    for (const bool rising : {true, false}) {
-      const Canonical& a = rising ? rise[static_cast<std::size_t>(id)]
-                                  : fall[static_cast<std::size_t>(id)];
-      worst = first ? a : statistical_max(worst, a);
+  for (const std::uint32_t id : endpoint_ids_) {
+    for (const std::uint32_t slot : {2 * id + 1, 2 * id}) {  // rise, fall
+      worst = first ? at[slot] : statistical_max(worst, at[slot]);
       first = false;
     }
   }

@@ -17,6 +17,12 @@
 //     central differences of the arc set at +-1 sigma per active
 //     sim::ProcessVariation axis.
 //
+// Every pass walks one sweep schedule built at construction: the elements
+// ordered by (logic level, unateness, arity), each with a contiguous run of
+// pin records. An element's times depend only on its inputs' times and its
+// own arcs, joined in pin order, so any topological order gives the same
+// bits; this one keeps memory access and branches regular.
+//
 // Unateness: positive-unate elements (BUF, AND, OR, wires) feed input rise
 // into output rise; negative-unate elements (INV, NAND, NOR) feed input
 // rise into output fall; XOR is non-unate and feeds both. Arrival at every
@@ -54,10 +60,10 @@ struct CriticalPath {
   std::vector<PathStep> steps;
 };
 
-/// Per-net deterministic timing. Required times are arrival + slack per
-/// direction; both are +infinity for nets no declared endpoint depends on.
+/// Per-net deterministic timing; row n belongs to TimingGraph::nets()[n].
+/// Required times are arrival + slack per direction; both are +infinity
+/// for nets no declared endpoint depends on.
 struct NetTiming {
-  std::string net;
   double arrival_rise = 0.0;
   double arrival_fall = 0.0;
   double required_rise = 0.0;
@@ -70,7 +76,7 @@ struct TimingResult {
   std::string critical_endpoint;
   bool critical_rising = true;  // direction of the latest endpoint arrival
   double worst_slack = 0.0;     // min slack over constrained nets
-  std::vector<NetTiming> nets;  // graph net order (inputs first, then topo)
+  std::vector<NetTiming> nets;  // index-aligned with TimingGraph::nets()
 };
 
 /// Canonical (statistical) arc set: one Canonical per element arc, in the
@@ -81,12 +87,16 @@ class TimingGraph {
  public:
   /// Validates `desc` against `library` (same checks and ConfigError
   /// diagnostics as CircuitBuilder::build), maps each gate instance to its
-  /// cell and extracts the nominal arc set. Endpoints are the declared
-  /// `output(...)` nets, falling back to the last instance's output
-  /// (BatchRunner's observation convention).
+  /// cell, builds the sweep schedule and extracts the nominal arc set.
+  /// Endpoints are the declared `output(...)` nets, falling back to the
+  /// last instance's output, then the last wire's (BatchRunner's
+  /// observation convention); a netlist with none of them has nothing to
+  /// time and throws ConfigError.
   TimingGraph(const cell::NetlistDesc& desc,
               std::shared_ptr<const cell::CellLibrary> library);
 
+  /// Net names: primary inputs first, then element outputs in element
+  /// order. TimingResult::nets rows follow this indexing.
   const std::vector<std::string>& nets() const { return net_names_; }
   const std::vector<std::string>& endpoints() const { return endpoints_; }
   const ArcSet& nominal_arcs() const { return nominal_arcs_; }
@@ -121,28 +131,40 @@ class TimingGraph {
   Canonical analyze_ssta(const CanonicalArcSet& arcs) const;
 
  private:
-  struct Element {
-    sim::GateKind kind = sim::GateKind::kBuf;  // wires: kBuf
-    int output = -1;                           // net id
+  /// Unateness class: kPositive feeds input rise into output rise,
+  /// kNegative into output fall, kNon (XOR) into both.
+  enum class Unate : std::uint8_t { kPositive, kNegative, kNon };
+  static Unate unateness(sim::GateKind kind);
+
+  /// One input pin of a scheduled element. Times are kept as interleaved
+  /// (fall, rise) pairs: slot 2n is net n falling, 2n + 1 net n rising.
+  struct Pin {
+    std::uint32_t slot = 0;  // 2 * input net
+    std::uint32_t arc = 0;   // arc index in the ArcSet layout
   };
 
-  /// Visit every timing arc into element `e`'s output transition in
-  /// direction `out_rising` as visit(arc index, input net, input rising):
-  /// pin order, same-direction input before the opposite one.
+  /// One element of the sweep schedule.
+  struct Step {
+    std::uint32_t out = 0;        // 2 * output net
+    std::uint32_t first_pin = 0;  // its pins are pins_[first_pin, + n_pins)
+    Unate unate = Unate::kPositive;
+    std::uint8_t n_pins = 0;
+  };
+
+  /// Visit every timing arc into `step`'s output transition in direction
+  /// `out_rising` as visit(arc index, input transition slot): pin order,
+  /// same-direction input before the opposite one.
   template <typename Visit>
-  void for_each_arc(std::size_t e, bool out_rising, Visit&& visit) const;
+  void for_each_arc(const Step& step, bool out_rising, Visit&& visit) const;
 
-  /// Generic forward (net, direction) propagation over the topo order;
-  /// V is double (deterministic max) or Canonical (statistical max).
-  /// Instantiated in timing_graph.cpp only.
-  template <typename V, typename Join>
-  void propagate(const FlatArcs<V>& arcs, Join&& join, std::vector<V>& rise,
-                 std::vector<V>& fall) const;
+  /// Latest arrival per transition slot: the one forward kernel of
+  /// analyze() and critical_paths().
+  std::vector<double> arrivals(const ArcSet& arcs) const;
 
-  /// Overwrite the gate arcs of `arcs` from `library` (the graph's library
-  /// or an at_corner derivation of it): one arc_table() per distinct cell,
-  /// then a flat copy per instance. The one arc-fill path.
-  void fill_gate_arcs(const cell::CellLibrary& library, ArcSet& arcs) const;
+  /// The arc set at `library` (the graph's library or an at_corner
+  /// derivation of it): gate arcs straight from one arc_table() per
+  /// distinct cell, wire arcs from nominal_arcs_. The one arc-fill path.
+  ArcSet extract_arcs(const cell::CellLibrary& library) const;
 
   /// Asserts that `arcs` has this graph's layout.
   template <typename V>
@@ -150,14 +172,13 @@ class TimingGraph {
 
   std::shared_ptr<const cell::CellLibrary> library_;
   std::vector<std::string> net_names_;  // inputs first, element order
-  std::vector<int> driver_;             // net id -> element or -1
-  std::vector<Element> elements_;       // unified element indexing
-  std::vector<int> fanin_;              // input net id per arc (ArcSet layout)
-  std::vector<int> order_;              // element topo order
+  std::vector<Step> schedule_;          // by (level, unateness, arity)
+  std::vector<Pin> pins_;               // pin runs in schedule order
+  std::vector<std::int32_t> driver_;    // net -> schedule position or -1
   std::vector<std::size_t> cell_of_;    // gate -> index in library specs()
   std::vector<std::size_t> cells_;      // distinct cell indices in use
   std::vector<std::string> endpoints_;
-  std::vector<int> endpoint_ids_;
+  std::vector<std::uint32_t> endpoint_ids_;
   ArcSet nominal_arcs_;  // its offsets are the graph's arc layout
 };
 

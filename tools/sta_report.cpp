@@ -185,24 +185,27 @@ int main(int argc, char** argv) {
     // slack first, declaration order on ties.
     const std::set<std::string> endpoint_set(report.endpoints.begin(),
                                              report.endpoints.end());
-    std::vector<const sta::NetTiming*> rows;
-    for (const sta::NetTiming& t : report.nominal.nets) {
-      if (all_nets || endpoint_set.count(t.net) > 0) rows.push_back(&t);
+    const std::vector<sta::NetTiming>& timing = report.nominal.nets;
+    std::vector<std::size_t> rows;
+    for (std::size_t n = 0; n < timing.size(); ++n) {
+      if (all_nets || endpoint_set.count(report.nets[n]) > 0) {
+        rows.push_back(n);
+      }
     }
     std::stable_sort(rows.begin(), rows.end(),
-                     [](const sta::NetTiming* a, const sta::NetTiming* b) {
-                       return a->slack < b->slack;
+                     [&](std::size_t a, std::size_t b) {
+                       return timing[a].slack < timing[b].slack;
                      });
     std::printf("slack table      : %zu net%s (%s)\n", rows.size(),
                 rows.size() == 1 ? "" : "s",
                 all_nets ? "all" : "endpoints");
     std::printf("  %-16s %12s %12s %12s\n", "net", "arr rise", "arr fall",
                 "slack");
-    for (const sta::NetTiming* t : rows) {
-      std::printf("  %-16s %12s %12s %12s\n", t->net.c_str(),
-                  units::format_time(t->arrival_rise).c_str(),
-                  units::format_time(t->arrival_fall).c_str(),
-                  units::format_time(t->slack).c_str());
+    for (const std::size_t n : rows) {
+      std::printf("  %-16s %12s %12s %12s\n", report.nets[n].c_str(),
+                  units::format_time(timing[n].arrival_rise).c_str(),
+                  units::format_time(timing[n].arrival_fall).c_str(),
+                  units::format_time(timing[n].slack).c_str());
     }
 
     if (!report.corners.empty()) {
