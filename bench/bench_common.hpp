@@ -5,7 +5,7 @@
 #include <iostream>
 #include <string>
 
-#include "core/parametrize.hpp"
+#include "core/gate_parametrize.hpp"
 #include "spice/characterize.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -40,7 +40,7 @@ inline Calibration calibrate(bool verbose = true) {
   c.tech = spice::Technology::freepdk15_like();
   if (verbose) std::cout << "[calibrate] measuring analog substrate...\n";
   c.substrate = spice::measure_characteristics(c.tech);
-  core::FitOptions opts;
+  core::GateFitOptions opts;
   opts.vdd = c.tech.vdd;
   opts.nelder_mead_evaluations = 2000;
   if (verbose) std::cout << "[calibrate] fitting hybrid model...\n";
@@ -51,7 +51,7 @@ inline Calibration calibrate(bool verbose = true) {
   if (verbose) {
     std::cout << "[calibrate] " << c.params.to_string() << "\n"
               << "[calibrate] fit RMS error "
-              << units::format_time(c.fit.rms_error) << "\n\n";
+              << units::format_time(c.fit.gate.rms_error) << "\n\n";
   }
   return c;
 }

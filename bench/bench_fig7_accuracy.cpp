@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   if (ablation) {
     surface = std::make_unique<core::DelaySurface>(
         core::DelaySurface::build(cal.params, 200e-12, 401));
-    core::FitOptions o0;
+    core::GateFitOptions o0;
     o0.vdd = cal.tech.vdd;
     o0.forced_delta_min = 0.0;
     o0.nelder_mead_evaluations = 1500;
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       << "  2000/1000-G: inertial 1.00, Exp 1.60, HM w/o 1.15, HM 0.97\n"
       << "  5000/5-G   : inertial 1.00, Exp 1.65, HM w/o 1.01, HM 1.01\n"
       << "Expected agreements: HM-with-dmin wins for short pulses; HM\n"
-      << "without dmin is worse than inertial. See EXPERIMENTS.md for the\n"
+      << "without dmin is worse than inertial. See bench/README.md for the\n"
       << "discussion of the GLOBAL columns (our fixed-slew substrate has\n"
       << "no common error floor, so HM keeps winning there).\n";
   return 0;

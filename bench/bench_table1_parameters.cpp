@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
              units::format_time(paper.delta_min)});
   t.print(std::cout);
   std::cout << "fit RMS over the six targets: "
-            << units::format_time(cal.fit.rms_error) << "\n";
+            << units::format_time(cal.fit.gate.rms_error) << "\n";
 
   std::cout << "\n=== eqs (8)-(12) vs exact crossings (fitted params, raw "
                "RC, no delta_min) ===\n";

@@ -10,7 +10,6 @@
 
 #include "core/delay_model.hpp"
 #include "core/gate_parametrize.hpp"
-#include "core/parametrize.hpp"
 #include "sim/accuracy.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"
@@ -112,12 +111,12 @@ int main(int argc, char** argv) {
   targets.rise_minus_inf = sub.rise_minus_inf;
   targets.rise_zero = sub.rise_zero;
   targets.rise_plus_inf = sub.rise_plus_inf;
-  core::FitOptions opts;
+  core::GateFitOptions opts;
   opts.vdd = tech.vdd;
   const auto fit = core::fit_nor_params(targets, opts);
   std::cout << "Fitted: " << fit.params.to_string() << "\n"
-            << "RMS error over targets: " << units::format_time(fit.rms_error)
-            << "\n\n";
+            << "RMS error over targets: "
+            << units::format_time(fit.gate.rms_error) << "\n\n";
 
   // 4. Sweep Delta and compare.
   const core::NorDelayModel model(fit.params);

@@ -7,12 +7,16 @@
 //       --rise-minus-inf-ps 55.4 --rise-zero-ps 56.5 --rise-plus-inf-ps 53
 //
 // Defaults are the paper's Fig 2 values, so running it bare reproduces the
-// Section V parametrization including delta_min = 18 ps.
+// Section V parametrization including delta_min = 18 ps. --fit-delta-min
+// replaces the ratio rule by a line search over delta_min, one full fit per
+// probe.
+#include <algorithm>
 #include <iostream>
 
 #include "core/charlie_delays.hpp"
 #include "core/delay_model.hpp"
-#include "core/parametrize.hpp"
+#include "core/gate_parametrize.hpp"
+#include "fit/brent_min.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -54,16 +58,33 @@ int main(int argc, char** argv) {
             << units::format_time(dmin_rule)
             << "   (paper: 18 ps for the 38/28 ps targets)\n\n";
 
-  core::FitOptions opts;
+  core::GateFitOptions opts;
   opts.vdd = vdd;
-  opts.fit_delta_min = fit_dmin;
-  std::cout << "Fitting (Nelder-Mead + Levenberg-Marquardt in log space)...\n";
+  if (fit_dmin) {
+    // The fit caps delta_min at 0.9x the smallest target, which bounds the
+    // search; each probe is a full fit, so the probe count stays small.
+    const double smallest = std::min(
+        {targets.fall_minus_inf, targets.fall_zero, targets.fall_plus_inf,
+         targets.rise_minus_inf, targets.rise_zero, targets.rise_plus_inf});
+    auto objective = [&](double delta_min) {
+      core::GateFitOptions probe = opts;
+      probe.forced_delta_min = delta_min;
+      return core::fit_nor_params(targets, probe).gate.objective;
+    };
+    fit::MinimizeOptions line;
+    line.max_iterations = 24;
+    opts.forced_delta_min =
+        fit::brent_minimize(objective, 0.0, 0.9 * smallest, line).x;
+    std::cout << "delta_min from the line search: "
+              << units::format_time(opts.forced_delta_min) << "\n\n";
+  }
+  std::cout << "Fitting (Nelder-Mead in log space)...\n";
   const auto fit = core::fit_nor_params(targets, opts);
 
   std::cout << "\nResult: " << fit.params.to_string() << "\n"
-            << "objective " << fit.objective << ", RMS error "
-            << units::format_time(fit.rms_error) << ", "
-            << fit.evaluations << " evaluations\n\n";
+            << "objective " << fit.gate.objective << ", RMS error "
+            << units::format_time(fit.gate.rms_error) << ", "
+            << fit.gate.evaluations << " evaluations\n\n";
 
   util::TextTable table({"quantity", "target [ps]", "achieved [ps]"});
   const auto& a = fit.achieved;

@@ -6,7 +6,7 @@
 //                               [--reps 3] [--global]
 #include <iostream>
 
-#include "core/parametrize.hpp"
+#include "core/gate_parametrize.hpp"
 #include "sim/accuracy.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"
@@ -20,10 +20,10 @@ int main(int argc, char** argv) {
   waveform::TraceConfig cfg;
   cfg.mu = cli.get_double("--mu-ps", 150.0) * units::ps;
   cfg.sigma = cli.get_double("--sigma-ps", 60.0) * units::ps;
-  cfg.n_transitions = static_cast<std::size_t>(cli.get_int("--n", 80));
+  cfg.n_transitions = cli.get_count("--n", 80, 1);
   cfg.global_mode = cli.has_flag("--global");
   sim::AccuracyOptions opts;
-  opts.repetitions = cli.get_int("--reps", 3);
+  opts.repetitions = static_cast<int>(cli.get_count("--reps", 3, 1));
   cli.finish();
 
   const auto tech = spice::Technology::freepdk15_like();
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   targets.rise_minus_inf = sub.rise_minus_inf;
   targets.rise_zero = sub.rise_zero;
   targets.rise_plus_inf = sub.rise_plus_inf;
-  core::FitOptions fopts;
+  core::GateFitOptions fopts;
   fopts.vdd = tech.vdd;
   const auto fit = core::fit_nor_params(targets, fopts);
 

@@ -62,8 +62,11 @@ GateParams params_from_vector(GateTopology topology, int n,
   return p;
 }
 
-// Same plausibility box as the NOR2 fit: kOhm..hundreds-of-kOhm devices,
-// aF..fF nodes; keeps the optimizer out of numerically hostile corners.
+// Soft box penalty keeping the fit inside a physically plausible region
+// (transistor on-resistances of kOhms to a few hundred kOhms, node
+// capacitances of attofarads to femtofarads). Without it a delta_min = 0
+// fit drifts to MOhm/1-aF corners whose stiff spectra are numerically
+// hostile and physically meaningless.
 double box_penalty(const GateParams& p) {
   auto outside = [](double v, double lo, double hi) {
     if (v < lo) return std::log(lo / v);
@@ -103,8 +106,6 @@ GateFitResult fit_gate_params(GateTopology topology,
   // (falling for NOR-like, rising for NAND-like): n equal parallel devices
   // can speed up the simultaneous transition at most n-fold over the
   // slowest SIS one.
-  const double ratio =
-      options.target_ratio > 0.0 ? options.target_ratio : double(n);
   double delta_min;
   if (options.forced_delta_min >= 0.0) {
     delta_min = std::min(options.forced_delta_min, 0.9 * smallest_target);
@@ -114,7 +115,7 @@ GateFitResult fit_gate_params(GateTopology topology,
     const double sis_max = *std::max_element(sis.begin(), sis.end());
     const double simultaneous =
         nor_like ? measured.fall_all : measured.rise_all;
-    delta_min = delta_min_for_ratio(sis_max, simultaneous, ratio);
+    delta_min = delta_min_for_ratio(sis_max, simultaneous, double(n));
     delta_min = std::clamp(delta_min, 0.0, 0.9 * smallest_target);
   }
 
@@ -219,6 +220,36 @@ GateFitResult fit_gate_params(GateTopology topology,
   result.rms_error = std::sqrt(acc / static_cast<double>(ach_vec.size()));
   result.swallowed_fallbacks = static_cast<int>(
       util::RunCounters::local().fit_fallbacks - fallbacks_before);
+  return result;
+}
+
+FitResult fit_nor_params(const CharacteristicDelays& measured,
+                         const GateFitOptions& options) {
+  const CharacteristicDelays& m = measured;
+  // fit_gate_params rejects non-positive delays before any work.
+  if (!(m.fall_minus_inf > m.fall_zero)) {
+    throw ConfigError(
+        "fit_nor_params: expected fall(-inf) > fall(0) (Charlie speed-up)");
+  }
+  GateFitOptions opts = options;
+  if (opts.forced_delta_min < 0.0) {
+    opts.forced_delta_min =
+        std::max(0.0, delta_min_for_ratio(m.fall_minus_inf, m.fall_zero));
+  }
+  // Port A is input 0, port B input 1 (GateParams::from_nor).
+  GateTargets targets;
+  targets.fall = {m.fall_plus_inf, m.fall_minus_inf};
+  targets.rise = {m.rise_minus_inf, m.rise_plus_inf};
+  targets.fall_all = m.fall_zero;
+  targets.rise_all = m.rise_zero;
+
+  FitResult result;
+  result.gate = fit_gate_params(GateTopology::kNorLike, targets, opts);
+  const GateParams& g = result.gate.params;
+  result.params = {g.r_series[0],   g.r_series[1], g.r_parallel[0],
+                   g.r_parallel[1], g.c_int,       g.c_out,
+                   g.vdd,           g.delta_min};
+  result.achieved = characteristic_delays_exact(result.params);
   return result;
 }
 

@@ -1,8 +1,8 @@
 // 1-D minimization (Brent's parabolic-interpolation method).
 //
 // Plays the role of MATLAB's fminbnd, which the paper used to validate its
-// characteristic-delay equations; we use it for the delta_min line search in
-// the parametrization fit.
+// characteristic-delay equations; we use it for the delta_min line search of
+// `parametrize_gate --fit-delta-min`.
 #pragma once
 
 #include <functional>

@@ -49,18 +49,37 @@ std::string Cli::take_value(const std::string& name, bool& found) {
   return {};
 }
 
-int Cli::get_int(const std::string& name, int fallback) {
-  bool found = false;
-  const std::string v = take_value(name, found);
-  if (!found) return fallback;
-  // Strict whole-field parse: "5x" is a typo, not 5 (std::stoi would
-  // silently accept the prefix).
+namespace {
+
+// Strict whole-field parse: "5x" is a typo, not 5 (std::stoi would
+// silently accept the prefix).
+int parse_int(const std::string& name, const std::string& v) {
   const long value = parse_long_field(v, "invalid integer for " + name);
   if (value < std::numeric_limits<int>::min() ||
       value > std::numeric_limits<int>::max()) {
     throw ConfigError("integer out of range for " + name + ": " + v);
   }
   return static_cast<int>(value);
+}
+
+}  // namespace
+
+int Cli::get_int(const std::string& name, int fallback) {
+  bool found = false;
+  const std::string v = take_value(name, found);
+  return found ? parse_int(name, v) : fallback;
+}
+
+std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
+                           std::size_t min) {
+  bool found = false;
+  const std::string v = take_value(name, found);
+  if (!found) return fallback;
+  const int value = parse_int(name, v);
+  if (value < 0 || static_cast<std::size_t>(value) < min) {
+    throw ConfigError(name + " must be >= " + std::to_string(min) + ": " + v);
+  }
+  return static_cast<std::size_t>(value);
 }
 
 double Cli::get_double(const std::string& name, double fallback) {

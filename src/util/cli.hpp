@@ -6,6 +6,7 @@
 //   cli.finish();  // reject unknown arguments
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,12 @@ class Cli {
   /// Value of `--name value` or `--name=value`; `fallback` if absent.
   int get_int(const std::string& name, int fallback);
   double get_double(const std::string& name, double fallback);
+
+  /// A count (`--runs 8`): like get_int, but throws ConfigError naming the
+  /// flag when the value is below `min`, so a negative count never wraps
+  /// into a huge size_t.
+  std::size_t get_count(const std::string& name, std::size_t fallback,
+                        std::size_t min = 0);
   std::string get_string(const std::string& name, const std::string& fallback);
 
   /// Throws ConfigError if any argument was never consumed (catches typos).

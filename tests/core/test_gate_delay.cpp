@@ -20,8 +20,15 @@ TEST(GateDelay, Nor2SisDelaysMatchDelayModel) {
   const GateModeTables tables(GateParams::from_nor(nor));
   const auto delays = gate_characteristic_delays(tables);
   ASSERT_EQ(delays.fall.size(), 2u);
+  // Port A is input 0, port B input 1, so every SIS entry is one of the
+  // model's asymptotes. fall[0]: A rises alone, delta_fall(+inf).
+  EXPECT_NEAR(delays.fall[0], model.falling_sis_a_first(), 1e-14);
   // fall[1]: B rises alone -- the model's SIS "B first" asymptote.
   EXPECT_NEAR(delays.fall[1], model.falling_sis_b_first(), 1e-14);
+  // rise[0]: A falls last, long after B, delta_rise(-inf); rise[1]: B
+  // falls last, delta_rise(+inf).
+  EXPECT_NEAR(delays.rise[0], model.rising_sis_b_first(0.0), 1e-14);
+  EXPECT_NEAR(delays.rise[1], model.rising_sis_a_first(0.0), 1e-14);
   // Simultaneous rising inputs: delta = 0 falling delay.
   EXPECT_NEAR(delays.fall_all, model.falling_delay(0.0).delay, 1e-14);
   // Simultaneous falling inputs from the drained (1,1) history.

@@ -1,4 +1,4 @@
-#include "core/parametrize.hpp"
+#include "core/gate_parametrize.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,12 @@ namespace {
 TEST(Parametrize, RoundTripOnModelGeneratedTargets) {
   const NorParams truth = NorParams::paper_table1();
   const CharacteristicDelays targets = characteristic_delays_exact(truth);
-  FitOptions opts;
+  GateFitOptions opts;
   opts.vdd = truth.vdd;
   opts.nelder_mead_evaluations = 2000;
   const FitResult fit = fit_nor_params(targets, opts);
   // The achieved characteristic delays must match the targets closely.
-  EXPECT_LT(fit.rms_error, 0.5e-12);
+  EXPECT_LT(fit.gate.rms_error, 0.5e-12);
   EXPECT_NEAR(fit.achieved.fall_zero, targets.fall_zero, 0.5e-12);
   EXPECT_NEAR(fit.achieved.fall_minus_inf, targets.fall_minus_inf, 0.5e-12);
   EXPECT_NEAR(fit.achieved.rise_plus_inf, targets.rise_plus_inf, 1e-12);
@@ -35,7 +35,7 @@ TEST(Parametrize, RatioRuleRecoversPaperDeltaMin) {
   t.rise_minus_inf = 55e-12;
   t.rise_zero = 56e-12;
   t.rise_plus_inf = 53e-12;
-  FitOptions opts;
+  GateFitOptions opts;
   opts.nelder_mead_evaluations = 600;  // delta_min choice is closed-form
   const FitResult fit = fit_nor_params(t, opts);
   EXPECT_NEAR(fit.params.delta_min, 18e-12, 0.2e-12);
@@ -49,17 +49,17 @@ TEST(Parametrize, ForcedDeltaMinHonored) {
   t.rise_minus_inf = 52e-12;
   t.rise_zero = 57e-12;
   t.rise_plus_inf = 50e-12;
-  FitOptions opts;
+  GateFitOptions opts;
   opts.forced_delta_min = 0.0;
   opts.nelder_mead_evaluations = 600;
   const FitResult fit = fit_nor_params(t, opts);
   EXPECT_DOUBLE_EQ(fit.params.delta_min, 0.0);
   // Without the pure delay the ratio cannot be matched: worse fit than
   // with the ratio rule.
-  FitOptions with;
+  GateFitOptions with;
   with.nelder_mead_evaluations = 600;
   const FitResult fit2 = fit_nor_params(t, with);
-  EXPECT_GT(fit.rms_error, fit2.rms_error);
+  EXPECT_GT(fit.gate.rms_error, fit2.gate.rms_error);
 }
 
 TEST(Parametrize, FittedParametersStayPhysical) {
@@ -70,7 +70,7 @@ TEST(Parametrize, FittedParametersStayPhysical) {
   t.rise_minus_inf = 52.1e-12;
   t.rise_zero = 56.8e-12;
   t.rise_plus_inf = 50.0e-12;
-  FitOptions opts;
+  GateFitOptions opts;
   opts.nelder_mead_evaluations = 1200;
   const FitResult fit = fit_nor_params(t, opts);
   for (double r : {fit.params.r1, fit.params.r2, fit.params.r3,
@@ -93,11 +93,14 @@ TEST(Parametrize, SeedSatisfiesClosedFormRelations) {
   t.rise_minus_inf = 37e-12;
   t.rise_zero = 37e-12;
   t.rise_plus_inf = 35e-12;
-  const NorParams seed = seed_from_targets(t, 0.8);
-  constexpr double kLn2 = 0.6931471805599453;
-  EXPECT_NEAR(kLn2 * seed.co * seed.r4, t.fall_minus_inf, 1e-15);
-  const double rp = seed.r3 * seed.r4 / (seed.r3 + seed.r4);
-  EXPECT_NEAR(kLn2 * seed.co * rp, t.fall_zero, 1e-15);
+  // The ratio is exactly 2, so delta_min = 0 and the fitted raw model must
+  // meet eqs (9) and (8) on the targets themselves.
+  GateFitOptions opts;
+  opts.nelder_mead_evaluations = 1200;
+  const FitResult fit = fit_nor_params(t, opts);
+  EXPECT_DOUBLE_EQ(fit.params.delta_min, 0.0);
+  EXPECT_NEAR(paper_fall_minus_inf(fit.params), t.fall_minus_inf, 1e-15);
+  EXPECT_NEAR(paper_fall_zero(fit.params), t.fall_zero, 1e-15);
 }
 
 TEST(Parametrize, RejectsInvalidTargets) {
@@ -121,12 +124,12 @@ TEST(Parametrize, ReportsDiagnostics) {
   t.rise_minus_inf = 50e-12;
   t.rise_zero = 53e-12;
   t.rise_plus_inf = 48e-12;
-  FitOptions opts;
+  GateFitOptions opts;
   opts.nelder_mead_evaluations = 400;
   const FitResult fit = fit_nor_params(t, opts);
-  EXPECT_GT(fit.evaluations, 0);
-  EXPECT_GE(fit.objective, 0.0);
-  EXPECT_DOUBLE_EQ(fit.targets.fall_zero, t.fall_zero);
+  EXPECT_GT(fit.gate.evaluations, 0);
+  EXPECT_GE(fit.gate.objective, 0.0);
+  EXPECT_DOUBLE_EQ(fit.gate.targets.fall_all, t.fall_zero);
 }
 
 }  // namespace

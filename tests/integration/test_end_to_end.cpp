@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delay_model.hpp"
-#include "core/parametrize.hpp"
+#include "core/gate_parametrize.hpp"
 #include "sim/accuracy.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"
@@ -37,7 +37,7 @@ class EndToEnd : public ::testing::Test {
       targets.rise_minus_inf = out.substrate.rise_minus_inf;
       targets.rise_zero = out.substrate.rise_zero;
       targets.rise_plus_inf = out.substrate.rise_plus_inf;
-      core::FitOptions opts;
+      core::GateFitOptions opts;
       opts.vdd = out.tech.vdd;
       opts.nelder_mead_evaluations = 1500;
       out.fit = core::fit_nor_params(targets, opts);

@@ -5,7 +5,7 @@
 
 #include "core/charlie_delays.hpp"
 #include "core/delay_model.hpp"
-#include "core/parametrize.hpp"
+#include "core/gate_parametrize.hpp"
 
 namespace charlie {
 namespace {
@@ -89,12 +89,12 @@ TEST(PaperFit, Table1LikeParametersRecoveredFromPaperTargets) {
   const NorParams table1 = NorParams::paper_table1();
   const CharacteristicDelays targets =
       core::characteristic_delays_exact(table1);
-  core::FitOptions opts;
+  core::GateFitOptions opts;
   opts.vdd = table1.vdd;
   opts.nelder_mead_evaluations = 2500;
   const auto fit = core::fit_nor_params(targets, opts);
   EXPECT_NEAR(fit.params.delta_min, 18e-12, 1.5e-12);
-  EXPECT_LT(fit.rms_error, 0.5e-12);
+  EXPECT_LT(fit.gate.rms_error, 0.5e-12);
   // R3, R4 are pinned by eqs (8)-(9) given C_O; check the products that
   // the closed forms fix exactly.
   EXPECT_NEAR(fit.params.co * fit.params.r4, table1.co * table1.r4,

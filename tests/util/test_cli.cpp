@@ -58,6 +58,35 @@ TEST(Cli, TrailingGarbageAfterNumberRejected) {
   EXPECT_THROW(cli4.get_int("--reps", 1), ConfigError);
 }
 
+TEST(Cli, CountValuesAndFallbacks) {
+  Cli cli = make_cli({"--paths", "7", "--runs=1", "--corners", "0"});
+  EXPECT_EQ(cli.get_count("--paths", 5), 7u);
+  EXPECT_EQ(cli.get_count("--runs", 4, 1), 1u);
+  EXPECT_EQ(cli.get_count("--corners", 3), 0u);
+  EXPECT_EQ(cli.get_count("--shards", 2), 2u);  // absent
+  cli.finish();
+}
+
+// A negative count must not wrap into a huge size_t, and a count below its
+// floor must fail before it reaches the code that relies on the floor; both
+// errors name the flag.
+TEST(Cli, CountRejectsNegativeAndBelowFloorNamingTheFlag) {
+  auto error = [](const char* flag, const char* value, std::size_t min) {
+    Cli cli = make_cli({flag, value});
+    try {
+      cli.get_count(flag, 4, min);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(error("--gates", "-1", 0).find("--gates"), std::string::npos);
+  EXPECT_NE(error("--paths", "-1", 0).find("--paths"), std::string::npos);
+  EXPECT_NE(error("--runs", "0", 1).find("--runs"), std::string::npos);
+  EXPECT_EQ(error("--runs", "1", 1), "");
+  EXPECT_NE(error("--shards", "abc", 0).find("--shards"), std::string::npos);
+}
+
 TEST(Cli, UnknownArgumentRejectedByFinish) {
   Cli cli = make_cli({"--tpyo"});
   EXPECT_THROW(cli.finish(), ConfigError);

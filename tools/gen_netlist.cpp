@@ -20,16 +20,11 @@ int main(int argc, char** argv) {
   try {
     util::Cli cli(argc, argv);
     cell::NetlistGenConfig config;
-    config.n_gates = static_cast<std::size_t>(
-        cli.get_int("--gates", static_cast<int>(config.n_gates)));
-    config.n_inputs = static_cast<std::size_t>(
-        cli.get_int("--inputs", static_cast<int>(config.n_inputs)));
-    config.n_outputs = static_cast<std::size_t>(
-        cli.get_int("--outputs", static_cast<int>(config.n_outputs)));
-    config.layer_width = static_cast<std::size_t>(
-        cli.get_int("--width", static_cast<int>(config.layer_width)));
-    config.locality = static_cast<std::size_t>(
-        cli.get_int("--locality", static_cast<int>(config.locality)));
+    config.n_gates = cli.get_count("--gates", config.n_gates);
+    config.n_inputs = cli.get_count("--inputs", config.n_inputs);
+    config.n_outputs = cli.get_count("--outputs", config.n_outputs);
+    config.layer_width = cli.get_count("--width", config.layer_width);
+    config.locality = cli.get_count("--locality", config.locality);
     config.wire_fraction =
         cli.get_double("--wire-fraction", config.wire_fraction);
     config.seed =

@@ -69,10 +69,8 @@ int main(int argc, char** argv) {
     const std::string netlist_path = cli.get_string("--netlist", "");
     sta::StaOptions options;
     options.deadline = cli.get_double("--deadline", 0.0);
-    options.n_paths =
-        static_cast<std::size_t>(cli.get_int("--paths", 5));
-    options.n_corners =
-        static_cast<std::size_t>(cli.get_int("--corners", 0));
+    options.n_paths = cli.get_count("--paths", 5);
+    options.n_corners = cli.get_count("--corners", 0);
     options.base_seed = static_cast<std::uint64_t>(cli.get_int("--seed", 1));
     options.variation.vdd_sigma = cli.get_double("--sigma-vdd", 0.0);
     options.variation.vth_sigma = cli.get_double("--sigma-vth", 0.0);

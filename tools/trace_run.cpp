@@ -57,20 +57,17 @@ int main(int argc, char** argv) {
   try {
     util::Cli cli(argc, argv);
     const std::string netlist_path = cli.get_string("--netlist", "");
-    const auto n_runs = static_cast<std::size_t>(cli.get_int("--runs", 4));
-    const auto n_threads =
-        static_cast<std::size_t>(cli.get_int("--threads", 0));
-    const auto n_shards = static_cast<std::size_t>(cli.get_int("--shards", 0));
+    const std::size_t n_runs = cli.get_count("--runs", 4, 1);
+    const std::size_t n_threads = cli.get_count("--threads", 0);
+    const std::size_t n_shards = cli.get_count("--shards", 0);
     const auto seed = static_cast<std::uint64_t>(cli.get_int("--seed", 2022));
-    const auto n_transitions =
-        static_cast<std::size_t>(cli.get_int("--transitions", 64));
+    const std::size_t n_transitions = cli.get_count("--transitions", 64, 1);
     const std::string trace_out = cli.get_string("--trace-out", "");
     const std::string metrics_out = cli.get_string("--metrics-out", "");
     const std::string vcd_out = cli.get_string("--vcd-out", "");
-    const int n_repeat = cli.get_int("--repeat", 1);
+    const std::size_t n_repeat = cli.get_count("--repeat", 1, 1);
     cli.finish();
     if (netlist_path.empty()) throw ConfigError("--netlist is required");
-    if (n_repeat < 1) throw ConfigError("--repeat must be >= 1");
     if (n_repeat > 1 && n_shards == 0) {
       throw ConfigError("--repeat needs --shards");
     }
@@ -113,7 +110,7 @@ int main(int argc, char** argv) {
       }
       sim::ShardedSimConfig config;
       config.n_threads = n_threads;
-      for (int run = 1; run <= n_repeat; ++run) {
+      for (std::size_t run = 1; run <= n_repeat; ++run) {
         if (run == n_repeat && !trace_out.empty()) {
           obs::TraceRecorder::start();
         }
