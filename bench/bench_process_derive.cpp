@@ -2,16 +2,15 @@
 // a cell's mode tables to a sampled process point, and the statistical
 // batch throughput it buys.
 //
-// Three BM_ProcessSampleDerive flavors, same work per iteration (one
-// process point, all 2^N modes of a 3-input cell):
+// Two BM_ProcessSampleDerive flavors, same work per iteration (one process
+// point, all 2^N modes of a 3-input cell):
 //   * exact_fresh:   GateParams::derive_for + a freshly constructed
-//                    GateModeTables (the naive per-sample path);
+//                    GateModeTables (what CellLibrary::at_corner does);
 //   * exact_inplace: GateModeTables::rederive_at into preallocated storage
-//                    (no allocation, still exact eigen-solves per mode);
-//   * grid:          ModeTableGrid::interpolate_into (the BatchRunner path;
-//                    corner derivations amortized at construction).
-// The grid row is the one the statistical pipeline rides; the ledger tracks
-// its headroom over exact derivation (>= 10x on the seed host).
+//                    (the ProcessBinder path: no allocation, the same exact
+//                    derivation).
+// A batch run pays exact_inplace once per distinct hybrid cell, a few
+// microseconds against milliseconds of event simulation per run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 
 #include "core/gate_mode_tables.hpp"
 #include "core/gate_params.hpp"
-#include "core/mode_table_grid.hpp"
 #include "core/process_point.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/hybrid_gate_channel.hpp"
@@ -76,24 +74,10 @@ void BM_ProcessSampleDerive_ExactInPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessSampleDerive_ExactInPlace);
 
-void BM_ProcessSampleDerive_Grid(benchmark::State& state) {
-  const core::GateParams nominal = bench_params();
-  const core::ModeTableGrid grid(nominal, bench_variation().grid_spec());
-  core::GateModeTables tables(nominal);  // worker-local copy, reused
-  const SampledPoints sampled;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    grid.interpolate_into(sampled.points[i % SampledPoints::kCount], tables);
-    benchmark::DoNotOptimize(tables.state_table(0).d);
-    ++i;
-  }
-}
-BENCHMARK(BM_ProcessSampleDerive_Grid);
-
 // Statistical batch throughput: the bench_batch_throughput mesh with
-// process variation enabled -- every run rebinds all channels through the
-// grid before simulating. Compare against BM_BatchThroughput at the same
-// thread count for the variation overhead.
+// process variation enabled -- every run re-derives its cell tables at the
+// run's process sample before simulating. Compare against
+// BM_BatchThroughput at the same thread count for the variation overhead.
 void BM_StatBatchThroughput(benchmark::State& state) {
   const auto n_threads = static_cast<std::size_t>(state.range(0));
   const auto tables = core::GateModeTables::make(bench_params());

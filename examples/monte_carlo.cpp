@@ -11,8 +11,13 @@
 //
 //   ./example_monte_carlo [n_runs] [n_threads] [netlist_file] [max_events] \
 //                         [sigma_vdd=S] [sigma_vth=S] [sigma_drive=S]
-//                         [grid=N] [deadline=T] [trace_out=F] \
-//                         [metrics_out=F] [vcd_out=F]
+//                         [deadline=T] [trace_out=F] [metrics_out=F] \
+//                         [vcd_out=F]
+//
+// Counts and knob values are parsed strictly: a malformed number, a run
+// count below 1, a negative thread count, event budget or sigma, an
+// unknown knob or an unreadable netlist prints "example_monte_carlo: <why>"
+// to stderr and exits 1.
 //
 // Observability knobs (docs/observability.md): trace_out=F arms the
 // execution tracer around the batch and writes Chrome trace-event JSON to
@@ -28,10 +33,10 @@
 // Variation mode: any non-zero sigma_* knob (key=value arguments, any
 // position) switches the batch to statistical timing -- every run draws its
 // own process sample (supply scale, threshold shift, drive scale) from a
-// counter-based stream, the per-worker circuit clones are rebound through
-// the collocation grid (`grid=N` points per active axis), and the report
-// grows the critical-delay distribution: mean/stddev, quantiles, yield
-// against `deadline=T` (seconds), and per-net criticality counts. See
+// counter-based stream, the per-worker circuit clones are rebound to
+// exactly the tables CellLibrary::at_corner derives at that sample, and the
+// report grows the critical-delay distribution: mean/stddev, quantiles,
+// yield against `deadline=T` (seconds), and per-net criticality counts. See
 // docs/statistical_timing.md.
 //
 // Every run executes under a RunGuard: an optional per-run event budget
@@ -39,7 +44,6 @@
 // health section at the end summarizes per-run outcomes and any
 // degradation-path counters (docs/robustness.md).
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +54,8 @@
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/run_guard.hpp"
+#include "util/csv.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 #include "waveform/vcd.hpp"
 
@@ -89,9 +95,7 @@ void print_histogram(const char* title, const sim::Histogram& h) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // key=value knobs may sit at any position; the rest stay positional.
   sim::ProcessVariation variation;
   double deadline = 0.0;
@@ -119,32 +123,38 @@ int main(int argc, char** argv) {
       vcd_out = arg.substr(eq + 1);
       continue;
     }
-    const double value = std::atof(arg.c_str() + eq + 1);
+    const double value = util::parse_double_field(arg.substr(eq + 1), key);
     if (key == "sigma_vdd") {
       variation.vdd_sigma = value;
     } else if (key == "sigma_vth") {
       variation.vth_sigma = value;
     } else if (key == "sigma_drive") {
       variation.drive_sigma = value;
-    } else if (key == "grid") {
-      variation.grid_levels = static_cast<int>(value);
     } else if (key == "deadline") {
       deadline = value;
     } else {
-      std::fprintf(stderr, "unknown knob \"%s\"\n", key.c_str());
-      return 1;
+      throw ConfigError("unknown knob \"" + key + "\"");
     }
   }
-  const std::size_t n_runs =
-      !positional.empty()
-          ? static_cast<std::size_t>(std::atoi(positional[0].c_str()))
-          : 64;
-  const std::size_t n_threads =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::atoi(positional[1].c_str()))
-          : 0;
-  const long max_events =
-      positional.size() > 3 ? std::atol(positional[3].c_str()) : 0;
+  variation.validate();  // sigmas >= 0, span inside zero supply/drive
+  if (positional.size() > 4) {
+    throw ConfigError("unexpected argument \"" + positional[4] + "\"");
+  }
+  // Positional count `index`, `fallback` when absent, at least `min`.
+  auto count = [&positional](std::size_t index, const char* name,
+                             long fallback, long min) {
+    if (positional.size() <= index) return fallback;
+    const long value = util::parse_long_field(positional[index], name);
+    if (value < min) {
+      throw ConfigError(std::string(name) + " must be >= " +
+                        std::to_string(min) + ", got " + positional[index]);
+    }
+    return value;
+  };
+  const auto n_runs = static_cast<std::size_t>(count(0, "n_runs", 64, 1));
+  const auto n_threads =
+      static_cast<std::size_t>(count(1, "n_threads", 0, 0));
+  const long max_events = count(3, "max_events", 0, 0);
 
   // Characterize-once / instantiate-many: the reference library derives
   // each cell's mode tables a single time; every worker clone below shares
@@ -155,10 +165,7 @@ int main(int argc, char** argv) {
       positional.size() > 2 && !positional[2].empty()
           ? cell::read_netlist_file(positional[2])
           : cell::parse_netlist(kNorChain);  // "" = embedded chain
-  if (netlist.instances.empty()) {
-    std::fprintf(stderr, "netlist has no gates\n");
-    return 1;
-  }
+  if (netlist.instances.empty()) throw ConfigError("netlist has no gates");
   std::vector<std::string> out_nets = netlist.outputs;
   if (out_nets.empty()) out_nets.push_back(netlist.instances.back().output);
 
@@ -223,10 +230,9 @@ int main(int argc, char** argv) {
   if (variation.enabled()) {
     const sim::BatchStats& st = result.stats;
     std::printf("process sigmas  : vdd %.3g, vth %.3g V, drive %.3g "
-                "(grid %d^axis, clamp %.1f sigma)\n",
+                "(clamp %.1f sigma)\n",
                 variation.vdd_sigma, variation.vth_sigma,
-                variation.drive_sigma, variation.grid_levels,
-                variation.max_sigma);
+                variation.drive_sigma, variation.max_sigma);
     std::printf("critical delay  : n=%zu mean=%s stddev=%s min=%s max=%s\n",
                 st.n_samples, units::format_time(st.mean).c_str(),
                 units::format_time(st.stddev).c_str(),
@@ -284,4 +290,15 @@ int main(int argc, char** argv) {
     }
   }
   return result.all_ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "example_monte_carlo: %s\n", e.what());
+    return 1;
+  }
 }

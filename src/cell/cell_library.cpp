@@ -311,27 +311,7 @@ CellLibrary CellLibrary::at_corner(const core::ProcessPoint& point) const {
   for (auto& spec : lib.specs_) {
     if (spec.hybrid) {
       spec.params = spec.params.derive_for(point);
-      // Corner tables are memoized like the nominal fit (keyed by cell +
-      // tech + corner fingerprints) so concurrent libraries at the same
-      // corner share one table per cell. Reference libraries (empty tech
-      // fingerprint) skip the memo: their derivation is already instant.
-      if (!fingerprint_.empty()) {
-        const std::string key =
-            fingerprint_ + "\x1f" + lib.corner_;
-        std::lock_guard<std::mutex> lock(g_cache_mutex);
-        auto it = fit_cache().find({key, spec.name});
-        if (it == fit_cache().end()) {
-          FittedCell cell;
-          cell.params = spec.params;
-          cell.tables = core::GateModeTables::make(spec.params);
-          it = fit_cache().emplace(std::pair{key, spec.name}, std::move(cell))
-                   .first;
-          // No run_counts() bump: the SPICE pipeline did not run.
-        }
-        spec.tables = it->second.tables;
-      } else {
-        spec.tables = core::GateModeTables::make(spec.params);
-      }
+      spec.tables = core::GateModeTables::make(spec.params);
     } else {
       spec.rise_delay *= s;
       spec.fall_delay *= s;
@@ -340,29 +320,18 @@ CellLibrary CellLibrary::at_corner(const core::ProcessPoint& point) const {
   return lib;
 }
 
-CellLibrary CellLibrary::characterize_at(const spice::Technology& tech,
-                                         const core::ProcessPoint& point) {
-  return characterize(tech).at_corner(point);
-}
-
 CellLibrary CellLibrary::characterize_cached(const std::string& csv_path,
                                              const spice::Technology& tech) {
-  return characterize_cached(csv_path, tech, core::ProcessPoint::nominal());
-}
-
-CellLibrary CellLibrary::characterize_cached(const std::string& csv_path,
-                                             const spice::Technology& tech,
-                                             const core::ProcessPoint& point) {
   try {
     CellLibrary lib = load_csv(csv_path);
     if (lib.fingerprint_ == tech.fingerprint() &&
-        lib.corner_ == point.fingerprint()) {
+        lib.corner_ == core::ProcessPoint::nominal().fingerprint()) {
       return lib;
     }
   } catch (const ConfigError&) {
     // Missing, stale, or malformed cache: fall through and regenerate.
   }
-  CellLibrary lib = characterize_at(tech, point);
+  CellLibrary lib = characterize(tech);
   try {
     lib.save_csv(csv_path);
   } catch (const ConfigError&) {

@@ -97,32 +97,18 @@ class CellLibrary {
   /// per process; later calls reuse the cached fit and shared mode tables.
   static CellLibrary characterize(const spice::Technology& tech);
 
-  /// Library at a process corner: characterize(tech) at nominal (the only
-  /// place SPICE runs), then derive every cell analytically via
-  /// GateParams::derive_for. Corner mode tables are memoized process-wide,
-  /// keyed by (cell, tech fingerprint, corner fingerprint), so every
-  /// library built for the same corner shares one table per cell.
-  static CellLibrary characterize_at(const spice::Technology& tech,
-                                     const core::ProcessPoint& point);
-
-  /// Load `csv_path` if it holds a library characterized for `tech`
-  /// (matching fingerprint); otherwise characterize and (re)write the file.
-  /// The CSV is a cache: a missing, stale, or malformed file is regenerated,
-  /// never an error.
+  /// Load `csv_path` if it holds a nominal library characterized for `tech`
+  /// (matching technology fingerprint, nominal corner row); otherwise
+  /// characterize and (re)write the file. The CSV is a cache: a missing,
+  /// stale, malformed, or corner file is regenerated, never an error.
   static CellLibrary characterize_cached(const std::string& csv_path,
                                          const spice::Technology& tech);
 
-  /// Corner-aware flavor of characterize_cached: the file must match both
-  /// the technology and the corner fingerprint, else it is regenerated via
-  /// characterize_at (no SPICE re-run when the nominal fit is memoized).
-  static CellLibrary characterize_cached(const std::string& csv_path,
-                                         const spice::Technology& tech,
-                                         const core::ProcessPoint& point);
-
   /// Derive this (nominal) library at a process point: hybrid cells via
-  /// GateParams::derive_for, SIS cells by scaling their inertial delays
-  /// with the common resistance factor. Throws ConfigError when called on
-  /// an already-derived (non-nominal) library -- corners do not compose.
+  /// GateParams::derive_for and fresh GateModeTables, SIS cells by scaling
+  /// their inertial delays with the common resistance factor. No SPICE
+  /// runs. Throws ConfigError when called on an already-derived
+  /// (non-nominal) library -- corners do not compose.
   CellLibrary at_corner(const core::ProcessPoint& point) const;
 
   /// Persist the library (long-format CSV `cell,field,index,value`,
@@ -149,7 +135,7 @@ class CellLibrary {
 
   /// Fingerprint of the process corner the cells are derived at
   /// (core::ProcessPoint::fingerprint(); the nominal fingerprint unless the
-  /// library came from at_corner / characterize_at).
+  /// library came from at_corner).
   const std::string& corner_fingerprint() const { return corner_; }
 
   /// CSV schema version written by save_csv and required by load_csv; files

@@ -82,7 +82,8 @@ class GateModeTables {
   void rederive(const GateParams& params);
 
   /// rederive(nominal.derive_for(point)) without the temporary: scales the
-  /// nominal parameters directly into this object's storage.
+  /// nominal parameters directly into this object's storage. Bit-identical
+  /// to GateModeTables(nominal.derive_for(point)).
   void rederive_at(const GateParams& nominal, const ProcessPoint& point);
 
   const GateParams& gate_params() const { return params_; }
@@ -107,10 +108,6 @@ class GateModeTables {
   }
 
  private:
-  // ModeTableGrid writes interpolated fields straight into the tables of a
-  // worker-local instance (interpolate_into), bypassing full re-derivation.
-  friend class ModeTableGrid;
-
   /// Derive all 2^N tables + horizon from params_ (shared by the ctor and
   /// the rederive paths; resize is a no-op when the arity is unchanged).
   void derive_tables();

@@ -65,12 +65,7 @@ GateParams GateParams::derive_for(const ProcessPoint& point) const {
 
 void GateParams::derive_for_into(const ProcessPoint& point,
                                  GateParams& out) const {
-  rescale_into(point.resistance_scale(vdd), point.vdd_scale, out);
-}
-
-void GateParams::rescale_into(double resistance_scale, double vdd_scale,
-                              GateParams& out) const {
-  const double s = resistance_scale;
+  const double s = point.resistance_scale(vdd);
   out.topology = topology;
   out.r_series.resize(r_series.size());
   out.r_parallel.resize(r_parallel.size());
@@ -82,7 +77,7 @@ void GateParams::rescale_into(double resistance_scale, double vdd_scale,
   }
   out.c_int = c_int;
   out.c_out = c_out;
-  out.vdd = vdd * vdd_scale;
+  out.vdd = vdd * point.vdd_scale;
   out.delta_min = delta_min * s;  // pure delay rides the RC product
 }
 

@@ -79,14 +79,6 @@ struct GateParams {
   /// this object.
   void derive_for_into(const ProcessPoint& point, GateParams& out) const;
 
-  /// derive_for_into with the resistance scale already computed: callers on
-  /// the per-sample hot path (ModeTableGrid::interpolate_into) need
-  /// point.resistance_scale(vdd) for their own stencil and pass it through
-  /// instead of paying the validation and division twice. Bit-identical to
-  /// derive_for_into for matching arguments.
-  void rescale_into(double resistance_scale, double vdd_scale,
-                    GateParams& out) const;
-
   /// The paper's NOR2 as a GateParams: r_series = {R1, R2},
   /// r_parallel = {R3, R4}, c_int = C_N, c_out = C_O. Mode ODEs built from
   /// the result are bit-identical to the NorParams ones.

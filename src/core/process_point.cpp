@@ -24,10 +24,6 @@ double ProcessPoint::resistance_scale(double vdd_nominal) const {
   if (!(vdd_nominal > 0.0)) {
     throw ConfigError("ProcessPoint: vdd_nominal must be positive");
   }
-  return resistance_scale_unchecked(vdd_nominal);
-}
-
-double ProcessPoint::resistance_scale_unchecked(double vdd_nominal) const {
   // Same expression shape for both overdrives so the nominal point yields
   // exactly 1.0 (vdd_scale == 1 makes the products bit-identical).
   const double overdrive_nominal =

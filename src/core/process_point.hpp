@@ -7,7 +7,7 @@
 // on-resistances of the devices, so a process point is a small named vector
 // of scale factors and the whole derivation pipeline -- GateParams ->
 // 2^N mode ODEs -> ModeTable expansions -- becomes a cheap function of it
-// (GateParams::derive_for, GateModeTables::rederive_at, ModeTableGrid).
+// (GateParams::derive_for, GateModeTables::rederive_at).
 //
 // Axes and their scale rule (first-order alpha-power-law argument):
 //   * vdd_scale   -- supply scales to vdd' = vdd_scale * vdd. The logic
@@ -55,14 +55,8 @@ struct ProcessPoint {
   /// outside the model's validity region, not a slow corner.
   double resistance_scale(double vdd_nominal) const;
 
-  /// resistance_scale without re-validating the point or the supply (the
-  /// per-sample hot path, where both were checked when the batch was
-  /// configured). Bit-identical to resistance_scale; still throws on a
-  /// closed overdrive.
-  double resistance_scale_unchecked(double vdd_nominal) const;
-
-  /// Canonical textual identity (%.17g round-trip exact), used as the corner
-  /// key of characterization caches alongside Technology::fingerprint().
+  /// Canonical textual identity (%.17g round-trip exact), stored as the
+  /// corner row of a saved cell library alongside Technology::fingerprint().
   std::string fingerprint() const;
 };
 

@@ -181,41 +181,48 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
 
 void BatchRunner::ensure_workers() {
   if (pool_ != nullptr) return;
-  pool_ = std::make_unique<util::ThreadPool>(config_.n_threads);
-  const std::size_t n_workers = pool_->n_threads();
+  // Everything is built into locals and committed at the end: a throw below
+  // (a bad variation span) leaves no half-built runner behind, so every
+  // later run() re-raises it instead of running without binders.
+  auto pool = std::make_unique<util::ThreadPool>(config_.n_threads);
+  const std::size_t n_workers = pool->n_threads();
 
   // One circuit clone per worker, built up front on this thread (the
   // factory need not be thread-safe). Each run's session reinitializes all
   // channel state and reuses the worker's trace arena, so a clone serves
   // every run its worker claims, across every run() call.
-  workers_.resize(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers_[w].circuit = factory_();
-    CHARLIE_ASSERT(workers_[w].circuit != nullptr);
+  std::vector<Worker> workers(n_workers);
+  for (Worker& w : workers) {
+    w.circuit = factory_();
+    CHARLIE_ASSERT(w.circuit != nullptr);
     // Resolved per clone: a factory is not required to assign net ids in
     // the same order on every call.
-    workers_[w].outputs.reserve(output_nets_.size());
+    w.outputs.reserve(output_nets_.size());
     for (const auto& name : output_nets_) {
-      workers_[w].outputs.push_back(workers_[w].circuit->find_net(name));
+      w.outputs.push_back(w.circuit->find_net(name));
     }
   }
 
-  // Variation batches: one collocation grid per distinct cell table
-  // (shared by every worker whose clone shares the table, i.e. the
-  // CircuitBuilder path pays the corner derivation once per cell), plus a
-  // per-worker binder owning the worker-local table copies.
-  if (config_.variation.enabled()) {
-    config_.variation.validate();
-    const core::ModeTableGrid::Spec spec = config_.variation.grid_spec();
-    ProcessBinder::GridMap grids;
-    for (Worker& w : workers_) {
-      ProcessBinder::build_grids(*w.circuit, spec, grids);
+  // Variation batches: a per-worker binder owning the worker-local table
+  // copies. Fail fast on a span that leaves a cell's validity region:
+  // overdrive falls with vdd_scale and rises with vth_shift (drive_scale
+  // only scales the resistances), so the box's slow corner is the one
+  // point that can close it. Deriving every distinct table there once
+  // throws the ConfigError here, before any run executes.
+  const ProcessVariation& v = config_.variation;
+  if (v.enabled()) {
+    v.validate();
+    for (Worker& w : workers) {
+      w.binder = std::make_unique<ProcessBinder>(*w.circuit, v.vdd_nominal);
     }
-    for (Worker& w : workers_) {
-      w.binder = std::make_unique<ProcessBinder>(
-          *w.circuit, grids, config_.variation.vdd_nominal);
-    }
+    core::ProcessPoint slow;
+    slow.vdd_scale = 1.0 - v.max_sigma * v.vdd_sigma;
+    slow.vth_shift = v.max_sigma * v.vth_sigma;
+    slow.drive_scale = 1.0 - v.max_sigma * v.drive_sigma;
+    workers.front().binder->bind(slow);
   }
+  workers_ = std::move(workers);
+  pool_ = std::move(pool);
 }
 
 BatchResult BatchRunner::run() {

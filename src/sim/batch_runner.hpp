@@ -82,7 +82,11 @@ struct BatchConfig {
   // continues.
   RunBudget budget;
   // Gaussian process variation; all sigmas zero (default) = nominal-only
-  // batch, the pre-variation fast path with no grids or rebinding.
+  // batch, the pre-variation fast path with no rebinding. Run i simulates
+  // exactly the tables cell::CellLibrary::at_corner builds at
+  // variation.sample(base_seed, first_run_index + i). A span whose slow
+  // corner closes a cell's overdrive makes the first run() throw
+  // ConfigError before any run executes.
   ProcessVariation variation;
   // Critical-delay quantiles reported in BatchResult::stats (values in
   // (0, 1], evaluated by nearest rank on the sorted sample).
@@ -209,9 +213,9 @@ class BatchRunner {
     std::vector<Circuit::NetId> outputs;  // observed nets, resolved per clone
     Circuit::SimResult arena;             // reused trace storage
     std::vector<double> stim_times;       // reused merged-stimulus scratch
-    // Per-worker process retargeting (variation batches only). The grids
-    // behind it are shared across workers; the worker-local table copies
-    // are re-filled in place per run, so rebinding never allocates.
+    // Per-worker process retargeting (variation batches only). The
+    // worker-local table copies are re-derived in place per run, so
+    // rebinding never allocates.
     std::unique_ptr<ProcessBinder> binder;
   };
 

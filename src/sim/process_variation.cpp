@@ -1,7 +1,7 @@
 #include "sim/process_variation.hpp"
 
 #include <cmath>
-#include <utility>
+#include <map>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -30,9 +30,6 @@ void ProcessVariation::validate() const {
   if (!(max_sigma > 0.0) || !std::isfinite(max_sigma)) {
     throw ConfigError("process variation: max_sigma must be finite and > 0");
   }
-  if (grid_levels < 2) {
-    throw ConfigError("process variation: grid_levels must be >= 2");
-  }
   if (vdd_nominal < 0.0 || !std::isfinite(vdd_nominal)) {
     throw ConfigError("process variation: vdd_nominal must be >= 0");
   }
@@ -56,41 +53,7 @@ core::ProcessPoint ProcessVariation::sample(std::uint64_t seed,
   return p;
 }
 
-core::ModeTableGrid::Spec ProcessVariation::grid_spec() const {
-  validate();
-  const auto levels = static_cast<std::size_t>(grid_levels);
-  core::ModeTableGrid::Spec spec;
-  if (vdd_sigma > 0.0) {
-    spec.vdd_scale = {1.0 + vdd_sigma * -max_sigma,
-                      1.0 + vdd_sigma * max_sigma, levels};
-  }
-  if (vth_sigma > 0.0) {
-    spec.vth_shift = {0.0 + vth_sigma * -max_sigma,
-                      0.0 + vth_sigma * max_sigma, levels};
-  }
-  if (drive_sigma > 0.0) {
-    spec.drive_scale = {1.0 + drive_sigma * -max_sigma,
-                        1.0 + drive_sigma * max_sigma, levels};
-  }
-  return spec;
-}
-
-void ProcessBinder::build_grids(Circuit& circuit,
-                                const core::ModeTableGrid::Spec& spec,
-                                GridMap& grids) {
-  circuit.for_each_mis_channel([&](GateChannel& channel) {
-    auto* hybrid = dynamic_cast<HybridGateChannel*>(&channel);
-    if (hybrid == nullptr) return;  // non-hybrid MIS channels stay nominal
-    auto& slot = grids[hybrid->gate_tables().get()];
-    if (slot == nullptr) {
-      slot = std::make_shared<const core::ModeTableGrid>(
-          hybrid->gate_tables()->gate_params(), spec);
-    }
-  });
-}
-
-ProcessBinder::ProcessBinder(Circuit& circuit, const GridMap& grids,
-                             double vdd_override)
+ProcessBinder::ProcessBinder(Circuit& circuit, double vdd_override)
     : vdd_nominal_(vdd_override) {
   std::map<const core::GateModeTables*, std::size_t> rebind_of;
   circuit.for_each_mis_channel([&](GateChannel& channel) {
@@ -100,17 +63,8 @@ ProcessBinder::ProcessBinder(Circuit& circuit, const GridMap& grids,
     const auto [it, inserted] =
         rebind_of.emplace(nominal.get(), rebinds_.size());
     if (inserted) {
-      const auto grid_it = grids.find(nominal.get());
-      if (grid_it == grids.end()) {
-        throw ConfigError(
-            "process binder: no grid for a hybrid table; run build_grids "
-            "over this circuit first");
-      }
-      TableRebind rebind;
-      rebind.nominal = nominal;
-      rebind.grid = grid_it->second;
-      rebind.local = std::make_shared<core::GateModeTables>(*nominal);
-      rebinds_.push_back(std::move(rebind));
+      rebinds_.push_back(
+          {nominal, std::make_shared<core::GateModeTables>(*nominal)});
     }
     if (vdd_nominal_ == 0.0) {
       vdd_nominal_ = nominal->gate_params().vdd;
@@ -134,7 +88,7 @@ void ProcessBinder::bind(const core::ProcessPoint& point) {
   const bool nominal = point.is_nominal();
   if (!nominal) {
     for (TableRebind& rebind : rebinds_) {
-      rebind.grid->interpolate_into(point, *rebind.local);
+      rebind.local->rederive_at(rebind.nominal->gate_params(), point);
     }
   }
   for (const HybridSlot& slot : hybrid_channels_) {

@@ -5,14 +5,16 @@
 // corner from a counter-based RNG stream, so a sample is a pure function of
 // (seed, global run index) -- never of which worker draws it or in which
 // order runs execute (thread-count-invariant batches, split/replay-stable
-// via BatchConfig::first_run_index). Samples are sigma-clamped to exactly
-// the span of grid_spec(), so grid interpolation never extrapolates.
+// via BatchConfig::first_run_index). Samples clamp their standard score to
+// +/- max_sigma, so every sample lies in the box 1 +/- max_sigma * sigma
+// (vth_shift: 0 +/- max_sigma * sigma).
 //
 // ProcessBinder retargets one circuit clone to a sampled point between runs
 // without allocation:
 //   * hybrid MIS channels are rebound to a worker-local GateModeTables copy
-//     re-filled in place by core::ModeTableGrid::interpolate_into (one copy
-//     and one blend per distinct cell table, shared by all its instances);
+//     re-derived exactly in place by GateModeTables::rederive_at (one copy
+//     and one derivation per distinct cell table, shared by all its
+//     instances) -- the same tables cell::CellLibrary::at_corner builds;
 //   * inertial SIS channels get their nominal rise/fall delays scaled by
 //     ProcessPoint::resistance_scale (the same factor
 //     cell::CellLibrary::at_corner applies);
@@ -24,11 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "core/mode_table_grid.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "core/process_point.hpp"
 #include "sim/circuit.hpp"
 #include "sim/hybrid_gate_channel.hpp"
@@ -41,12 +42,8 @@ struct ProcessVariation {
   double vdd_sigma = 0.0;    // sigma of vdd_scale (relative, nominal 1)
   double vth_sigma = 0.0;    // sigma of vth_shift [V] (nominal 0)
   double drive_sigma = 0.0;  // sigma of drive_scale (relative, nominal 1)
-  // Samples clamp their standard score to [-max_sigma, +max_sigma]; the
-  // collocation grid spans exactly that range per active axis.
+  // Samples clamp their standard score to [-max_sigma, +max_sigma].
   double max_sigma = 3.5;
-  // Grid resolution per active axis (collocation points; >= 2 for an
-  // actual span, 3 puts a point at nominal).
-  int grid_levels = 3;
   // Nominal supply voltage used to close the SIS delay scale when the
   // circuit has no hybrid gate to read it from; 0 = read from the circuit.
   double vdd_nominal = 0.0;
@@ -56,8 +53,7 @@ struct ProcessVariation {
   }
 
   /// Throws ConfigError on negative/non-finite sigmas, a non-positive
-  /// max_sigma or grid_levels, or spans wide enough to cross zero supply
-  /// or drive.
+  /// max_sigma, or spans wide enough to cross zero supply or drive.
   void validate() const;
 
   /// The process sample of global run `run_index` under `seed`: a pure
@@ -65,10 +61,6 @@ struct ProcessVariation {
   /// consume the same number of stream draws, so enabling one sigma never
   /// shifts another axis's values.
   core::ProcessPoint sample(std::uint64_t seed, std::uint64_t run_index) const;
-
-  /// Grid extents matching the clamped sample range exactly (inactive axes
-  /// stay pinned at nominal).
-  core::ModeTableGrid::Spec grid_spec() const;
 };
 
 /// Everything that makes one batch run distinct: the stimulus stream seed
@@ -83,28 +75,15 @@ struct RunSpec {
 /// table copies; bind() is allocation-free.
 class ProcessBinder {
  public:
-  /// One shared grid per distinct nominal table; keyed by the table's
-  /// address so clones that share tables (the CircuitBuilder path) share
-  /// grids across all workers.
-  using GridMap = std::map<const core::GateModeTables*,
-                           std::shared_ptr<const core::ModeTableGrid>>;
-
-  /// Build (or extend) `grids` with one ModeTableGrid per distinct hybrid
-  /// table of `circuit` not already present. Call once per worker clone
-  /// before constructing its binder; tables already covered are skipped,
-  /// so shared tables pay one corner derivation total.
-  static void build_grids(Circuit& circuit,
-                          const core::ModeTableGrid::Spec& spec,
-                          GridMap& grids);
-
   /// Registers the channels of `circuit`. `vdd_override` closes the SIS
   /// delay scale; 0 = read VDD from the first hybrid gate. Throws
   /// ConfigError when inertial channels exist but no VDD source does.
-  ProcessBinder(Circuit& circuit, const GridMap& grids,
-                double vdd_override = 0.0);
+  explicit ProcessBinder(Circuit& circuit, double vdd_override = 0.0);
 
-  /// Retarget every registered channel to `point`. Allocation-free; the
-  /// nominal point restores the original tables/delays bit-exactly.
+  /// Retarget every registered channel to `point`: one exact re-derivation
+  /// per distinct cell table. Allocation-free; the nominal point restores
+  /// the original tables/delays bit-exactly. Throws ConfigError when
+  /// `point` lies outside a cell's validity region (closed overdrive).
   void bind(const core::ProcessPoint& point);
 
   std::size_t n_hybrid_channels() const { return hybrid_channels_.size(); }
@@ -114,7 +93,6 @@ class ProcessBinder {
  private:
   struct TableRebind {
     std::shared_ptr<const core::GateModeTables> nominal;
-    std::shared_ptr<const core::ModeTableGrid> grid;
     std::shared_ptr<core::GateModeTables> local;  // this binder's scratch
   };
   struct HybridSlot {

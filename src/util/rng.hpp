@@ -63,7 +63,7 @@ class CounterRng {
 
   /// Normal(mu, sigma) with the standard score clamped to [-max_sigma,
   /// +max_sigma]; truncation keeps sampled process points inside the span a
-  /// collocation grid was built for.
+  /// variation batch checks for validity before its first run.
   double normal_clamped(double mu, double sigma, double max_sigma);
 
  private:

@@ -1,8 +1,9 @@
-// The multi-corner characterization pipeline: analytic corner derivation
-// (CellLibrary::at_corner / characterize_at), the corner-aware CSV cache,
-// schema/fingerprint versioning, and CornerCache's
-// corruption-regenerates-silently guarantees. SPICE runs at nominal only --
-// every test here pins that with n_characterization_runs.
+// The corner pipeline of the cell library: analytic corner derivation
+// (CellLibrary::at_corner), corner identity in the CSV format, schema/
+// fingerprint versioning, and the nominal cache file's
+// corruption-regenerates-silently guarantees (characterize_cached). SPICE
+// runs at nominal only -- every test here pins that with
+// n_characterization_runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +12,6 @@
 #include <string>
 
 #include "cell/cell_library.hpp"
-#include "cell/corner_cache.hpp"
 #include "core/process_point.hpp"
 #include "spice/technology.hpp"
 #include "util/csv.hpp"
@@ -58,14 +58,14 @@ long total_runs() {
   return n;
 }
 
-// TempDir() persists across test invocations; each CornerCacheDir test
-// starts from an empty directory so its SPICE-run accounting is
-// self-contained (a stale warm cache would skip the characterize that
-// primes the in-process fit memo).
-std::string fresh_cache_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+// TempDir() persists across test invocations; each cache-file test starts
+// from a missing file so its SPICE-run accounting is self-contained (a
+// stale warm cache would skip the characterize that primes the in-process
+// fit memo).
+std::string fresh_cache_path(const char* name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::filesystem::remove(path);
+  return path;
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -122,20 +122,9 @@ TEST(AtCorner, NominalPointIsIdentityAndCornersDoNotCompose) {
   EXPECT_THROW(corner.at_corner(fast_corner()), ConfigError);
 }
 
-TEST(AtCorner, CornerTablesAreMemoizedPerCorner) {
-  const auto& nominal = nominal_library();
-  const cell::CellLibrary a = nominal.at_corner(slow_corner());
-  const cell::CellLibrary b = nominal.at_corner(slow_corner());
-  const cell::CellLibrary c = nominal.at_corner(fast_corner());
-  // Same corner -> one shared table per cell; different corner -> distinct.
-  EXPECT_EQ(a.spec("NAND2").tables.get(), b.spec("NAND2").tables.get());
-  EXPECT_NE(a.spec("NAND2").tables.get(), c.spec("NAND2").tables.get());
-}
-
 TEST(CornerCsv, RoundTripsBitExactWithCornerIdentity) {
   const std::string path = ::testing::TempDir() + "corner_rt.csv";
-  const cell::CellLibrary corner =
-      cell::CellLibrary::characterize_at(tech(), fast_corner());
+  const cell::CellLibrary corner = nominal_library().at_corner(fast_corner());
   corner.save_csv(path);
   const cell::CellLibrary loaded = cell::CellLibrary::load_csv(path);
   EXPECT_EQ(loaded.corner_fingerprint(), fast_corner().fingerprint());
@@ -152,9 +141,9 @@ TEST(CornerCsv, RoundTripsBitExactWithCornerIdentity) {
 }
 
 TEST(CornerCsv, StaleSchemaVersionRegeneratesSilently) {
-  const std::string path = ::testing::TempDir() + "corner_stale_schema.csv";
-  const core::ProcessPoint p = slow_corner();
-  cell::CellLibrary::characterize_cached(path, tech(), p);  // warm file
+  const std::string path = fresh_cache_path("corner_stale_schema.csv");
+  nominal_library();  // primes the fit memo: no SPICE below
+  cell::CellLibrary::characterize_cached(path, tech());  // warm file
 
   // Rewrite the schema row to an older version: the file must stop loading
   // and regenerate, without a SPICE re-run.
@@ -170,21 +159,21 @@ TEST(CornerCsv, StaleSchemaVersionRegeneratesSilently) {
 
   const long runs_before = total_runs();
   const cell::CellLibrary regenerated =
-      cell::CellLibrary::characterize_cached(path, tech(), p);
+      cell::CellLibrary::characterize_cached(path, tech());
   EXPECT_EQ(total_runs(), runs_before);
-  EXPECT_EQ(regenerated.corner_fingerprint(), p.fingerprint());
+  EXPECT_EQ(regenerated.tech_fingerprint(), tech().fingerprint());
   // The rewritten file is healthy again.
-  EXPECT_EQ(cell::CellLibrary::load_csv(path).corner_fingerprint(),
-            p.fingerprint());
+  EXPECT_EQ(cell::CellLibrary::load_csv(path).tech_fingerprint(),
+            tech().fingerprint());
   std::remove(path.c_str());
 }
 
 TEST(CornerCsv, PreVersioningFilesRegenerate) {
   // A v1-era file had no _format row at all; it must fail load and be
   // replaced, not silently match.
-  const std::string path = ::testing::TempDir() + "corner_prever.csv";
-  const core::ProcessPoint p = slow_corner();
-  cell::CellLibrary::characterize_cached(path, tech(), p);
+  const std::string path = fresh_cache_path("corner_prever.csv");
+  nominal_library();  // primes the fit memo: no SPICE below
+  cell::CellLibrary::characterize_cached(path, tech());
   std::string text = read_file(path);
   const auto at = text.find("_format");
   ASSERT_NE(at, std::string::npos);
@@ -192,70 +181,77 @@ TEST(CornerCsv, PreVersioningFilesRegenerate) {
   text.erase(at, eol - at + 1);
   write_file(path, text);
   EXPECT_THROW(cell::CellLibrary::load_csv(path), ConfigError);
+  const long runs_before = total_runs();
   const cell::CellLibrary regenerated =
-      cell::CellLibrary::characterize_cached(path, tech(), p);
-  EXPECT_EQ(regenerated.corner_fingerprint(), p.fingerprint());
+      cell::CellLibrary::characterize_cached(path, tech());
+  EXPECT_EQ(total_runs(), runs_before);
+  EXPECT_EQ(regenerated.corner_fingerprint(),
+            core::ProcessPoint::nominal().fingerprint());
   std::remove(path.c_str());
 }
 
-TEST(CornerCacheDir, ServesMemoThenDiskThenCharacterize) {
-  const std::string dir = fresh_cache_dir("corner_cache_a");
-  cell::CornerCache cache(dir, tech());
-  const auto slow1 = cache.library_at(slow_corner());
-  const auto slow2 = cache.library_at(slow_corner());
-  EXPECT_EQ(slow1.get(), slow2.get());  // memo hit
-  EXPECT_EQ(cache.n_memoized(), 1u);
-  const auto fast = cache.library_at(fast_corner());
-  EXPECT_EQ(cache.n_memoized(), 2u);
-  EXPECT_NE(cache.corner_path(slow_corner()), cache.corner_path(fast_corner()));
+TEST(CornerCsv, CachedLibraryServesFromDiskWithoutSpice) {
+  const std::string path = fresh_cache_path("corner_cache_a.csv");
+  const auto& nominal = nominal_library();
+  const cell::CellLibrary written =
+      cell::CellLibrary::characterize_cached(path, tech());
+  ASSERT_TRUE(std::filesystem::exists(path));
 
-  // A fresh cache over the same directory cold-starts from the CSVs: same
-  // values, no SPICE.
+  // A later call loads the file: same values, no SPICE -- and the file is
+  // left as written.
+  const std::string text = read_file(path);
   const long runs_before = total_runs();
-  cell::CornerCache cold(dir, tech());
-  const auto reloaded = cold.library_at(slow_corner());
+  const cell::CellLibrary reloaded =
+      cell::CellLibrary::characterize_cached(path, tech());
   EXPECT_EQ(total_runs(), runs_before);
-  EXPECT_EQ(reloaded->spec("NOR2").params.r_series,
-            slow1->spec("NOR2").params.r_series);
+  EXPECT_EQ(read_file(path), text);
+  for (const char* name : {"NOR2", "NAND3"}) {
+    EXPECT_EQ(reloaded.spec(name).params.r_series,
+              nominal.spec(name).params.r_series);
+    EXPECT_EQ(reloaded.spec(name).params.r_series,
+              written.spec(name).params.r_series);
+  }
+  // A corner derived from the reloaded library matches one derived from the
+  // characterized library bit for bit.
+  EXPECT_EQ(reloaded.at_corner(slow_corner()).spec("NOR2").params.r_series,
+            nominal.at_corner(slow_corner()).spec("NOR2").params.r_series);
+  std::remove(path.c_str());
 }
 
-TEST(CornerCacheDir, CorruptionRegeneratesOnlyTheAffectedCorner) {
-  const std::string dir = fresh_cache_dir("corner_cache_b");
-  const core::ProcessPoint slow = slow_corner();
-  const core::ProcessPoint fast = fast_corner();
-  {
-    cell::CornerCache warm(dir, tech());
-    warm.library_at(slow);
-    warm.library_at(fast);
-  }
-  const std::string slow_path =
-      cell::CornerCache(dir, tech()).corner_path(slow);
-  const std::string fast_path =
-      cell::CornerCache(dir, tech()).corner_path(fast);
-  const std::string fast_text = read_file(fast_path);
+TEST(CornerCsv, CorruptOrWrongCornerFilesRegenerateWithoutSpice) {
+  const std::string path = fresh_cache_path("corner_cache_b.csv");
+  const auto& nominal = nominal_library();
+  cell::CellLibrary::characterize_cached(path, tech());  // warm file
+  const std::string healthy = read_file(path);
+  const std::string corner_path = fresh_cache_path("corner_cache_b_slow.csv");
+  nominal.at_corner(slow_corner()).save_csv(corner_path);
 
   const struct {
     const char* label;
     std::string content;
   } corruptions[] = {
-      {"truncated", read_file(slow_path).substr(0, 60)},
+      {"truncated", healthy.substr(0, 60)},
       {"garbage", std::string("\x7f\x03garbage\x00binary", 16)},
-      {"corner-mismatch", fast_text},  // valid CSV, wrong corner
+      {"corner-mismatch", read_file(corner_path)},  // valid CSV, wrong corner
       {"empty", ""},
   };
   for (const auto& c : corruptions) {
-    write_file(slow_path, c.content);
+    write_file(path, c.content);
     const long runs_before = total_runs();
-    cell::CornerCache cache(dir, tech());
-    const auto lib = cache.library_at(slow);
+    const cell::CellLibrary lib =
+        cell::CellLibrary::characterize_cached(path, tech());
     EXPECT_EQ(total_runs(), runs_before) << c.label;  // never re-runs SPICE
-    EXPECT_EQ(lib->corner_fingerprint(), slow.fingerprint()) << c.label;
-    // Regeneration healed the file and left the other corner untouched.
-    EXPECT_EQ(cell::CellLibrary::load_csv(slow_path).corner_fingerprint(),
-              slow.fingerprint())
+    EXPECT_EQ(lib.corner_fingerprint(),
+              core::ProcessPoint::nominal().fingerprint())
         << c.label;
-    EXPECT_EQ(read_file(fast_path), fast_text) << c.label;
+    EXPECT_EQ(lib.spec("NOR2").params.r_series,
+              nominal.spec("NOR2").params.r_series)
+        << c.label;
+    // Regeneration healed the file.
+    EXPECT_EQ(read_file(path), healthy) << c.label;
   }
+  std::remove(path.c_str());
+  std::remove(corner_path.c_str());
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Off-nominal validation of the process-point pipeline against RK45: the
 // mode ODEs derived at a process corner stay consistent with their closed
-// forms away from nominal, and grid-interpolated tables reproduce the exact
-// threshold-crossing times at the level the simulator actually consumes
-// them (the two-exponential crossing solver). The crossing-level bound
-// asserted here is the one quoted by tests/core/test_mode_table_grid.cpp
-// and docs/statistical_timing.md.
+// forms away from nominal, and the exactly re-derived tables reproduce the
+// RK45 threshold-crossing times at the level the simulator actually
+// consumes them (the two-exponential crossing solver).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +12,6 @@
 #include "core/gate_mode_tables.hpp"
 #include "core/gate_modes.hpp"
 #include "core/gate_params.hpp"
-#include "core/mode_table_grid.hpp"
 #include "core/process_point.hpp"
 #include "ode/rk45.hpp"
 #include "sim/two_exp_crossing.hpp"
@@ -25,10 +22,9 @@ namespace {
 using core::GateModeTables;
 using core::GateParams;
 using core::GateState;
-using core::ModeTableGrid;
 using core::ProcessPoint;
 
-// Interior points off every grid plane: a slow die, a fast die, and a skewed
+// Off-nominal interior points: a slow die, a fast die, and a skewed
 // one with the axes pulling in opposite directions.
 std::vector<ProcessPoint> off_nominal_points() {
   ProcessPoint slow;
@@ -44,16 +40,6 @@ std::vector<ProcessPoint> off_nominal_points() {
   skew.vth_shift = 0.033;
   skew.drive_scale = 0.942;
   return {slow, fast, skew};
-}
-
-// The span sim::ProcessVariation builds grids for (+/- 3.5 sigma, few-percent
-// sigmas); same extents as tests/core/test_mode_table_grid.cpp.
-ModeTableGrid::Spec variation_spec() {
-  ModeTableGrid::Spec spec;
-  spec.vdd_scale = {0.9, 1.1, 3};
-  spec.vth_shift = {-0.04, 0.04, 3};
-  spec.drive_scale = {0.85, 1.15, 3};
-  return spec;
 }
 
 ode::Vec2 rk45_state(const ode::AffineOde2& sys, const ode::Vec2& x0,
@@ -156,33 +142,6 @@ TEST(ProcessRk45, ExactTablesReproduceRk45CrossingsOffNominal) {
       }
       const double tau_rk = 0.5 * (lo + hi);
       EXPECT_NEAR(tau, tau_rk, 1e-13) << "vdd_scale=" << p.vdd_scale;
-    }
-  }
-}
-
-TEST(ProcessRk45, GridCrossingLevelTracksExactDerivation) {
-  // The bound the statistical pipeline relies on: crossing times computed
-  // from grid-interpolated tables stay within 1% of exact per-sample
-  // derivation at interior points of the variation span (the per-field
-  // interpolation error bound lives in tests/core/test_mode_table_grid.cpp).
-  for (const GateParams& nominal :
-       {GateParams::nor2_reference(), GateParams::nand2_reference(),
-        GateParams::nor3_reference(), GateParams::nand3_reference()}) {
-    const ModeTableGrid grid(nominal, variation_spec());
-    for (const ProcessPoint& p : off_nominal_points()) {
-      GateModeTables exact(nominal);
-      exact.rederive_at(nominal, p);
-      const auto blended = grid.interpolate(p);
-      const Transition tr = output_swing(nominal);
-      // Identical entry state isolates the crossing-level error to the
-      // interpolated expansion itself.
-      const ode::Vec2 x_ref = exact.state_table(tr.rest).steady;
-      const double tau_exact = crossing_tau(exact, tr.active, x_ref);
-      const double tau_grid = crossing_tau(*blended, tr.active, x_ref);
-      ASSERT_GT(tau_exact, 0.0);
-      EXPECT_LT(std::abs(tau_grid - tau_exact) / tau_exact, 1e-2)
-          << "vdd_scale=" << p.vdd_scale << " exact=" << tau_exact
-          << " grid=" << tau_grid;
     }
   }
 }

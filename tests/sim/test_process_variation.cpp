@@ -17,6 +17,8 @@
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/process_variation.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "waveform/generator.hpp"
 
 namespace charlie::sim {
 namespace {
@@ -44,16 +46,18 @@ TEST(ProcessVariation, SampleIsPureFunctionOfSeedAndIndex) {
 }
 
 TEST(ProcessVariation, SamplesStayInsideTheGridSpan) {
+  // Every sample lies in the clamped box mean +/- max_sigma * sigma, the
+  // span a batch checks for validity before its first run.
   const ProcessVariation v = small_variation();
-  const core::ModeTableGrid::Spec spec = v.grid_spec();
+  const double k = v.max_sigma;
   for (std::uint64_t i = 0; i < 500; ++i) {
     const core::ProcessPoint p = v.sample(2022, i);
-    EXPECT_GE(p.vdd_scale, spec.vdd_scale.lo);
-    EXPECT_LE(p.vdd_scale, spec.vdd_scale.hi);
-    EXPECT_GE(p.vth_shift, spec.vth_shift.lo);
-    EXPECT_LE(p.vth_shift, spec.vth_shift.hi);
-    EXPECT_GE(p.drive_scale, spec.drive_scale.lo);
-    EXPECT_LE(p.drive_scale, spec.drive_scale.hi);
+    EXPECT_GE(p.vdd_scale, 1.0 - k * v.vdd_sigma);
+    EXPECT_LE(p.vdd_scale, 1.0 + k * v.vdd_sigma);
+    EXPECT_GE(p.vth_shift, -k * v.vth_sigma);
+    EXPECT_LE(p.vth_shift, k * v.vth_sigma);
+    EXPECT_GE(p.drive_scale, 1.0 - k * v.drive_sigma);
+    EXPECT_LE(p.drive_scale, 1.0 + k * v.drive_sigma);
   }
 }
 
@@ -77,9 +81,6 @@ TEST(ProcessVariation, InactiveAxesStayExactlyNominal) {
 TEST(ProcessVariation, ValidateRejectsBadKnobs) {
   ProcessVariation v = small_variation();
   v.vdd_sigma = -0.1;
-  EXPECT_THROW(v.validate(), ConfigError);
-  v = small_variation();
-  v.grid_levels = 1;
   EXPECT_THROW(v.validate(), ConfigError);
   v = small_variation();
   v.drive_sigma = 0.4;  // 3.5 sigma crosses zero drive
@@ -118,12 +119,7 @@ BoundCircuit bound_circuit() {
 
 TEST(ProcessBinder, RebindsSharedTablesOnceAndRestoresNominalBitExactly) {
   BoundCircuit bc = bound_circuit();
-  const ProcessVariation v = small_variation();
-  ProcessBinder::GridMap grids;
-  ProcessBinder::build_grids(*bc.circuit, v.grid_spec(), grids);
-  EXPECT_EQ(grids.size(), 1u);  // one shared table -> one grid
-
-  ProcessBinder binder(*bc.circuit, grids);
+  ProcessBinder binder(*bc.circuit);
   EXPECT_EQ(binder.n_hybrid_channels(), 2u);
   EXPECT_EQ(binder.n_inertial_channels(), 1u);
   EXPECT_EQ(binder.vdd_nominal(), bc.tables->gate_params().vdd);
@@ -138,6 +134,15 @@ TEST(ProcessBinder, RebindsSharedTablesOnceAndRestoresNominalBitExactly) {
   EXPECT_EQ(bc.nor_a->gate_tables().get(), bc.nor_b->gate_tables().get());
   EXPECT_EQ(bc.nor_a->gate_tables()->vth(),
             corner.vdd_scale * bc.tables->gate_params().vdd / 2.0);
+  // ...re-derived exactly: the tables a fresh derivation at the corner gives.
+  const core::GateModeTables exact(
+      bc.tables->gate_params().derive_for(corner));
+  for (core::GateState st = 0; st < exact.n_states(); ++st) {
+    EXPECT_EQ(bc.nor_a->gate_tables()->state_table(st).d,
+              exact.state_table(st).d);
+    EXPECT_EQ(bc.nor_a->gate_tables()->state_table(st).l1,
+              exact.state_table(st).l1);
+  }
   const double s = corner.resistance_scale(bc.tables->gate_params().vdd);
   EXPECT_DOUBLE_EQ(bc.inv->delay_up(), 10e-12 * s);
   EXPECT_DOUBLE_EQ(bc.inv->delay_down(), 12e-12 * s);
@@ -150,10 +155,38 @@ TEST(ProcessBinder, RebindsSharedTablesOnceAndRestoresNominalBitExactly) {
   EXPECT_EQ(bc.inv->delay_down(), 12e-12);
 }
 
-TEST(ProcessBinder, RequiresGridsForEveryHybridTable) {
+TEST(ProcessBinder, RebindingAPointAgainReproducesItsTablesBitExactly) {
+  // The per-run path: one worker-local table set, rebound run after run.
   BoundCircuit bc = bound_circuit();
-  const ProcessBinder::GridMap empty;
-  EXPECT_THROW(ProcessBinder(*bc.circuit, empty), ConfigError);
+  ProcessBinder binder(*bc.circuit);
+  core::ProcessPoint a;
+  a.vdd_scale = 0.95;
+  a.vth_shift = 0.01;
+  core::ProcessPoint b;
+  b.vdd_scale = 1.05;
+  b.drive_scale = 0.9;
+  binder.bind(a);
+  const core::GateModeTables first = *bc.nor_a->gate_tables();
+  binder.bind(b);
+  EXPECT_NE(bc.nor_a->gate_tables()->state_table(0).d,
+            first.state_table(0).d);
+  binder.bind(a);
+  const core::GateModeTables& again = *bc.nor_a->gate_tables();
+  EXPECT_EQ(again.horizon(), first.horizon());
+  EXPECT_EQ(again.vth(), first.vth());
+  for (core::GateState st = 0; st < first.n_states(); ++st) {
+    const core::ModeTable& x = again.state_table(st);
+    const core::ModeTable& y = first.state_table(st);
+    EXPECT_EQ(x.steady.x, y.steady.x);
+    EXPECT_EQ(x.steady.y, y.steady.y);
+    EXPECT_EQ(x.xp.x, y.xp.x);
+    EXPECT_EQ(x.xp.y, y.xp.y);
+    EXPECT_EQ(x.d, y.d);
+    EXPECT_EQ(x.l1, y.l1);
+    EXPECT_EQ(x.l2, y.l2);
+    EXPECT_EQ(x.p1c, y.p1c);
+    EXPECT_EQ(x.p1d, y.p1d);
+  }
 }
 
 BatchConfig stat_config() {
@@ -333,6 +366,78 @@ TEST(BatchStats, C432VariationBatchIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(many.nets[n].response_delay.sum(),
                 one.nets[n].response_delay.sum());
     }
+  }
+}
+
+TEST(BatchStats, OverdriveClosingSpanThrowsBeforeAnyRun) {
+  // vth_shift at +3.5 sigma = 0.7 V closes the reference cells' 0.56 V
+  // overdrive. Most samples sit far inside the span and would run; the
+  // batch still refuses it up front. Runs isolate their own failures, so
+  // a throw out of run() can only come from the set-up.
+  BatchConfig config = stat_config();
+  config.variation = ProcessVariation{};
+  config.variation.vth_sigma = 0.2;
+  ASSERT_NO_THROW(config.variation.validate());
+  ASSERT_NO_THROW(config.variation.sample(config.base_seed, 0)
+                      .resistance_scale(0.8));
+  BatchRunner runner(nor_chain_factory(), "out", config);
+  EXPECT_THROW(runner.run(), ConfigError);
+  EXPECT_THROW(runner.run(), ConfigError);  // no half-built runner remains
+}
+
+TEST(BatchStats, RunCSimulatesExactlyTheAtCornerCircuit) {
+  // Monte-Carlo run c is STA corner c: it simulates, bit for bit, the
+  // circuit CircuitBuilder builds from library.at_corner(sample(seed, c)),
+  // driven by the stimuli the batch draws for run c.
+  const auto library = std::make_shared<const cell::CellLibrary>(
+      cell::CellLibrary::reference());
+  const auto desc = cell::read_netlist_file(
+      CHARLIE_SOURCE_DIR "/examples/netlists/c432.net");
+  const CircuitBuilder builder(library);
+  BatchConfig config = stat_config();
+  config.n_runs = 6;
+  config.n_threads = 2;
+  for (const long c : {0L, 3L, 5L}) {
+    config.capture_run = c;
+    BatchRunner runner([&] { return builder.build(desc); }, desc.outputs,
+                       config);
+    const BatchResult batch = runner.run();
+    ASSERT_TRUE(batch.all_ok());
+
+    const auto index = static_cast<std::uint64_t>(c);
+    const CircuitBuilder corner(std::make_shared<const cell::CellLibrary>(
+        library->at_corner(config.variation.sample(config.base_seed, index))));
+    const auto circuit = corner.build(desc);
+    util::Rng rng(util::CounterRng(config.base_seed, index).next_u64());
+    const auto stimuli =
+        waveform::generate_traces(config.trace, circuit->n_inputs(), rng);
+    double t_last = config.trace.t_start;
+    for (const auto& trace : stimuli) {
+      if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
+    }
+    const auto result =
+        circuit->simulate(stimuli, 0.0, t_last + config.t_settle);
+    ASSERT_TRUE(result.ok());
+
+    std::vector<Circuit::NetId> nets;
+    for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
+      nets.push_back(circuit->input_net(i));
+    }
+    for (const auto& name : desc.outputs) {
+      nets.push_back(circuit->find_net(name));
+    }
+    ASSERT_EQ(batch.captured.size(), nets.size());
+    std::size_t n_transitions = 0;
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      const auto& got = batch.captured[k];
+      const auto& want = result.trace(nets[k]);
+      ASSERT_EQ(got.net, circuit->net_name(nets[k]));
+      EXPECT_EQ(got.trace.initial_value(), want.initial_value()) << got.net;
+      EXPECT_EQ(got.trace.transitions(), want.transitions())
+          << "run " << c << " net " << got.net;
+      n_transitions += want.n_transitions();
+    }
+    EXPECT_GT(n_transitions, 0u);
   }
 }
 

@@ -8,7 +8,9 @@
 # accidentally committed 641 build artifacts, this keeps them out for good.
 # The determinism lint (tools/lint_determinism.sh) rides along: src/ must
 # stay free of nondeterminism sources (bare rand(), std::random_device,
-# wall-clock seeding, unordered-container iteration).
+# wall-clock seeding, unordered-container iteration) and of runtime CPU
+# dispatch (__builtin_cpu_supports, target attributes), which would make
+# results depend on the host CPU.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Static determinism lint: greps src/ for constructs that have historically
-# broken the repo's bit-identical-results guarantee (BatchRunner aggregates,
-# sharded simulation, corner caches are all reduced in fixed order from
-# seeded counter-RNG streams -- see docs/determinism.md if present, and the
-# BatchRunner header comment).
+# Static determinism lint: greps src/ for constructs that break the repo's
+# bit-identical-results guarantee (BatchRunner aggregates and sharded
+# simulation are reduced in fixed order from seeded counter-RNG streams,
+# on any host -- see docs/performance.md § Determinism and the BatchRunner
+# header comment).
 #
 # Findings and why they are banned:
 #   * rand() / srand()          -- hidden global state, platform-dependent
@@ -17,6 +17,10 @@
 #   * range-for directly over a std::unordered_ container -- iteration order
 #     is implementation-defined; reductions must walk a sorted or
 #     declaration-ordered index instead (see sim/net_criticality).
+#   * runtime CPU dispatch: __builtin_cpu_supports and
+#     __attribute__((target(...))) -- the code path, and with it the
+#     rounding (e.g. FMA contraction), would depend on which CPU runs the
+#     code, so results would differ between hosts.
 #
 # Exit 1 with a file:line listing on any finding; silent success otherwise.
 # An inline `// lint-determinism: allow` comment suppresses a line.
@@ -58,6 +62,11 @@ report "wall-clock seeding (time()/now() near a seed)" \
 report "range-for over a std::unordered_ container (iterate a sorted or \
 declaration-ordered index instead)" \
   "$(grep -rnE 'for \([^)]*:[^)]*unordered_' src/ | filter_allowed)"
+
+# Runtime CPU dispatch: per-host code paths give per-host low bits.
+report "runtime CPU dispatch (__builtin_cpu_supports / target attribute)" \
+  "$(grep -rnE '__builtin_cpu_supports|__attribute__\(\(target\(' src/ \
+     | filter_allowed)"
 
 if [[ "$fail" -ne 0 ]]; then
   echo "lint_determinism: FAILED (suppress a deliberate use with" \
