@@ -3,15 +3,21 @@
 // sim::CircuitBuilder and driven through sim::BatchRunner -- the
 // realistic-workload complement to the NOR-mesh numbers in
 // bench_batch_throughput.cpp. Also tracks the front-end itself:
-// parse + validate + instantiate cost per circuit clone.
+// parse + validate + instantiate cost per circuit clone, and the event
+// engine's cost per event on generated designs of growing size.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "cell/netlist_gen.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
+#include "util/rng.hpp"
+#include "waveform/generator.hpp"
 
 namespace {
 
@@ -105,6 +111,52 @@ void BM_NetlistParseAndBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetlistParseAndBuild);
+
+// Single-thread monolithic Circuit::simulate on a generated design
+// (gen_netlist seed 1, 2% RC wires) of range(0) gates, driven like the
+// shard_gen100k workload: 256 transitions per input, mu 150 ps, sigma
+// 60 ps, stimulus seed 1. Build and stimuli stay outside the timed loop.
+// ns/event weights the paper's channel: generated designs are ~56% hybrid
+// MIS gates, where c432 is mostly inertial SIS gates. The 25k row is one
+// shard's working set of the 100k design; the 100k/1k ratio shows what the
+// state layout costs once it leaves the cache.
+void BM_GeneratedNetlistSimulate(benchmark::State& state) {
+  cell::NetlistGenConfig gen;
+  gen.n_gates = static_cast<std::size_t>(state.range(0));
+  gen.seed = 1;
+  gen.wire_fraction = 0.02;
+  const auto circuit =
+      sim::CircuitBuilder(shared_library()).build(cell::generate_netlist(gen));
+  waveform::TraceConfig trace;
+  trace.mu = 150e-12;
+  trace.sigma = 60e-12;
+  trace.n_transitions = 256;
+  util::Rng rng(1);
+  const auto stimuli =
+      waveform::generate_traces(trace, circuit->n_inputs(), rng);
+  double t_last = trace.t_start;
+  for (const auto& t : stimuli) {
+    if (!t.empty()) t_last = std::max(t_last, t.transitions().back());
+  }
+  long long events = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto result = circuit->simulate(stimuli, 0.0, t_last + 1e-9);
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    events += result.n_events;
+    benchmark::DoNotOptimize(result.n_events);
+  }
+  state.counters["ns/event"] =
+      events > 0 ? 1e9 * seconds / static_cast<double>(events) : 0.0;
+}
+BENCHMARK(BM_GeneratedNetlistSimulate)
+    ->Arg(1000)
+    ->Arg(25000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

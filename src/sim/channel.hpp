@@ -12,6 +12,12 @@
 // event, fires it via on_fire -- after which pending() may expose a
 // follow-up event (channels whose internal waveform crosses the threshold
 // more than once per mode need this).
+//
+// sim::Circuit stores the three channel kinds sim::CircuitBuilder emits
+// (HybridGateChannel, InertialChannel, WireChannel) by value in per-kind
+// arrays and calls them through their final types, so the event loop
+// makes no virtual call for them; any other channel passed to
+// Circuit::add_gate/add_mis_gate stays boxed behind these interfaces.
 #pragma once
 
 #include <optional>

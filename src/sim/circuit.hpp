@@ -9,28 +9,45 @@
 // on the primary inputs.
 //
 // add_input/add_gate/add_mis_gate are the low-level construction API:
-// callers wire channels by hand and must add gates after their input nets.
+// callers wire channels by hand and must add gates after their input nets
+// (a gate reading an unknown net, its own output included, is rejected).
 // Most circuits should instead come from a structural netlist through
 // sim::CircuitBuilder + cell::CellLibrary (sim/circuit_builder.hpp), which
 // validates the topology and instantiates characterized cells.
 // simulate() runs a sim::SimSession (sim/sim_session.hpp) over every gate.
+//
+// State layout (docs/performance.md, "Engine state layout"): one event
+// touches a few small contiguous arrays. Each gate has a 16-byte hot
+// record (kind, channel tag and index, arity, input values, zero-time
+// value, output net) in one array; its input nets are cold, like net
+// names. Fanout is one CSR (per-net offsets into (gate, port) records in
+// gate order), finished before the first session. The three channel kinds
+// the builder emits live by value in per-kind arrays and are called
+// through their final types on a switch over the record's tag; any other
+// channel stays boxed behind the channel.hpp interfaces under one tag.
+// Channel addresses are stable once construction ends.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
+#include "sim/inertial.hpp"
 #include "sim/run_guard.hpp"
+#include "sim/wire_channel.hpp"
 #include "util/error.hpp"
 #include "waveform/digital_trace.hpp"
 
 namespace charlie::sim {
 
-enum class GateKind {
+enum class GateKind : std::uint8_t {
   kBuf,
   kInv,
   kAnd2,
@@ -156,50 +173,117 @@ class Circuit {
   /// the gate reading it, so its driving gate (if any) has a lower index.
   NetId gate_output(std::size_t g) const { return gates_[g].output; }
   std::span<const NetId> gate_inputs(std::size_t g) const {
-    return gates_[g].inputs;
+    return {gate_inputs_[g].data(), gates_[g].arity};
   }
 
-  /// Visit every native multi-input (MIS) channel, in gate construction
-  /// order. Process-variation binding walks these to retarget channels
-  /// between runs; mutating a channel mid-simulation is undefined.
-  template <typename Fn>
-  void for_each_mis_channel(Fn&& fn) {
-    for (auto& gate : gates_) {
-      if (gate.mis != nullptr) fn(*gate.mis);
-    }
-  }
-
-  /// Visit every SIS delay channel, in gate construction order.
-  template <typename Fn>
-  void for_each_sis_channel(Fn&& fn) {
-    for (auto& gate : gates_) {
-      if (gate.sis != nullptr) fn(*gate.sis);
+  /// Gate `g`'s channel as its stored type T -- HybridGateChannel,
+  /// InertialChannel or WireChannel -- or nullptr when gate `g` carries
+  /// another kind. The address is stable once construction ends; mutating
+  /// a channel mid-simulation is undefined (process-variation binding
+  /// retargets channels between runs).
+  template <typename T>
+  T* channel_as(std::size_t g) {
+    const Gate& gate = gates_[g];
+    if constexpr (std::is_same_v<T, HybridGateChannel>) {
+      return gate.tag == ChannelTag::kHybrid ? &hybrid_[gate.channel]
+                                             : nullptr;
+    } else if constexpr (std::is_same_v<T, InertialChannel>) {
+      return gate.tag == ChannelTag::kInertial ? &inertial_[gate.channel]
+                                               : nullptr;
+    } else {
+      static_assert(std::is_same_v<T, WireChannel>,
+                    "channel_as: only the built-in channel kinds are stored "
+                    "by value");
+      return gate.tag == ChannelTag::kWire ? &wire_[gate.channel] : nullptr;
     }
   }
 
  private:
   friend class SimSession;
+  friend class ProcessBinder;   // walks the hybrid and inertial arrays
+  friend class ShardedCircuit;  // finishes the fanout before its sessions
+  friend class CircuitBuilder;  // sizes the arrays before filling them
+
+  enum class ChannelTag : std::uint8_t { kHybrid, kInertial, kWire, kBoxed };
+
+  // The hot per-gate record. Sessions over disjoint gate ranges write
+  // disjoint records, so nothing here is packed across gates.
   struct Gate {
     GateKind kind = GateKind::kBuf;
-    std::vector<NetId> inputs;
-    NetId output = -1;
-    // Exactly one of the two channels is set.
-    std::unique_ptr<SisChannel> sis;
-    std::unique_ptr<GateChannel> mis;
-    // Simulation state (fixed arity <= kMaxGateArity, no heap-allocated
-    // bitfield):
+    ChannelTag tag = ChannelTag::kBoxed;
+    std::uint8_t arity = 0;
     std::array<bool, kMaxGateArity> in_values{};
     bool zero_time_value = false;  // boolean gate output (pre-channel)
+    std::uint32_t channel = 0;     // index into the tag's channel array
+    NetId output = -1;
+  };
+  static_assert(sizeof(Gate) == 16, "hot gate record must stay 16 bytes");
+
+  // A channel of any other type, behind its virtual interface; exactly one
+  // of the two is set.
+  struct BoxedChannel {
+    std::unique_ptr<SisChannel> sis;
+    std::unique_ptr<GateChannel> mis;
   };
 
+  // One fanout record: gate `gate` reads the net on input `port`.
+  struct Fanout {
+    std::uint32_t gate;
+    std::uint32_t port;
+  };
+
+  /// Calls fn on gate's channel as its concrete type: the built-in kinds
+  /// by value through their final types (no virtual call), boxed ones
+  /// through their interface.
+  template <typename Fn>
+  decltype(auto) visit_channel(const Gate& gate, Fn&& fn) {
+    switch (gate.tag) {
+      case ChannelTag::kHybrid:
+        return fn(hybrid_[gate.channel]);
+      case ChannelTag::kInertial:
+        return fn(inertial_[gate.channel]);
+      case ChannelTag::kWire:
+        return fn(wire_[gate.channel]);
+      case ChannelTag::kBoxed:
+        break;
+    }
+    BoxedChannel& boxed = boxed_[gate.channel];
+    if (boxed.sis != nullptr) return fn(*boxed.sis);
+    return fn(*boxed.mis);
+  }
+
+  /// The readers of `net` (requires a finished fanout).
+  std::span<const Fanout> fanout(std::size_t net) const {
+    return {fanout_.data() + fanout_begin_[net],
+            fanout_.data() + fanout_begin_[net + 1]};
+  }
+
   NetId new_net(const std::string& name);
+  Gate& new_gate(GateKind kind, const std::string& output_name,
+                 const std::vector<NetId>& inputs);
+  /// Size every array for the given element counts, so filling them
+  /// leaves no reallocation transient.
+  void reserve(std::size_t n_nets, std::size_t n_hybrid,
+               std::size_t n_inertial, std::size_t n_wire);
+  /// Build the CSR fanout of the gates added so far (no-op when current).
+  /// Runs before any session exists: the sharded runner constructs its
+  /// sessions concurrently.
+  void finish_fanout();
 
   std::vector<std::string> net_names_;
   std::unordered_map<std::string, NetId> net_ids_;
   std::vector<NetId> primary_inputs_;
   std::vector<Gate> gates_;
-  std::vector<std::vector<std::pair<std::size_t, int>>> fanout_;
-  // fanout_[net] = list of (gate index, port)
+  std::vector<std::array<NetId, kMaxGateArity>> gate_inputs_;  // cold
+  std::vector<HybridGateChannel> hybrid_;
+  std::vector<InertialChannel> inertial_;
+  std::vector<WireChannel> wire_;
+  std::vector<BoxedChannel> boxed_;
+  // fanout_[fanout_begin_[net] .. fanout_begin_[net + 1]): the readers of
+  // `net` in gate order, then port order.
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<Fanout> fanout_;
+  std::size_t fanout_gates_ = 0;  // gates the CSR covers
 };
 
 }  // namespace charlie::sim

@@ -230,6 +230,15 @@ std::unique_ptr<Circuit> CircuitBuilder::build(
     const cell::NetlistDesc& desc) const {
   const NetlistTopology prep = prepare_netlist(desc, *library_);
   auto circuit = std::make_unique<Circuit>();
+  // Size the channel arrays up front: filling them then moves nothing.
+  std::size_t n_hybrid = 0;
+  for (std::size_t i = 0; i < desc.instances.size(); ++i) {
+    if (prep.specs[i]->hybrid) ++n_hybrid;
+  }
+  circuit->reserve(desc.inputs.size() + desc.instances.size() +
+                       desc.wires.size(),
+                   n_hybrid, desc.instances.size() - n_hybrid,
+                   desc.wires.size());
   for (const auto& name : desc.inputs) circuit->add_input(name);
   for (const int e : prep.order) {
     emit_element(*circuit, desc, prep.specs, static_cast<std::size_t>(e));

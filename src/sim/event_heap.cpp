@@ -5,67 +5,67 @@
 namespace charlie::sim {
 
 void EventHeap::reset(std::size_t n_slots) {
-  entries_.assign(n_slots, Entry{});
   pos_.assign(n_slots, -1);
   heap_.clear();
-  heap_.reserve(n_slots);
 }
 
 void EventHeap::schedule(std::size_t slot, double t, long seq, bool value) {
-  CHARLIE_ASSERT(slot < entries_.size());
-  entries_[slot] = Entry{t, seq, value};
+  CHARLIE_ASSERT(slot < pos_.size());
+  const Entry entry{t, seq, static_cast<std::uint32_t>(slot), value};
   if (pos_[slot] < 0) {
-    heap_.push_back(slot);
-    pos_[slot] = static_cast<int>(heap_.size() - 1);
-    sift_up(heap_.size() - 1);
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1, entry);
     return;
   }
-  const auto i = static_cast<std::size_t>(pos_[slot]);
-  sift_up(i);
-  sift_down(static_cast<std::size_t>(pos_[slot]));
+  sift(static_cast<std::size_t>(pos_[slot]), entry);
 }
 
 void EventHeap::cancel(std::size_t slot) {
-  CHARLIE_ASSERT(slot < entries_.size());
+  CHARLIE_ASSERT(slot < pos_.size());
   if (pos_[slot] < 0) return;
   const auto i = static_cast<std::size_t>(pos_[slot]);
   pos_[slot] = -1;
-  const std::size_t moved = heap_.back();
+  const Entry moved = heap_.back();
   heap_.pop_back();
-  if (i == heap_.size()) return;  // removed the last element
-  place(i, moved);
-  sift_up(i);
-  sift_down(static_cast<std::size_t>(pos_[moved]));
+  if (i < heap_.size()) sift(i, moved);  // unless it removed the last entry
 }
 
 void EventHeap::pop() {
   CHARLIE_ASSERT(!heap_.empty());
-  cancel(heap_[0]);
+  cancel(heap_[0].slot);
 }
 
-void EventHeap::sift_up(std::size_t i) {
-  const std::size_t slot = heap_[i];
+void EventHeap::sift(std::size_t i, Entry entry) {
+  // An entry placed at i moves one way only: up past a later parent, or
+  // down.
+  if (i > 0 && before(entry, heap_[(i - 1) / 2])) {
+    sift_up(i, entry);
+  } else {
+    sift_down(i, entry);
+  }
+}
+
+void EventHeap::sift_up(std::size_t i, Entry entry) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!before(slot, heap_[parent])) break;
+    if (!before(entry, heap_[parent])) break;
     place(i, heap_[parent]);
     i = parent;
   }
-  place(i, slot);
+  place(i, entry);
 }
 
-void EventHeap::sift_down(std::size_t i) {
-  const std::size_t slot = heap_[i];
+void EventHeap::sift_down(std::size_t i, Entry entry) {
   const std::size_t n = heap_.size();
   while (true) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
     if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-    if (!before(heap_[child], slot)) break;
+    if (!before(heap_[child], entry)) break;
     place(i, heap_[child]);
     i = child;
   }
-  place(i, slot);
+  place(i, entry);
 }
 
 }  // namespace charlie::sim

@@ -8,9 +8,16 @@
 // (decrease/increase-key), so superseded events never enter the queue and
 // every pop is live. All operations are O(log n); cancel and schedule of
 // an absent slot are O(log n) too.
+//
+// The keys live inline in the heap array: an entry carries (t, seq, slot,
+// value), so a sift compares and moves entries of one array no larger than
+// the peak occupancy, and the only per-slot state is the slot -> position
+// table it updates. (t, seq) is a strict total order (seq is unique), so
+// the pop order does not depend on the heap's internal layout.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace charlie::sim {
@@ -20,6 +27,7 @@ class EventHeap {
   struct Entry {
     double t = 0.0;
     long seq = 0;  // FIFO tie-break for equal times (later schedule loses)
+    std::uint32_t slot = 0;
     bool value = false;
   };
 
@@ -37,29 +45,27 @@ class EventHeap {
   void cancel(std::size_t slot);
 
   /// Slot and payload of the earliest event. Requires !empty().
-  std::size_t top_slot() const { return heap_[0]; }
-  const Entry& top() const { return entries_[heap_[0]]; }
+  std::size_t top_slot() const { return heap_[0].slot; }
+  const Entry& top() const { return heap_[0]; }
 
   /// Remove the earliest event. Requires !empty().
   void pop();
 
  private:
-  bool before(std::size_t sa, std::size_t sb) const {
-    const Entry& a = entries_[sa];
-    const Entry& b = entries_[sb];
+  static bool before(const Entry& a, const Entry& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
-  void place(std::size_t i, std::size_t slot) {
-    heap_[i] = slot;
-    pos_[slot] = static_cast<int>(i);
+  void place(std::size_t i, const Entry& entry) {
+    heap_[i] = entry;
+    pos_[entry.slot] = static_cast<int>(i);
   }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
+  void sift(std::size_t i, Entry entry);
+  void sift_up(std::size_t i, Entry entry);
+  void sift_down(std::size_t i, Entry entry);
 
-  std::vector<Entry> entries_;    // indexed by slot
-  std::vector<int> pos_;          // slot -> heap position, -1 when absent
-  std::vector<std::size_t> heap_;  // heap of slots
+  std::vector<Entry> heap_;  // binary heap ordered by (t, seq)
+  std::vector<int> pos_;     // slot -> heap position, -1 when absent
 };
 
 }  // namespace charlie::sim

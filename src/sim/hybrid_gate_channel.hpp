@@ -26,7 +26,7 @@
 
 #include "core/gate_mode_tables.hpp"
 #include "sim/channel.hpp"
-#include "sim/two_exp_crossing.hpp"
+#include "sim/mode_waveform.hpp"
 
 namespace charlie::sim {
 
@@ -40,21 +40,23 @@ class HybridGateChannel final : public GateChannel {
   explicit HybridGateChannel(
       std::shared_ptr<const core::GateModeTables> tables);
 
-  int n_inputs() const override { return n_inputs_; }
+  int n_inputs() const override { return wave_.tables().n_inputs(); }
   void initialize(double t0, const std::vector<bool>& values) override;
   void on_input(double t, int port, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override;
-  bool initial_output() const override { return output_; }
+  std::optional<PendingEvent> pending() const override {
+    return wave_.pending();
+  }
+  bool initial_output() const override { return wave_.output(); }
 
   /// Current analog state (V_int, V_O) at time t >= last event time.
-  ode::Vec2 state_at(double t) const;
+  ode::Vec2 state_at(double t) const { return wave_.state_at(t); }
 
   /// Current input state (bit i = logic level of input i, post pure delay).
-  core::GateState input_state() const { return state_; }
+  core::GateState input_state() const { return wave_.mode(); }
 
   const std::shared_ptr<const core::GateModeTables>& gate_tables() const {
-    return tables_;
+    return wave_.owner();
   }
 
   /// Swap in different mode tables of the same arity (the per-run
@@ -64,33 +66,10 @@ class HybridGateChannel final : public GateChannel {
   void rebind_tables(std::shared_ptr<const core::GateModeTables> tables);
 
  private:
-  std::optional<PendingEvent> next_crossing(double t_from) const;
-  std::optional<PendingEvent> next_crossing_scan(double t_from) const;
-  void refresh_scalar();
-
-  std::shared_ptr<const core::GateModeTables> tables_;
-  const core::ModeTable* mt_ = nullptr;  // current mode's table entry
-  // Cached table scalars, read on every event:
-  double vth_ = 0.0;
-  double horizon_ = 0.0;
-  double delta_min_ = 0.0;
-  int n_inputs_ = 0;
-  core::GateState state_ = 0;  // logical input levels (post pure delay)
-  // Scalar two-exponential expansion of V_O on the current segment (see
-  // sim/two_exp_crossing.hpp); the crossing search runs on it instead of a
-  // linear scan (hot path for event-driven simulation).
-  TwoExpVo scalar_{};
-  double t_ref_ = 0.0;   // time of the state snapshot
-  ode::Vec2 x_ref_{};    // (V_int, V_O) at t_ref_
-  bool output_ = false;
-  // Crossings that precede the effective time of the latest input are
-  // physically decided and can no longer be cancelled; the live crossing
-  // of the current mode can. See on_input. The committed queue is a FIFO
-  // of committed_[committed_head_..]: almost always empty, so unlike a
-  // std::deque it allocates nothing until the first push.
-  std::vector<PendingEvent> committed_;
-  std::size_t committed_head_ = 0;
-  std::optional<PendingEvent> live_;
+  // Mode = the input state; table scalars (threshold, horizon, pure delay,
+  // mode entries) are read through the tables every instance of a cell
+  // shares.
+  ModeWaveform<core::GateModeTables> wave_;
 };
 
 }  // namespace charlie::sim

@@ -18,14 +18,14 @@ void InertialChannel::set_delays(double delay_up, double delay_down) {
 void InertialChannel::initialize(double t0, bool value) {
   (void)t0;
   output_ = value;
-  pending_.reset();
+  has_pending_ = false;
 }
 
 void InertialChannel::on_input(double t, bool value) {
-  if (pending_.has_value()) {
+  if (has_pending_) {
     // The pulse between the previous input transition and this one is
     // shorter than the channel delay: both transitions are swallowed.
-    pending_.reset();
+    has_pending_ = false;
     CHARLIE_ASSERT_MSG(value == output_,
                        "inertial channel: input did not alternate");
     return;
@@ -33,13 +33,15 @@ void InertialChannel::on_input(double t, bool value) {
   if (value == output_) {
     return;  // no-op transition (can follow a cancellation)
   }
-  pending_ = PendingEvent{t + (value ? delay_up_ : delay_down_), value};
+  has_pending_ = true;
+  pending_t_ = t + (value ? delay_up_ : delay_down_);
+  pending_value_ = value;
 }
 
 void InertialChannel::on_fire(const PendingEvent& fired) {
-  CHARLIE_ASSERT(pending_.has_value());
+  CHARLIE_ASSERT(has_pending_);
   output_ = fired.value;
-  pending_.reset();
+  has_pending_ = false;
 }
 
 }  // namespace charlie::sim

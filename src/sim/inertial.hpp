@@ -15,7 +15,10 @@ class InertialChannel final : public SisChannel {
   void initialize(double t0, bool value) override;
   void on_input(double t, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override { return pending_; }
+  std::optional<PendingEvent> pending() const override {
+    if (!has_pending_) return std::nullopt;
+    return PendingEvent{pending_t_, pending_value_};
+  }
   bool initial_output() const override { return output_; }
 
   double delay_up() const { return delay_up_; }
@@ -27,10 +30,14 @@ class InertialChannel final : public SisChannel {
   void set_delays(double delay_up, double delay_down);
 
  private:
+  // The pending event's fields, packed with the flags: sim::Circuit keeps
+  // inertial channels by value in one array.
+  double pending_t_ = 0.0;
+  bool has_pending_ = false;
+  bool pending_value_ = false;
+  bool output_ = false;  // committed output value
   double delay_up_;
   double delay_down_;
-  bool output_ = false;  // committed output value
-  std::optional<PendingEvent> pending_;
 };
 
 }  // namespace charlie::sim

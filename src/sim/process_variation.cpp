@@ -54,12 +54,13 @@ core::ProcessPoint ProcessVariation::sample(std::uint64_t seed,
 }
 
 ProcessBinder::ProcessBinder(Circuit& circuit, double vdd_override)
-    : vdd_nominal_(vdd_override) {
+    : circuit_(&circuit), vdd_nominal_(vdd_override) {
+  // The circuit keeps its hybrid and inertial channels in per-kind arrays
+  // in gate order; wire and boxed channels stay nominal.
   std::map<const core::GateModeTables*, std::size_t> rebind_of;
-  circuit.for_each_mis_channel([&](GateChannel& channel) {
-    auto* hybrid = dynamic_cast<HybridGateChannel*>(&channel);
-    if (hybrid == nullptr) return;
-    const auto& nominal = hybrid->gate_tables();
+  hybrid_rebind_.reserve(circuit.hybrid_.size());
+  for (const HybridGateChannel& hybrid : circuit.hybrid_) {
+    const auto& nominal = hybrid.gate_tables();
     const auto [it, inserted] =
         rebind_of.emplace(nominal.get(), rebinds_.size());
     if (inserted) {
@@ -69,15 +70,13 @@ ProcessBinder::ProcessBinder(Circuit& circuit, double vdd_override)
     if (vdd_nominal_ == 0.0) {
       vdd_nominal_ = nominal->gate_params().vdd;
     }
-    hybrid_channels_.push_back({hybrid, it->second});
-  });
-  circuit.for_each_sis_channel([&](SisChannel& channel) {
-    auto* inertial = dynamic_cast<InertialChannel*>(&channel);
-    if (inertial == nullptr) return;  // wire/pure-delay channels stay nominal
-    inertial_.push_back(
-        {inertial, inertial->delay_up(), inertial->delay_down()});
-  });
-  if (!inertial_.empty() && vdd_nominal_ <= 0.0) {
+    hybrid_rebind_.push_back(it->second);
+  }
+  inertial_nominal_.reserve(circuit.inertial_.size());
+  for (const InertialChannel& inertial : circuit.inertial_) {
+    inertial_nominal_.push_back({inertial.delay_up(), inertial.delay_down()});
+  }
+  if (!inertial_nominal_.empty() && vdd_nominal_ <= 0.0) {
     throw ConfigError(
         "process binder: circuit has inertial channels but no hybrid gate "
         "to read the nominal VDD from; set ProcessVariation::vdd_nominal");
@@ -91,18 +90,19 @@ void ProcessBinder::bind(const core::ProcessPoint& point) {
       rebind.local->rederive_at(rebind.nominal->gate_params(), point);
     }
   }
-  for (const HybridSlot& slot : hybrid_channels_) {
-    const TableRebind& rebind = rebinds_[slot.rebind];
+  for (std::size_t i = 0; i < hybrid_rebind_.size(); ++i) {
+    const TableRebind& rebind = rebinds_[hybrid_rebind_[i]];
     if (nominal) {
-      slot.channel->rebind_tables(rebind.nominal);
+      circuit_->hybrid_[i].rebind_tables(rebind.nominal);
     } else {
-      slot.channel->rebind_tables(rebind.local);
+      circuit_->hybrid_[i].rebind_tables(rebind.local);
     }
   }
-  if (!inertial_.empty()) {
+  if (!inertial_nominal_.empty()) {
     const double s = point.resistance_scale(vdd_nominal_);
-    for (const InertialSlot& slot : inertial_) {
-      slot.channel->set_delays(slot.delay_up * s, slot.delay_down * s);
+    for (std::size_t i = 0; i < inertial_nominal_.size(); ++i) {
+      const NominalDelays& d = inertial_nominal_[i];
+      circuit_->inertial_[i].set_delays(d.up * s, d.down * s);
     }
   }
 }

@@ -71,8 +71,9 @@ struct RunSpec {
 };
 
 /// Per-worker channel retargeting (see the file comment). Construction
-/// registers every process-aware channel and allocates the worker-local
-/// table copies; bind() is allocation-free.
+/// registers every process-aware channel -- the circuit's hybrid and
+/// inertial channel arrays, which must not grow afterwards -- and
+/// allocates the worker-local table copies; bind() is allocation-free.
 class ProcessBinder {
  public:
   /// Registers the channels of `circuit`. `vdd_override` closes the SIS
@@ -86,8 +87,8 @@ class ProcessBinder {
   /// `point` lies outside a cell's validity region (closed overdrive).
   void bind(const core::ProcessPoint& point);
 
-  std::size_t n_hybrid_channels() const { return hybrid_channels_.size(); }
-  std::size_t n_inertial_channels() const { return inertial_.size(); }
+  std::size_t n_hybrid_channels() const { return hybrid_rebind_.size(); }
+  std::size_t n_inertial_channels() const { return inertial_nominal_.size(); }
   double vdd_nominal() const { return vdd_nominal_; }
 
  private:
@@ -95,19 +96,17 @@ class ProcessBinder {
     std::shared_ptr<const core::GateModeTables> nominal;
     std::shared_ptr<core::GateModeTables> local;  // this binder's scratch
   };
-  struct HybridSlot {
-    HybridGateChannel* channel = nullptr;
-    std::size_t rebind = 0;  // index into rebinds_
-  };
-  struct InertialSlot {
-    InertialChannel* channel = nullptr;
-    double delay_up = 0.0;    // nominal
-    double delay_down = 0.0;  // nominal
+  struct NominalDelays {
+    double up = 0.0;
+    double down = 0.0;
   };
 
+  Circuit* circuit_;
   std::vector<TableRebind> rebinds_;
-  std::vector<HybridSlot> hybrid_channels_;
-  std::vector<InertialSlot> inertial_;
+  // Per channel of the circuit's hybrid array: its index into rebinds_.
+  std::vector<std::size_t> hybrid_rebind_;
+  // Per channel of the circuit's inertial array: its nominal delays.
+  std::vector<NominalDelays> inertial_nominal_;
   double vdd_nominal_ = 0.0;
 };
 

@@ -16,6 +16,9 @@ ShardedCircuit::ShardedCircuit(std::unique_ptr<Circuit> circuit,
                                std::size_t n_shards)
     : circuit_(std::move(circuit)) {
   CHARLIE_ASSERT_MSG(circuit_ != nullptr, "sharded circuit: no circuit");
+  // Sessions are constructed concurrently in simulate(): the shared fanout
+  // must be complete before the first of them exists.
+  circuit_->finish_fanout();
   driver_.assign(circuit_->n_nets(), -1);
   for (std::size_t g = 0; g < circuit_->n_gates(); ++g) {
     driver_[static_cast<std::size_t>(circuit_->gate_output(g))] =

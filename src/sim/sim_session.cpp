@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <type_traits>
 
 #include "obs/trace_recorder.hpp"
 #include "util/error.hpp"
@@ -22,6 +23,7 @@ SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                      "sim session: gate range out of bounds");
   CHARLIE_ASSERT_MSG(stimuli.size() == circuit_->primary_inputs_.size(),
                      "circuit: one stimulus trace per primary input");
+  circuit.finish_fanout();
   // Guard sites bump the executing thread's counters: each call adds its
   // own increments, on whichever thread runs it.
   const util::RunCounters before = util::RunCounters::local();
@@ -29,29 +31,24 @@ SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
   counters_ += util::RunCounters::local() - before;
 }
 
-namespace {
-
-using FanoutList = std::vector<std::pair<std::size_t, int>>;
-
-// First fanout entry at or after gate `first`: lists are in gate order, so
-// a gate range's readers of a net are one contiguous run.
-FanoutList::const_iterator fanout_from(const FanoutList& fanout,
-                                       std::size_t first) {
-  if (first == 0) return fanout.begin();
-  return std::lower_bound(
-      fanout.begin(), fanout.end(), first,
-      [](const std::pair<std::size_t, int>& entry, std::size_t gate) {
-        return entry.first < gate;
+const Circuit::Fanout* SimSession::first_reader(std::size_t net) const {
+  const std::span<const Circuit::Fanout> fanout = circuit_->fanout(net);
+  if (gate_begin_ == 0) return fanout.data();
+  // Readers are in gate order, so a gate range's readers of a net are one
+  // contiguous run.
+  const auto it = std::lower_bound(
+      fanout.begin(), fanout.end(), gate_begin_,
+      [](const Circuit::Fanout& entry, std::size_t gate) {
+        return entry.gate < gate;
       });
+  return fanout.data() + (it - fanout.begin());
 }
 
-}  // namespace
-
 bool SimSession::reads(Circuit::NetId net) const {
-  const FanoutList& fanout =
-      circuit_->fanout_[static_cast<std::size_t>(net)];
-  const auto it = fanout_from(fanout, gate_begin_);
-  return it != fanout.end() && it->first < gate_end_;
+  const auto n = static_cast<std::size_t>(net);
+  const std::span<const Circuit::Fanout> fanout = circuit_->fanout(n);
+  const Circuit::Fanout* reader = first_reader(n);
+  return reader != fanout.data() + fanout.size() && reader->gate < gate_end_;
 }
 
 void SimSession::initialize(
@@ -68,38 +65,34 @@ void SimSession::initialize(
     net_value_[static_cast<std::size_t>(c.primary_inputs_[i])] =
         stimuli[i].value_at(t_begin_) ? 1 : 0;
   }
-  // Gates were appended after their input nets exist, so a forward sweep
-  // settles an acyclic circuit (two passes as a fixpoint safety net). The
-  // sweep covers every gate up to the range end, because earlier gates'
-  // nets feed the range, but writes gate state only inside the range: the
-  // other gates belong to other sessions.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t g = 0; g < gate_end_; ++g) {
-      Circuit::Gate& gate = c.gates_[g];
-      std::array<bool, kMaxGateArity> in_values{};
-      for (std::size_t p = 0; p < gate.inputs.size(); ++p) {
-        in_values[p] =
-            net_value_[static_cast<std::size_t>(gate.inputs[p])] != 0;
-      }
-      const bool out =
-          eval_gate(gate.kind, in_values[0], in_values[1], in_values[2]);
-      net_value_[static_cast<std::size_t>(gate.output)] = out ? 1 : 0;
-      if (g >= gate_begin_) {
-        gate.in_values = in_values;
-        gate.zero_time_value = out;
-      }
-    }
-  }
-  for (std::size_t g = gate_begin_; g < gate_end_; ++g) {
+  // Construction order is a strict topological order (a gate reads only
+  // nets that existed before it), so one forward sweep settles the
+  // circuit. The sweep covers every gate up to the range end, because
+  // earlier gates' nets feed the range, but writes gate state only inside
+  // the range: the other gates belong to other sessions.
+  for (std::size_t g = 0; g < gate_end_; ++g) {
     Circuit::Gate& gate = c.gates_[g];
-    if (gate.sis) {
-      gate.sis->initialize(t_begin_, gate.zero_time_value);
-    } else {
-      gate.mis->initialize(
-          t_begin_,
-          std::vector<bool>(gate.in_values.begin(),
-                            gate.in_values.begin() + gate.inputs.size()));
+    std::array<bool, kMaxGateArity> in_values{};
+    const std::span<const Circuit::NetId> inputs = c.gate_inputs(g);
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      in_values[p] = net_value_[static_cast<std::size_t>(inputs[p])] != 0;
     }
+    const bool out =
+        eval_gate(gate.kind, in_values[0], in_values[1], in_values[2]);
+    net_value_[static_cast<std::size_t>(gate.output)] = out ? 1 : 0;
+    if (g < gate_begin_) continue;
+    gate.in_values = in_values;
+    gate.zero_time_value = out;
+    c.visit_channel(gate, [&](auto& channel) {
+      using Channel = std::decay_t<decltype(channel)>;
+      if constexpr (std::is_base_of_v<SisChannel, Channel>) {
+        channel.initialize(t_begin_, out);
+      } else {
+        channel.initialize(
+            t_begin_, std::vector<bool>(in_values.begin(),
+                                        in_values.begin() + gate.arity));
+      }
+    });
   }
 
   // --- stimulus stream -----------------------------------------------------
@@ -148,6 +141,7 @@ void SimSession::initialize(
   for (std::size_t i = result_.traces.size(); i < n_nets; ++i) {
     result_.traces.emplace_back(net_value_[i] != 0, std::vector<double>{});
   }
+  log_.reserve(kTransitionLogCapacity);
 
   heap_.reset(gate_end_ - gate_begin_);
   seq_ = 0;
@@ -155,10 +149,9 @@ void SimSession::initialize(
   is_deferred_.assign(gate_end_ - gate_begin_, 0);
 }
 
-void SimSession::reschedule(std::size_t gate_index) {
-  Circuit::Gate& gate = circuit_->gates_[gate_index];
+void SimSession::reschedule(std::size_t gate_index,
+                            const std::optional<PendingEvent>& pending) {
   const std::size_t slot = gate_index - gate_begin_;
-  const auto pending = gate.sis ? gate.sis->pending() : gate.mis->pending();
   if (pending.has_value() && pending->t <= horizon_) {
     heap_.schedule(slot, pending->t, seq_++, pending->value);
     return;
@@ -174,30 +167,59 @@ void SimSession::reschedule(std::size_t gate_index) {
 }
 
 void SimSession::propagate_net_change(Circuit::NetId net, double t,
-                                      bool value, bool record) {
+                                      bool value, bool own) {
   Circuit& c = *circuit_;
   const auto net_index = static_cast<std::size_t>(net);
   if ((net_value_[net_index] != 0) == value) return;  // defensive
   net_value_[net_index] = value ? 1 : 0;
-  if (record) result_.traces[net_index].append_transition(t);
-  const FanoutList& fanout = c.fanout_[net_index];
-  for (auto it = fanout_from(fanout, gate_begin_);
-       it != fanout.end() && it->first < gate_end_; ++it) {
-    const auto [gate_index, port] = *it;
-    Circuit::Gate& gate = c.gates_[gate_index];
-    gate.in_values[static_cast<std::size_t>(port)] = value;
-    if (gate.sis) {
-      const bool nv = eval_gate(gate.kind, gate.in_values[0],
-                                gate.in_values[1], gate.in_values[2]);
-      if (nv != gate.zero_time_value) {
-        gate.zero_time_value = nv;
-        gate.sis->on_input(t, nv);
-      }
-    } else {
-      gate.mis->on_input(t, port, value);
-    }
-    reschedule(gate_index);
+  if (own) {
+    log_.push_back({t, net});
+    if (log_.size() == kTransitionLogCapacity) flush_log();
   }
+  // An own net's readers follow its driver in construction order, so they
+  // start inside the range; only an upstream net needs the range search.
+  const std::span<const Circuit::Fanout> fanout = c.fanout(net_index);
+  const Circuit::Fanout* const end = fanout.data() + fanout.size();
+  for (const Circuit::Fanout* reader =
+           own ? fanout.data() : first_reader(net_index);
+       reader != end && reader->gate < gate_end_; ++reader) {
+    Circuit::Gate& gate = c.gates_[reader->gate];
+    gate.in_values[reader->port] = value;
+    const std::optional<PendingEvent> pending =
+        c.visit_channel(gate, [&](auto& channel) {
+          using Channel = std::decay_t<decltype(channel)>;
+          if constexpr (std::is_base_of_v<SisChannel, Channel>) {
+            const bool nv = eval_gate(gate.kind, gate.in_values[0],
+                                      gate.in_values[1], gate.in_values[2]);
+            if (nv != gate.zero_time_value) {
+              gate.zero_time_value = nv;
+              channel.on_input(t, nv);
+            }
+          } else {
+            channel.on_input(t, static_cast<int>(reader->port), value);
+          }
+          return channel.pending();
+        });
+    reschedule(reader->gate, pending);
+  }
+}
+
+void SimSession::flush_log() {
+  // The log empties on every exit, also when an append throws.
+  struct Clear {
+    std::vector<LoggedTransition>& log;
+    ~Clear() { log.clear(); }
+  } clear{log_};
+  for (const LoggedTransition& entry : log_) {
+    result_.traces[static_cast<std::size_t>(entry.net)].append_transition(
+        entry.t);
+  }
+}
+
+void SimSession::fail(const std::exception& e) {
+  if (status_ == RunStatus::kFailed) return;  // the first failure reports
+  status_ = RunStatus::kFailed;
+  error_ = e.what();
 }
 
 void SimSession::inject(Circuit::NetId net, double t, bool net_value) {
@@ -218,12 +240,17 @@ void SimSession::advance(double t_horizon) {
   const util::RunCounters before = util::RunCounters::local();
   // The no-throw boundary: a failure anywhere in the run (solver
   // non-convergence, assertion, injected fault) ends the session with the
-  // traces produced so far.
+  // traces produced so far -- the logged transitions move into them on
+  // every exit.
   try {
     run_window();
   } catch (const std::exception& e) {
-    status_ = RunStatus::kFailed;
-    error_ = e.what();
+    fail(e);
+  }
+  try {
+    flush_log();
+  } catch (const std::exception& e) {
+    fail(e);
   }
   counters_ += util::RunCounters::local() - before;
 }
@@ -258,6 +285,7 @@ void SimSession::run_window() {
   // Re-arm gates whose pending events were beyond the previous horizon.
   // reschedule() may defer them again (still beyond this horizon); swap
   // first so the re-appends land in a fresh list.
+  Circuit& c = *circuit_;
   if (!deferred_.empty()) {
     std::vector<std::size_t> rearm;
     rearm.swap(deferred_);
@@ -265,7 +293,10 @@ void SimSession::run_window() {
       is_deferred_[gate_index - gate_begin_] = 0;
     }
     for (const std::size_t gate_index : rearm) {
-      reschedule(gate_index);
+      reschedule(gate_index,
+                 c.visit_channel(c.gates_[gate_index], [](auto& channel) {
+                   return channel.pending();
+                 }));
     }
   }
 
@@ -303,19 +334,17 @@ void SimSession::run_window() {
       }
       continue;
     }
-    const std::size_t gate_index = heap_.top_slot() + gate_begin_;
     const EventHeap::Entry fired = heap_.top();
+    const std::size_t gate_index = fired.slot + gate_begin_;
     heap_.pop();
     ++n_gate_events_;
     t_processed_ = fired.t;
-    Circuit::Gate& gate = circuit_->gates_[gate_index];
+    Circuit::Gate& gate = c.gates_[gate_index];
     const PendingEvent event{fired.t, fired.value};
-    if (gate.sis) {
-      gate.sis->on_fire(event);
-    } else {
-      gate.mis->on_fire(event);
-    }
-    reschedule(gate_index);
+    reschedule(gate_index, c.visit_channel(gate, [&](auto& channel) {
+      channel.on_fire(event);
+      return channel.pending();
+    }));
     propagate_net_change(gate.output, fired.t, fired.value, true);
     // Heap occupancy peaks right after an event's reschedules, before the
     // next pop -- one compare per event keeps the counter always-on cheap.

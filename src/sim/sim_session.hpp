@@ -33,9 +33,22 @@
 // ends the session with a sticky kFailed status and its what() text. The
 // session adds up the util::RunCounters increments made inside its own
 // constructor and advance() calls, on whichever thread runs them.
+//
+// The loop walks the circuit's flat state (circuit.hpp): 16-byte gate
+// records, the CSR fanout, channels by value. Its event heap keeps the
+// keys inline (event_heap.hpp), and recorded transitions go first into a
+// per-session log of (t, net) records with a fixed capacity
+// (kTransitionLogCapacity), which moves into the per-net traces whenever
+// it fills and on every exit from advance() -- trips and failures
+// included -- so trace() and take_result() always see every transition up
+// to the horizon, and a tripped run's traces stay a prefix of the full
+// run's.
 #pragma once
 
 #include <cstddef>
+#include <exception>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/circuit.hpp"
@@ -100,18 +113,32 @@ class SimSession {
   Circuit::SimResult take_result();
 
  private:
+  // Records the transition log holds before it moves into the traces: a
+  // fixed bound, so a worker's log costs the same on every run.
+  static constexpr std::size_t kTransitionLogCapacity = 4096;
+
   struct StimulusEvent {
     double t = 0.0;
     Circuit::NetId net = -1;
     bool value = false;
   };
+  struct LoggedTransition {
+    double t = 0.0;
+    Circuit::NetId net = -1;
+  };
 
   void initialize(const std::vector<waveform::DigitalTrace>& stimuli);
   void run_window();
+  void flush_log();
+  void fail(const std::exception& e);
+  const Circuit::Fanout* first_reader(std::size_t net) const;
   bool reads(Circuit::NetId net) const;
-  void reschedule(std::size_t gate_index);
+  void reschedule(std::size_t gate_index,
+                  const std::optional<PendingEvent>& pending);
+  // `own`: the net is driven by the session's gates (or is a primary
+  // input of a whole-circuit session), so the session records it.
   void propagate_net_change(Circuit::NetId net, double t, bool value,
-                            bool record);
+                            bool own);
 
   Circuit* circuit_;
   std::size_t gate_begin_ = 0;    // the session's gates: [gate_begin_,
@@ -131,6 +158,7 @@ class SimSession {
   std::vector<StimulusEvent> stim_events_;
   std::size_t stim_index_ = 0;
   std::vector<StimulusEvent> injected_;  // pending inject()s, merged by advance
+  std::vector<LoggedTransition> log_;    // recorded, not yet in a trace
   EventHeap heap_;
   long seq_ = 0;
   // Gates whose channel holds a pending event beyond the current horizon;

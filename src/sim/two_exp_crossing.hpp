@@ -8,9 +8,9 @@
 // a two-exponential-plus-constant with at most one interior extremum and at
 // most two threshold crossings. The search below reduces the per-event
 // crossing problem to a handful of exp() evaluations plus a safeguarded
-// Newton solve (Brent only on non-convergence). Extracted from
-// HybridGateChannel so sim::WireChannel shares the exact same solver; the
-// channels keep only their mode bookkeeping and generic-scan fallbacks.
+// Newton solve (Brent only on non-convergence). HybridGateChannel and
+// sim::WireChannel both run it through sim::ModeWaveform
+// (sim/mode_waveform.hpp), which also holds the generic-scan fallback.
 #pragma once
 
 #include <functional>

@@ -1,8 +1,5 @@
 #include "sim/wire_channel.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace charlie::sim {
@@ -11,116 +8,34 @@ WireChannel::WireChannel(const wire::WireParams& params)
     : WireChannel(wire::WireModeTables::make(params)) {}
 
 WireChannel::WireChannel(std::shared_ptr<const wire::WireModeTables> tables)
-    : tables_(std::move(tables)) {
-  CHARLIE_ASSERT(tables_ != nullptr);
-  mt_ = &tables_->drive_table(input_);
-  vth_ = tables_->vth();
-  horizon_ = tables_->horizon();
-  drive_delay_ = tables_->drive_delay();
-}
+    : wave_(std::move(tables)) {}
 
 void WireChannel::initialize(double t0, bool value) {
-  input_ = value;
-  mt_ = &tables_->drive_table(value);
-  t_ref_ = t0;
-  x_ref_ = mt_->steady;  // line fully settled at the driving rail
-  output_ = value;
-  refresh_scalar();
-  committed_.clear();
-  live_.reset();
-}
-
-std::optional<PendingEvent> WireChannel::pending() const {
-  if (!committed_.empty()) return committed_.front();
-  return live_;
-}
-
-ode::Vec2 WireChannel::state_at(double t) const {
-  CHARLIE_ASSERT(t >= t_ref_ - 1e-18);
-  if (t <= t_ref_) return x_ref_;
-  const double tau = t - t_ref_;
-  const core::ModeTable& mt = *mt_;
-  if (mt.spectral_valid) {
-    const ode::Vec2 dev = x_ref_ - mt.xp;
-    return mt.xp + std::exp(mt.l1 * tau) * (mt.s1 * dev) +
-           std::exp(mt.l2 * tau) * (mt.s2 * dev);
-  }
-  return mt.ode.state_at(tau, x_ref_);
-}
-
-void WireChannel::refresh_scalar() {
-  scalar_ = two_exp_expand(*mt_, x_ref_);
-}
-
-std::optional<PendingEvent> WireChannel::next_crossing(double t_from) const {
-  if (!scalar_.valid) return next_crossing_scan(t_from);
-  const double tau0 = std::max(t_from - t_ref_, 0.0);
-  const auto crossing = two_exp_next_crossing(scalar_, vth_, tau0, horizon_);
-  if (!crossing.has_value()) return std::nullopt;
-  return PendingEvent{t_ref_ + crossing->tau, crossing->rising};
-}
-
-std::optional<PendingEvent> WireChannel::next_crossing_scan(
-    double t_from) const {
-  const auto crossing = scan_vo_crossing(
-      *mt_, vth_, t_from, horizon_,
-      [this](double t) { return state_at(t).y; });
-  if (!crossing.has_value()) return std::nullopt;
-  return PendingEvent{crossing->t, crossing->rising};
+  // Line fully settled at the driving rail.
+  wave_.reset(t0, value ? 1u : 0u,
+              wave_.tables().drive_table(value).steady, value);
 }
 
 void WireChannel::on_input(double t, bool value) {
-  if (value == input_) return;  // defensive; the engine filters no-ops
+  if (value == drive_value()) return;  // defensive; the engine filters no-ops
   // The drive-shape correction defers the switch to the centroid of the
   // driver's output edge (wire_params.hpp): the rail flip acts at te.
-  const double te = t + drive_delay_;
-  CHARLIE_ASSERT_MSG(te >= t_ref_ - 1e-18,
+  const double te = t + wave_.tables().drive_delay();
+  CHARLIE_ASSERT_MSG(te >= wave_.t_ref() - 1e-18,
                      "wire channel: out-of-order input");
-
   // A live crossing at or before the effective switch instant has
   // physically happened and can no longer be cancelled.
-  if (live_.has_value() && live_->t <= te) {
-    committed_.push_back(*live_);
-    double from = live_->t + 1e-18;
-    live_.reset();
-    while (true) {
-      const auto extra = next_crossing(from);
-      if (!extra.has_value() || extra->t > te) break;
-      committed_.push_back(*extra);
-      from = extra->t + 1e-18;
-    }
-  } else {
-    live_.reset();
-  }
-
+  wave_.commit_through(te);
   // Analog handoff: evolve the line state to the switch instant, then flip
   // the drive rail. V_out and its slope carry over continuously.
-  x_ref_ = state_at(te);
-  t_ref_ = te;
-  input_ = value;
-  mt_ = &tables_->drive_table(value);
-  refresh_scalar();
-
-  live_ = next_crossing(te);
+  wave_.switch_mode(te, wave_.state_at(te), value ? 1u : 0u);
 }
 
 void WireChannel::on_fire(const PendingEvent& fired) {
-  output_ = fired.value;
-  if (!committed_.empty()) {
-    const PendingEvent& front = committed_.front();
-    CHARLIE_ASSERT_MSG(front.t == fired.t && front.value == fired.value,
-                       "wire channel: fired event does not match the "
-                       "committed front");
-    committed_.pop_front();
-    return;
-  }
-  CHARLIE_ASSERT(live_.has_value());
-  CHARLIE_ASSERT_MSG(live_->t == fired.t && live_->value == fired.value,
-                     "wire channel: fired event does not match the live "
-                     "crossing");
   // The waveform may cross again within the same drive state (the slope
-  // state can carry V_out back through the threshold); keep looking.
-  live_ = next_crossing(fired.t + 1e-18);
+  // state can carry V_out back through the threshold).
+  wave_.fire(fired,
+             "wire channel: fired event does not match the pending one");
 }
 
 }  // namespace charlie::sim

@@ -28,11 +28,10 @@
 // solve the gate channels use (sim/two_exp_crossing.hpp).
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "sim/channel.hpp"
-#include "sim/two_exp_crossing.hpp"
+#include "sim/mode_waveform.hpp"
 #include "wire/wire_tables.hpp"
 
 namespace charlie::sim {
@@ -49,40 +48,25 @@ class WireChannel final : public SisChannel {
   void initialize(double t0, bool value) override;
   void on_input(double t, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override;
-  bool initial_output() const override { return output_; }
+  std::optional<PendingEvent> pending() const override {
+    return wave_.pending();
+  }
+  bool initial_output() const override { return wave_.output(); }
 
   /// Current analog state (u, V_out) at time t >= last event time, where
   /// u = (b2/b1) dV_out/dt is the scaled slope state of the collapse.
-  ode::Vec2 state_at(double t) const;
+  ode::Vec2 state_at(double t) const { return wave_.state_at(t); }
 
   /// Logic level currently driving the wire.
-  bool drive_value() const { return input_; }
+  bool drive_value() const { return wave_.mode() != 0; }
 
   const std::shared_ptr<const wire::WireModeTables>& wire_tables() const {
-    return tables_;
+    return wave_.owner();
   }
 
  private:
-  std::optional<PendingEvent> next_crossing(double t_from) const;
-  std::optional<PendingEvent> next_crossing_scan(double t_from) const;
-  void refresh_scalar();
-
-  std::shared_ptr<const wire::WireModeTables> tables_;
-  const core::ModeTable* mt_ = nullptr;  // current drive state's table
-  double vth_ = 0.0;
-  double horizon_ = 0.0;
-  double drive_delay_ = 0.0;  // first-moment drive-shape correction
-  TwoExpVo scalar_{};
-  double t_ref_ = 0.0;  // time of the state snapshot
-  ode::Vec2 x_ref_{};   // (u, V_out) at t_ref_
-  bool input_ = false;
-  bool output_ = false;
-  // Crossings before the latest input are physically decided and can no
-  // longer be cancelled; the live crossing of the current drive state can.
-  // Same commitment semantics as HybridGateChannel::on_input.
-  std::deque<PendingEvent> committed_;
-  std::optional<PendingEvent> live_;
+  // Mode = the drive level (0 low, 1 high).
+  ModeWaveform<wire::WireModeTables> wave_;
 };
 
 }  // namespace charlie::sim

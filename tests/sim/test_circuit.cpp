@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/gate_mode_tables.hpp"
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/inertial.hpp"
 #include "sim/pure_delay.hpp"
@@ -204,6 +205,34 @@ TEST(Circuit, ValidationErrors) {
   c.add_gate(GateKind::kInv, "out", {in},
              std::make_unique<PureDelayChannel>(1e-12));
   EXPECT_THROW(c.simulate({}, 0.0, 1e-9), AssertionError);
+}
+
+TEST(Circuit, GateReadingItsOwnOutputIsRejected) {
+  // Net 1 would be the new gate's own output: a one-gate loop (a ring
+  // oscillator in an engine that is combinational-only). Both entry points
+  // check the inputs before the output net exists and leave the circuit
+  // untouched on rejection.
+  Circuit c;
+  const auto a = c.add_input("a");
+  EXPECT_THROW(c.add_gate(GateKind::kNor2, "y", {a, 1},
+                          std::make_unique<InertialChannel>(2e-12, 2e-12)),
+               AssertionError);
+  EXPECT_THROW(
+      c.add_mis_gate(GateKind::kNor2, "y", {a, 1},
+                     std::make_unique<HybridGateChannel>(
+                         core::GateParams::nor2_reference())),
+      AssertionError);
+  EXPECT_EQ(c.n_nets(), 1u);
+  EXPECT_EQ(c.n_gates(), 0u);
+  EXPECT_THROW(c.find_net("y"), ConfigError);
+
+  // The name is still free, and a gate over existing nets is accepted.
+  const auto y = c.add_gate(GateKind::kNor2, "y", {a, a},
+                            std::make_unique<InertialChannel>(2e-12, 2e-12));
+  const waveform::DigitalTrace stim(true, {0.1e-9});
+  const auto result = c.simulate({stim}, 0.0, 1e-9);
+  ASSERT_TRUE(result.ok()) << result.diagnostics.summary();
+  EXPECT_EQ(result.trace(y).n_transitions(), 1u);
 }
 
 }  // namespace

@@ -88,7 +88,9 @@ TEST(ProcessVariation, ValidateRejectsBadKnobs) {
   EXPECT_NO_THROW(small_variation().validate());
 }
 
-// A two-gate circuit sharing one NOR table plus one inertial inverter.
+// A two-gate circuit sharing one NOR table plus one inertial inverter. The
+// circuit stores its channels by value, so the fixture reaches them through
+// Circuit::channel_as once construction has ended.
 struct BoundCircuit {
   std::shared_ptr<const core::GateModeTables> tables;
   std::unique_ptr<Circuit> circuit;
@@ -103,17 +105,22 @@ BoundCircuit bound_circuit() {
   bc.circuit = std::make_unique<Circuit>();
   const auto a = bc.circuit->add_input("a");
   const auto b = bc.circuit->add_input("b");
-  auto ch_a = std::make_unique<HybridGateChannel>(bc.tables);
-  auto ch_b = std::make_unique<HybridGateChannel>(bc.tables);
-  bc.nor_a = ch_a.get();
-  bc.nor_b = ch_b.get();
-  const auto m = bc.circuit->add_mis_gate(GateKind::kNor2, "m", {a, b},
-                                          std::move(ch_a));
-  const auto n = bc.circuit->add_mis_gate(GateKind::kNor2, "n", {m, b},
-                                          std::move(ch_b));
-  auto inv = std::make_unique<InertialChannel>(10e-12, 12e-12);
-  bc.inv = inv.get();
-  bc.circuit->add_gate(GateKind::kInv, "out", {n}, std::move(inv));
+  const auto m = bc.circuit->add_mis_gate(
+      GateKind::kNor2, "m", {a, b},
+      std::make_unique<HybridGateChannel>(bc.tables));
+  const auto n = bc.circuit->add_mis_gate(
+      GateKind::kNor2, "n", {m, b},
+      std::make_unique<HybridGateChannel>(bc.tables));
+  bc.circuit->add_gate(GateKind::kInv, "out", {n},
+                       std::make_unique<InertialChannel>(10e-12, 12e-12));
+  bc.nor_a = bc.circuit->channel_as<HybridGateChannel>(0);
+  bc.nor_b = bc.circuit->channel_as<HybridGateChannel>(1);
+  bc.inv = bc.circuit->channel_as<InertialChannel>(2);
+  EXPECT_NE(bc.nor_a, nullptr);
+  EXPECT_NE(bc.nor_b, nullptr);
+  EXPECT_NE(bc.inv, nullptr);
+  EXPECT_EQ(bc.circuit->channel_as<InertialChannel>(0), nullptr);
+  EXPECT_EQ(bc.circuit->channel_as<WireChannel>(2), nullptr);
   return bc;
 }
 

@@ -20,4 +20,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target charlie_test_util charlie_test_sim charlie_test_cell
 ctest --preset tsan -j1 \
-  -R 'ThreadPool|BatchRunner|ShardedCircuit|NetlistGen|WireTableCache' "$@"
+  -R 'ThreadPool|BatchRunner|ShardedCircuit|NetlistGen|WireTableCache|CrossMode' "$@"
