@@ -122,12 +122,17 @@ const LogHistogram* MetricsRegistry::histogram(std::string_view name) const {
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, value] : other.counters_) add(name, value);
   for (const auto& [name, histogram] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, histogram);
-    } else {
-      it->second.merge(histogram);
-    }
+    merge(name, histogram);
+  }
+}
+
+void MetricsRegistry::merge(std::string_view name,
+                            const LogHistogram& histogram) {
+  auto it = histograms_.find(name);
+  if (it == histograms_.end()) {
+    histograms_.emplace(std::string(name), histogram);
+  } else {
+    it->second.merge(histogram);
   }
 }
 

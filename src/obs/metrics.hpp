@@ -91,6 +91,10 @@ class MetricsRegistry {
   /// call order -- merge in a fixed order for bit-identical aggregates).
   void merge(const MetricsRegistry& other);
 
+  /// Fold a histogram filled elsewhere into the one named `name` (creates
+  /// it first), with the same ordering caveat.
+  void merge(std::string_view name, const LogHistogram& histogram);
+
   bool empty() const { return counters_.empty() && histograms_.empty(); }
 
   // Deterministic (name-sorted) iteration for reports and serialization.

@@ -90,6 +90,7 @@ struct NetStats {
 struct RunStats {
   long n_events = 0;
   long max_heap_depth = 0;
+  long equal_time_ties = 0;
   RunDiagnostics diagnostics;
   std::vector<NetStats> nets;  // parallel to the observed-net list;
                                // empty when the run did not finish kOk
@@ -101,7 +102,8 @@ struct RunStats {
 };
 
 RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
-                 Circuit::SimResult& arena, std::vector<double>& stim_times,
+                 Circuit::SimResult& arena, SimSession::Scratch& scratch,
+                 std::vector<double>& stim_times,
                  const BatchConfig& config, const RunSpec& spec,
                  ProcessBinder* binder, double pulse_hi, double response_hi) {
   // Retarget the worker's clone to this run's process sample before any
@@ -115,12 +117,13 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
     if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
   }
   const double t_end = t_last + config.t_settle;
-  // The worker's trace arena goes through the session and back: storage is
-  // reset in place, not reallocated (bit-identical to Circuit::simulate).
-  // The session never throws for a run failure -- a failure or budget trip
-  // comes back as a structured non-kOk result.
+  // The worker's trace arena goes through the session and back, and the
+  // session works in the worker's scratch: storage is reset in place, not
+  // reallocated (bit-identical to Circuit::simulate). The session never
+  // throws for a run failure -- a failure or budget trip comes back as a
+  // structured non-kOk result.
   SimSession session(circuit, 0, circuit.n_gates(), stimuli, 0.0,
-                     config.budget, std::move(arena));
+                     config.budget, std::move(arena), &scratch);
   session.advance(t_end);
   arena = session.take_result();
   const Circuit::SimResult& result = arena;
@@ -128,6 +131,7 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
   RunStats stats;
   stats.n_events = result.n_events;
   stats.max_heap_depth = result.max_heap_depth;
+  stats.equal_time_ties = result.equal_time_ties;
   stats.diagnostics = result.diagnostics;
   // A terminated run contributes its diagnostics and event count but no
   // histogram samples: partial traces would skew the distributions
@@ -265,9 +269,9 @@ BatchResult BatchRunner::run() {
           spec.point = config_.variation.sample(config_.base_seed, index);
         }
         try {
-          per_run[run] = run_one(*w.circuit, w.outputs, w.arena, w.stim_times,
-                                 config_, spec, w.binder.get(), pulse_hi,
-                                 response_hi);
+          per_run[run] = run_one(*w.circuit, w.outputs, w.arena, w.scratch,
+                                 w.stim_times, config_, spec, w.binder.get(),
+                                 pulse_hi, response_hi);
           obs_span.set_value1(per_run[run].n_events);
           if (config_.capture_run == static_cast<long>(run)) {
             // Copy out of the arena before this worker's next run resets it.
@@ -316,6 +320,7 @@ BatchResult BatchRunner::run() {
                            static_cast<double>(stats.n_events));
     result.metrics.observe("sim.max_heap_depth",
                            static_cast<double>(stats.max_heap_depth));
+    result.metrics.add("sim.equal_time_ties", stats.equal_time_ties);
     result.diagnostics.push_back(std::move(stats.diagnostics));
     if (result.diagnostics.back().status != RunStatus::kOk) {
       ++result.n_failed;

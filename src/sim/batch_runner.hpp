@@ -8,10 +8,11 @@
 // bit-identical no matter how many threads execute it.
 //
 // The pool, the per-worker circuit clones, and the per-worker simulation
-// arenas (trace storage, stimulus scratch) are built once -- on the first
-// run() -- and reused by every later run() of the same BatchRunner, so
-// repeated batches pay neither thread spin-up nor clone construction nor
-// trace reallocation. Each worker's state lives on its own cache lines.
+// arenas (trace storage, the session's stream, transition log and heap,
+// stimulus scratch) are built once -- on the first run() -- and reused by
+// every later run and run() of the same BatchRunner, so repeated batches
+// pay neither thread spin-up nor clone construction nor reallocation. Each
+// worker's state lives on its own cache lines.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "sim/circuit.hpp"
 #include "sim/net_criticality.hpp"
 #include "sim/process_variation.hpp"
+#include "sim/sim_session.hpp"
 #include "util/thread_pool.hpp"
 #include "waveform/generator.hpp"
 
@@ -156,9 +158,9 @@ struct BatchResult {
   BatchStats stats;
   // Batch-level observability aggregate, reduced in run order (bit-identical
   // for any thread count): guard/fallback counters folded through
-  // obs::absorb_run_counters plus batch.* counters and sim.* histograms
-  // (events per run, peak event-heap depth). docs/observability.md lists
-  // the names.
+  // obs::absorb_run_counters plus batch.* counters, the
+  // sim.equal_time_ties counter and sim.* histograms (events per run, peak
+  // event-heap depth). docs/observability.md lists the names.
   obs::MetricsRegistry metrics;
   // Traces of the BatchConfig::capture_run run (primary inputs first, then
   // the observed nets, both in declaration order); empty when capture was
@@ -212,6 +214,7 @@ class BatchRunner {
     std::unique_ptr<Circuit> circuit;
     std::vector<Circuit::NetId> outputs;  // observed nets, resolved per clone
     Circuit::SimResult arena;             // reused trace storage
+    SimSession::Scratch scratch;          // reused session buffers
     std::vector<double> stim_times;       // reused merged-stimulus scratch
     // Per-worker process retargeting (variation batches only). The
     // worker-local table copies are re-derived in place per run, so

@@ -113,8 +113,8 @@ void Circuit::finish_fanout() {
     return;
   }
   // Count, prefix-sum, fill: walking gates in order, then ports, gives each
-  // net's readers in gate order -- the order the engine visits fanout in,
-  // which fixes the heap's sequence numbers and equal-time tie-breaks.
+  // net's readers in gate order, so a gate range's readers of a net are one
+  // contiguous run of its list.
   fanout_begin_.assign(net_names_.size() + 1, 0);
   for (std::size_t g = 0; g < gates_.size(); ++g) {
     for (const NetId net : gate_inputs(g)) {
@@ -134,7 +134,38 @@ void Circuit::finish_fanout() {
           static_cast<std::uint32_t>(g), static_cast<std::uint32_t>(port)};
     }
   }
+  producer_.assign(net_names_.size(), 0);
+  for (std::size_t i = 0; i < primary_inputs_.size(); ++i) {
+    producer_[static_cast<std::size_t>(primary_inputs_[i])] =
+        static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    producer_[static_cast<std::size_t>(gates_[g].output)] =
+        static_cast<std::uint32_t>(primary_inputs_.size() + g);
+  }
   fanout_gates_ = gates_.size();
+}
+
+void Circuit::settle(const std::vector<waveform::DigitalTrace>& stimuli,
+                     double t_begin, std::size_t gate_end,
+                     std::vector<std::uint8_t>& values) const {
+  CHARLIE_ASSERT_MSG(stimuli.size() == primary_inputs_.size(),
+                     "circuit: one stimulus trace per primary input");
+  CHARLIE_ASSERT(gate_end <= gates_.size());
+  values.assign(n_nets(), 0);
+  for (std::size_t i = 0; i < stimuli.size(); ++i) {
+    values[static_cast<std::size_t>(primary_inputs_[i])] =
+        stimuli[i].value_at(t_begin) ? 1 : 0;
+  }
+  for (std::size_t g = 0; g < gate_end; ++g) {
+    std::array<bool, kMaxGateArity> in{};
+    const std::span<const NetId> inputs = gate_inputs(g);
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      in[p] = values[static_cast<std::size_t>(inputs[p])] != 0;
+    }
+    values[static_cast<std::size_t>(gates_[g].output)] =
+        eval_gate(gates_[g].kind, in[0], in[1], in[2]) ? 1 : 0;
+  }
 }
 
 Circuit::NetId Circuit::find_net(const std::string& name) const {

@@ -15,6 +15,10 @@
 // sim::CircuitBuilder + cell::CellLibrary (sim/circuit_builder.hpp), which
 // validates the topology and instantiates characterized cells.
 // simulate() runs a sim::SimSession (sim/sim_session.hpp) over every gate.
+// Every net has one producer -- the primary input it is, or the gate that
+// drives it -- and the engine processes equal-time events in producer
+// order: primary inputs in declaration order, then gates in construction
+// order (sim_session.hpp, "Canonical event order").
 //
 // State layout (docs/performance.md, "Engine state layout"): one event
 // touches a few small contiguous arrays. Each gate has a 16-byte hot
@@ -134,6 +138,9 @@ class Circuit {
     /// simultaneously scheduled. A cheap always-on observability counter
     /// (obs::MetricsRegistry aggregates it across batch runs and shards).
     long max_heap_depth = 0;
+    /// Events processed at exactly the same time as the event before them:
+    /// how often the canonical equal-time order decided the result.
+    long equal_time_ties = 0;
     /// kOk unless the run was terminated early (budget, deadline,
     /// cancellation, captured failure). A non-kOk result's traces are a
     /// valid prefix of the full run up to diagnostics.t_horizon.
@@ -163,6 +170,15 @@ class Circuit {
   SimResult simulate(const std::vector<waveform::DigitalTrace>& stimuli,
                      double t_begin, double t_end,
                      const RunBudget& budget = RunBudget{});
+
+  /// Settled value (0 or 1) of every net at t_begin: each primary input's
+  /// stimulus value at t_begin (a transition at exactly t_begin included),
+  /// then the zero-time function of gates [0, gate_end) in construction
+  /// order, which is topological, so one sweep settles them. Nets of later
+  /// gates read 0. `values` is resized to n_nets(), keeping its capacity.
+  void settle(const std::vector<waveform::DigitalTrace>& stimuli,
+              double t_begin, std::size_t gate_end,
+              std::vector<std::uint8_t>& values) const;
 
   /// Number of declared primary inputs; input_net(i) is the NetId of the
   /// i-th declared input (stimulus order).
@@ -258,6 +274,13 @@ class Circuit {
             fanout_.data() + fanout_begin_[net + 1]};
   }
 
+  /// The producer of `net`: i for primary input i, n_inputs() + g for the
+  /// output of gate g (requires a finished fanout). Equal-time events are
+  /// processed in producer order.
+  std::uint32_t producer(NetId net) const {
+    return producer_[static_cast<std::size_t>(net)];
+  }
+
   NetId new_net(const std::string& name);
   Gate& new_gate(GateKind kind, const std::string& output_name,
                  const std::vector<NetId>& inputs);
@@ -265,9 +288,9 @@ class Circuit {
   /// leaves no reallocation transient.
   void reserve(std::size_t n_nets, std::size_t n_hybrid,
                std::size_t n_inertial, std::size_t n_wire);
-  /// Build the CSR fanout of the gates added so far (no-op when current).
-  /// Runs before any session exists: the sharded runner constructs its
-  /// sessions concurrently.
+  /// Build the CSR fanout and the producer table of the nets and gates
+  /// added so far (no-op when current). Runs before any session exists:
+  /// the sharded runner constructs its sessions concurrently.
   void finish_fanout();
 
   std::vector<std::string> net_names_;
@@ -283,6 +306,7 @@ class Circuit {
   // `net` in gate order, then port order.
   std::vector<std::uint32_t> fanout_begin_;
   std::vector<Fanout> fanout_;
+  std::vector<std::uint32_t> producer_;  // by net
   std::size_t fanout_gates_ = 0;  // gates the CSR covers
 };
 

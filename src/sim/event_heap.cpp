@@ -9,9 +9,9 @@ void EventHeap::reset(std::size_t n_slots) {
   heap_.clear();
 }
 
-void EventHeap::schedule(std::size_t slot, double t, long seq, bool value) {
+void EventHeap::schedule(std::size_t slot, double t, bool value) {
   CHARLIE_ASSERT(slot < pos_.size());
-  const Entry entry{t, seq, static_cast<std::uint32_t>(slot), value};
+  const Entry entry{t, static_cast<std::uint32_t>(slot), value};
   if (pos_[slot] < 0) {
     heap_.push_back(entry);
     sift_up(heap_.size() - 1, entry);

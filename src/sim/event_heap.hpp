@@ -9,11 +9,16 @@
 // every pop is live. All operations are O(log n); cancel and schedule of
 // an absent slot are O(log n) too.
 //
-// The keys live inline in the heap array: an entry carries (t, seq, slot,
-// value), so a sift compares and moves entries of one array no larger than
-// the peak occupancy, and the only per-slot state is the slot -> position
-// table it updates. (t, seq) is a strict total order (seq is unique), so
-// the pop order does not depend on the heap's internal layout.
+// The keys live inline in the heap array: an entry carries (t, slot,
+// value) in 16 bytes, so a sift compares and moves entries of one array no
+// larger than the peak occupancy, and the only per-slot state is the slot
+// -> position table it updates. Entries are ordered by (t, slot): a slot
+// holds at most one entry, so this is a strict total order and the pop
+// order depends neither on the heap's internal layout nor on the order in
+// which events were scheduled. Slots sort like gate indices (a session's
+// slot is its gate's offset in the session's range), which makes equal-time
+// events fire in gate order: the engine's canonical event order
+// (sim/sim_session.hpp).
 #pragma once
 
 #include <cstddef>
@@ -26,8 +31,7 @@ class EventHeap {
  public:
   struct Entry {
     double t = 0.0;
-    long seq = 0;  // FIFO tie-break for equal times (later schedule loses)
-    std::uint32_t slot = 0;
+    std::uint32_t slot = 0;  // tie-break for equal times (lower fires first)
     bool value = false;
   };
 
@@ -39,7 +43,7 @@ class EventHeap {
   bool contains(std::size_t slot) const { return pos_[slot] >= 0; }
 
   /// Insert `slot` or move its key; the heap re-sorts in either direction.
-  void schedule(std::size_t slot, double t, long seq, bool value);
+  void schedule(std::size_t slot, double t, bool value);
 
   /// Remove `slot`'s event if present (no-op otherwise).
   void cancel(std::size_t slot);
@@ -54,7 +58,7 @@ class EventHeap {
  private:
   static bool before(const Entry& a, const Entry& b) {
     if (a.t != b.t) return a.t < b.t;
-    return a.seq < b.seq;
+    return a.slot < b.slot;
   }
   void place(std::size_t i, const Entry& entry) {
     heap_[i] = entry;
@@ -64,8 +68,11 @@ class EventHeap {
   void sift_up(std::size_t i, Entry entry);
   void sift_down(std::size_t i, Entry entry);
 
-  std::vector<Entry> heap_;  // binary heap ordered by (t, seq)
+  std::vector<Entry> heap_;  // binary heap ordered by (t, slot)
   std::vector<int> pos_;     // slot -> heap position, -1 when absent
 };
+
+static_assert(sizeof(EventHeap::Entry) == 16,
+              "heap entries must stay 16 bytes");
 
 }  // namespace charlie::sim

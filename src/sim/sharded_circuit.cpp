@@ -13,18 +13,15 @@
 namespace charlie::sim {
 
 ShardedCircuit::ShardedCircuit(std::unique_ptr<Circuit> circuit,
-                               std::size_t n_shards)
+                               std::size_t min_blocks)
     : circuit_(std::move(circuit)) {
   CHARLIE_ASSERT_MSG(circuit_ != nullptr, "sharded circuit: no circuit");
   // Sessions are constructed concurrently in simulate(): the shared fanout
   // must be complete before the first of them exists.
   circuit_->finish_fanout();
-  driver_.assign(circuit_->n_nets(), -1);
-  for (std::size_t g = 0; g < circuit_->n_gates(); ++g) {
-    driver_[static_cast<std::size_t>(circuit_->gate_output(g))] =
-        static_cast<int>(g);
-  }
-  set_cut(structural_cut(n_shards));
+  const std::size_t n_gates = circuit_->n_gates();
+  set_cut(structural_cut(std::max(
+      min_blocks, (n_gates + kGatesPerBlock - 1) / kGatesPerBlock)));
 }
 
 std::size_t ShardedCircuit::shard_of(std::size_t gate) const {
@@ -53,7 +50,7 @@ void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
     producers.clear();
     for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
       for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
-        const int d = driver_[static_cast<std::size_t>(net)];
+        const int d = driver(net);
         if (d < 0 || static_cast<std::size_t>(d) >= cut_[s]) continue;
         if (seen_by[static_cast<std::size_t>(net)] == s) continue;
         seen_by[static_cast<std::size_t>(net)] = s;
@@ -67,10 +64,15 @@ void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
   }
   out_edges_.assign(n_shards, {});
   in_edges_.assign(n_shards, {});
+  ring_begin_.assign(edges_.size() + 1, 0);
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     out_edges_[edges_[i].from_shard].push_back(i);
     in_edges_[edges_[i].to_shard].push_back(i);
+    ring_begin_[i + 1] =
+        ring_begin_[i] + edges_[i].to_shard - edges_[i].from_shard + 1;
   }
+  rings_.clear();
+  rings_.resize(ring_begin_.back());
 }
 
 std::vector<std::size_t> ShardedCircuit::structural_cut(
@@ -88,7 +90,7 @@ std::vector<std::size_t> ShardedCircuit::structural_cut(
   std::vector<int> last_use(n_gates, -1);
   for (std::size_t g = 0; g < n_gates; ++g) {
     for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
-      const int d = driver_[static_cast<std::size_t>(net)];
+      const int d = driver(net);
       if (d >= 0) {
         last_use[static_cast<std::size_t>(d)] =
             std::max(last_use[static_cast<std::size_t>(d)],
@@ -152,46 +154,43 @@ std::vector<std::size_t> ShardedCircuit::balanced_cut(
   };
   std::vector<long> fires(n_gates);
   std::vector<int> min_driver(n_gates);
-  long total = 0;  // every firing plus every input read: always feasible
   for (std::size_t g = 0; g < n_gates; ++g) {
     fires[g] = transitions(circuit_->gate_output(g));
-    total += fires[g];
     int lowest = std::numeric_limits<int>::max();
     for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
-      lowest = std::min(lowest, driver_[static_cast<std::size_t>(net)]);
-      total += transitions(net);
+      lowest = std::min(lowest, driver(net));
     }
     min_driver[g] = lowest;
   }
+
+  // Load gate g adds to the shard starting at `start`; marks its external
+  // nets as counted there (a shard that then closes never looks again).
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> counted_by(traces.size(), kNone);  // shard start
+  auto cost = [&](std::size_t g, std::size_t start) {
+    long c = fires[g];
+    if (min_driver[g] >= static_cast<long>(start)) return c;
+    for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
+      const auto n = static_cast<std::size_t>(net);
+      if (driver(net) >= static_cast<long>(start) || counted_by[n] == start) {
+        continue;
+      }
+      counted_by[n] = start;
+      c += transitions(net);
+    }
+    return c;
+  };
 
   // Greedy sweep under a max shard load: each shard takes gates while they
   // fit, and every remaining gate opens its own shard once only as many
   // gates as unopened shards remain. A shard's load only grows as it
   // extends right and only shrinks as its start moves right, so the sweep
   // fits a load iff any K-way contiguous split does.
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> counted_by(traces.size(), kNone);  // shard start
   auto fits = [&](long limit, std::vector<std::size_t>* cuts) {
     std::fill(counted_by.begin(), counted_by.end(), kNone);
     std::size_t first = 0;   // first gate of the open shard
     std::size_t opened = 1;  // shards opened so far
     long load = 0;
-    // Load gate g adds to the shard starting at `start`; marks its external
-    // nets as counted there (a shard that then closes never looks again).
-    auto cost = [&](std::size_t g, std::size_t start) {
-      long c = fires[g];
-      if (min_driver[g] >= static_cast<long>(start)) return c;
-      for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
-        const auto n = static_cast<std::size_t>(net);
-        if (driver_[n] >= static_cast<long>(start) ||
-            counted_by[n] == start) {
-          continue;
-        }
-        counted_by[n] = start;
-        c += transitions(net);
-      }
-      return c;
-    };
     for (std::size_t g = 0; g < n_gates; ++g) {
       long add = cost(g, first);
       if (g > first &&
@@ -209,11 +208,22 @@ std::vector<std::size_t> ShardedCircuit::balanced_cut(
   };
 
   // Smallest feasible max load, in integer events: the busiest shard does
-  // at least its share of the firings.
+  // at least its share of the firings, and the busiest shard of the cut
+  // just run is feasible. Once the cuts have converged that cut is
+  // optimal, and one probe just below its load confirms it.
   long fired = 0;
   for (const long f : fires) fired += f;
   long lo = fired / static_cast<long>(n_parts);
-  long hi = total;
+  long hi = 0;
+  std::fill(counted_by.begin(), counted_by.end(), kNone);
+  for (std::size_t s = 0; s < n_parts; ++s) {
+    long load = 0;
+    for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
+      load += cost(g, cut_[s]);
+    }
+    hi = std::max(hi, load);
+  }
+  if (lo < hi && !fits(hi - 1, nullptr)) lo = hi;
   while (lo < hi) {
     const long mid = lo + (hi - lo) / 2;
     if (fits(mid, nullptr)) {
@@ -250,17 +260,6 @@ const waveform::DigitalTrace& ShardedCircuit::Result::trace(
   return traces[static_cast<std::size_t>(owner->circuit_->find_net(net))];
 }
 
-namespace {
-
-// One cross-shard transition in flight between a producer's window and the
-// matching consumer window.
-struct BoundaryEvent {
-  double t = 0.0;
-  bool value = false;
-};
-
-}  // namespace
-
 ShardedCircuit::Result ShardedCircuit::simulate(
     const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
     double t_end, const ShardedSimConfig& config) {
@@ -275,7 +274,9 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // increases and the union of windows is exactly (t_begin, t_end].
   const double span = t_end - t_begin;
   double quantum = config.window;
-  if (!(quantum > 0.0)) quantum = span / (8.0 * static_cast<double>(n_shards));
+  if (!(quantum > 0.0)) {
+    quantum = span / static_cast<double>(std::max(n_shards, kMinWindows));
+  }
   std::size_t n_windows =
       static_cast<std::size_t>(std::ceil(span / quantum));
   n_windows = std::max<std::size_t>(n_windows, 1);
@@ -293,33 +294,49 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     pool_ = std::make_unique<util::ThreadPool>(n_threads);
   }
 
-  // --- sessions, one per gate range ----------------------------------------
-  // Each session settles the gates before its range itself, so the nets it
-  // reads from upstream shards start at the value their producer settles
-  // to; their transitions arrive later through inject().
+  // --- sessions, one per block ---------------------------------------------
+  // The circuit settles once; every session starts its range from those
+  // values and appends its nets' transitions to the result's traces. The
+  // nets a block reads from upstream change only through inject().
+  circuit_->settle(stimuli, t_begin, circuit_->n_gates(), settled_);
+  Result result;
+  result.owner = this;
+  result.cut = cut_;
+  result.n_windows = n_windows;
+  result.traces.resize(circuit_->n_nets());
+  scratch_.resize(n_shards);
   std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
-  // Shard tasks poll only the wall clock and the cancellation token; the
+  // Block tasks poll only the wall clock and the cancellation token; the
   // event ceiling is enforced below, on the coordinating thread at step
   // granularity, so a budget trip is deterministic for a fixed config.
   RunBudget task_budget = config.budget;
   task_budget.max_events = 0;
-  // Sessions over disjoint ranges settle and initialize concurrently: each
-  // writes only its own gates' state.
+  // Sessions over disjoint ranges initialize concurrently: each writes only
+  // its own gates' state, scratch and traces.
   pool_->parallel_for(n_shards, 1, [&](std::size_t /*worker*/, std::size_t s) {
     sessions[s] = std::make_unique<SimSession>(
-        *circuit_, cut_[s], cut_[s + 1], stimuli, t_begin, task_budget);
+        *circuit_, cut_[s], cut_[s + 1], stimuli, t_begin, settled_,
+        result.traces, scratch_[s], task_budget);
   });
 
-  // --- exchange buckets ----------------------------------------------------
-  // buckets[edge][w] holds the producer's window-w boundary transitions. The
-  // producer fills it at wavefront step from_shard + w; the consumer drains
-  // it at step to_shard + w (strictly later), so no bucket is ever touched
-  // by two tasks of the same step and no locking is needed.
-  std::vector<std::vector<std::vector<BoundaryEvent>>> buckets(edges_.size());
-  for (auto& per_window : buckets) per_window.resize(n_windows);
+  // --- exchange rings ------------------------------------------------------
+  // Edge e's window-w bucket is filled at wavefront step from_shard + w and
+  // drained (then emptied) at step to_shard + w; its ring has to - from + 1
+  // buckets, so the bucket a producer fills is never the one its consumer
+  // drains in the same step, and no locking is needed. A terminated run
+  // may have left transitions behind.
+  for (auto& bucket : rings_) bucket.clear();
+  auto bucket_of = [&](std::size_t e, std::size_t w)
+      -> std::vector<BoundaryEvent>& {
+    const BoundaryEdge& edge = edges_[e];
+    return rings_[ring_begin_[e] +
+                  w % (edge.to_shard - edge.from_shard + 1)];
+  };
   std::vector<std::size_t> export_cursor(edges_.size(), 0);
+  // Drained bucket sizes, per consumer block (its tasks run one at a time).
+  std::vector<obs::LogHistogram> bucket_sizes(n_shards);
 
-  // Per-(shard, window) event counts, written by the owning task (distinct
+  // Per-(block, window) event counts, written by the owning task (distinct
   // slot per task, so no synchronization beyond the pool's step barrier).
   // Recorded unconditionally: a subtraction per window task is free next to
   // the window's event processing, and it is the data load_imbalance() and
@@ -328,10 +345,10 @@ ShardedCircuit::Result ShardedCircuit::simulate(
       n_shards, std::vector<long>(n_windows, 0));
 
   // --- conservative wavefront ----------------------------------------------
-  // Task (shard k, window w) runs at step k + w; all tasks of one step are
+  // Task (block k, window w) runs at step k + w; all tasks of one step are
   // mutually independent (distinct sessions over disjoint gate ranges,
-  // disjoint buckets), so each step is one parallel_for. Grain 1:
-  // shard/window tasks are coarse already.
+  // disjoint buckets and traces), so each step is one parallel_for. Grain
+  // 1: block/window tasks are coarse already.
   RunStatus status = RunStatus::kOk;
   std::string error;
   RunGuard guard(config.budget);
@@ -349,14 +366,16 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                                      static_cast<long long>(w));
             const long events_before =
                 session.n_stimulus_events() + session.n_gate_events();
-            // Inject this window's boundary transitions in edge order; the
-            // session time-sorts them stably, so the edge order breaks
-            // (measure-zero) exact-time ties deterministically.
+            // This window's boundary transitions; the session merges them
+            // into its stream in canonical (t, producer) order.
             for (const std::size_t edge_index : in_edges_[k]) {
               const Circuit::NetId net = edges_[edge_index].net;
-              for (const BoundaryEvent& ev : buckets[edge_index][w]) {
+              std::vector<BoundaryEvent>& bucket = bucket_of(edge_index, w);
+              for (const BoundaryEvent& ev : bucket) {
                 session.inject(net, ev.t, ev.value);
               }
+              bucket_sizes[k].add(static_cast<double>(bucket.size()));
+              bucket.clear();
             }
             session.advance(window_end(w));
             shard_window_events[k][w] = session.n_stimulus_events() +
@@ -368,7 +387,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
               const waveform::DigitalTrace& produced =
                   session.trace(edges_[edge_index].net);
               std::size_t& cursor = export_cursor[edge_index];
-              auto& bucket = buckets[edge_index][w];
+              std::vector<BoundaryEvent>& bucket = bucket_of(edge_index, w);
               while (cursor < produced.n_transitions() &&
                      produced.transitions()[cursor] <= session.t_horizon()) {
                 bucket.push_back({produced.transitions()[cursor],
@@ -384,7 +403,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
       break;
     }
     // Failures and deadline/cancellation trips are sticky in the session;
-    // stop scheduling further steps once any shard has terminated. A
+    // stop scheduling further steps once any block has terminated. A
     // failure outranks a trip: its error is the more useful report.
     for (const auto& session : sessions) {
       if (session->status() == RunStatus::kFailed) {
@@ -406,66 +425,50 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     if (status != RunStatus::kOk) break;
   }
 
-  // --- assembly ------------------------------------------------------------
-  // Each net's trace moves out of the session whose gates drive it.
-  Result result;
-  result.owner = this;
-  result.cut = cut_;
-  result.n_windows = n_windows;
+  // --- reduction, in block order -------------------------------------------
   result.shard_window_events = std::move(shard_window_events);
-  result.traces.resize(circuit_->n_nets());
   long n_gate_events = 0;
-  std::vector<long> max_heap_depth(n_shards, 0);
-  // Overall horizon actually covered: the lowest point any shard fully
+  // Overall horizon actually covered: the lowest point any block fully
   // reached (a terminated run's traces are only trustworthy below it).
   double t_reached = t_end;
-  // Guard counters sum in shard order; a failed run reports the lowest-
-  // numbered failed shard's error, unless the pool itself failed.
+  // Guard counters sum in block order; a failed run reports the lowest-
+  // numbered failed block's error, unless the pool itself failed.
   util::RunCounters counters;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    n_gate_events += sessions[s]->n_gate_events();
-    Circuit::SimResult shard_result = sessions[s]->take_result();
-    sessions[s].reset();
-    max_heap_depth[s] = shard_result.max_heap_depth;
-    t_reached = std::min(t_reached, shard_result.diagnostics.t_horizon);
-    counters += shard_result.diagnostics.counters;
-    if (status == RunStatus::kFailed && error.empty()) {
-      error = shard_result.diagnostics.error;
-    }
-    for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
-      const auto net = static_cast<std::size_t>(circuit_->gate_output(g));
-      result.traces[net] = std::move(shard_result.traces[net]);
-    }
-  }
-
-  // Observability aggregate, filled in fixed shard/window/edge order on the
-  // coordinating thread (deterministic for any thread count).
   result.metrics.add("shard.count", static_cast<long long>(n_shards));
   result.metrics.add("shard.windows", static_cast<long long>(n_windows));
+  long long equal_time_ties = 0;
   for (std::size_t s = 0; s < n_shards; ++s) {
+    n_gate_events += sessions[s]->n_gate_events();
+    const Circuit::SimResult block = sessions[s]->take_result();
+    sessions[s].reset();
+    t_reached = std::min(t_reached, block.diagnostics.t_horizon);
+    counters += block.diagnostics.counters;
+    if (status == RunStatus::kFailed && error.empty()) {
+      error = block.diagnostics.error;
+    }
+    equal_time_ties += block.equal_time_ties;
     long shard_total = 0;
-    for (std::size_t w = 0; w < n_windows; ++w) {
-      const long n = result.shard_window_events[s][w];
+    for (const long n : result.shard_window_events[s]) {
       shard_total += n;
       result.metrics.observe("shard.window_events", static_cast<double>(n));
     }
     result.metrics.observe("shard.events", static_cast<double>(shard_total));
     result.metrics.observe("sim.max_heap_depth",
-                           static_cast<double>(max_heap_depth[s]));
-  }
-  long long boundary_transitions = 0;
-  for (std::size_t e = 0; e < buckets.size(); ++e) {
-    for (std::size_t w = 0; w < n_windows; ++w) {
-      result.metrics.observe("shard.boundary_bucket",
-                             static_cast<double>(buckets[e][w].size()));
-      boundary_transitions += static_cast<long long>(buckets[e][w].size());
+                           static_cast<double>(block.max_heap_depth));
+    if (bucket_sizes[s].count() > 0) {
+      result.metrics.merge("shard.boundary_bucket", bucket_sizes[s]);
     }
   }
-  result.metrics.add("shard.boundary_transitions", boundary_transitions);
+  const obs::LogHistogram* buckets =
+      result.metrics.histogram("shard.boundary_bucket");
+  result.metrics.add(
+      "shard.boundary_transitions",
+      buckets != nullptr ? static_cast<long long>(buckets->sum()) : 0);
+  result.metrics.add("sim.equal_time_ties", equal_time_ties);
   obs::absorb_run_counters(result.metrics, counters);
   // The monolithic engine's event count is its processed stimulus events
-  // plus gate firings. Shard-local stimulus counts double-count boundary
-  // injections and multi-shard fanout of primary inputs, so the stimulus
+  // plus gate firings. Block-local stimulus counts double-count boundary
+  // injections and multi-block fanout of primary inputs, so the stimulus
   // share is recomputed from the global traces instead.
   long n_stimulus_events = 0;
   for (std::size_t i = 0; i < stimuli.size(); ++i) {

@@ -1,21 +1,32 @@
 // One large circuit partitioned across workers.
 //
 // ShardedCircuit goes past the embarrassingly-parallel Monte-Carlo batch:
-// it simulates a SINGLE circuit on several cores. A shard is a contiguous
-// range of the circuit's gates; gates are in topological order, so every
-// cross-shard net flows from a lower shard to a higher one and the shard
-// graph is acyclic. All shards share the one sim::Circuit, each running a
-// SimSession over its own gate range (sim/sim_session.hpp), which keeps
-// its own failure and guard counters; simulate() reduces both in shard
-// order.
+// it simulates a SINGLE circuit on several cores. A block (the shard of
+// the older interface) is a contiguous range of the circuit's gates;
+// gates are in topological order, so every cross-block net flows from a
+// lower block to a higher one and the block graph is acyclic. All blocks
+// share the one sim::Circuit, each running a SimSession over its own gate
+// range (sim/sim_session.hpp), which keeps state only for the nets its
+// gates read or drive and its own failure and guard counters; simulate()
+// reduces both in block order. The sessions of one run settle from one
+// vector of initial net values and append straight into one per-net trace
+// array: each net has one driver, so no two sessions share a trace.
+//
+// Blocks: a circuit asked for K shards runs B = max(K, ceil(n_gates /
+// kGatesPerBlock)) blocks, so each block's gate records, channels and
+// event heap stay in a core's L2 cache while it runs; K is the minimum
+// block count. The default window count follows B: one window per block,
+// and at least kMinWindows, so a circuit of few blocks still fills the
+// pipeline. Block and window counts depend only on the circuit and K,
+// never on the host or the thread count.
 //
 // Cuts: the first run uses the structural cut (equal gate counts, each cut
 // moved within a balance slack to where the fewest nets are live -- a
 // cheap balanced min-cut along the topological order). After every
 // completed run the cuts move to where that run's work splits evenly. A
-// shard's work is its session events: its gates' firings plus one event
+// block's work is its session events: its gates' firings plus one event
 // per transition of each net it reads from outside (primary inputs and
-// upstream shards). Both terms come from the run's per-net transition
+// upstream blocks). Both terms come from the run's per-net transition
 // counts, which depend on neither the cut nor the thread count. Activity
 // thins with logic depth (glitch cancellation in the hybrid and inertial
 // channels) at a rate only a run measures, and one run's counts balance
@@ -26,46 +37,51 @@
 //
 // Synchronization is conservative windowed execution on the engine's own
 // (t_begin, t_end] window convention: simulated time is cut into window
-// quanta, and shard k may advance through window w as soon as (a) it has
-// finished window w-1 and (b) every shard feeding it has finished window w
+// quanta, and block k may advance through window w as soon as (a) it has
+// finished window w-1 and (b) every block feeding it has finished window w
 // -- at which point all boundary transitions with t <= the window end are
 // known and injected. Steps of this wavefront run on the worker pool:
-// within one step, the runnable (shard, window) pairs are mutually
-// independent, so K shards and W windows expose min(K, W) - 1 steps of
-// pipeline parallelism with no speculation and no rollback.
+// within one step, the runnable (block, window) pairs are mutually
+// independent, so B blocks and W windows expose min(B, W) - 1 steps of
+// pipeline parallelism with no speculation and no rollback. Each boundary
+// edge keeps a ring of (to - from + 1) window buckets: the producer fills
+// window w's bucket at step from + w, the consumer drains it at step
+// to + w, and only the windows in flight between the two hold memory.
 //
-// Determinism: every (shard, window) task consumes exactly the boundary
-// transitions the monolithic engine would have produced (exchange buckets
-// are indexed by window and drained in a fixed edge order), and each
-// shard's SimSession replays them with the engine's stimulus-before-gate
-// ordering. The result is bit-identical to single-threaded
-// Circuit::simulate for any cut, shard count, thread count, and window
-// size -- regression-locked by tests/sim/test_sharded_circuit.cpp -- with
-// one caveat shared by all conservative orderings: two *distinct* events
-// on a dependency path whose timestamps collide to the exact same double
-// could tie-break differently than the monolithic seq order. Crossing
-// times come from continuous solves, so exact collisions do not occur in
-// practice (docs/performance.md has the argument).
+// Determinism: every (block, window) task consumes exactly the boundary
+// transitions the monolithic engine produces, and every session processes
+// equal-time events in the engine's canonical producer order (primary
+// inputs, then gates in construction order; sim_session.hpp). Construction
+// order is topological and every block is a contiguous range, so all of a
+// block's upstream events at time t precede its own events at t in the
+// monolithic run too: each session replays exactly the monolithic order.
+// The result is bit-identical to single-threaded Circuit::simulate for any
+// cut, block count, thread count and window size, exact time ties
+// included -- regression-locked by tests/sim/test_sharded_circuit.cpp and
+// tests/sim/test_cross_mode.cpp.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/circuit.hpp"
+#include "sim/sim_session.hpp"
 #include "util/thread_pool.hpp"
 #include "waveform/digital_trace.hpp"
 
 namespace charlie::sim {
 
 struct ShardedSimConfig {
-  /// Synchronization quantum [s]; 0 picks (t_end - t_begin) / (8 *
-  /// n_shards). Smaller windows expose more pipeline overlap at more
-  /// barrier cost; the result is bit-identical either way.
+  /// Synchronization quantum [s]; 0 picks (t_end - t_begin) /
+  /// max(n_shards(), ShardedCircuit::kMinWindows). Smaller windows expose
+  /// more pipeline overlap at more barrier and cache-refill cost; the
+  /// result is bit-identical either way.
   double window = 0.0;
-  /// Worker threads; 0 = min(n_shards, hardware concurrency).
+  /// Worker threads; 0 = min(n_shards(), hardware concurrency).
   std::size_t n_threads = 0;
   /// Execution budget for the whole sharded run. The event ceiling is
   /// enforced on the coordinating thread at wavefront-step granularity
@@ -76,16 +92,24 @@ struct ShardedSimConfig {
 
 class ShardedCircuit {
  public:
-  /// Shards `circuit` into `n_shards` contiguous gate ranges (clamped to
-  /// [1, n_gates]) at the structural first cut.
-  ShardedCircuit(std::unique_ptr<Circuit> circuit, std::size_t n_shards);
+  /// Gates per block at most, unless the caller asks for more blocks: a
+  /// block's engine state then fits a core's L2 cache.
+  static constexpr std::size_t kGatesPerBlock = 6144;
+  /// Fewest windows the default quantum cuts a run into.
+  static constexpr std::size_t kMinWindows = 16;
 
+  /// Cuts `circuit` into max(min_blocks, ceil(n_gates / kGatesPerBlock))
+  /// contiguous gate ranges (clamped to [1, n_gates]) at the structural
+  /// first cut.
+  ShardedCircuit(std::unique_ptr<Circuit> circuit, std::size_t min_blocks);
+
+  /// Number of blocks (at least the requested minimum).
   std::size_t n_shards() const { return cut_.size() - 1; }
   std::size_t n_gates() const { return circuit_->n_gates(); }
   std::size_t n_inputs() const { return circuit_->n_inputs(); }
-  /// Cross-shard (net, consumer shard) pairs of the current cut.
+  /// Cross-block (net, consumer block) pairs of the current cut.
   std::size_t n_boundary_edges() const { return edges_.size(); }
-  /// The cut the next simulate() runs with: shard s owns gates
+  /// The cut the next simulate() runs with: block s owns gates
   /// [cut()[s], cut()[s + 1]).
   const std::vector<std::size_t>& cut() const { return cut_; }
 
@@ -95,61 +119,67 @@ class ShardedCircuit {
     long n_events = 0;       // matches Circuit::simulate's count
     std::size_t n_windows = 0;
     /// kOk unless the run terminated early: budget/deadline/cancellation
-    /// trip, or a failure captured by a shard's session (the wavefront
+    /// trip, or a failure captured by a block's session (the wavefront
     /// stops at the end of the step that tripped; traces are best-effort
-    /// up to diagnostics.t_horizon, the lowest horizon any shard fully
+    /// up to diagnostics.t_horizon, the lowest horizon any block fully
     /// reached). The pool stays usable either way.
     RunStatus status = RunStatus::kOk;
-    /// diagnostics.counters sums the sessions' guard counters in shard
-    /// order; diagnostics.error is the lowest-numbered failed shard's.
+    /// diagnostics.counters sums the sessions' guard counters in block
+    /// order; diagnostics.error is the lowest-numbered failed block's.
     RunDiagnostics diagnostics;
 
     bool ok() const { return status == RunStatus::kOk; }
     const waveform::DigitalTrace& trace(const std::string& net) const;
 
-    /// The cut this run used: shard s owned gates [cut[s], cut[s + 1]).
+    /// The cut this run used: block s owned gates [cut[s], cut[s + 1]).
     std::vector<std::size_t> cut;
 
-    /// Events processed by each (shard, window) task: shard_window_events
-    /// [shard][window]. Always recorded (a subtraction per task, no tracing
+    /// Events processed by each (block, window) task: shard_window_events
+    /// [block][window]. Always recorded (a subtraction per task, no tracing
     /// required) -- this is the data that shows whether the cut actually
     /// balances and where the wavefront's long pole is.
     std::vector<std::vector<long>> shard_window_events;
 
-    /// Load imbalance of this run's cut: the busiest shard's total event
-    /// count over the per-shard mean (1.0 = perfectly balanced, K = one
-    /// shard did everything). 0 when no events were processed.
+    /// Load imbalance of this run's cut: the busiest block's total event
+    /// count over the per-block mean (1.0 = perfectly balanced, B = one
+    /// block did everything). 0 when no events were processed.
     double load_imbalance() const;
 
     /// Observability aggregate for this run: shard.* counters and
-    /// histograms (per-task window events, per-shard totals, exchange
-    /// bucket occupancy) of this run's cut and the run.* guard counters,
-    /// filled in deterministic shard/edge order. docs/observability.md
-    /// lists the names.
+    /// histograms (per-task window events, per-block totals, exchange
+    /// bucket occupancy) of this run's cut, sim.* per-block counters and
+    /// the run.* guard counters, filled in deterministic block/edge order.
+    /// docs/observability.md lists the names.
     obs::MetricsRegistry metrics;
 
     /// Traces by NetId of the sharded circuit: primary inputs carry the
-    /// windowed stimuli, every other net the trace of the shard driving
-    /// it. Address them by name through trace().
+    /// windowed stimuli, every other net the trace its driving block's
+    /// session appended. Address them by name through trace().
     std::vector<waveform::DigitalTrace> traces;
     const ShardedCircuit* owner = nullptr;
   };
 
   /// Simulate (t_begin, t_end] with `stimuli[i]` driving the i-th primary
   /// input. Bit-identical to the equivalent monolithic Circuit::simulate
-  /// for any config; a kOk run with events then re-cuts the shards on its
+  /// for any config; a kOk run with events then re-cuts the blocks on its
   /// measured work for the next call.
   Result simulate(const std::vector<waveform::DigitalTrace>& stimuli,
                   double t_begin, double t_end,
                   const ShardedSimConfig& config = {});
 
  private:
-  /// One cross-shard net: `net`, driven in from_shard, read in to_shard. A
-  /// net read by several shards has one edge per consumer.
+  /// One cross-block net: `net`, driven in from_shard, read in to_shard. A
+  /// net read by several blocks has one edge per consumer.
   struct BoundaryEdge {
     Circuit::NetId net = -1;
     std::size_t from_shard = 0;
     std::size_t to_shard = 0;
+  };
+  // One cross-block transition in flight between a producer's window and
+  // the matching consumer window.
+  struct BoundaryEvent {
+    double t = 0.0;
+    bool value = false;
   };
 
   void set_cut(std::vector<std::size_t> cut);
@@ -158,15 +188,28 @@ class ShardedCircuit {
   std::vector<std::size_t> balanced_cut(
       const std::vector<waveform::DigitalTrace>& traces) const;
 
+  /// The gate driving `net`; negative for a primary input.
+  int driver(Circuit::NetId net) const {
+    return static_cast<int>(circuit_->producer(net)) -
+           static_cast<int>(circuit_->n_inputs());
+  }
+
   std::unique_ptr<Circuit> circuit_;
-  std::vector<int> driver_;  // net -> driving gate, -1 for primary inputs
   std::vector<std::size_t> cut_;
-  // Boundary edges of the current cut, by consumer shard then producer
-  // gate, and their indices grouped by producer / consumer shard in that
-  // order (consumer drain order must not depend on timing).
+  // Boundary edges of the current cut, by consumer block then producer
+  // gate, and their indices grouped by producer / consumer block in that
+  // order.
   std::vector<BoundaryEdge> edges_;
   std::vector<std::vector<std::size_t>> out_edges_;  // by from_shard
   std::vector<std::vector<std::size_t>> in_edges_;   // by to_shard
+  // Edge e's window-w bucket is rings_[ring_begin_[e] + w % (to - from +
+  // 1)]: a producer runs at most to - from windows ahead of its consumer.
+  std::vector<std::size_t> ring_begin_;
+  std::vector<std::vector<BoundaryEvent>> rings_;
+  // Kept across runs: each block's session buffers, and the settled net
+  // values every session of a run starts from.
+  std::vector<SimSession::Scratch> scratch_;
+  std::vector<std::uint8_t> settled_;
   std::unique_ptr<util::ThreadPool> pool_;  // lazily (re)built in simulate
 };
 

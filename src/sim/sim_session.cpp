@@ -9,78 +9,158 @@
 
 namespace charlie::sim {
 
+namespace {
+
+template <typename Event>
+bool stream_before(const Event& a, const Event& b) {
+  if (a.t != b.t) return a.t < b.t;
+  return a.ext < b.ext;
+}
+
+}  // namespace
+
 SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
-                       std::size_t gate_end,
-                       const std::vector<waveform::DigitalTrace>& stimuli,
-                       double t_begin, const RunBudget& budget,
-                       Circuit::SimResult&& arena)
+                       std::size_t gate_end, double t_begin,
+                       const RunBudget& budget, Circuit::SimResult&& arena,
+                       std::vector<waveform::DigitalTrace>* traces,
+                       Scratch* scratch)
     : circuit_(&circuit), gate_begin_(gate_begin), gate_end_(gate_end),
       whole_(gate_begin == 0 && gate_end == circuit.n_gates()),
       t_begin_(t_begin), horizon_(t_begin), guard_(budget),
       guard_active_(budget.enabled()), t_processed_(t_begin),
-      result_(std::move(arena)) {
+      result_(std::move(arena)),
+      traces_(traces != nullptr ? traces : &result_.traces),
+      s_(scratch != nullptr ? scratch : &own_scratch_) {
   CHARLIE_ASSERT_MSG(gate_begin <= gate_end && gate_end <= circuit.n_gates(),
                      "sim session: gate range out of bounds");
-  CHARLIE_ASSERT_MSG(stimuli.size() == circuit_->primary_inputs_.size(),
-                     "circuit: one stimulus trace per primary input");
   circuit.finish_fanout();
-  // Guard sites bump the executing thread's counters: each call adds its
-  // own increments, on whichever thread runs it.
-  const util::RunCounters before = util::RunCounters::local();
-  initialize(stimuli);
-  counters_ += util::RunCounters::local() - before;
 }
 
-const Circuit::Fanout* SimSession::first_reader(std::size_t net) const {
-  const std::span<const Circuit::Fanout> fanout = circuit_->fanout(net);
-  if (gate_begin_ == 0) return fanout.data();
-  // Readers are in gate order, so a gate range's readers of a net are one
-  // contiguous run.
-  const auto it = std::lower_bound(
-      fanout.begin(), fanout.end(), gate_begin_,
-      [](const Circuit::Fanout& entry, std::size_t gate) {
-        return entry.gate < gate;
-      });
-  return fanout.data() + (it - fanout.begin());
+SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
+                       std::size_t gate_end,
+                       const std::vector<waveform::DigitalTrace>& stimuli,
+                       double t_begin, const RunBudget& budget,
+                       Circuit::SimResult&& arena, Scratch* scratch)
+    : SimSession(circuit, gate_begin, gate_end, t_begin, budget,
+                 std::move(arena), nullptr, scratch) {
+  std::vector<std::uint8_t>& settled = s_->settled;
+  circuit.settle(stimuli, t_begin, gate_end, settled);
+  // One trace per net, reset in place (keeping its capacity) to the net's
+  // settled value; a larger previous circuit's extra traces are dropped.
+  // Nothing is reserved per net: activity differs by orders of magnitude
+  // across nets, so any stimulus-derived guess over-reserves most of them.
+  const std::size_t n_nets = circuit.n_nets();
+  std::vector<waveform::DigitalTrace>& traces = result_.traces;
+  if (traces.size() > n_nets) traces.resize(n_nets);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    traces[i].reset(settled[i] != 0);
+  }
+  traces.reserve(n_nets);
+  for (std::size_t i = traces.size(); i < n_nets; ++i) {
+    traces.emplace_back(settled[i] != 0, std::vector<double>{});
+  }
+  initialize(stimuli, settled);
 }
 
-bool SimSession::reads(Circuit::NetId net) const {
-  const auto n = static_cast<std::size_t>(net);
-  const std::span<const Circuit::Fanout> fanout = circuit_->fanout(n);
-  const Circuit::Fanout* reader = first_reader(n);
-  return reader != fanout.data() + fanout.size() && reader->gate < gate_end_;
+SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
+                       std::size_t gate_end,
+                       const std::vector<waveform::DigitalTrace>& stimuli,
+                       double t_begin, std::span<const std::uint8_t> settled,
+                       std::vector<waveform::DigitalTrace>& traces,
+                       Scratch& scratch, const RunBudget& budget)
+    : SimSession(circuit, gate_begin, gate_end, t_begin, budget,
+                 Circuit::SimResult{}, &traces, &scratch) {
+  CHARLIE_ASSERT(settled.size() == circuit.n_nets() &&
+                 traces.size() == circuit.n_nets());
+  initialize(stimuli, settled);
+}
+
+void SimSession::collect_external_nets() {
+  const Circuit& c = *circuit_;
+  Scratch& s = *s_;
+  std::vector<ExternalNet>& external = s.external;
+  // The nets the range reads from outside, in producer order: primary
+  // inputs first, then upstream gates. A whole-circuit session takes every
+  // primary input, read or not.
+  external.clear();
+  if (whole_) {
+    external.reserve(c.n_inputs());
+    for (const Circuit::NetId net : c.primary_inputs_) {
+      external.push_back({net, 0, 0});
+    }
+  } else {
+    const std::size_t first_own = c.n_inputs() + gate_begin_;
+    for (std::size_t g = gate_begin_; g < gate_end_; ++g) {
+      for (const Circuit::NetId net : c.gate_inputs(g)) {
+        if (c.producer(net) < first_own) external.push_back({net, 0, 0});
+      }
+    }
+    std::sort(external.begin(), external.end(),
+              [&](const ExternalNet& a, const ExternalNet& b) {
+                return c.producer(a.net) < c.producer(b.net);
+              });
+    external.erase(std::unique(external.begin(), external.end(),
+                               [](const ExternalNet& a, const ExternalNet& b) {
+                                 return a.net == b.net;
+                               }),
+                   external.end());
+  }
+  // Each net's in-range readers: its list is in gate order, so they are
+  // one contiguous run of it.
+  const Circuit::Fanout* const base = c.fanout_.data();
+  auto first_at_or_after = [](std::span<const Circuit::Fanout> readers,
+                              std::size_t gate) {
+    return std::lower_bound(readers.begin(), readers.end(), gate,
+                            [](const Circuit::Fanout& entry, std::size_t g) {
+                              return entry.gate < g;
+                            });
+  };
+  s.external_by_net.clear();
+  s.external_by_net.reserve(external.size());
+  for (std::size_t k = 0; k < external.size(); ++k) {
+    const std::span<const Circuit::Fanout> readers =
+        c.fanout(static_cast<std::size_t>(external[k].net));
+    const std::ptrdiff_t offset = readers.data() - base;
+    external[k].fanout_begin = static_cast<std::uint32_t>(
+        offset + (first_at_or_after(readers, gate_begin_) - readers.begin()));
+    external[k].fanout_end = static_cast<std::uint32_t>(
+        offset + (first_at_or_after(readers, gate_end_) - readers.begin()));
+    s.external_by_net.emplace_back(external[k].net,
+                                   static_cast<std::uint32_t>(k));
+  }
+  std::sort(s.external_by_net.begin(), s.external_by_net.end());
 }
 
 void SimSession::initialize(
-    const std::vector<waveform::DigitalTrace>& stimuli) {
+    const std::vector<waveform::DigitalTrace>& stimuli,
+    std::span<const std::uint8_t> settled) {
   Circuit& c = *circuit_;
-  const std::size_t n_nets = c.n_nets();
+  Scratch& s = *s_;
+  CHARLIE_ASSERT_MSG(stimuli.size() == c.primary_inputs_.size(),
+                     "circuit: one stimulus trace per primary input");
+  // Guard sites bump the executing thread's counters: each call adds its
+  // own increments, on whichever thread runs it.
+  const util::RunCounters before = util::RunCounters::local();
+  collect_external_nets();
+  const std::size_t n_own = gate_end_ - gate_begin_;
+  std::vector<waveform::DigitalTrace>& traces = *traces_;
 
-  // --- steady-state initialization (topological settle) -------------------
-  // Window convention (see circuit.hpp): value_at(t_begin) already includes
+  // --- steady state --------------------------------------------------------
+  // Window convention (see circuit.hpp): the settled values already include
   // a transition at exactly t_begin; only strictly later transitions become
-  // events.
-  net_value_.assign(n_nets, 0);
-  for (std::size_t i = 0; i < stimuli.size(); ++i) {
-    net_value_[static_cast<std::size_t>(c.primary_inputs_[i])] =
-        stimuli[i].value_at(t_begin_) ? 1 : 0;
-  }
-  // Construction order is a strict topological order (a gate reads only
-  // nets that existed before it), so one forward sweep settles the
-  // circuit. The sweep covers every gate up to the range end, because
-  // earlier gates' nets feed the range, but writes gate state only inside
-  // the range: the other gates belong to other sessions.
-  for (std::size_t g = 0; g < gate_end_; ++g) {
+  // events. Each gate's state comes from the settled values of its nets,
+  // and so does the initial value of every trace the session records.
+  s.net_value.resize(n_own + s.external.size());
+  for (std::size_t g = gate_begin_; g < gate_end_; ++g) {
     Circuit::Gate& gate = c.gates_[g];
     std::array<bool, kMaxGateArity> in_values{};
     const std::span<const Circuit::NetId> inputs = c.gate_inputs(g);
     for (std::size_t p = 0; p < inputs.size(); ++p) {
-      in_values[p] = net_value_[static_cast<std::size_t>(inputs[p])] != 0;
+      in_values[p] = settled[static_cast<std::size_t>(inputs[p])] != 0;
     }
-    const bool out =
-        eval_gate(gate.kind, in_values[0], in_values[1], in_values[2]);
-    net_value_[static_cast<std::size_t>(gate.output)] = out ? 1 : 0;
-    if (g < gate_begin_) continue;
+    const bool out = settled[static_cast<std::size_t>(gate.output)] != 0;
+    s.net_value[g - gate_begin_] = out ? 1 : 0;
+    traces[static_cast<std::size_t>(gate.output)].reset(out);
     gate.in_values = in_values;
     gate.zero_time_value = out;
     c.visit_channel(gate, [&](auto& channel) {
@@ -94,95 +174,59 @@ void SimSession::initialize(
       }
     });
   }
+  for (std::size_t k = 0; k < s.external.size(); ++k) {
+    const auto net = static_cast<std::size_t>(s.external[k].net);
+    s.net_value[n_own + k] = settled[net];
+    if (whole_) traces[net].reset(settled[net] != 0);
+  }
 
   // --- stimulus stream -----------------------------------------------------
   // All primary-input events are known up front: one sorted vector walked
-  // by an index beats pushing them through the gate heap. Equal-time order
-  // is input-declaration order (stable sort over per-input appends), and a
-  // stimulus always precedes gate firings at the same instant. Transitions
-  // beyond the final horizon simply never get processed. A partial range
-  // queues only the inputs its gates read.
-  auto queued = [&](std::size_t i) {
-    return whole_ || reads(c.primary_inputs_[i]);
-  };
-  std::size_t n_stim = 0;
-  for (std::size_t i = 0; i < stimuli.size(); ++i) {
-    if (queued(i)) n_stim += stimuli[i].n_transitions();
-  }
-  stim_events_.clear();
-  stim_events_.reserve(n_stim);
-  for (std::size_t i = 0; i < stimuli.size(); ++i) {
-    if (!queued(i)) continue;
-    const Circuit::NetId net = c.primary_inputs_[i];
-    const auto& trace = stimuli[i];
-    for (std::size_t k = 0; k < trace.n_transitions(); ++k) {
-      const double t = trace.transitions()[k];
+  // by an index beats pushing them through the gate heap. The external nets
+  // are in producer order with the primary inputs first, so sorting by
+  // (t, external index) puts equal times in input-declaration order.
+  // Transitions beyond the final horizon simply never get processed.
+  s.stream.clear();
+  for (std::size_t k = 0; k < s.external.size(); ++k) {
+    const std::uint32_t p = c.producer(s.external[k].net);
+    if (p >= stimuli.size()) break;  // upstream gates' nets follow
+    const waveform::DigitalTrace& trace = stimuli[p];
+    for (std::size_t i = 0; i < trace.n_transitions(); ++i) {
+      const double t = trace.transitions()[i];
       if (t <= t_begin_) continue;
-      stim_events_.push_back({t, net, trace.is_rising(k)});
+      s.stream.push_back(
+          {t, static_cast<std::uint32_t>(k), trace.is_rising(i)});
     }
   }
-  std::stable_sort(stim_events_.begin(), stim_events_.end(),
-                   [](const StimulusEvent& x, const StimulusEvent& y) {
-                     return x.t < y.t;
-                   });
-
-  // --- result traces -------------------------------------------------------
-  // Nothing is reserved per net: activity differs by orders of magnitude
-  // across nets (glitch cancellation thins it with logic depth), so any
-  // stimulus-derived guess over-reserves most of them. Traces grow
-  // geometrically; the arena path resets existing traces in place, keeping
-  // their capacity, and drops extra traces from a larger previous circuit.
-  result_.n_events = 0;
-  if (result_.traces.size() > n_nets) result_.traces.resize(n_nets);
-  for (std::size_t i = 0; i < result_.traces.size(); ++i) {
-    result_.traces[i].reset(net_value_[i] != 0);
-  }
-  result_.traces.reserve(n_nets);
-  for (std::size_t i = result_.traces.size(); i < n_nets; ++i) {
-    result_.traces.emplace_back(net_value_[i] != 0, std::vector<double>{});
-  }
-  log_.reserve(kTransitionLogCapacity);
-
-  heap_.reset(gate_end_ - gate_begin_);
-  seq_ = 0;
-  deferred_.clear();
-  is_deferred_.assign(gate_end_ - gate_begin_, 0);
+  std::sort(s.stream.begin(), s.stream.end(),
+            [](const StreamEvent& a, const StreamEvent& b) {
+              return stream_before(a, b);
+            });
+  s.injected.clear();
+  s.incoming.clear();
+  stream_index_ = 0;
+  injected_index_ = 0;
+  s.log.clear();
+  s.log.reserve(kTransitionLogCapacity);
+  s.heap.reset(n_own);
+  counters_ += util::RunCounters::local() - before;
 }
 
-void SimSession::reschedule(std::size_t gate_index,
+void SimSession::reschedule(std::size_t slot,
                             const std::optional<PendingEvent>& pending) {
-  const std::size_t slot = gate_index - gate_begin_;
-  if (pending.has_value() && pending->t <= horizon_) {
-    heap_.schedule(slot, pending->t, seq_++, pending->value);
-    return;
-  }
-  heap_.cancel(slot);
-  // A pending event beyond the horizon must be re-armed when the horizon
-  // moves; remember the gate (once -- insertion order preserves the
-  // original schedule order across windows).
-  if (pending.has_value() && is_deferred_[slot] == 0) {
-    is_deferred_[slot] = 1;
-    deferred_.push_back(gate_index);
+  // A firing beyond the current horizon stays in the heap: the loop stops
+  // at the horizon, and the next advance() picks it up where it is.
+  if (pending.has_value()) {
+    s_->heap.schedule(slot, pending->t, pending->value);
+  } else {
+    s_->heap.cancel(slot);
   }
 }
 
-void SimSession::propagate_net_change(Circuit::NetId net, double t,
-                                      bool value, bool own) {
+void SimSession::deliver(const Circuit::Fanout* reader,
+                         const Circuit::Fanout* end, double t, bool value) {
   Circuit& c = *circuit_;
-  const auto net_index = static_cast<std::size_t>(net);
-  if ((net_value_[net_index] != 0) == value) return;  // defensive
-  net_value_[net_index] = value ? 1 : 0;
-  if (own) {
-    log_.push_back({t, net});
-    if (log_.size() == kTransitionLogCapacity) flush_log();
-  }
-  // An own net's readers follow its driver in construction order, so they
-  // start inside the range; only an upstream net needs the range search.
-  const std::span<const Circuit::Fanout> fanout = c.fanout(net_index);
-  const Circuit::Fanout* const end = fanout.data() + fanout.size();
-  for (const Circuit::Fanout* reader =
-           own ? fanout.data() : first_reader(net_index);
-       reader != end && reader->gate < gate_end_; ++reader) {
+  for (; reader != end && reader->gate < gate_end_; ++reader) {
     Circuit::Gate& gate = c.gates_[reader->gate];
     gate.in_values[reader->port] = value;
     const std::optional<PendingEvent> pending =
@@ -200,7 +244,7 @@ void SimSession::propagate_net_change(Circuit::NetId net, double t,
           }
           return channel.pending();
         });
-    reschedule(reader->gate, pending);
+    reschedule(reader->gate - gate_begin_, pending);
   }
 }
 
@@ -209,10 +253,10 @@ void SimSession::flush_log() {
   struct Clear {
     std::vector<LoggedTransition>& log;
     ~Clear() { log.clear(); }
-  } clear{log_};
-  for (const LoggedTransition& entry : log_) {
-    result_.traces[static_cast<std::size_t>(entry.net)].append_transition(
-        entry.t);
+  } clear{s_->log};
+  std::vector<waveform::DigitalTrace>& traces = *traces_;
+  for (const LoggedTransition& entry : s_->log) {
+    traces[static_cast<std::size_t>(entry.net)].append_transition(entry.t);
   }
 }
 
@@ -223,11 +267,39 @@ void SimSession::fail(const std::exception& e) {
 }
 
 void SimSession::inject(Circuit::NetId net, double t, bool net_value) {
-  CHARLIE_ASSERT(net >= 0 &&
-                 static_cast<std::size_t>(net) < net_value_.size());
   CHARLIE_ASSERT_MSG(t > horizon_,
                      "sim session: injected event at or before the horizon");
-  injected_.push_back({t, net, net_value});
+  const auto& index = s_->external_by_net;
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), net,
+      [](const std::pair<Circuit::NetId, std::uint32_t>& entry,
+         Circuit::NetId n) { return entry.first < n; });
+  CHARLIE_ASSERT_MSG(it != index.end() && it->first == net &&
+                         circuit_->producer(net) >= circuit_->n_inputs(),
+                     "sim session: injected net is not an upstream net the "
+                     "range reads");
+  s_->incoming.push_back({t, it->second, net_value});
+}
+
+void SimSession::merge_injected() {
+  Scratch& s = *s_;
+  if (s.incoming.empty()) return;
+  // What is left of the merged stream lies beyond the previous horizon;
+  // the new transitions join it in (t, producer) order.
+  s.injected.erase(s.injected.begin(),
+                   s.injected.begin() +
+                       static_cast<std::ptrdiff_t>(injected_index_));
+  injected_index_ = 0;
+  auto by_key = [](const StreamEvent& a, const StreamEvent& b) {
+    return stream_before(a, b);
+  };
+  std::stable_sort(s.incoming.begin(), s.incoming.end(), by_key);
+  const std::size_t mid = s.injected.size();
+  s.injected.insert(s.injected.end(), s.incoming.begin(), s.incoming.end());
+  std::inplace_merge(s.injected.begin(),
+                     s.injected.begin() + static_cast<std::ptrdiff_t>(mid),
+                     s.injected.end(), by_key);
+  s.incoming.clear();
 }
 
 void SimSession::advance(double t_horizon) {
@@ -260,52 +332,36 @@ void SimSession::run_window() {
   // windowed schedules (sharded wavefront) show per-window event volume.
   const long events_before = n_stimulus_events_ + n_gate_events_;
   obs::ScopedSpan obs_span("sim.advance", "events", 0);
+  merge_injected();
 
-  // Merge injected boundary transitions into the unprocessed stimulus tail.
-  // Both ranges are time-sorted; inplace_merge is stable, so pre-known
-  // stimuli precede injected events at equal times.
-  if (!injected_.empty()) {
-    std::stable_sort(injected_.begin(), injected_.end(),
-                     [](const StimulusEvent& x, const StimulusEvent& y) {
-                       return x.t < y.t;
-                     });
-    const std::size_t mid = stim_events_.size();
-    stim_events_.insert(stim_events_.end(), injected_.begin(),
-                        injected_.end());
-    std::inplace_merge(stim_events_.begin() +
-                           static_cast<std::ptrdiff_t>(stim_index_),
-                       stim_events_.begin() + static_cast<std::ptrdiff_t>(mid),
-                       stim_events_.end(),
-                       [](const StimulusEvent& x, const StimulusEvent& y) {
-                         return x.t < y.t;
-                       });
-    injected_.clear();
-  }
-
-  // Re-arm gates whose pending events were beyond the previous horizon.
-  // reschedule() may defer them again (still beyond this horizon); swap
-  // first so the re-appends land in a fresh list.
   Circuit& c = *circuit_;
-  if (!deferred_.empty()) {
-    std::vector<std::size_t> rearm;
-    rearm.swap(deferred_);
-    for (const std::size_t gate_index : rearm) {
-      is_deferred_[gate_index - gate_begin_] = 0;
-    }
-    for (const std::size_t gate_index : rearm) {
-      reschedule(gate_index,
-                 c.visit_channel(c.gates_[gate_index], [](auto& channel) {
-                   return channel.pending();
-                 }));
-    }
-  }
+  Scratch& s = *s_;
+  EventHeap& heap = s.heap;
+  const std::size_t n_own = gate_end_ - gate_begin_;
+  const Circuit::Fanout* const fanout = c.fanout_.data();
+  auto record = [&](double t, Circuit::NetId net) {
+    s.log.push_back({t, net});
+    if (s.log.size() == kTransitionLogCapacity) flush_log();
+  };
 
   // --- event loop ----------------------------------------------------------
-  // Every heap entry satisfies t <= horizon_ by construction (reschedule
-  // filters), so only the stimulus stream needs the horizon check.
-  while ((stim_index_ < stim_events_.size() &&
-          stim_events_[stim_index_].t <= horizon_) ||
-         !heap_.empty()) {
+  // Equal times go in producer order (see the header): the stream's
+  // primary-input and injected heads by (t, external index), the stream
+  // before the range's own gates, and those by (t, slot).
+  while (true) {
+    const StreamEvent* next = nullptr;
+    bool injected = false;
+    if (stream_index_ < s.stream.size()) next = &s.stream[stream_index_];
+    if (injected_index_ < s.injected.size()) {
+      const StreamEvent& head = s.injected[injected_index_];
+      if (next == nullptr || stream_before(head, *next)) {
+        next = &head;
+        injected = true;
+      }
+    }
+    const bool stream_due = next != nullptr && next->t <= horizon_;
+    const bool heap_due = !heap.empty() && heap.top().t <= horizon_;
+    if (!stream_due && !heap_due) break;
     // Budget poll before taking the next event: a trip leaves exactly
     // n_events processed and the remaining events pending, so the partial
     // traces are a deterministic prefix of the full run.
@@ -318,38 +374,54 @@ void SimSession::run_window() {
         return;
       }
     }
-    const bool take_stimulus =
-        stim_index_ < stim_events_.size() &&
-        stim_events_[stim_index_].t <= horizon_ &&
-        (heap_.empty() || stim_events_[stim_index_].t <= heap_.top().t);
-    if (take_stimulus) {
-      const StimulusEvent& ev = stim_events_[stim_index_++];
-      ++n_stimulus_events_;
-      t_processed_ = ev.t;
-      // Stimulus-stream nets are primary inputs or upstream ranges' nets:
-      // only a whole-circuit session owns (records) them.
-      propagate_net_change(ev.net, ev.t, ev.value, whole_);
-      if (static_cast<long>(heap_.size()) > max_heap_depth_) {
-        max_heap_depth_ = static_cast<long>(heap_.size());
+    if (stream_due && (!heap_due || next->t <= heap.top().t)) {
+      const StreamEvent ev = *next;
+      if (injected) {
+        ++injected_index_;
+      } else {
+        ++stream_index_;
       }
-      continue;
+      ++n_stimulus_events_;
+      if (ev.t == t_processed_) ++equal_time_ties_;
+      t_processed_ = ev.t;
+      const ExternalNet& ext = s.external[ev.ext];
+      std::uint8_t& value = s.net_value[n_own + ev.ext];
+      if ((value != 0) != ev.value) {  // defensive: transitions alternate
+        value = ev.value ? 1 : 0;
+        // Stream nets are primary inputs or upstream ranges' nets: only a
+        // whole-circuit session records them.
+        if (whole_) record(ev.t, ext.net);
+        deliver(fanout + ext.fanout_begin, fanout + ext.fanout_end, ev.t,
+                ev.value);
+      }
+    } else {
+      const EventHeap::Entry fired = heap.top();
+      heap.pop();
+      ++n_gate_events_;
+      if (fired.t == t_processed_) ++equal_time_ties_;
+      t_processed_ = fired.t;
+      Circuit::Gate& gate = c.gates_[gate_begin_ + fired.slot];
+      const PendingEvent event{fired.t, fired.value};
+      reschedule(fired.slot, c.visit_channel(gate, [&](auto& channel) {
+        channel.on_fire(event);
+        return channel.pending();
+      }));
+      std::uint8_t& value = s.net_value[fired.slot];
+      if ((value != 0) != fired.value) {
+        value = fired.value ? 1 : 0;
+        record(fired.t, gate.output);
+        // An own net's readers follow its driver in construction order, so
+        // they start inside the range.
+        const std::span<const Circuit::Fanout> readers =
+            c.fanout(static_cast<std::size_t>(gate.output));
+        deliver(readers.data(), readers.data() + readers.size(), fired.t,
+                fired.value);
+      }
     }
-    const EventHeap::Entry fired = heap_.top();
-    const std::size_t gate_index = fired.slot + gate_begin_;
-    heap_.pop();
-    ++n_gate_events_;
-    t_processed_ = fired.t;
-    Circuit::Gate& gate = c.gates_[gate_index];
-    const PendingEvent event{fired.t, fired.value};
-    reschedule(gate_index, c.visit_channel(gate, [&](auto& channel) {
-      channel.on_fire(event);
-      return channel.pending();
-    }));
-    propagate_net_change(gate.output, fired.t, fired.value, true);
     // Heap occupancy peaks right after an event's reschedules, before the
     // next pop -- one compare per event keeps the counter always-on cheap.
-    if (static_cast<long>(heap_.size()) > max_heap_depth_) {
-      max_heap_depth_ = static_cast<long>(heap_.size());
+    if (static_cast<long>(heap.size()) > max_heap_depth_) {
+      max_heap_depth_ = static_cast<long>(heap.size());
     }
   }
   obs_span.set_value0(n_stimulus_events_ + n_gate_events_ - events_before);
@@ -359,6 +431,7 @@ Circuit::SimResult SimSession::take_result() {
   const long n_events = n_stimulus_events_ + n_gate_events_;
   result_.n_events = n_events;
   result_.max_heap_depth = max_heap_depth_;
+  result_.equal_time_ties = equal_time_ties_;
   result_.status = status_;
   result_.diagnostics =
       guard_.finish(status_, n_events,

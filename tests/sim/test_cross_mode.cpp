@@ -4,13 +4,17 @@
 // thread and window configurations, and BatchRunner's captured run. The
 // inputs cover the three channel kinds the circuit stores by value (hybrid
 // MIS gates, inertial SIS gates, RC wires) and boxed channels (a pure-delay
-// SIS channel and Exp/SumExp SIS gate models behind the MIS interface).
+// SIS channel and Exp/SumExp SIS gate models behind the MIS interface), and
+// exact time ties: constant SIS delays summed along reconvergent paths make
+// distinct events land on the same double, which every mode must order the
+// same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cell/cell_library.hpp"
@@ -25,6 +29,8 @@
 #include "sim/sharded_circuit.hpp"
 #include "sim/sim_session.hpp"
 #include "sim/wire_channel.hpp"
+#include "util/rng.hpp"
+#include "waveform/generator.hpp"
 #include "wire/wire_tables.hpp"
 
 namespace charlie::sim {
@@ -89,6 +95,29 @@ std::unique_ptr<Circuit> mixed_circuit() {
     prev_xor = g8;
     prev_nand = g9;
   }
+  return c;
+}
+
+// Two identical inertial paths from input `a` reconverge on an XOR2: `x`
+// through one buffer, `y` through two, and the XOR adds one more delay. So
+// whenever `x` switches, the XOR schedules its output on exactly the double
+// at which `y` switches. Gates: bx (0), by1 (1), by2 (2), xor (3); with one
+// gate per shard, every cut separates the drivers from the reader.
+constexpr double kTieDelay = 10e-12;
+
+std::unique_ptr<Circuit> tie_circuit() {
+  auto c = std::make_unique<Circuit>();
+  const auto a = c->add_input("a");
+  auto buf = [&](const char* name, Circuit::NetId in) {
+    return c->add_gate(
+        GateKind::kBuf, name, {in},
+        std::make_unique<InertialChannel>(kTieDelay, kTieDelay));
+  };
+  const auto x = buf("x", a);
+  const auto y1 = buf("y1", a);
+  const auto y = buf("y", y1);
+  c->add_gate(GateKind::kXor2, "z", {x, y},
+              std::make_unique<InertialChannel>(kTieDelay, kTieDelay));
   return c;
 }
 
@@ -266,6 +295,79 @@ TEST(CrossMode, GeneratedNetlistsWithWiresAgreeInEveryMode) {
   for (const std::uint64_t seed : {1u, 2u}) {
     check_every_mode(generated_factory(seed), 24,
                      "gen2k seed " + std::to_string(seed));
+  }
+}
+
+TEST(CrossMode, ExactTiesAcrossACutAgreeInEveryMode) {
+  check_every_mode(tie_circuit, 40, "tie");
+
+  // The canonical order fires the upstream driver of `y` before the XOR at
+  // every tie, so the XOR's pending pulse is swallowed and `z` never
+  // switches. Schedule order would fire the XOR first (it was scheduled
+  // first) and let a pulse through.
+  auto c = tie_circuit();
+  std::vector<double> edges;
+  for (int i = 1; i <= 8; ++i) edges.push_back(i * 100e-12);
+  const std::vector<waveform::DigitalTrace> stimuli{
+      waveform::DigitalTrace(false, edges)};
+  const Circuit::SimResult mono = c->simulate(stimuli, 0.0, 1e-9);
+  ASSERT_TRUE(mono.ok());
+  EXPECT_EQ(mono.trace(c->find_net("y")).n_transitions(), edges.size());
+  EXPECT_TRUE(mono.trace(c->find_net("z")).empty());
+  // Per edge, bx and by1 fire together; the XOR's tied event is cancelled
+  // before it can fire.
+  EXPECT_EQ(mono.equal_time_ties, static_cast<long>(edges.size()));
+}
+
+TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
+  // gen_netlist --gates 20000 --seed 1 on the reference library, stimulus
+  // seed 1, 64 transitions per input: SIS delays collide exactly on this
+  // design, and cuts at 64 and 256 shards separate such ties from their
+  // readers. The design is also larger than 2 * kGatesPerBlock, so one
+  // requested shard already runs several blocks.
+  static const auto library =
+      std::make_shared<const cell::CellLibrary>(cell::CellLibrary::reference());
+  cell::NetlistGenConfig gen;
+  gen.n_gates = 20000;
+  gen.seed = 1;
+  const cell::NetlistDesc desc = cell::generate_netlist(gen);
+  const CircuitBuilder builder(library);
+  const auto mono_circuit = builder.build(desc);
+  ASSERT_GT(mono_circuit->n_gates(), 2 * ShardedCircuit::kGatesPerBlock);
+  waveform::TraceConfig trace;
+  trace.mu = 150e-12;
+  trace.sigma = 60e-12;
+  trace.n_transitions = 64;
+  util::Rng rng(1);
+  const auto stimuli =
+      waveform::generate_traces(trace, mono_circuit->n_inputs(), rng);
+  double t_last = trace.t_start;
+  for (const auto& s : stimuli) {
+    if (!s.empty()) t_last = std::max(t_last, s.transitions().back());
+  }
+  const double t_end = t_last + 1e-9;
+  const Circuit::SimResult mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(mono.ok());
+  EXPECT_GT(mono.equal_time_ties, 0);
+
+  const std::vector<std::string> names = net_names(*mono_circuit);
+  for (const auto& [k, threads] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 2}, {64, 1}, {64, 4}, {256, 4}}) {
+    const auto sharded = builder.build_sharded(desc, k);
+    EXPECT_GE(sharded->n_shards(), k);
+    if (k == 1) EXPECT_GT(sharded->n_shards(), 2u);
+    ShardedSimConfig config;
+    config.n_threads = threads;
+    const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+    const std::string where =
+        "gen20k K=" + std::to_string(k) + " threads=" + std::to_string(threads);
+    ASSERT_TRUE(result.ok()) << where;
+    EXPECT_EQ(result.n_events, mono.n_events) << where;
+    for (std::size_t n = 0; n < names.size(); ++n) {
+      expect_same(mono.traces[n], result.trace(names[n]),
+                  where + " net " + names[n]);
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/hybrid_gate_channel.hpp"
+#include "sim/inertial.hpp"
 #include "sim/sharded_circuit.hpp"
 #include "util/rng.hpp"
 #include "waveform/generator.hpp"
@@ -84,6 +85,37 @@ TEST(BatchRunnerObservability, MetricsCoverTheBatch) {
   EXPECT_GE(result.metrics.histogram("sim.max_heap_depth")->min(), 1.0);
   // Guard counters exist even when everything stayed on the fast path.
   EXPECT_NE(result.metrics.to_json().find("run.newton_brent_fallbacks"),
+            std::string::npos);
+}
+
+// Two equal-delay buffers on one input fire together after every input
+// transition that survives them: one equal-time tie per firing of `p`.
+CircuitFactory twin_buffer_factory() {
+  return [] {
+    auto circuit = std::make_unique<Circuit>();
+    const auto a = circuit->add_input("a");
+    for (const char* name : {"p", "q"}) {
+      circuit->add_gate(GateKind::kBuf, name, {a},
+                        std::make_unique<InertialChannel>(10e-12, 10e-12));
+    }
+    return circuit;
+  };
+}
+
+TEST(BatchRunnerObservability, EqualTimeTiesCountEveryRun) {
+  BatchConfig config = small_config();
+  config.n_threads = 2;
+  BatchRunner runner(twin_buffer_factory(), std::vector<std::string>{"p", "q"},
+                     config);
+  const auto result = runner.run();
+  ASSERT_TRUE(result.all_ok());
+  EXPECT_GT(result.net("p").transitions, 0);
+  EXPECT_EQ(result.net("q").transitions, result.net("p").transitions);
+  EXPECT_EQ(result.metrics.counter("sim.equal_time_ties"),
+            result.net("p").transitions);
+  // A tie-free circuit still exports the counter, at zero.
+  const auto untied = BatchRunner(nor_factory(), "out", config).run();
+  EXPECT_NE(untied.metrics.to_json().find("sim.equal_time_ties"),
             std::string::npos);
 }
 
@@ -251,6 +283,26 @@ TEST(ShardedCircuitObservability, MetricsBitIdenticalAcrossThreadCounts) {
   const std::string one = metrics_with(1);
   EXPECT_EQ(metrics_with(2), one);
   EXPECT_EQ(metrics_with(4), one);
+}
+
+TEST(ShardedCircuitObservability, EqualTimeTiesSumOverBlocks) {
+  // Each block counts the ties among the events it processes: one block
+  // sees the whole run's ties, and separate blocks for the two buffers see
+  // none, because each processes only its own firings.
+  const auto stimuli = stimuli_for(1);
+  const double t_end = t_end_for(stimuli);
+  const auto mono = twin_buffer_factory()()->simulate(stimuli, 0.0, t_end);
+  ASSERT_GT(mono.equal_time_ties, 0);
+  ShardedCircuit one(twin_buffer_factory()(), 1);
+  EXPECT_EQ(one.simulate(stimuli, 0.0, t_end)
+                .metrics.counter("sim.equal_time_ties"),
+            mono.equal_time_ties);
+  ShardedCircuit two(twin_buffer_factory()(), 2);
+  ASSERT_EQ(two.n_shards(), 2u);
+  const auto split = two.simulate(stimuli, 0.0, t_end);
+  EXPECT_EQ(split.metrics.counter("sim.equal_time_ties"), 0);
+  EXPECT_NE(split.metrics.to_json().find("sim.equal_time_ties"),
+            std::string::npos);
 }
 
 TEST(ShardedCircuitObservability, ArmedTracingSeesEveryWavefrontTask) {

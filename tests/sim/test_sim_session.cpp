@@ -116,6 +116,52 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
             mono.n_events);
 }
 
+TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {
+  // One Scratch serves a partial range, then the whole circuit with other
+  // stimuli, then the first range again: each session matches a session
+  // with a scratch of its own.
+  const auto circuit = build_c432();
+  const auto stimuli = stimuli_for(circuit->n_inputs());
+  waveform::TraceConfig other;
+  other.mu = 90e-12;
+  other.sigma = 30e-12;
+  other.n_transitions = 25;
+  util::Rng rng(3);
+  const auto other_stimuli =
+      waveform::generate_traces(other, circuit->n_inputs(), rng);
+  const double t_end = t_end_for(stimuli);
+  const std::size_t n = circuit->n_gates();
+  auto run = [&](std::size_t begin, std::size_t end,
+                 const std::vector<waveform::DigitalTrace>& inputs,
+                 sim::SimSession::Scratch* scratch) {
+    sim::SimSession session(*circuit, begin, end, inputs, 0.0,
+                            sim::RunBudget{}, sim::Circuit::SimResult{},
+                            scratch);
+    session.advance(t_end);
+    return session.take_result();
+  };
+  sim::SimSession::Scratch shared;
+  const struct {
+    std::size_t begin, end;
+    const std::vector<waveform::DigitalTrace>* inputs;
+  } order[] = {{0, n / 2, &stimuli}, {0, n, &other_stimuli},
+               {0, n / 2, &stimuli}};
+  for (const auto& step : order) {
+    const auto reused = run(step.begin, step.end, *step.inputs, &shared);
+    const auto fresh = run(step.begin, step.end, *step.inputs, nullptr);
+    ASSERT_TRUE(reused.ok());
+    EXPECT_EQ(reused.n_events, fresh.n_events);
+    EXPECT_EQ(reused.max_heap_depth, fresh.max_heap_depth);
+    ASSERT_EQ(reused.traces.size(), fresh.traces.size());
+    for (std::size_t net = 0; net < fresh.traces.size(); ++net) {
+      EXPECT_EQ(reused.traces[net].initial_value(),
+                fresh.traces[net].initial_value());
+      EXPECT_EQ(reused.traces[net].transitions(),
+                fresh.traces[net].transitions());
+    }
+  }
+}
+
 TEST(SimSession, FreshRunReservesNoIdleTraceStorage) {
   // Activity differs by orders of magnitude across nets, so a fresh run
   // must not pre-size every trace from the stimulus: geometric growth

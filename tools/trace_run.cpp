@@ -14,8 +14,10 @@
 //   --runs N          Monte-Carlo batch size (default 4; batch mode only)
 //   --threads N       worker threads (default 0 = hardware concurrency)
 //   --shards K        K > 0 switches to the sharded single-circuit engine:
-//                     one simulation of the netlist partitioned into K
-//                     shards, traced per (shard, window) wavefront task
+//                     one simulation of the netlist partitioned into at
+//                     least K blocks (a large netlist runs more, cache-
+//                     sized ones; the summary prints the count), traced
+//                     per (block, window) wavefront task
 //   --repeat N        sharded mode: simulate the same stimuli N times on one
 //                     instance (each completed run re-cuts the shards on its
 //                     measured work) and print every run's wall time, engine
@@ -129,7 +131,7 @@ int main(int argc, char** argv) {
         }
       }
       metrics = sharded.metrics;
-      std::printf("mode            : sharded (%zu shards, %zu windows)\n",
+      std::printf("mode            : sharded (%zu blocks, %zu windows)\n",
                   circuit->n_shards(), sharded.n_windows);
       std::printf("engine events   : %ld\n", sharded.n_events);
       std::printf("load imbalance  : %.3f (1.0 = balanced)\n",
