@@ -112,14 +112,15 @@ void BM_NetlistParseAndBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_NetlistParseAndBuild);
 
-// Single-thread monolithic Circuit::simulate on a generated design
-// (gen_netlist seed 1, 2% RC wires) of range(0) gates, driven like the
-// shard_gen100k workload: 256 transitions per input, mu 150 ps, sigma
-// 60 ps, stimulus seed 1. Build and stimuli stay outside the timed loop.
-// ns/event weights the paper's channel: generated designs are ~56% hybrid
-// MIS gates, where c432 is mostly inertial SIS gates. The 25k row is one
-// shard's working set of the 100k design; the 100k/1k ratio shows what the
-// state layout costs once it leaves the cache.
+// Single-thread Circuit::simulate on a generated design (gen_netlist seed
+// 1, 2% RC wires) of range(0) gates, driven like the shard_gen100k
+// workload: 256 transitions per input, mu 150 ps, sigma 60 ps, stimulus
+// seed 1. Build and stimuli stay outside the timed loop. ns/event weights
+// the paper's channel: generated designs are ~56% hybrid MIS gates, where
+// c432 is mostly inertial SIS gates. The 1k row is one block; the 25k and
+// 100k rows run 5 and 17 blocks of at most Circuit::kGatesPerBlock gates
+// one after another, so the 100k/1k ratio shows what the state layout
+// costs beyond one block's cache-sized working set.
 void BM_GeneratedNetlistSimulate(benchmark::State& state) {
   cell::NetlistGenConfig gen;
   gen.n_gates = static_cast<std::size_t>(state.range(0));

@@ -4,6 +4,7 @@
 // channel work, plus a whole-trace comparison.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -95,7 +96,7 @@ BENCHMARK(BM_HybridNorTrace);
 void BM_HybridSingleEvent(benchmark::State& state) {
   const auto params = core::GateParams::nor2_reference();
   sim::HybridGateChannel gate(params);
-  gate.initialize(0.0, {false, false});
+  gate.initialize(0.0, std::array{false, false});
   double t = 0.0;
   bool v = true;
   for (auto _ : state) {

@@ -1,71 +1,17 @@
 #include "core/gate_delay.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "fit/brent_root.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
 
-namespace {
-
-// Scalar expansion of V_O on one mode segment entered at x_ref (same form
-// the event channel uses; see ModeTable).
-struct ScalarVo {
-  bool valid = false;
-  double d = 0.0;
-  double a1 = 0.0;
-  double l1 = 0.0;
-  double a2 = 0.0;
-  double l2 = 0.0;
-};
-
-ScalarVo scalar_for(const ModeTable& mt, const ode::Vec2& x_ref) {
-  ScalarVo s;
-  s.valid = mt.scalar_valid;
-  if (!s.valid) return s;
-  const ode::Vec2 dev = x_ref - mt.xp;
-  double a1 = mt.p1c * dev.x + mt.p1d * dev.y;
-  double a2 = dev.y - a1;
-  double d = mt.d;
-  if (mt.fold1) {
-    d += a1;
-    a1 = 0.0;
-  }
-  if (mt.fold2) {
-    d += a2;
-    a2 = 0.0;
-  }
-  s.d = d;
-  s.a1 = a1;
-  s.l1 = mt.l1;
-  s.a2 = a2;
-  s.l2 = mt.l2;
-  return s;
-}
-
-ode::Vec2 advance(const ModeTable& mt, const ode::Vec2& x_ref, double tau) {
-  if (tau <= 0.0) return x_ref;
-  if (mt.spectral_valid) {
-    const ode::Vec2 dev = x_ref - mt.xp;
-    return mt.xp + std::exp(mt.l1 * tau) * (mt.s1 * dev) +
-           std::exp(mt.l2 * tau) * (mt.s2 * dev);
-  }
-  return mt.ode.state_at(tau, x_ref);
-}
-
-}  // namespace
-
 double mode_table_crossing(const ModeTable& mt, const ode::Vec2& x_ref,
                            double tau_end, double vth, bool rising) {
-  const ScalarVo sc = scalar_for(mt, x_ref);
+  const TwoExpVo sc = two_exp_expand(mt, x_ref);
   auto vo = [&](double tau) {
-    if (sc.valid) {
-      return sc.d + sc.a1 * std::exp(sc.l1 * tau) +
-             sc.a2 * std::exp(sc.l2 * tau);
-    }
-    return advance(mt, x_ref, tau).y;
+    return sc.valid ? sc.value(tau) : mode_state_at(mt, x_ref, tau).y;
   };
   constexpr int kSteps = 256;
   const double step = tau_end / kSteps;
@@ -108,7 +54,7 @@ double gate_output_crossing(const GateModeTables& tables, GateState s0,
     const ModeTable& mt = tables.state_table(s);
     const double t_cross = search_segment(mt, ev.t - t_seg);
     if (t_cross >= 0.0) return t_cross;
-    x = advance(mt, x, ev.t - t_seg);
+    x = mode_state_at(mt, x, ev.t - t_seg);
     t_seg = ev.t;
     s = gate_state_with(s, ev.port, ev.value);
   }

@@ -65,8 +65,32 @@ ModeTable derive_mode_table(const ode::AffineOde2& mode_ode) {
   }
   t.fold1 = t.scalar_valid && t.l1 == 0.0;
   t.fold2 = t.scalar_valid && t.l2 == 0.0;
-  t.spectral_valid = t.scalar_valid;
   return t;
+}
+
+TwoExpVo two_exp_expand(const ModeTable& mt, const ode::Vec2& x_ref) {
+  TwoExpVo vo;
+  vo.valid = mt.scalar_valid;
+  if (!mt.scalar_valid) return vo;  // defective/complex: use the generic scan
+  const ode::Vec2 dev = x_ref - mt.xp;
+  double a1 = mt.p1c * dev.x + mt.p1d * dev.y;
+  double a2 = dev.y - a1;
+  double d = mt.d;
+  // Zero-eigenvalue components are constant and fold into d.
+  if (mt.fold1) {
+    d += a1;
+    a1 = 0.0;
+  }
+  if (mt.fold2) {
+    d += a2;
+    a2 = 0.0;
+  }
+  vo.d = d;
+  vo.a1 = a1;
+  vo.l1 = mt.l1;
+  vo.a2 = a2;
+  vo.l2 = mt.l2;
+  return vo;
 }
 
 GateModeTables::GateModeTables(const GateParams& params) : params_(params) {

@@ -14,6 +14,7 @@
 // input states.
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -47,15 +48,51 @@ struct ModeTable {
   double p1d = 0.0;
   bool fold1 = false;
   bool fold2 = false;
-  // Full spectral form of the state evolution,
+  // Full spectral form of the state evolution (mode_state_at),
   //   x(tau) = xp + e^{l1 tau} S1 (x_ref - xp) + e^{l2 tau} S2 (x_ref - xp),
-  // valid when the spectrum is diagonalizable and a particular solution
-  // exists. Two exp() calls replace the generic matrix-exponential
-  // machinery on the event hot path.
-  bool spectral_valid = false;
+  // valid exactly when the scalar expansion is: the spectrum is
+  // diagonalizable and a particular solution exists. Two exp() calls
+  // replace the generic matrix-exponential machinery on the event hot path.
   ode::Mat2 s1{};
   ode::Mat2 s2{};
 };
+
+/// Scalar expansion of the output voltage on one mode segment. `valid` is
+/// false when the mode's spectrum is defective/complex; callers must then
+/// fall back to a generic scan. value() is inline: the crossing solver
+/// evaluates it several times per event.
+struct TwoExpVo {
+  bool valid = false;
+  double d = 0.0;
+  double a1 = 0.0;
+  double l1 = 0.0;
+  double a2 = 0.0;
+  double l2 = 0.0;
+
+  double value(double tau) const {
+    return d + a1 * std::exp(l1 * tau) + a2 * std::exp(l2 * tau);
+  }
+};
+
+/// Expansion of a mode table entered at state `x_ref`: the mode-constant
+/// pieces (l1, l2, projector row, particular solution) come precomputed
+/// from the table; only the amplitudes depend on the entry state.
+TwoExpVo two_exp_expand(const ModeTable& mt, const ode::Vec2& x_ref);
+
+/// State `tau` after entering mode `mt` at `x_ref` (x_ref itself for
+/// tau <= 0): the spectral form when the mode has a scalar expansion, the
+/// ODE's matrix exponential otherwise. Inline: the channels call it on
+/// every delivered input.
+inline ode::Vec2 mode_state_at(const ModeTable& mt, const ode::Vec2& x_ref,
+                               double tau) {
+  if (tau <= 0.0) return x_ref;
+  if (mt.scalar_valid) {
+    const ode::Vec2 dev = x_ref - mt.xp;
+    return mt.xp + std::exp(mt.l1 * tau) * (mt.s1 * dev) +
+           std::exp(mt.l2 * tau) * (mt.s2 * dev);
+  }
+  return mt.ode.state_at(tau, x_ref);
+}
 
 /// Derive every expansion field of a ModeTable (particular solution, scalar
 /// two-exponential coefficients, spectral projectors) from its affine ODE.

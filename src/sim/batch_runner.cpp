@@ -117,15 +117,12 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
     if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
   }
   const double t_end = t_last + config.t_settle;
-  // The worker's trace arena goes through the session and back, and the
-  // session works in the worker's scratch: storage is reset in place, not
-  // reallocated (bit-identical to Circuit::simulate). The session never
-  // throws for a run failure -- a failure or budget trip comes back as a
-  // structured non-kOk result.
-  SimSession session(circuit, 0, circuit.n_gates(), stimuli, 0.0,
-                     config.budget, std::move(arena), &scratch);
-  session.advance(t_end);
-  arena = session.take_result();
+  // Circuit::simulate's routine over the worker's trace arena and scratch:
+  // storage is reset in place, not reallocated. It never throws for a run
+  // failure -- a failure or budget trip comes back as a structured non-kOk
+  // result.
+  SimSession::run_blocks(circuit, stimuli, 0.0, t_end, config.budget, arena,
+                         scratch);
   const Circuit::SimResult& result = arena;
 
   RunStats stats;

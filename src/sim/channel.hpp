@@ -21,7 +21,7 @@
 #pragma once
 
 #include <optional>
-#include <vector>
+#include <span>
 
 namespace charlie::sim {
 
@@ -59,7 +59,7 @@ class GateChannel {
   virtual int n_inputs() const = 0;
 
   /// Reset to a steady state for the given input values at t0.
-  virtual void initialize(double t0, const std::vector<bool>& values) = 0;
+  virtual void initialize(double t0, std::span<const bool> values) = 0;
 
   virtual void on_input(double t, int port, bool value) = 0;
   virtual void on_fire(const PendingEvent& fired) = 0;

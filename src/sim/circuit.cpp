@@ -144,28 +144,103 @@ void Circuit::finish_fanout() {
         static_cast<std::uint32_t>(primary_inputs_.size() + g);
   }
   fanout_gates_ = gates_.size();
+  blocks_ = structural_cut((gates_.size() + kGatesPerBlock - 1) /
+                           kGatesPerBlock);
 }
 
-void Circuit::settle(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, std::size_t gate_end,
-                     std::vector<std::uint8_t>& values) const {
+void Circuit::prepare_run(const std::vector<waveform::DigitalTrace>& stimuli,
+                          double t_begin, double t_end, SimResult& run) const {
+  CHARLIE_ASSERT(t_end > t_begin);
   CHARLIE_ASSERT_MSG(stimuli.size() == primary_inputs_.size(),
                      "circuit: one stimulus trace per primary input");
-  CHARLIE_ASSERT(gate_end <= gates_.size());
-  values.assign(n_nets(), 0);
+  // A larger previous circuit's extra traces are dropped. Nothing is
+  // reserved per net: activity differs by orders of magnitude across nets,
+  // so any stimulus-derived guess over-reserves most of them.
+  std::vector<waveform::DigitalTrace>& traces = run.traces;
+  traces.resize(n_nets());
   for (std::size_t i = 0; i < stimuli.size(); ++i) {
-    values[static_cast<std::size_t>(primary_inputs_[i])] =
-        stimuli[i].value_at(t_begin) ? 1 : 0;
+    const waveform::DigitalTrace& stimulus = stimuli[i];
+    waveform::DigitalTrace& trace =
+        traces[static_cast<std::size_t>(primary_inputs_[i])];
+    trace.reset(stimulus.value_at(t_begin));
+    for (const double t : stimulus.transitions()) {
+      if (t > t_begin && t <= t_end) trace.append_transition(t);
+    }
   }
-  for (std::size_t g = 0; g < gate_end; ++g) {
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
     std::array<bool, kMaxGateArity> in{};
     const std::span<const NetId> inputs = gate_inputs(g);
     for (std::size_t p = 0; p < inputs.size(); ++p) {
-      in[p] = values[static_cast<std::size_t>(inputs[p])] != 0;
+      in[p] = traces[static_cast<std::size_t>(inputs[p])].initial_value();
     }
-    values[static_cast<std::size_t>(gates_[g].output)] =
-        eval_gate(gates_[g].kind, in[0], in[1], in[2]) ? 1 : 0;
+    traces[static_cast<std::size_t>(gates_[g].output)].reset(
+        eval_gate(gates_[g].kind, in[0], in[1], in[2]));
   }
+  run.n_events = 0;
+  run.max_heap_depth = 0;
+  run.equal_time_ties = 0;
+  run.status = RunStatus::kOk;
+  run.diagnostics = RunDiagnostics{};
+  run.diagnostics.t_horizon = t_end;
+}
+
+std::vector<std::size_t> Circuit::structural_cut(std::size_t n_blocks) const {
+  const std::size_t n_gates = gates_.size();
+  const std::size_t n_parts = std::clamp<std::size_t>(
+      n_blocks, 1, std::max<std::size_t>(n_gates, 1));
+  if (n_parts == 1) return {0, n_gates};
+
+  // A cut at gate p separates gates [0, p) from [p, n). Its cost is the
+  // number of nets live across it: nets driven before p whose last reader
+  // sits at or after p. Costs for every p come from one difference array
+  // over the net live ranges; each of the K-1 cuts then takes the cheapest
+  // position within a balance slack around its ideal (equal-count)
+  // position.
+  std::vector<int> last_use(n_gates, -1);
+  for (std::size_t g = 0; g < n_gates; ++g) {
+    for (const NetId net : gate_inputs(g)) {
+      const std::uint32_t p = producer(net);
+      if (p < n_inputs()) continue;
+      int& last = last_use[p - n_inputs()];
+      last = std::max(last, static_cast<int>(g));
+    }
+  }
+  std::vector<int> live(n_gates + 1, 0);
+  for (std::size_t d = 0; d < n_gates; ++d) {
+    if (last_use[d] < 0) continue;  // output read by no gate
+    ++live[d + 1];
+    --live[static_cast<std::size_t>(last_use[d]) + 1];
+  }
+  for (std::size_t p = 1; p <= n_gates; ++p) live[p] += live[p - 1];
+
+  std::vector<std::size_t> cut(n_parts + 1, 0);
+  cut[n_parts] = n_gates;
+  const std::size_t slack =
+      std::max<std::size_t>(1, n_gates / (4 * n_parts));
+  for (std::size_t i = 1; i < n_parts; ++i) {
+    const std::size_t ideal = i * n_gates / n_parts;
+    // Every block keeps at least one gate: cut i stays in
+    // [cut[i-1] + 1, n_gates - (n_parts - i)].
+    const std::size_t floor_p = cut[i - 1] + 1;
+    const std::size_t ceil_p = n_gates - (n_parts - i);
+    std::size_t lo = std::max(floor_p, ideal > slack ? ideal - slack : 1);
+    std::size_t hi = std::min(ceil_p, ideal + slack);
+    if (lo > hi) {
+      lo = hi = std::clamp(ideal, floor_p, ceil_p);
+    }
+    std::size_t best = lo;
+    for (std::size_t p = lo; p <= hi; ++p) {
+      const auto distance = [&](std::size_t q) {
+        return q > ideal ? q - ideal : ideal - q;
+      };
+      if (live[p] < live[best] ||
+          (live[p] == live[best] && distance(p) < distance(best))) {
+        best = p;
+      }
+    }
+    cut[i] = best;
+  }
+  return cut;
 }
 
 Circuit::NetId Circuit::find_net(const std::string& name) const {
@@ -187,12 +262,11 @@ const waveform::DigitalTrace& Circuit::SimResult::trace(NetId id) const {
 Circuit::SimResult Circuit::simulate(
     const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
     double t_end, const RunBudget& budget) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  // The whole window in one advance: reproduces the original single-pass
-  // engine bit-for-bit (see sim/sim_session.hpp).
-  SimSession session(*this, 0, n_gates(), stimuli, t_begin, budget);
-  session.advance(t_end);
-  return session.take_result();
+  SimResult result;
+  SimSession::Scratch scratch;
+  SimSession::run_blocks(*this, stimuli, t_begin, t_end, budget, result,
+                         scratch);
+  return result;
 }
 
 }  // namespace charlie::sim

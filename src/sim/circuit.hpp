@@ -14,11 +14,20 @@
 // Most circuits should instead come from a structural netlist through
 // sim::CircuitBuilder + cell::CellLibrary (sim/circuit_builder.hpp), which
 // validates the topology and instantiates characterized cells.
-// simulate() runs a sim::SimSession (sim/sim_session.hpp) over every gate.
 // Every net has one producer -- the primary input it is, or the gate that
 // drives it -- and the engine processes equal-time events in producer
 // order: primary inputs in declaration order, then gates in construction
 // order (sim_session.hpp, "Canonical event order").
+//
+// Blocks: simulate() prepares the run's traces (prepare_run) and runs the
+// circuit as ceil(n_gates / kGatesPerBlock) contiguous gate ranges, one
+// sim::SimSession each (sim/sim_session.hpp), one after another over the
+// whole window, so each block's gate records, channels and event heap stay
+// in a core's L2 cache while it runs. The blocks follow the structural
+// cut: equal gate counts, each cut moved within a balance slack to where
+// the fewest nets are live -- a cheap balanced min-cut along the
+// topological order. A circuit of at most kGatesPerBlock gates is one
+// block. The result does not depend on the cut (sim_session.hpp).
 //
 // State layout (docs/performance.md, "Engine state layout"): one event
 // touches a few small contiguous arrays. Each gate has a 16-byte hot
@@ -108,6 +117,10 @@ class Circuit {
  public:
   using NetId = int;
 
+  /// Gates per block at most: a block's engine state then fits a core's L2
+  /// cache (docs/performance.md, "Blocks and windows").
+  static constexpr std::size_t kGatesPerBlock = 6144;
+
   /// Declare a primary input net.
   NetId add_input(const std::string& name);
 
@@ -135,11 +148,13 @@ class Circuit {
     std::vector<waveform::DigitalTrace> traces;  // indexed by NetId
     long n_events = 0;
     /// Peak event-heap occupancy over the run: how many gate firings were
-    /// simultaneously scheduled. A cheap always-on observability counter
+    /// simultaneously scheduled in one block, the largest block's on a
+    /// run of several. A cheap always-on observability counter
     /// (obs::MetricsRegistry aggregates it across batch runs and shards).
     long max_heap_depth = 0;
-    /// Events processed at exactly the same time as the event before them:
-    /// how often the canonical equal-time order decided the result.
+    /// Events processed at exactly the same time as the event before them
+    /// in their block, summed over blocks: how often the canonical
+    /// equal-time order decided the result.
     long equal_time_ties = 0;
     /// kOk unless the run was terminated early (budget, deadline,
     /// cancellation, captured failure). A non-kOk result's traces are a
@@ -166,19 +181,25 @@ class Circuit {
   /// (ConvergenceError, AssertionError, injected fault) ends the run with a
   /// partial result whose status and diagnostics say what happened, so
   /// callers that treat a failure as fatal check ok(). An event-count trip
-  /// stops after exactly budget.max_events events on every host.
+  /// stops after exactly budget.max_events events on every host, however
+  /// many blocks the circuit runs as; the wall clock runs from the start of
+  /// the run.
   SimResult simulate(const std::vector<waveform::DigitalTrace>& stimuli,
                      double t_begin, double t_end,
                      const RunBudget& budget = RunBudget{});
 
-  /// Settled value (0 or 1) of every net at t_begin: each primary input's
-  /// stimulus value at t_begin (a transition at exactly t_begin included),
-  /// then the zero-time function of gates [0, gate_end) in construction
-  /// order, which is topological, so one sweep settles them. Nets of later
-  /// gates read 0. `values` is resized to n_nets(), keeping its capacity.
-  void settle(const std::vector<waveform::DigitalTrace>& stimuli,
-              double t_begin, std::size_t gate_end,
-              std::vector<std::uint8_t>& values) const;
+  /// Prepare `run` for a run over (t_begin, t_end] with `stimuli[i]`
+  /// driving the i-th primary input: every net's trace is reset in place
+  /// (keeping its capacity) to the net's settled value at t_begin, each
+  /// primary input's trace then holds its stimulus transitions in (t_begin,
+  /// t_end], and the run's totals are zeroed, with diagnostics.t_horizon at
+  /// t_end for the sessions' SimSession::add_to to lower. The settled values
+  /// are each stimulus's value at t_begin (a transition at exactly t_begin
+  /// included), then the zero-time function of every gate in construction
+  /// order, which is topological, so one sweep settles them. Every session
+  /// of the run starts from these traces.
+  void prepare_run(const std::vector<waveform::DigitalTrace>& stimuli,
+                   double t_begin, double t_end, SimResult& run) const;
 
   /// Number of declared primary inputs; input_net(i) is the NetId of the
   /// i-th declared input (stimulus order).
@@ -217,7 +238,7 @@ class Circuit {
  private:
   friend class SimSession;
   friend class ProcessBinder;   // walks the hybrid and inertial arrays
-  friend class ShardedCircuit;  // finishes the fanout before its sessions
+  friend class ShardedCircuit;  // cuts the gates and finishes the fanout
   friend class CircuitBuilder;  // sizes the arrays before filling them
 
   enum class ChannelTag : std::uint8_t { kHybrid, kInertial, kWire, kBoxed };
@@ -288,10 +309,16 @@ class Circuit {
   /// leaves no reallocation transient.
   void reserve(std::size_t n_nets, std::size_t n_hybrid,
                std::size_t n_inertial, std::size_t n_wire);
-  /// Build the CSR fanout and the producer table of the nets and gates
-  /// added so far (no-op when current). Runs before any session exists:
-  /// the sharded runner constructs its sessions concurrently.
+  /// Build the CSR fanout, the producer table and the block cut of the
+  /// nets and gates added so far (no-op when current). Runs before any
+  /// session exists: the sharded runner constructs its sessions
+  /// concurrently.
   void finish_fanout();
+
+  /// The structural cut (see the header) into `n_blocks` contiguous gate
+  /// ranges, clamped to [1, n_gates]: block b owns gates [cut[b],
+  /// cut[b + 1]). Requires a finished fanout.
+  std::vector<std::size_t> structural_cut(std::size_t n_blocks) const;
 
   std::vector<std::string> net_names_;
   std::unordered_map<std::string, NetId> net_ids_;
@@ -307,6 +334,7 @@ class Circuit {
   std::vector<std::uint32_t> fanout_begin_;
   std::vector<Fanout> fanout_;
   std::vector<std::uint32_t> producer_;  // by net
+  std::vector<std::size_t> blocks_;  // simulate()'s structural cut
   std::size_t fanout_gates_ = 0;  // gates the CSR covers
 };
 

@@ -20,7 +20,7 @@ bool SisLogicGate::eval() const {
   return core::gate_mode_output(topology_, state_, n_inputs_);
 }
 
-void SisLogicGate::initialize(double t0, const std::vector<bool>& values) {
+void SisLogicGate::initialize(double t0, std::span<const bool> values) {
   CHARLIE_ASSERT(values.size() == static_cast<std::size_t>(n_inputs_));
   state_ = 0;
   for (int i = 0; i < n_inputs_; ++i) {

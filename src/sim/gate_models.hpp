@@ -27,7 +27,7 @@ class SisLogicGate final : public GateChannel {
                std::unique_ptr<SisChannel> channel);
 
   int n_inputs() const override { return n_inputs_; }
-  void initialize(double t0, const std::vector<bool>& values) override;
+  void initialize(double t0, std::span<const bool> values) override;
   void on_input(double t, int port, bool value) override;
   void on_fire(const PendingEvent& fired) override;
   std::optional<PendingEvent> pending() const override;

@@ -23,8 +23,7 @@ void HybridGateChannel::rebind_tables(
   wave_.rebind(std::move(tables));
 }
 
-void HybridGateChannel::initialize(double t0,
-                                   const std::vector<bool>& values) {
+void HybridGateChannel::initialize(double t0, std::span<const bool> values) {
   const core::GateModeTables& tables = wave_.tables();
   const int n = n_inputs();
   CHARLIE_ASSERT(values.size() == static_cast<std::size_t>(n));

@@ -22,7 +22,7 @@
 #pragma once
 
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "core/gate_mode_tables.hpp"
 #include "sim/channel.hpp"
@@ -41,7 +41,7 @@ class HybridGateChannel final : public GateChannel {
       std::shared_ptr<const core::GateModeTables> tables);
 
   int n_inputs() const override { return wave_.tables().n_inputs(); }
-  void initialize(double t0, const std::vector<bool>& values) override;
+  void initialize(double t0, std::span<const bool> values) override;
   void on_input(double t, int port, bool value) override;
   void on_fire(const PendingEvent& fired) override;
   std::optional<PendingEvent> pending() const override {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -105,15 +104,7 @@ class ModeWaveform {
   /// Analog state at t >= the segment start.
   ode::Vec2 state_at(double t) const {
     CHARLIE_ASSERT(t >= t_ref_ - 1e-18);
-    if (t <= t_ref_) return x_ref_;
-    const double tau = t - t_ref_;
-    const core::ModeTable& mt = mode_table();
-    if (mt.spectral_valid) {
-      const ode::Vec2 dev = x_ref_ - mt.xp;
-      return mt.xp + std::exp(mt.l1 * tau) * (mt.s1 * dev) +
-             std::exp(mt.l2 * tau) * (mt.s2 * dev);
-    }
-    return mt.ode.state_at(tau, x_ref_);
+    return core::mode_state_at(mode_table(), x_ref_, t - t_ref_);
   }
 
   std::optional<PendingEvent> pending() const {
@@ -174,13 +165,13 @@ class ModeWaveform {
  private:
   /// The scalar expansion of V_O on the segment: amplitudes here, rates
   /// and validity in the mode entry.
-  TwoExpVo scalar() const {
+  core::TwoExpVo scalar() const {
     const core::ModeTable& mt = mode_table();
     return {mt.scalar_valid, vo_d_, vo_a1_, mt.l1, vo_a2_, mt.l2};
   }
 
   void refresh_scalar() {
-    const TwoExpVo vo = two_exp_expand(mode_table(), x_ref_);
+    const core::TwoExpVo vo = core::two_exp_expand(mode_table(), x_ref_);
     vo_d_ = vo.d;
     vo_a1_ = vo.a1;
     vo_a2_ = vo.a2;
@@ -195,7 +186,7 @@ class ModeWaveform {
   }
 
   std::optional<PendingEvent> next_crossing(double t_from) const {
-    const TwoExpVo vo = scalar();
+    const core::TwoExpVo vo = scalar();
     if (!vo.valid) {
       // Defective/complex spectrum: the generic scan.
       const auto crossing = scan_vo_crossing(

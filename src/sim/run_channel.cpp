@@ -1,9 +1,11 @@
 #include "sim/run_channel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
+#include "core/gate_params.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sim {
@@ -44,10 +46,12 @@ waveform::DigitalTrace run_gate_channel_impl(
                      return x.t < y.t;
                    });
 
-  std::vector<bool> initial;
-  initial.reserve(inputs.size());
-  for (const auto* trace : inputs) initial.push_back(trace->value_at(t_begin));
-  channel.initialize(t_begin, initial);
+  std::array<bool, core::kMaxGateInputs> initial{};
+  CHARLIE_ASSERT(inputs.size() <= initial.size());
+  for (std::size_t port = 0; port < inputs.size(); ++port) {
+    initial[port] = inputs[port]->value_at(t_begin);
+  }
+  channel.initialize(t_begin, std::span(initial).first(inputs.size()));
   waveform::DigitalTrace out(channel.initial_output(), {});
   bool out_value = channel.initial_output();
   double out_last_t = t_begin;

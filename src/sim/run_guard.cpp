@@ -64,15 +64,4 @@ RunStatus RunGuard::poll(long n_events) {
   return RunStatus::kOk;
 }
 
-RunDiagnostics RunGuard::finish(RunStatus status, long n_events,
-                                double t_horizon,
-                                const util::RunCounters& counters) const {
-  RunDiagnostics d;
-  d.status = status;
-  d.n_events = n_events;
-  d.t_horizon = t_horizon;
-  d.counters = counters;
-  return d;
-}
-
 }  // namespace charlie::sim

@@ -12,9 +12,11 @@
 //                     early; its traces are a valid prefix of the full run.
 //   RunDiagnostics -- status, event count, horizon reached, the numerical
 //                     guard/fallback counters (util::RunCounters) the run's
-//                     session added up, and the captured error text for
+//                     sessions added up, and the captured error text for
 //                     kFailed.
-//   RunGuard       -- the supervisor SimSession polls in its event loop.
+//   RunGuard       -- the run's supervisor, which its sessions poll in
+//                     their event loops: one wall clock and one event
+//                     count for every session of the run.
 //
 // Determinism: the event-count budget is checked against the engine's own
 // deterministic event counter, so a budget-terminated run stops at the
@@ -65,7 +67,7 @@ struct RunDiagnostics {
   long n_events = 0;          // events processed before termination
   double t_horizon = 0.0;     // simulated time actually reached
   /// Guard/fallback counters consumed by this run: the util::RunCounters
-  /// increments made inside its session's (or shards' sessions') calls.
+  /// increments made inside its sessions' calls.
   util::RunCounters counters;
   /// what() of the captured exception; empty unless status == kFailed.
   std::string error;
@@ -75,17 +77,23 @@ struct RunDiagnostics {
   std::string summary() const;
 };
 
-/// Budget supervisor for one run. Construction stamps the wall clock;
-/// check() is the per-event poll; finish() produces the diagnostics record
-/// from the counters the run's session added up.
+/// Budget supervisor for one run. Construction stamps the wall clock: the
+/// run starts. check() is the per-event poll of the run's sessions; the
+/// run's diagnostics come from its sessions (SimSession::add_to).
 class RunGuard {
  public:
   explicit RunGuard(const RunBudget& budget);
 
+  /// False when the budget sets no limit: sessions then never poll.
+  bool enabled() const { return budget_.enabled(); }
+
   /// Returns kOk while the run may continue, else the tripped status.
-  /// Cheap: the event ceiling is one compare; the wall clock and the
-  /// cancellation token are polled every `check_interval` events.
+  /// `n_events` counts the polling session's events; the guard adds those
+  /// of the sessions carried before it. Cheap: the event ceiling is one
+  /// compare; the wall clock and the cancellation token are polled every
+  /// `check_interval` events.
   RunStatus check(long n_events) {
+    n_events += carried_;
     if (budget_.max_events > 0 && n_events >= budget_.max_events) {
       return RunStatus::kBudgetExhausted;
     }
@@ -93,8 +101,9 @@ class RunGuard {
     return RunStatus::kOk;
   }
 
-  RunDiagnostics finish(RunStatus status, long n_events, double t_horizon,
-                        const util::RunCounters& counters) const;
+  /// A session of the run finished with `n_events` events: the next
+  /// session's polls count on from the run's total.
+  void carry(long n_events) { carried_ += n_events; }
 
  private:
   RunStatus poll(long n_events);
@@ -102,6 +111,7 @@ class RunGuard {
   RunBudget budget_;
   std::chrono::steady_clock::time_point t_start_;
   long next_poll_ = 0;
+  long carried_ = 0;  // events of the sessions that finished before
 };
 
 }  // namespace charlie::sim

@@ -19,9 +19,9 @@ ShardedCircuit::ShardedCircuit(std::unique_ptr<Circuit> circuit,
   // Sessions are constructed concurrently in simulate(): the shared fanout
   // must be complete before the first of them exists.
   circuit_->finish_fanout();
-  const std::size_t n_gates = circuit_->n_gates();
-  set_cut(structural_cut(std::max(
-      min_blocks, (n_gates + kGatesPerBlock - 1) / kGatesPerBlock)));
+  // At least the blocks Circuit::simulate runs.
+  set_cut(circuit_->structural_cut(
+      std::max(min_blocks, circuit_->blocks_.size() - 1)));
 }
 
 std::size_t ShardedCircuit::shard_of(std::size_t gate) const {
@@ -73,67 +73,6 @@ void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
   }
   rings_.clear();
   rings_.resize(ring_begin_.back());
-}
-
-std::vector<std::size_t> ShardedCircuit::structural_cut(
-    std::size_t n_shards) const {
-  const std::size_t n_gates = circuit_->n_gates();
-  const std::size_t n_parts = std::clamp<std::size_t>(
-      n_shards, 1, std::max<std::size_t>(n_gates, 1));
-
-  // A cut at gate p separates gates [0, p) from [p, n). Its cost is the
-  // number of nets live across it: nets driven before p whose last reader
-  // sits at or after p. Costs for every p come from one difference array
-  // over the net live ranges; each of the K-1 cuts then takes the cheapest
-  // position within a balance slack around its ideal (equal-count)
-  // position.
-  std::vector<int> last_use(n_gates, -1);
-  for (std::size_t g = 0; g < n_gates; ++g) {
-    for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
-      const int d = driver(net);
-      if (d >= 0) {
-        last_use[static_cast<std::size_t>(d)] =
-            std::max(last_use[static_cast<std::size_t>(d)],
-                     static_cast<int>(g));
-      }
-    }
-  }
-  std::vector<int> live(n_gates + 1, 0);
-  for (std::size_t d = 0; d < n_gates; ++d) {
-    if (last_use[d] < 0) continue;  // output read by no gate
-    ++live[d + 1];
-    --live[static_cast<std::size_t>(last_use[d]) + 1];
-  }
-  for (std::size_t p = 1; p <= n_gates; ++p) live[p] += live[p - 1];
-
-  std::vector<std::size_t> cut(n_parts + 1, 0);
-  cut[n_parts] = n_gates;
-  const std::size_t slack =
-      std::max<std::size_t>(1, n_gates / (4 * n_parts));
-  for (std::size_t i = 1; i < n_parts; ++i) {
-    const std::size_t ideal = i * n_gates / n_parts;
-    // Every shard keeps at least one gate: cut i stays in
-    // [cut[i-1] + 1, n_gates - (n_parts - i)].
-    const std::size_t floor_p = cut[i - 1] + 1;
-    const std::size_t ceil_p = n_gates - (n_parts - i);
-    std::size_t lo = std::max(floor_p, ideal > slack ? ideal - slack : 1);
-    std::size_t hi = std::min(ceil_p, ideal + slack);
-    if (lo > hi) {
-      lo = hi = std::clamp(ideal, floor_p, ceil_p);
-    }
-    std::size_t best = lo;
-    for (std::size_t p = lo; p <= hi; ++p) {
-      const auto distance = [&](std::size_t q) {
-        return q > ideal ? q - ideal : ideal - q;
-      };
-      if (live[p] < live[best] ||
-          (live[p] == live[best] && distance(p) < distance(best))) {
-        best = p;
-      }
-    }
-    cut[i] = best;
-  }
-  return cut;
 }
 
 std::vector<std::size_t> ShardedCircuit::balanced_cut(
@@ -263,10 +202,11 @@ const waveform::DigitalTrace& ShardedCircuit::Result::trace(
 ShardedCircuit::Result ShardedCircuit::simulate(
     const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
     double t_end, const ShardedSimConfig& config) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  CHARLIE_ASSERT_MSG(stimuli.size() == circuit_->n_inputs(),
-                     "sharded circuit: one stimulus per primary input");
   const std::size_t n_shards = this->n_shards();
+  // The coordinator's guard: its clock starts with the run.
+  RunGuard guard(config.budget);
+  Circuit::SimResult run;
+  circuit_->prepare_run(stimuli, t_begin, t_end, run);
 
   // --- window schedule -----------------------------------------------------
   // W windows of quantum q; the last window's end is exactly t_end, and every
@@ -295,29 +235,30 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   }
 
   // --- sessions, one per block ---------------------------------------------
-  // The circuit settles once; every session starts its range from those
-  // values and appends its nets' transitions to the result's traces. The
-  // nets a block reads from upstream change only through inject().
-  circuit_->settle(stimuli, t_begin, circuit_->n_gates(), settled_);
+  // Every session starts its range from the run's prepared traces and
+  // appends its nets' transitions to them. The nets a block reads from
+  // upstream hold only their settled values yet; their transitions arrive
+  // through inject().
+  scratch_.resize(n_shards);
+  std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
+  // Block tasks poll only the wall clock and the cancellation token, each
+  // through a guard of its own; the event ceiling is enforced below, on the
+  // coordinating thread at step granularity, so a budget trip is
+  // deterministic for a fixed config.
+  RunBudget task_budget = config.budget;
+  task_budget.max_events = 0;
+  std::vector<RunGuard> task_guards(n_shards, RunGuard(task_budget));
+  // Sessions over disjoint ranges initialize concurrently: each writes only
+  // its own gates' state and scratch.
+  pool_->parallel_for(n_shards, 1, [&](std::size_t /*worker*/, std::size_t s) {
+    sessions[s] = std::make_unique<SimSession>(*circuit_, cut_[s], cut_[s + 1],
+                                               t_begin, run.traces,
+                                               scratch_[s], task_guards[s]);
+  });
   Result result;
   result.owner = this;
   result.cut = cut_;
   result.n_windows = n_windows;
-  result.traces.resize(circuit_->n_nets());
-  scratch_.resize(n_shards);
-  std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
-  // Block tasks poll only the wall clock and the cancellation token; the
-  // event ceiling is enforced below, on the coordinating thread at step
-  // granularity, so a budget trip is deterministic for a fixed config.
-  RunBudget task_budget = config.budget;
-  task_budget.max_events = 0;
-  // Sessions over disjoint ranges initialize concurrently: each writes only
-  // its own gates' state, scratch and traces.
-  pool_->parallel_for(n_shards, 1, [&](std::size_t /*worker*/, std::size_t s) {
-    sessions[s] = std::make_unique<SimSession>(
-        *circuit_, cut_[s], cut_[s + 1], stimuli, t_begin, settled_,
-        result.traces, scratch_[s], task_budget);
-  });
 
   // --- exchange rings ------------------------------------------------------
   // Edge e's window-w bucket is filled at wavefront step from_shard + w and
@@ -349,9 +290,8 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // mutually independent (distinct sessions over disjoint gate ranges,
   // disjoint buckets and traces), so each step is one parallel_for. Grain
   // 1: block/window tasks are coarse already.
-  RunStatus status = RunStatus::kOk;
-  std::string error;
-  RunGuard guard(config.budget);
+  RunStatus stopped = RunStatus::kOk;  // by the pool or the event ceiling
+  std::string pool_error;
   for (std::size_t step = 0; step + 1 < n_shards + n_windows; ++step) {
     const std::size_t k_lo = step >= n_windows ? step - n_windows + 1 : 0;
     const std::size_t k_hi = std::min(n_shards - 1, step);
@@ -398,55 +338,36 @@ ShardedCircuit::Result ShardedCircuit::simulate(
           });
     } catch (const std::exception& e) {
       // A fault outside every session (the pool itself).
-      status = RunStatus::kFailed;
-      error = e.what();
+      stopped = RunStatus::kFailed;
+      pool_error = e.what();
       break;
     }
     // Failures and deadline/cancellation trips are sticky in the session;
-    // stop scheduling further steps once any block has terminated. A
-    // failure outranks a trip: its error is the more useful report.
+    // stop scheduling further steps once any block has terminated.
+    long n_processed = 0;
+    bool terminated = false;
     for (const auto& session : sessions) {
-      if (session->status() == RunStatus::kFailed) {
-        status = RunStatus::kFailed;
-        break;
-      }
-      if (status == RunStatus::kOk) status = session->status();
+      n_processed += session->n_events();
+      terminated = terminated || session->status() != RunStatus::kOk;
     }
+    if (terminated) break;
     // Deterministic event-budget check at step granularity: the summed
     // event count after a completed step does not depend on thread count.
-    if (status == RunStatus::kOk && config.budget.enabled()) {
-      long n_processed = 0;
-      for (const auto& session : sessions) {
-        n_processed +=
-            session->n_stimulus_events() + session->n_gate_events();
-      }
-      status = guard.check(n_processed);
+    if (config.budget.enabled()) {
+      stopped = guard.check(n_processed);
+      if (stopped != RunStatus::kOk) break;
     }
-    if (status != RunStatus::kOk) break;
   }
 
   // --- reduction, in block order -------------------------------------------
+  // The sessions fold into the run's totals as in Circuit::simulate: a
+  // failure outranks a trip, and a failed run reports the lowest-numbered
+  // failed block's error, unless the pool itself failed.
   result.shard_window_events = std::move(shard_window_events);
-  long n_gate_events = 0;
-  // Overall horizon actually covered: the lowest point any block fully
-  // reached (a terminated run's traces are only trustworthy below it).
-  double t_reached = t_end;
-  // Guard counters sum in block order; a failed run reports the lowest-
-  // numbered failed block's error, unless the pool itself failed.
-  util::RunCounters counters;
   result.metrics.add("shard.count", static_cast<long long>(n_shards));
   result.metrics.add("shard.windows", static_cast<long long>(n_windows));
-  long long equal_time_ties = 0;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    n_gate_events += sessions[s]->n_gate_events();
-    const Circuit::SimResult block = sessions[s]->take_result();
-    sessions[s].reset();
-    t_reached = std::min(t_reached, block.diagnostics.t_horizon);
-    counters += block.diagnostics.counters;
-    if (status == RunStatus::kFailed && error.empty()) {
-      error = block.diagnostics.error;
-    }
-    equal_time_ties += block.equal_time_ties;
+    sessions[s]->add_to(run);
     long shard_total = 0;
     for (const long n : result.shard_window_events[s]) {
       shard_total += n;
@@ -454,43 +375,32 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     }
     result.metrics.observe("shard.events", static_cast<double>(shard_total));
     result.metrics.observe("sim.max_heap_depth",
-                           static_cast<double>(block.max_heap_depth));
+                           static_cast<double>(sessions[s]->max_heap_depth()));
     if (bucket_sizes[s].count() > 0) {
       result.metrics.merge("shard.boundary_bucket", bucket_sizes[s]);
     }
   }
+  if (stopped == RunStatus::kFailed) {
+    run.status = RunStatus::kFailed;
+    run.diagnostics.error = pool_error;
+  } else if (run.status == RunStatus::kOk) {
+    run.status = stopped;
+  }
+  run.diagnostics.status = run.status;
   const obs::LogHistogram* buckets =
       result.metrics.histogram("shard.boundary_bucket");
   result.metrics.add(
       "shard.boundary_transitions",
       buckets != nullptr ? static_cast<long long>(buckets->sum()) : 0);
-  result.metrics.add("sim.equal_time_ties", equal_time_ties);
-  obs::absorb_run_counters(result.metrics, counters);
-  // The monolithic engine's event count is its processed stimulus events
-  // plus gate firings. Block-local stimulus counts double-count boundary
-  // injections and multi-block fanout of primary inputs, so the stimulus
-  // share is recomputed from the global traces instead.
-  long n_stimulus_events = 0;
-  for (std::size_t i = 0; i < stimuli.size(); ++i) {
-    const waveform::DigitalTrace& stimulus = stimuli[i];
-    waveform::DigitalTrace windowed(stimulus.value_at(t_begin), {});
-    for (std::size_t k = 0; k < stimulus.n_transitions(); ++k) {
-      const double t = stimulus.transitions()[k];
-      if (t > t_begin && t <= t_end) windowed.append_transition(t);
-    }
-    n_stimulus_events += static_cast<long>(windowed.n_transitions());
-    result.traces[static_cast<std::size_t>(circuit_->input_net(i))] =
-        std::move(windowed);
-  }
-  result.n_events = n_stimulus_events + n_gate_events;
-  result.status = status;
-  result.diagnostics =
-      guard.finish(status, result.n_events,
-                   status == RunStatus::kOk ? t_end : t_reached, counters);
-  result.diagnostics.error = error;
+  result.metrics.add("sim.equal_time_ties", run.equal_time_ties);
+  obs::absorb_run_counters(result.metrics, run.diagnostics.counters);
+  result.n_events = run.n_events;
+  result.status = run.status;
+  result.diagnostics = std::move(run.diagnostics);
+  result.traces = std::move(run.traces);
 
   // Re-cut on this run's measured work for the next run.
-  if (status == RunStatus::kOk && result.n_events > 0) {
+  if (result.ok() && result.n_events > 0) {
     std::vector<std::size_t> next = balanced_cut(result.traces);
     if (next != cut_) set_cut(std::move(next));
   }

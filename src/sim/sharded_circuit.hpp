@@ -6,24 +6,23 @@
 // gates are in topological order, so every cross-block net flows from a
 // lower block to a higher one and the block graph is acyclic. All blocks
 // share the one sim::Circuit, each running a SimSession over its own gate
-// range (sim/sim_session.hpp), which keeps state only for the nets its
-// gates read or drive and its own failure and guard counters; simulate()
-// reduces both in block order. The sessions of one run settle from one
-// vector of initial net values and append straight into one per-net trace
-// array: each net has one driver, so no two sessions share a trace.
+// range (sim/sim_session.hpp). A run is Circuit::simulate's run with
+// another schedule: the same prepared traces (Circuit::prepare_run), into
+// which every block's session appends its own nets' transitions, and the
+// same fold of the sessions into the run's totals in block order
+// (SimSession::add_to); in between, the sessions advance as a wavefront.
 //
 // Blocks: a circuit asked for K shards runs B = max(K, ceil(n_gates /
-// kGatesPerBlock)) blocks, so each block's gate records, channels and
-// event heap stay in a core's L2 cache while it runs; K is the minimum
-// block count. The default window count follows B: one window per block,
-// and at least kMinWindows, so a circuit of few blocks still fills the
-// pipeline. Block and window counts depend only on the circuit and K,
-// never on the host or the thread count.
+// Circuit::kGatesPerBlock)) blocks -- the blocks Circuit::simulate runs one
+// after another, unless K asks for more; K is the minimum block count. The
+// default window count follows B: one window per block, and at least
+// kMinWindows, so a circuit of few blocks still fills the pipeline. Block
+// and window counts depend only on the circuit and K, never on the host or
+// the thread count.
 //
-// Cuts: the first run uses the structural cut (equal gate counts, each cut
-// moved within a balance slack to where the fewest nets are live -- a
-// cheap balanced min-cut along the topological order). After every
-// completed run the cuts move to where that run's work splits evenly. A
+// Cuts: the first run uses the structural cut (Circuit::structural_cut).
+// After every completed run the cuts move to where that run's work splits
+// evenly. A
 // block's work is its session events: its gates' firings plus one event
 // per transition of each net it reads from outside (primary inputs and
 // upstream blocks). Both terms come from the run's per-net transition
@@ -49,16 +48,15 @@
 // to + w, and only the windows in flight between the two hold memory.
 //
 // Determinism: every (block, window) task consumes exactly the boundary
-// transitions the monolithic engine produces, and every session processes
+// transitions its upstream blocks produce, and every session processes
 // equal-time events in the engine's canonical producer order (primary
 // inputs, then gates in construction order; sim_session.hpp). Construction
 // order is topological and every block is a contiguous range, so all of a
-// block's upstream events at time t precede its own events at t in the
-// monolithic run too: each session replays exactly the monolithic order.
-// The result is bit-identical to single-threaded Circuit::simulate for any
-// cut, block count, thread count and window size, exact time ties
-// included -- regression-locked by tests/sim/test_sharded_circuit.cpp and
-// tests/sim/test_cross_mode.cpp.
+// block's upstream events at time t precede its own events at t in a
+// one-session run too: each session replays exactly that order. The result
+// is bit-identical to Circuit::simulate for any cut, block count, thread
+// count and window size, exact time ties included -- regression-locked by
+// tests/sim/test_sharded_circuit.cpp and tests/sim/test_cross_mode.cpp.
 #pragma once
 
 #include <cstddef>
@@ -83,24 +81,22 @@ struct ShardedSimConfig {
   double window = 0.0;
   /// Worker threads; 0 = min(n_shards(), hardware concurrency).
   std::size_t n_threads = 0;
-  /// Execution budget for the whole sharded run. The event ceiling is
-  /// enforced on the coordinating thread at wavefront-step granularity
-  /// (deterministic for a fixed cut and window config); deadlines and
-  /// cancellation are additionally polled inside each shard task.
+  /// Execution budget for the whole sharded run. The event ceiling on the
+  /// run's events (SimSession::n_events) is enforced on the coordinating
+  /// thread at wavefront-step granularity (deterministic for a fixed cut
+  /// and window config); deadlines and cancellation are additionally
+  /// polled inside each shard task.
   RunBudget budget;
 };
 
 class ShardedCircuit {
  public:
-  /// Gates per block at most, unless the caller asks for more blocks: a
-  /// block's engine state then fits a core's L2 cache.
-  static constexpr std::size_t kGatesPerBlock = 6144;
   /// Fewest windows the default quantum cuts a run into.
   static constexpr std::size_t kMinWindows = 16;
 
-  /// Cuts `circuit` into max(min_blocks, ceil(n_gates / kGatesPerBlock))
-  /// contiguous gate ranges (clamped to [1, n_gates]) at the structural
-  /// first cut.
+  /// Cuts `circuit` into max(min_blocks, ceil(n_gates /
+  /// Circuit::kGatesPerBlock)) contiguous gate ranges (clamped to [1,
+  /// n_gates]) at the structural first cut (Circuit::structural_cut).
   ShardedCircuit(std::unique_ptr<Circuit> circuit, std::size_t min_blocks);
 
   /// Number of blocks (at least the requested minimum).
@@ -184,7 +180,6 @@ class ShardedCircuit {
 
   void set_cut(std::vector<std::size_t> cut);
   std::size_t shard_of(std::size_t gate) const;
-  std::vector<std::size_t> structural_cut(std::size_t n_shards) const;
   std::vector<std::size_t> balanced_cut(
       const std::vector<waveform::DigitalTrace>& traces) const;
 
@@ -206,10 +201,8 @@ class ShardedCircuit {
   // 1)]: a producer runs at most to - from windows ahead of its consumer.
   std::vector<std::size_t> ring_begin_;
   std::vector<std::vector<BoundaryEvent>> rings_;
-  // Kept across runs: each block's session buffers, and the settled net
-  // values every session of a run starts from.
+  // Kept across runs: each block's session buffers.
   std::vector<SimSession::Scratch> scratch_;
-  std::vector<std::uint8_t> settled_;
   std::unique_ptr<util::ThreadPool> pool_;  // lazily (re)built in simulate
 };
 

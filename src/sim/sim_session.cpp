@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <type_traits>
 
 #include "obs/trace_recorder.hpp"
@@ -21,58 +22,106 @@ bool stream_before(const Event& a, const Event& b) {
 
 SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                        std::size_t gate_end, double t_begin,
-                       const RunBudget& budget, Circuit::SimResult&& arena,
-                       std::vector<waveform::DigitalTrace>* traces,
-                       Scratch* scratch)
+                       std::vector<waveform::DigitalTrace>& traces,
+                       Scratch& scratch, RunGuard& guard)
     : circuit_(&circuit), gate_begin_(gate_begin), gate_end_(gate_end),
-      whole_(gate_begin == 0 && gate_end == circuit.n_gates()),
-      t_begin_(t_begin), horizon_(t_begin), guard_(budget),
-      guard_active_(budget.enabled()), t_processed_(t_begin),
-      result_(std::move(arena)),
-      traces_(traces != nullptr ? traces : &result_.traces),
-      s_(scratch != nullptr ? scratch : &own_scratch_) {
+      horizon_(t_begin), guard_(&guard), guard_active_(guard.enabled()),
+      t_processed_(t_begin), traces_(&traces), s_(&scratch) {
   CHARLIE_ASSERT_MSG(gate_begin <= gate_end && gate_end <= circuit.n_gates(),
                      "sim session: gate range out of bounds");
+  CHARLIE_ASSERT(traces.size() == circuit.n_nets());
   circuit.finish_fanout();
+  // Guard sites bump the executing thread's counters: each call adds its
+  // own increments, on whichever thread runs it.
+  const util::RunCounters before = util::RunCounters::local();
+  collect_external_nets();
+  Circuit& c = circuit;
+  Scratch& s = scratch;
+  const std::size_t n_own = gate_end - gate_begin;
+
+  // --- steady state --------------------------------------------------------
+  // Window convention (see circuit.hpp): the settled values already include
+  // a transition at exactly t_begin; only strictly later transitions become
+  // events. Each gate's state comes from the settled values of its nets,
+  // which are their traces' initial values.
+  auto settled = [&](Circuit::NetId net) {
+    return traces[static_cast<std::size_t>(net)].initial_value();
+  };
+  s.net_value.resize(n_own + s.external.size());
+  for (std::size_t g = gate_begin; g < gate_end; ++g) {
+    Circuit::Gate& gate = c.gates_[g];
+    std::array<bool, kMaxGateArity> in_values{};
+    const std::span<const Circuit::NetId> inputs = c.gate_inputs(g);
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      in_values[p] = settled(inputs[p]);
+    }
+    const bool out = settled(gate.output);
+    s.net_value[g - gate_begin] = out ? 1 : 0;
+    gate.in_values = in_values;
+    gate.zero_time_value = out;
+    c.visit_channel(gate, [&](auto& channel) {
+      using Channel = std::decay_t<decltype(channel)>;
+      if constexpr (std::is_base_of_v<SisChannel, Channel>) {
+        channel.initialize(t_begin, out);
+      } else {
+        channel.initialize(t_begin, std::span<const bool>(in_values.data(),
+                                                          gate.arity));
+      }
+    });
+  }
+
+  // --- stimulus stream -----------------------------------------------------
+  // Every transition the external nets' traces hold is known up front: one
+  // sorted vector walked by an index beats pushing them through the gate
+  // heap. The external nets are in producer order, so sorting by (t,
+  // external index) puts equal times in producer order. Transitions beyond
+  // the final horizon simply never get processed.
+  s.stream.clear();
+  for (std::size_t k = 0; k < s.external.size(); ++k) {
+    const Circuit::NetId net = s.external[k].net;
+    s.net_value[n_own + k] = settled(net) ? 1 : 0;
+    const waveform::DigitalTrace& trace =
+        traces[static_cast<std::size_t>(net)];
+    for (std::size_t i = 0; i < trace.n_transitions(); ++i) {
+      s.stream.push_back({trace.transitions()[i],
+                          static_cast<std::uint32_t>(k), trace.is_rising(i)});
+    }
+  }
+  std::sort(s.stream.begin(), s.stream.end(),
+            [](const StreamEvent& a, const StreamEvent& b) {
+              return stream_before(a, b);
+            });
+  s.injected.clear();
+  s.incoming.clear();
+  s.log.clear();
+  s.log.reserve(kTransitionLogCapacity);
+  s.heap.reset(n_own);
+  counters_ += util::RunCounters::local() - before;
 }
 
-SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
-                       std::size_t gate_end,
-                       const std::vector<waveform::DigitalTrace>& stimuli,
-                       double t_begin, const RunBudget& budget,
-                       Circuit::SimResult&& arena, Scratch* scratch)
-    : SimSession(circuit, gate_begin, gate_end, t_begin, budget,
-                 std::move(arena), nullptr, scratch) {
-  std::vector<std::uint8_t>& settled = s_->settled;
-  circuit.settle(stimuli, t_begin, gate_end, settled);
-  // One trace per net, reset in place (keeping its capacity) to the net's
-  // settled value; a larger previous circuit's extra traces are dropped.
-  // Nothing is reserved per net: activity differs by orders of magnitude
-  // across nets, so any stimulus-derived guess over-reserves most of them.
-  const std::size_t n_nets = circuit.n_nets();
-  std::vector<waveform::DigitalTrace>& traces = result_.traces;
-  if (traces.size() > n_nets) traces.resize(n_nets);
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    traces[i].reset(settled[i] != 0);
+void SimSession::run_blocks(Circuit& circuit,
+                            const std::vector<waveform::DigitalTrace>& stimuli,
+                            double t_begin, double t_end,
+                            const RunBudget& budget,
+                            Circuit::SimResult& result, Scratch& scratch) {
+  // One guard for the whole run: its clock starts here, and its event
+  // count runs on from block to block.
+  RunGuard guard(budget);
+  circuit.prepare_run(stimuli, t_begin, t_end, result);
+  circuit.finish_fanout();
+  const std::vector<std::size_t>& cut = circuit.blocks_;
+  for (std::size_t b = 0; b + 1 < cut.size(); ++b) {
+    SimSession session(circuit, cut[b], cut[b + 1], t_begin, result.traces,
+                       scratch, guard);
+    session.advance(t_end);
+    session.add_to(result);
+    if (session.status() != RunStatus::kOk) {
+      // The later blocks never ran: their traces hold t_begin's values.
+      if (b + 2 < cut.size()) result.diagnostics.t_horizon = t_begin;
+      return;
+    }
+    guard.carry(session.n_events());
   }
-  traces.reserve(n_nets);
-  for (std::size_t i = traces.size(); i < n_nets; ++i) {
-    traces.emplace_back(settled[i] != 0, std::vector<double>{});
-  }
-  initialize(stimuli, settled);
-}
-
-SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
-                       std::size_t gate_end,
-                       const std::vector<waveform::DigitalTrace>& stimuli,
-                       double t_begin, std::span<const std::uint8_t> settled,
-                       std::vector<waveform::DigitalTrace>& traces,
-                       Scratch& scratch, const RunBudget& budget)
-    : SimSession(circuit, gate_begin, gate_end, t_begin, budget,
-                 Circuit::SimResult{}, &traces, &scratch) {
-  CHARLIE_ASSERT(settled.size() == circuit.n_nets() &&
-                 traces.size() == circuit.n_nets());
-  initialize(stimuli, settled);
 }
 
 void SimSession::collect_external_nets() {
@@ -80,10 +129,10 @@ void SimSession::collect_external_nets() {
   Scratch& s = *s_;
   std::vector<ExternalNet>& external = s.external;
   // The nets the range reads from outside, in producer order: primary
-  // inputs first, then upstream gates. A whole-circuit session takes every
-  // primary input, read or not.
+  // inputs first, then upstream gates. The session over the first gates
+  // takes every primary input, read or not: it counts them all.
   external.clear();
-  if (whole_) {
+  if (gate_begin_ == 0) {
     external.reserve(c.n_inputs());
     for (const Circuit::NetId net : c.primary_inputs_) {
       external.push_back({net, 0, 0});
@@ -129,87 +178,6 @@ void SimSession::collect_external_nets() {
                                    static_cast<std::uint32_t>(k));
   }
   std::sort(s.external_by_net.begin(), s.external_by_net.end());
-}
-
-void SimSession::initialize(
-    const std::vector<waveform::DigitalTrace>& stimuli,
-    std::span<const std::uint8_t> settled) {
-  Circuit& c = *circuit_;
-  Scratch& s = *s_;
-  CHARLIE_ASSERT_MSG(stimuli.size() == c.primary_inputs_.size(),
-                     "circuit: one stimulus trace per primary input");
-  // Guard sites bump the executing thread's counters: each call adds its
-  // own increments, on whichever thread runs it.
-  const util::RunCounters before = util::RunCounters::local();
-  collect_external_nets();
-  const std::size_t n_own = gate_end_ - gate_begin_;
-  std::vector<waveform::DigitalTrace>& traces = *traces_;
-
-  // --- steady state --------------------------------------------------------
-  // Window convention (see circuit.hpp): the settled values already include
-  // a transition at exactly t_begin; only strictly later transitions become
-  // events. Each gate's state comes from the settled values of its nets,
-  // and so does the initial value of every trace the session records.
-  s.net_value.resize(n_own + s.external.size());
-  for (std::size_t g = gate_begin_; g < gate_end_; ++g) {
-    Circuit::Gate& gate = c.gates_[g];
-    std::array<bool, kMaxGateArity> in_values{};
-    const std::span<const Circuit::NetId> inputs = c.gate_inputs(g);
-    for (std::size_t p = 0; p < inputs.size(); ++p) {
-      in_values[p] = settled[static_cast<std::size_t>(inputs[p])] != 0;
-    }
-    const bool out = settled[static_cast<std::size_t>(gate.output)] != 0;
-    s.net_value[g - gate_begin_] = out ? 1 : 0;
-    traces[static_cast<std::size_t>(gate.output)].reset(out);
-    gate.in_values = in_values;
-    gate.zero_time_value = out;
-    c.visit_channel(gate, [&](auto& channel) {
-      using Channel = std::decay_t<decltype(channel)>;
-      if constexpr (std::is_base_of_v<SisChannel, Channel>) {
-        channel.initialize(t_begin_, out);
-      } else {
-        channel.initialize(
-            t_begin_, std::vector<bool>(in_values.begin(),
-                                        in_values.begin() + gate.arity));
-      }
-    });
-  }
-  for (std::size_t k = 0; k < s.external.size(); ++k) {
-    const auto net = static_cast<std::size_t>(s.external[k].net);
-    s.net_value[n_own + k] = settled[net];
-    if (whole_) traces[net].reset(settled[net] != 0);
-  }
-
-  // --- stimulus stream -----------------------------------------------------
-  // All primary-input events are known up front: one sorted vector walked
-  // by an index beats pushing them through the gate heap. The external nets
-  // are in producer order with the primary inputs first, so sorting by
-  // (t, external index) puts equal times in input-declaration order.
-  // Transitions beyond the final horizon simply never get processed.
-  s.stream.clear();
-  for (std::size_t k = 0; k < s.external.size(); ++k) {
-    const std::uint32_t p = c.producer(s.external[k].net);
-    if (p >= stimuli.size()) break;  // upstream gates' nets follow
-    const waveform::DigitalTrace& trace = stimuli[p];
-    for (std::size_t i = 0; i < trace.n_transitions(); ++i) {
-      const double t = trace.transitions()[i];
-      if (t <= t_begin_) continue;
-      s.stream.push_back(
-          {t, static_cast<std::uint32_t>(k), trace.is_rising(i)});
-    }
-  }
-  std::sort(s.stream.begin(), s.stream.end(),
-            [](const StreamEvent& a, const StreamEvent& b) {
-              return stream_before(a, b);
-            });
-  s.injected.clear();
-  s.incoming.clear();
-  stream_index_ = 0;
-  injected_index_ = 0;
-  s.log.clear();
-  s.log.reserve(kTransitionLogCapacity);
-  s.heap.reset(n_own);
-  counters_ += util::RunCounters::local() - before;
 }
 
 void SimSession::reschedule(std::size_t slot,
@@ -345,9 +313,9 @@ void SimSession::run_window() {
   };
 
   // --- event loop ----------------------------------------------------------
-  // Equal times go in producer order (see the header): the stream's
-  // primary-input and injected heads by (t, external index), the stream
-  // before the range's own gates, and those by (t, slot).
+  // Equal times go in producer order (see the header): the streamed and
+  // injected heads by (t, external index), the stream before the range's
+  // own gates, and those by (t, slot).
   while (true) {
     const StreamEvent* next = nullptr;
     bool injected = false;
@@ -362,11 +330,14 @@ void SimSession::run_window() {
     const bool stream_due = next != nullptr && next->t <= horizon_;
     const bool heap_due = !heap.empty() && heap.top().t <= horizon_;
     if (!stream_due && !heap_due) break;
-    // Budget poll before taking the next event: a trip leaves exactly
-    // n_events processed and the remaining events pending, so the partial
-    // traces are a deterministic prefix of the full run.
-    if (guard_active_) {
-      const RunStatus st = guard_.check(n_stimulus_events_ + n_gate_events_);
+    const bool from_stream =
+        stream_due && (!heap_due || next->t <= heap.top().t);
+    // Budget poll before the next event the run counts (see the header): a
+    // trip leaves exactly the run's max_events processed and the remaining
+    // events pending, so the partial traces are a deterministic prefix of
+    // the full run.
+    if (guard_active_ && (!from_stream || gate_begin_ == 0)) {
+      const RunStatus st = guard_->check(n_events());
       if (st != RunStatus::kOk) {
         status_ = st;
         obs_span.set_value0(n_stimulus_events_ + n_gate_events_ -
@@ -374,7 +345,7 @@ void SimSession::run_window() {
         return;
       }
     }
-    if (stream_due && (!heap_due || next->t <= heap.top().t)) {
+    if (from_stream) {
       const StreamEvent ev = *next;
       if (injected) {
         ++injected_index_;
@@ -388,9 +359,6 @@ void SimSession::run_window() {
       std::uint8_t& value = s.net_value[n_own + ev.ext];
       if ((value != 0) != ev.value) {  // defensive: transitions alternate
         value = ev.value ? 1 : 0;
-        // Stream nets are primary inputs or upstream ranges' nets: only a
-        // whole-circuit session records them.
-        if (whole_) record(ev.t, ext.net);
         deliver(fanout + ext.fanout_begin, fanout + ext.fanout_end, ev.t,
                 ev.value);
       }
@@ -427,18 +395,22 @@ void SimSession::run_window() {
   obs_span.set_value0(n_stimulus_events_ + n_gate_events_ - events_before);
 }
 
-Circuit::SimResult SimSession::take_result() {
-  const long n_events = n_stimulus_events_ + n_gate_events_;
-  result_.n_events = n_events;
-  result_.max_heap_depth = max_heap_depth_;
-  result_.equal_time_ties = equal_time_ties_;
-  result_.status = status_;
-  result_.diagnostics =
-      guard_.finish(status_, n_events,
-                    status_ == RunStatus::kOk ? horizon_ : t_processed_,
-                    counters_);
-  result_.diagnostics.error = error_;
-  return std::move(result_);
+void SimSession::add_to(Circuit::SimResult& run) const {
+  run.n_events += n_events();
+  run.max_heap_depth = std::max(run.max_heap_depth, max_heap_depth_);
+  run.equal_time_ties += equal_time_ties_;
+  RunDiagnostics& d = run.diagnostics;
+  d.counters += counters_;
+  d.t_horizon = std::min(
+      d.t_horizon, status_ == RunStatus::kOk ? horizon_ : t_processed_);
+  if (status_ == RunStatus::kFailed && run.status != RunStatus::kFailed) {
+    run.status = RunStatus::kFailed;
+    d.error = error_;
+  } else if (run.status == RunStatus::kOk) {
+    run.status = status_;
+  }
+  d.status = run.status;
+  d.n_events = run.n_events;
 }
 
 }  // namespace charlie::sim

@@ -1,46 +1,63 @@
 // Resumable event-driven simulation session over a range of gates.
 //
-// SimSession is the only way into the event loop: Circuit::simulate runs
-// one session over every gate, BatchRunner one per run over its worker's
-// trace arena and scratch, and the sharded circuit runner
-// (sim/sharded_circuit.hpp) one per block over a contiguous gate range of a
-// shared Circuit, advanced one conservative window quantum at a time with
-// the transitions of upstream blocks injected between advances. A session
-// borrows the channel state of the gates in its range, so at most one
-// session may be active per gate at a time; sessions over disjoint ranges
-// of one Circuit may run concurrently.
+// SimSession is the only way into the event loop. A run -- one
+// Circuit::simulate call, one BatchRunner run, one ShardedCircuit::simulate
+// call -- first prepares its shared state (Circuit::prepare_run): one trace
+// per net, reset to the net's settled value at t_begin, the primary inputs'
+// traces holding their stimulus transitions in the window. Its sessions
+// then simulate contiguous gate ranges (blocks) into those traces and fold
+// their totals into the run's result in block order (add_to). run_blocks()
+// runs a circuit's blocks one after another over the whole window
+// (Circuit::simulate and BatchRunner); the sharded runner
+// (sim/sharded_circuit.hpp) advances one session per block a conservative
+// window quantum at a time, injecting the transitions of upstream blocks
+// between advances. A session borrows the channel state of the gates in
+// its range, so at most one session may be active per gate at a time;
+// sessions over disjoint ranges of one Circuit may run concurrently.
 //
 // Gate ranges: a Circuit's gates are in topological order by construction
 // (every input net exists before the gate that reads it), so a contiguous
 // range [gate_begin, gate_end) reads only primary inputs, nets of earlier
 // gates, and its own nets. A range session keeps state only for the nets
 // its gates read or drive: its own nets, indexed like its gates, and its
-// external nets -- the primary inputs and upstream gates' nets it reads.
-// It queues the stimulus transitions of the primary inputs it reads, takes
-// transitions of upstream nets through inject(net, t, value), walks only
-// the in-range part of each fanout list, and records only the nets its
-// gates drive. A session over every gate is the whole engine: its external
-// nets are every primary input, and it records them as well.
+// external nets -- the primary inputs and upstream gates' nets it reads;
+// the session over the first gates (gate_begin 0) takes every primary
+// input, read or not. It streams the transitions its external nets' traces
+// hold when it is built -- the stimuli, and the complete traces of upstream
+// blocks that already ran -- plus those inject(net, t, value) adds later,
+// walks only the in-range part of each fanout list, and appends only to
+// the traces of the nets its gates drive.
+//
+// Events and budgets. A run's events are its primary-input transitions and
+// its gate firings. The session over the first gates counts every
+// primary-input transition it streams; any other session counts only its
+// gate firings, since everything it streams is a primary input the first
+// session counts or an upstream gate's firing. n_events() is that count,
+// and a run's sessions add up to the run's count, whatever the cut. Before
+// each event it counts, a session polls the run's RunGuard with the run's
+// count so far, so one event ceiling and one wall clock cover every session
+// of a run: run_blocks() stops after exactly max_events events, and only
+// when the run has more.
 //
 // Canonical event order. Every net has one producer: primary input i, or
 // the gate driving it. Producers are numbered primary inputs first, in
 // declaration order, then gates in construction order. Events at equal
 // times are processed in producer order: the stimulus stream (primary
-// inputs and injected upstream transitions, which all precede the range's
-// own gates) merged by (t, producer), then gate firings by (t, gate) from
-// the event heap. In a whole-circuit run this is exactly the order in which
+// inputs and upstream transitions, which all precede the range's own
+// gates) merged by (t, producer), then gate firings by (t, gate) from the
+// event heap. In a one-session run this is exactly the order in which
 // equal-time events happen anyway: an event at t can only schedule readers
 // of its net, which come later in construction order. A range session
-// therefore sees its inputs and its own firings in the same order as the
-// whole-circuit session does, whatever the range, the window or the
-// thread that runs it; that is what makes every split, shard and window
-// schedule bit-identical to Circuit::simulate.
+// therefore sees its inputs and its own firings in the same order as a
+// session over every gate does, whatever the range, the window or the
+// thread that runs it; that is what makes every cut, block schedule and
+// window schedule bit-identical.
 //
 // Window convention (same as Circuit::simulate): construction settles the
-// range at t_begin from the stimuli's values at t_begin; each advance(t)
-// call then processes every event in (previous horizon, t]. A gate firing
-// beyond the current horizon stays in the heap and fires in a later
-// window. A single advance(t_end) is Circuit::simulate.
+// range at t_begin from its nets' settled values, the traces' initial
+// values; each advance(t) call then processes every event in (previous
+// horizon, t]. A gate firing beyond the current horizon stays in the heap
+// and fires in a later window.
 //
 // advance() is the engine's no-throw boundary: an exception out of a run
 // ends the session with a sticky kFailed status and its what() text. The
@@ -53,18 +70,16 @@
 // per-session log of (t, net) records with a fixed capacity
 // (kTransitionLogCapacity), which moves into the per-net traces whenever
 // it fills and on every exit from advance() -- trips and failures
-// included -- so trace() and take_result() always see every transition up
-// to the horizon, and a tripped run's traces stay a prefix of the full
-// run's. The stream, log, heap and per-net state live in a Scratch that a
-// caller running many sessions passes to each in turn, so they are
-// allocated once.
+// included -- so trace() always sees every transition up to the horizon,
+// and a tripped run's traces stay a prefix of the full run's. The stream,
+// log, heap and per-net state live in a Scratch that a caller running many
+// sessions passes to each in turn, so they are allocated once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,7 +121,7 @@ class SimSession {
   class Scratch {
    private:
     friend class SimSession;
-    std::vector<StreamEvent> stream;    // primary-input transitions
+    std::vector<StreamEvent> stream;    // transitions held at construction
     std::vector<StreamEvent> injected;  // merged injected transitions
     std::vector<StreamEvent> incoming;  // inject()s since the last advance
     std::vector<LoggedTransition> log;  // recorded, not yet in a trace
@@ -114,35 +129,36 @@ class SimSession {
     std::vector<std::uint8_t> net_value;  // own nets, then external nets
     std::vector<ExternalNet> external;    // by producer
     std::vector<std::pair<Circuit::NetId, std::uint32_t>> external_by_net;
-    std::vector<std::uint8_t> settled;  // standalone sessions' settle
   };
 
   /// Settle gates [gate_begin, gate_end) of `circuit` at t_begin and queue
-  /// the stimulus transitions they read; [0, circuit.n_gates()) is the
-  /// whole circuit. The session settles the gates before its range itself;
-  /// nets of those gates change only through inject(). advance() polls
-  /// `budget` and ends the session early with the tripped RunStatus.
-  /// `arena` holds one trace per net, reset and reused, not reallocated;
-  /// take_result() hands it back. `scratch` (a private one when null) must
-  /// outlive the session. Misuse (a range out of bounds, a stimulus count
-  /// that does not match the primary inputs) throws.
+  /// the transitions its external nets' traces hold; [0, circuit.n_gates())
+  /// is the whole circuit. `traces` holds one trace per net, prepared by
+  /// Circuit::prepare_run and shared by the run's sessions: the session
+  /// appends its own nets' transitions (every net has one driver, so
+  /// concurrent sessions never touch the same trace). advance() polls
+  /// `guard`, the run's, before each event the session counts. `traces`,
+  /// `scratch` and `guard` must outlive the session. A range out of bounds
+  /// throws.
   SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
-             const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin, const RunBudget& budget = RunBudget{},
-             Circuit::SimResult&& arena = Circuit::SimResult{},
-             Scratch* scratch = nullptr);
+             double t_begin, std::vector<waveform::DigitalTrace>& traces,
+             Scratch& scratch, RunGuard& guard);
 
-  /// A gate range of a run it shares with other sessions (sharded
-  /// execution): settles from `settled` (Circuit::settle of the run's
-  /// stimuli at t_begin, one value per net) and appends its nets'
-  /// transitions to `traces` (one per net, shared by the run's sessions;
-  /// every net has one driver, so concurrent sessions never touch the same
-  /// trace). take_result() then carries no traces.
-  SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
-             const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin, std::span<const std::uint8_t> settled,
-             std::vector<waveform::DigitalTrace>& traces, Scratch& scratch,
-             const RunBudget& budget);
+  /// One run of every gate of `circuit` over (t_begin, t_end], supervised
+  /// by `budget`: prepares `result` (Circuit::prepare_run), then runs the
+  /// circuit's blocks (circuit.hpp) one after another over the whole
+  /// window -- each block's session is built after its upstream blocks
+  /// have finished, so it streams their complete traces and needs no
+  /// injection -- and folds them into `result` in block order. A
+  /// terminated block ends the run; the blocks after it keep their settled
+  /// traces, and diagnostics.t_horizon drops to t_begin. `result`'s traces
+  /// and `scratch` are reset in place, keeping their capacity. Never throws
+  /// for a run failure; misuse (a stimulus count that does not match the
+  /// primary inputs) throws.
+  static void run_blocks(Circuit& circuit,
+                         const std::vector<waveform::DigitalTrace>& stimuli,
+                         double t_begin, double t_end, const RunBudget& budget,
+                         Circuit::SimResult& result, Scratch& scratch);
 
   SimSession(const SimSession&) = delete;
   SimSession& operator=(const SimSession&) = delete;
@@ -163,6 +179,12 @@ class SimSession {
 
   long n_stimulus_events() const { return n_stimulus_events_; }
   long n_gate_events() const { return n_gate_events_; }
+  /// The run's events this session processed (see the header): its gate
+  /// firings, plus its stimulus events for the session over the first
+  /// gates.
+  long n_events() const {
+    return n_gate_events_ + (gate_begin_ == 0 ? n_stimulus_events_ : 0);
+  }
 
   /// Peak event-heap occupancy so far (see Circuit::SimResult).
   long max_heap_depth() const { return max_heap_depth_; }
@@ -170,31 +192,27 @@ class SimSession {
   /// kOk while the session may still advance; any other value is sticky.
   RunStatus status() const { return status_; }
 
-  /// Transitions recorded on `net` so far (up to the current horizon).
-  /// `net` is one the session records: a net its gates drive, or a primary
-  /// input of a whole-circuit session. A session with its own arena reads
-  /// every other net as an empty trace.
+  /// The run's trace of `net`: for a net the session's gates drive, every
+  /// transition up to the current horizon.
   const waveform::DigitalTrace& trace(Circuit::NetId net) const {
     CHARLIE_ASSERT(net >= 0 &&
                    static_cast<std::size_t>(net) < traces_->size());
     return (*traces_)[static_cast<std::size_t>(net)];
   }
 
-  /// Move the result out, stamped with status, event counts and
-  /// diagnostics; the session must not be advanced afterwards.
-  Circuit::SimResult take_result();
+  /// Fold this session into `run`, the totals of its run's sessions in
+  /// block order (prepared by Circuit::prepare_run): events, equal-time
+  /// ties and guard counters add up, the heap peak is the largest
+  /// session's, the horizon is the lowest any session reached (where it
+  /// stopped, for a terminated one), and the status is the first failure
+  /// -- with its error text -- or else the first trip.
+  void add_to(Circuit::SimResult& run) const;
 
  private:
   // Records the transition log holds before it moves into the traces: a
   // fixed bound, so a worker's log costs the same on every run.
   static constexpr std::size_t kTransitionLogCapacity = 4096;
 
-  SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
-             double t_begin, const RunBudget& budget,
-             Circuit::SimResult&& arena,
-             std::vector<waveform::DigitalTrace>* traces, Scratch* scratch);
-  void initialize(const std::vector<waveform::DigitalTrace>& stimuli,
-                  std::span<const std::uint8_t> settled);
   void collect_external_nets();
   void run_window();
   void merge_injected();
@@ -209,20 +227,16 @@ class SimSession {
   Circuit* circuit_;
   std::size_t gate_begin_ = 0;    // the session's gates: [gate_begin_,
   std::size_t gate_end_ = 0;      // gate_end_); heap slots are offsets
-  bool whole_ = true;             // every gate: record primary inputs too
-  double t_begin_ = 0.0;
   double horizon_ = 0.0;
-  RunGuard guard_;
+  RunGuard* guard_;
   bool guard_active_ = false;     // false: the loop skips every poll
   RunStatus status_ = RunStatus::kOk;
   std::string error_;             // captured failure text (kFailed)
   util::RunCounters counters_;    // increments made inside this session
   double t_processed_ = 0.0;      // time of the last processed event
-  Circuit::SimResult result_;
   std::vector<waveform::DigitalTrace>* traces_;  // by NetId
-  Scratch own_scratch_;           // used when the caller passes none
   Scratch* s_;
-  std::size_t stream_index_ = 0;    // next primary-input transition
+  std::size_t stream_index_ = 0;    // next streamed transition
   std::size_t injected_index_ = 0;  // next injected transition
   long n_stimulus_events_ = 0;
   long n_gate_events_ = 0;

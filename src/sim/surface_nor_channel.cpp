@@ -7,7 +7,7 @@ namespace charlie::sim {
 SurfaceNorChannel::SurfaceNorChannel(const core::DelaySurface& surface)
     : surface_(surface) {}
 
-void SurfaceNorChannel::initialize(double t0, const std::vector<bool>& values) {
+void SurfaceNorChannel::initialize(double t0, std::span<const bool> values) {
   CHARLIE_ASSERT(values.size() == 2);
   in_a_ = values[0];
   in_b_ = values[1];

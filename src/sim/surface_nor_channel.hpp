@@ -25,7 +25,7 @@ class SurfaceNorChannel final : public GateChannel {
   explicit SurfaceNorChannel(const core::DelaySurface& surface);
 
   int n_inputs() const override { return 2; }
-  void initialize(double t0, const std::vector<bool>& values) override;
+  void initialize(double t0, std::span<const bool> values) override;
   void on_input(double t, int port, bool value) override;
   void on_fire(const PendingEvent& fired) override;
   std::optional<PendingEvent> pending() const override { return live_; }

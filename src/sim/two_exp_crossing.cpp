@@ -10,43 +10,14 @@
 
 namespace charlie::sim {
 
-double TwoExpVo::value(double tau) const {
-  return d + a1 * std::exp(l1 * tau) + a2 * std::exp(l2 * tau);
-}
-
-TwoExpVo two_exp_expand(const core::ModeTable& mt, const ode::Vec2& x_ref) {
-  TwoExpVo vo;
-  vo.valid = mt.scalar_valid;
-  if (!mt.scalar_valid) return vo;  // defective/complex: use the generic scan
-  const ode::Vec2 dev = x_ref - mt.xp;
-  double a1 = mt.p1c * dev.x + mt.p1d * dev.y;
-  double a2 = dev.y - a1;
-  double d = mt.d;
-  // Zero-eigenvalue components are constant and fold into d.
-  if (mt.fold1) {
-    d += a1;
-    a1 = 0.0;
-  }
-  if (mt.fold2) {
-    d += a2;
-    a2 = 0.0;
-  }
-  vo.d = d;
-  vo.a1 = a1;
-  vo.l1 = mt.l1;
-  vo.a2 = a2;
-  vo.l2 = mt.l2;
-  return vo;
-}
-
 namespace {
 
 // Root of vo.value(tau) = vth inside the sign-change bracket [lo, hi],
 // where flo = vo.value(lo) - vth is already known: safeguarded Newton on
 // the two-exponential form (analytic derivative, bisection fallback step)
 // started from `seed`, Brent only if Newton fails to converge.
-double solve_crossing(const TwoExpVo& vo, double vth, double lo, double hi,
-                      double flo, double seed) {
+double solve_crossing(const core::TwoExpVo& vo, double vth, double lo,
+                      double hi, double flo, double seed) {
   CHARLIE_FAULT_POINT("crossing.solve");
   double a = lo;
   double b = hi;
@@ -89,9 +60,8 @@ double solve_crossing(const TwoExpVo& vo, double vth, double lo, double hi,
 
 }  // namespace
 
-std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
-                                                    double vth, double tau0,
-                                                    double horizon) {
+std::optional<TwoExpCrossing> two_exp_next_crossing(
+    const core::TwoExpVo& vo, double vth, double tau0, double horizon) {
   auto f = [&](double tau) { return vo.value(tau) - vth; };
   const double tau_end = tau0 + horizon;
   // Geometric right-expansion on the scalar form (same scheme as

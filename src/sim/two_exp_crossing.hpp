@@ -21,25 +21,6 @@
 
 namespace charlie::sim {
 
-/// Scalar expansion of the output voltage on one mode segment. `valid` is
-/// false when the mode's spectrum is defective/complex; callers must then
-/// fall back to their generic scan.
-struct TwoExpVo {
-  bool valid = false;
-  double d = 0.0;
-  double a1 = 0.0;
-  double l1 = 0.0;
-  double a2 = 0.0;
-  double l2 = 0.0;
-
-  double value(double tau) const;
-};
-
-/// Expansion of a mode table entered at state `x_ref`: the mode-constant
-/// pieces (l1, l2, projector row, particular solution) come precomputed
-/// from the table; only the amplitudes depend on the entry state.
-TwoExpVo two_exp_expand(const core::ModeTable& mt, const ode::Vec2& x_ref);
-
 struct TwoExpCrossing {
   double tau = 0.0;  // crossing offset from the segment reference time
   bool rising = false;
@@ -47,9 +28,8 @@ struct TwoExpCrossing {
 
 /// First crossing of `vo` through `vth` in [tau0, tau0 + horizon], or
 /// nullopt. Requires vo.valid and l1, l2 <= 0 (decaying modes).
-std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
-                                                    double vth, double tau0,
-                                                    double horizon);
+std::optional<TwoExpCrossing> two_exp_next_crossing(
+    const core::TwoExpVo& vo, double vth, double tau0, double horizon);
 
 struct ScanCrossing {
   double t = 0.0;  // absolute time of the crossing

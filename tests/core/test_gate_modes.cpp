@@ -218,7 +218,7 @@ TEST(GateModeTables, SpectralFormMatchesMatrixExponential) {
   const ode::Vec2 x_ref{0.11, 0.73};
   for (GateState s = 0; s < tables.n_states(); ++s) {
     const ModeTable& t = tables.state_table(s);
-    ASSERT_TRUE(t.spectral_valid) << gate_state_name(s, 3);
+    ASSERT_TRUE(t.scalar_valid) << gate_state_name(s, 3);
     for (double tau : {1e-12, 30e-12, 400e-12}) {
       const ode::Vec2 dev = x_ref - t.xp;
       const ode::Vec2 spectral = t.xp +

@@ -78,7 +78,7 @@ Transition output_swing(const GateParams& p) {
 // way the event loop does: scalar two-exponential expansion + solver.
 double crossing_tau(const GateModeTables& tabs, GateState active,
                     const ode::Vec2& x_ref) {
-  const auto vo = sim::two_exp_expand(tabs.state_table(active), x_ref);
+  const auto vo = core::two_exp_expand(tabs.state_table(active), x_ref);
   EXPECT_TRUE(vo.valid);
   const auto c =
       sim::two_exp_next_crossing(vo, tabs.vth(), 0.0, tabs.horizon());

@@ -26,6 +26,7 @@
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/inertial.hpp"
 #include "sim/pure_delay.hpp"
+#include "sim/run_guard.hpp"
 #include "sim/sharded_circuit.hpp"
 #include "sim/sim_session.hpp"
 #include "sim/wire_channel.hpp"
@@ -206,10 +207,16 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
     auto circuit = factory();
     const std::size_t n = circuit->n_gates();
     const std::vector<std::size_t> cut{0, n / 3, 2 * n / 3, n};
+    // The sessions share the run's traces, as the sharded runner's do:
+    // upstream nets hold their settled values when the sessions are built.
+    Circuit::SimResult run;
+    circuit->prepare_run(stimuli, 0.0, t_end, run);
+    RunGuard guard(RunBudget{});
+    std::vector<SimSession::Scratch> scratch(cut.size() - 1);
     std::vector<std::unique_ptr<SimSession>> sessions;
     for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
       sessions.push_back(std::make_unique<SimSession>(
-          *circuit, cut[s], cut[s + 1], stimuli, 0.0));
+          *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard));
     }
     // The range driving each net; -1 for primary inputs.
     std::vector<long> owner(circuit->n_nets(), -1);
@@ -265,7 +272,9 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
         expect_same(mono.trace(net), sessions[s]->trace(net),
                     label + " split net " + circuit->net_name(net));
       }
+      sessions[s]->add_to(run);
     }
+    EXPECT_EQ(run.n_events, mono.n_events) << label;
   }
 
   // --- sharded: K in {1, 2, 4}, 1 and 4 threads, two window quanta -------
@@ -323,8 +332,8 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
   // gen_netlist --gates 20000 --seed 1 on the reference library, stimulus
   // seed 1, 64 transitions per input: SIS delays collide exactly on this
   // design, and cuts at 64 and 256 shards separate such ties from their
-  // readers. The design is also larger than 2 * kGatesPerBlock, so one
-  // requested shard already runs several blocks.
+  // readers. The design is also larger than 2 * kGatesPerBlock, so
+  // Circuit::simulate and one requested shard already run several blocks.
   static const auto library =
       std::make_shared<const cell::CellLibrary>(cell::CellLibrary::reference());
   cell::NetlistGenConfig gen;
@@ -333,7 +342,7 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
   const cell::NetlistDesc desc = cell::generate_netlist(gen);
   const CircuitBuilder builder(library);
   const auto mono_circuit = builder.build(desc);
-  ASSERT_GT(mono_circuit->n_gates(), 2 * ShardedCircuit::kGatesPerBlock);
+  ASSERT_GT(mono_circuit->n_gates(), 2 * Circuit::kGatesPerBlock);
   waveform::TraceConfig trace;
   trace.mu = 150e-12;
   trace.sigma = 60e-12;
@@ -350,13 +359,34 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
   ASSERT_TRUE(mono.ok());
   EXPECT_GT(mono.equal_time_ties, 0);
 
+  // One session over every gate: the blocked Circuit::simulate above must
+  // match it on every net and in n_events.
   const std::vector<std::string> names = net_names(*mono_circuit);
+  {
+    const auto circuit = builder.build(desc);
+    Circuit::SimResult whole;
+    circuit->prepare_run(stimuli, 0.0, t_end, whole);
+    SimSession::Scratch scratch;
+    RunGuard guard(RunBudget{});
+    SimSession session(*circuit, 0, circuit->n_gates(), 0.0, whole.traces,
+                       scratch, guard);
+    session.advance(t_end);
+    session.add_to(whole);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_EQ(whole.n_events, mono.n_events);
+    for (std::size_t n = 0; n < names.size(); ++n) {
+      expect_same(whole.traces[n], mono.traces[n],
+                  "gen20k one session net " + names[n]);
+    }
+  }
   for (const auto& [k, threads] :
        std::vector<std::pair<std::size_t, std::size_t>>{
            {1, 2}, {64, 1}, {64, 4}, {256, 4}}) {
     const auto sharded = builder.build_sharded(desc, k);
     EXPECT_GE(sharded->n_shards(), k);
-    if (k == 1) EXPECT_GT(sharded->n_shards(), 2u);
+    if (k == 1) {
+      EXPECT_GT(sharded->n_shards(), 2u);
+    }
     ShardedSimConfig config;
     config.n_threads = threads;
     const auto result = sharded->simulate(stimuli, 0.0, t_end, config);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/delay_model.hpp"
 #include "core/modes.hpp"
 #include "util/error.hpp"
@@ -18,11 +20,11 @@ class HybridChannelFixture : public ::testing::Test {
 
 TEST_F(HybridChannelFixture, InitialStateFollowsInputs) {
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   EXPECT_TRUE(ch.initial_output());
   EXPECT_EQ(ch.input_state(),
             core::gate_state_from_mode(core::Mode::kS00));
-  ch.initialize(0.0, {true, false});
+  ch.initialize(0.0, std::array{true, false});
   EXPECT_FALSE(ch.initial_output());
   EXPECT_EQ(ch.input_state(),
             core::gate_state_from_mode(core::Mode::kS10));
@@ -30,7 +32,7 @@ TEST_F(HybridChannelFixture, InitialStateFollowsInputs) {
 
 TEST_F(HybridChannelFixture, SisFallingDelayMatchesDelayModel) {
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 1, true);  // B rises alone
   const auto p = ch.pending();
   ASSERT_TRUE(p.has_value());
@@ -41,7 +43,7 @@ TEST_F(HybridChannelFixture, SisFallingDelayMatchesDelayModel) {
 TEST_F(HybridChannelFixture, MisFallingDelayMatchesDelayModel) {
   for (double delta : {-40e-12, -10e-12, 0.0, 10e-12, 40e-12}) {
     HybridGateChannel ch(gate_);
-    ch.initialize(0.0, {false, false});
+    ch.initialize(0.0, std::array{false, false});
     const double t0 = 1e-9;
     if (delta >= 0.0) {
       ch.on_input(t0, 0, true);
@@ -62,7 +64,7 @@ TEST_F(HybridChannelFixture, MisRisingDelayMatchesDelayModel) {
   // Start in (1,1) with drained history; both inputs fall with separation.
   for (double delta : {-40e-12, 0.0, 40e-12}) {
     HybridGateChannel ch(gate_);
-    ch.initialize(0.0, {true, true});  // V_N = GND worst case
+    ch.initialize(0.0, std::array{true, true});  // V_N = GND worst case
     const double t0 = 1e-9;
     double t_last = t0;
     if (delta >= 0.0) {
@@ -87,7 +89,7 @@ TEST_F(HybridChannelFixture, GlitchCancellation) {
   // A rises then falls quickly: if the input returns before V_O reaches
   // the threshold, no output event survives.
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 0, true);
   ASSERT_TRUE(ch.pending().has_value());
   ch.on_input(1e-9 + 2e-12, 0, false);  // effective before the crossing
@@ -98,7 +100,7 @@ TEST_F(HybridChannelFixture, GlitchCancellation) {
 
 TEST_F(HybridChannelFixture, CommittedCrossingSurvivesLateReversal) {
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 0, true);
   const auto p = ch.pending();
   ASSERT_TRUE(p.has_value());
@@ -125,7 +127,7 @@ TEST_F(HybridChannelFixture, SharedTablesMatchPrivateTables) {
   HybridGateChannel owned(gate_);
   EXPECT_EQ(shared1.gate_tables().get(), shared2.gate_tables().get());
   for (HybridGateChannel* ch : {&shared1, &owned}) {
-    ch->initialize(0.0, {false, false});
+    ch->initialize(0.0, std::array{false, false});
     ch->on_input(1e-9, 0, true);
   }
   ASSERT_TRUE(shared1.pending().has_value());
@@ -140,7 +142,7 @@ TEST_F(HybridChannelFixture, MultipleCommittedCrossingsSurviveLateInput) {
   // promotes the live rising crossing to the committed queue. Every
   // committed event must then fire in order with matching payloads.
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 0, true);
   const auto fall = ch.pending();
   ASSERT_TRUE(fall.has_value());
@@ -168,7 +170,7 @@ TEST_F(HybridChannelFixture, MultipleCommittedCrossingsSurviveLateInput) {
 TEST_F(HybridChannelFixture, OnFireMismatchFailsLoudly) {
   // Engine/channel desync must be detected, not silently absorbed.
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 0, true);
   const auto p = ch.pending();
   ASSERT_TRUE(p.has_value());
@@ -192,7 +194,7 @@ TEST_F(HybridChannelFixture, OnFireMismatchFailsLoudly) {
 
 TEST_F(HybridChannelFixture, StateQueryEvolvesContinuously) {
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   EXPECT_NEAR(ch.state_at(0.5e-9).y, params_.vdd, 1e-9);
   ch.on_input(1e-9, 0, true);
   const double te = 1e-9 + params_.delta_min;
@@ -203,7 +205,7 @@ TEST_F(HybridChannelFixture, StateQueryEvolvesContinuously) {
 
 TEST_F(HybridChannelFixture, OutOfOrderInputThrows) {
   HybridGateChannel ch(gate_);
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(2e-9, 0, true);
   EXPECT_THROW(ch.on_input(1e-9, 1, true), AssertionError);
 }
@@ -212,10 +214,10 @@ TEST_F(HybridChannelFixture, MisSpeedupVisibleThroughChannel) {
   // Simultaneous rising inputs produce an earlier output event than a
   // lone rising input -- the Charlie effect surfacing in simulation.
   HybridGateChannel lone(gate_);
-  lone.initialize(0.0, {false, false});
+  lone.initialize(0.0, std::array{false, false});
   lone.on_input(1e-9, 1, true);
   HybridGateChannel both(gate_);
-  both.initialize(0.0, {false, false});
+  both.initialize(0.0, std::array{false, false});
   both.on_input(1e-9, 0, true);
   both.on_input(1e-9, 1, true);
   ASSERT_TRUE(lone.pending().has_value());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/gate_delay.hpp"
 #include "sim/circuit.hpp"
 #include "sim/gate_models.hpp"
@@ -22,9 +24,9 @@ class Nor3ChannelFixture : public ::testing::Test {
 TEST_F(Nor3ChannelFixture, InitialStateFollowsInputs) {
   HybridGateChannel ch(params_);
   EXPECT_EQ(ch.n_inputs(), 3);
-  ch.initialize(0.0, {false, false, false});
+  ch.initialize(0.0, std::array{false, false, false});
   EXPECT_TRUE(ch.initial_output());
-  ch.initialize(0.0, {false, true, false});
+  ch.initialize(0.0, std::array{false, true, false});
   EXPECT_FALSE(ch.initial_output());
   EXPECT_EQ(ch.input_state(), 0b010u);
 }
@@ -36,7 +38,7 @@ TEST_F(Nor3ChannelFixture, SisDelayMatchesClosedFormCrossing) {
   const auto tables = core::GateModeTables::make(raw);
   for (int port = 0; port < 3; ++port) {
     HybridGateChannel ch(tables);
-    ch.initialize(0.0, {false, false, false});
+    ch.initialize(0.0, std::array{false, false, false});
     ch.on_input(1e-9, port, true);
     const auto p = ch.pending();
     ASSERT_TRUE(p.has_value()) << "port=" << port;
@@ -53,10 +55,10 @@ TEST_F(Nor3ChannelFixture, MisSpeedupVisibleThroughChannel) {
   // Three simultaneous rising inputs produce an earlier output event than
   // any lone rising input -- the 3-strong Charlie effect.
   HybridGateChannel lone(params_);
-  lone.initialize(0.0, {false, false, false});
+  lone.initialize(0.0, std::array{false, false, false});
   lone.on_input(1e-9, 2, true);
   HybridGateChannel all(params_);
-  all.initialize(0.0, {false, false, false});
+  all.initialize(0.0, std::array{false, false, false});
   for (int port = 0; port < 3; ++port) all.on_input(1e-9, port, true);
   ASSERT_TRUE(lone.pending().has_value());
   ASSERT_TRUE(all.pending().has_value());
@@ -65,7 +67,7 @@ TEST_F(Nor3ChannelFixture, MisSpeedupVisibleThroughChannel) {
 
 TEST_F(Nor3ChannelFixture, GlitchCancellation) {
   HybridGateChannel ch(params_);
-  ch.initialize(0.0, {false, false, false});
+  ch.initialize(0.0, std::array{false, false, false});
   ch.on_input(1e-9, 1, true);
   ASSERT_TRUE(ch.pending().has_value());
   ch.on_input(1e-9 + 2e-12, 1, false);  // effective before the crossing
@@ -76,7 +78,7 @@ TEST_F(Nor3ChannelFixture, ThirdInputKeepsOutputLowAfterRelease) {
   // A and B rise (output falls); C rises; releasing A and B must not
   // produce a rising event while C still holds the output low.
   HybridGateChannel ch(params_);
-  ch.initialize(0.0, {false, false, false});
+  ch.initialize(0.0, std::array{false, false, false});
   ch.on_input(1e-9, 0, true);
   ch.on_input(1e-9, 1, true);
   const auto fall = ch.pending();
@@ -100,7 +102,7 @@ class Nand3ChannelFixture : public ::testing::Test {
 
 TEST_F(Nand3ChannelFixture, OutputLogicAndEvents) {
   HybridGateChannel ch(params_);
-  ch.initialize(0.0, {true, true, false});
+  ch.initialize(0.0, std::array{true, true, false});
   EXPECT_TRUE(ch.initial_output());
   // C rises: the stack completes and the output falls.
   ch.on_input(1e-9, 2, true);
@@ -122,7 +124,7 @@ TEST_F(Nand3ChannelFixture, SisDelayMatchesClosedFormCrossing) {
   const core::GateState all = 0b111;
   for (int port = 0; port < 3; ++port) {
     HybridGateChannel ch(tables);
-    ch.initialize(0.0, {true, true, true});
+    ch.initialize(0.0, std::array{true, true, true});
     ch.on_input(1e-9, port, false);
     const auto p = ch.pending();
     ASSERT_TRUE(p.has_value()) << "port=" << port;
@@ -139,7 +141,7 @@ TEST_F(Nand3ChannelFixture, FrozenStackHoldsWorstCaseAtInit) {
   // All-low NAND3 isolates the stack; initialization must assume the
   // worst-case charged internal node (VDD), the dual of the NOR's GND.
   HybridGateChannel ch(params_);
-  ch.initialize(0.0, {false, false, false});
+  ch.initialize(0.0, std::array{false, false, false});
   EXPECT_DOUBLE_EQ(ch.state_at(0.0).x, params_.vdd);
   EXPECT_DOUBLE_EQ(ch.state_at(0.0).y, params_.vdd);
 }
@@ -149,7 +151,7 @@ TEST(SisLogicGate, ZeroTimeLogicFiltersNonControllingEdges) {
   // boolean value must not reach the channel.
   auto gate = make_pure_gate(GateTopology::kNandLike, 3,
                              SisGateDelays{20e-12, 25e-12});
-  gate->initialize(0.0, {true, true, false});
+  gate->initialize(0.0, std::array{true, true, false});
   EXPECT_TRUE(gate->initial_output());
   gate->on_input(1e-9, 0, false);  // output stays high (C still low)
   EXPECT_FALSE(gate->pending().has_value());

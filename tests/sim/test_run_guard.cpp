@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/gate_mode_tables.hpp"
 #include "sim/circuit.hpp"
@@ -102,6 +104,72 @@ TEST(RunGuard, EventBudgetStopsAfterExactlyMaxEvents) {
   EXPECT_GT(partial_transitions, 0);
   // The reached horizon is where processing stopped, not the requested end.
   EXPECT_LT(partial.diagnostics.t_horizon, 1e-7);
+}
+
+TEST(RunGuard, EventCeilingIsExactAcrossBlocks) {
+  // A chain longer than one block runs as two blocks, one after another.
+  // One ceiling covers both: the run stops after exactly max_events of its
+  // events wherever the trip falls, and only when the run has more.
+  const int depth = static_cast<int>(Circuit::kGatesPerBlock) + 1000;
+  const std::vector<waveform::DigitalTrace> stimuli{edges(4)};
+  const double t_end = 1e-7;
+  const auto full = chain_circuit(depth)->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(full.ok()) << full.diagnostics.summary();
+  // Every edge ripples through the whole chain.
+  ASSERT_EQ(full.n_events, 4 + 4L * depth);
+
+  RunBudget exact;
+  exact.max_events = full.n_events;
+  const auto at_ceiling =
+      chain_circuit(depth)->simulate(stimuli, 0.0, t_end, exact);
+  EXPECT_TRUE(at_ceiling.ok()) << at_ceiling.diagnostics.summary();
+  EXPECT_EQ(at_ceiling.n_events, full.n_events);
+
+  // The trip falls in the second block just before its last event, in the
+  // second block midway, and in the first block.
+  for (const long max_events :
+       {full.n_events - 1, 3 * full.n_events / 4, 100L}) {
+    RunBudget budget;
+    budget.max_events = max_events;
+    auto c = chain_circuit(depth);
+    const auto partial = c->simulate(stimuli, 0.0, t_end, budget);
+    const std::string where = "max_events " + std::to_string(max_events);
+    EXPECT_EQ(partial.status, RunStatus::kBudgetExhausted) << where;
+    EXPECT_EQ(partial.n_events, max_events) << where;
+    EXPECT_EQ(partial.diagnostics.n_events, max_events) << where;
+    // Every trace is a prefix of the full run's and holds each of its
+    // transitions up to the reached horizon.
+    const double horizon = partial.diagnostics.t_horizon;
+    ASSERT_EQ(partial.traces.size(), full.traces.size());
+    for (std::size_t net = 0; net < partial.traces.size(); ++net) {
+      const auto& p = partial.traces[net].transitions();
+      const auto& f = full.traces[net].transitions();
+      ASSERT_LE(p.size(), f.size()) << where;
+      EXPECT_TRUE(std::equal(p.begin(), p.end(), f.begin())) << where;
+      const auto up_to_horizon = static_cast<std::size_t>(
+          std::upper_bound(f.begin(), f.end(), horizon) - f.begin());
+      EXPECT_GE(p.size(), up_to_horizon) << where;
+    }
+    const auto& last = partial.trace(c->gate_output(c->n_gates() - 1));
+    if (max_events > full.n_events / 2) {
+      // The first block finished the window; the second stopped where it
+      // tripped, the lowest horizon: its last gate misses one transition.
+      EXPECT_GT(horizon, 0.0) << where;
+      EXPECT_LT(horizon, t_end) << where;
+      if (max_events == full.n_events - 1) {
+        EXPECT_EQ(last.n_transitions(), 3u) << where;
+        EXPECT_EQ(horizon, full.trace(c->gate_output(c->n_gates() - 2))
+                               .transitions()
+                               .back())
+            << where;
+      }
+    } else {
+      // The second block never ran: its traces hold their settled values,
+      // valid only at t_begin.
+      EXPECT_EQ(horizon, 0.0) << where;
+      EXPECT_TRUE(last.empty()) << where;
+    }
+  }
 }
 
 TEST(RunGuard, EventBudgetCutIsReproducible) {
@@ -220,8 +288,11 @@ TEST(RunGuard, SessionStatusIsStickyAcrossAdvances) {
   RunBudget budget;
   budget.max_events = 5;
   auto c = chain_circuit(6);
-  const std::vector<waveform::DigitalTrace> stimuli{edges(10)};
-  SimSession session(*c, 0, c->n_gates(), stimuli, 0.0, budget);
+  Circuit::SimResult run;
+  c->prepare_run({edges(10)}, 0.0, 1e-7, run);
+  SimSession::Scratch scratch;
+  RunGuard guard(budget);
+  SimSession session(*c, 0, c->n_gates(), 0.0, run.traces, scratch, guard);
   session.advance(5e-9);
   EXPECT_EQ(session.status(), RunStatus::kBudgetExhausted);
   const long events_at_trip =

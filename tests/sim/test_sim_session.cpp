@@ -12,6 +12,7 @@
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
 #include "sim/circuit_builder.hpp"
+#include "sim/run_guard.hpp"
 #include "sim/sim_session.hpp"
 #include "util/rng.hpp"
 #include "waveform/generator.hpp"
@@ -73,8 +74,19 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
   }
   ASSERT_FALSE(crossing.empty());
 
-  sim::SimSession lower(*circuit, 0, m, stimuli, 0.0);
-  sim::SimSession upper(*circuit, m, n, stimuli, 0.0);
+  // Each session appends into a trace array of its own, both prepared for
+  // the run, so every trace a session does not drive stays as prepared.
+  sim::Circuit::SimResult lower_run;
+  sim::Circuit::SimResult upper_run;
+  circuit->prepare_run(stimuli, 0.0, t_end, lower_run);
+  circuit->prepare_run(stimuli, 0.0, t_end, upper_run);
+  sim::SimSession::Scratch lower_scratch;
+  sim::SimSession::Scratch upper_scratch;
+  sim::RunGuard guard(sim::RunBudget{});
+  sim::SimSession lower(*circuit, 0, m, 0.0, lower_run.traces, lower_scratch,
+                        guard);
+  sim::SimSession upper(*circuit, m, n, 0.0, upper_run.traces, upper_scratch,
+                        guard);
   std::vector<std::size_t> exported(crossing.size(), 0);
   const int n_windows = 7;
   for (int w = 1; w <= n_windows; ++w) {
@@ -100,9 +112,15 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
     EXPECT_EQ(owner.trace(net).transitions(), mono.trace(net).transitions())
         << circuit->net_name(net);
   }
-  // Partial ranges record only the nets their gates drive.
+  // Partial ranges record only the nets their gates drive: the primary
+  // inputs keep their prepared stimuli, and upstream nets their settled
+  // values.
   for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
-    EXPECT_TRUE(lower.trace(circuit->input_net(i)).empty());
+    const sim::Circuit::NetId net = circuit->input_net(i);
+    EXPECT_EQ(lower.trace(net).transitions(), mono.trace(net).transitions());
+  }
+  for (std::size_t g = m; g < n; ++g) {
+    EXPECT_TRUE(lower.trace(circuit->gate_output(g)).empty());
   }
   for (const sim::Circuit::NetId net : crossing) {
     EXPECT_TRUE(upper.trace(net).empty());
@@ -114,6 +132,9 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
   }
   EXPECT_EQ(n_stimulus + lower.n_gate_events() + upper.n_gate_events(),
             mono.n_events);
+  // The session over the first gates counts the primary inputs.
+  EXPECT_EQ(lower.n_events(), n_stimulus + lower.n_gate_events());
+  EXPECT_EQ(upper.n_events(), upper.n_gate_events());
 }
 
 TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {
@@ -133,12 +154,15 @@ TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {
   const std::size_t n = circuit->n_gates();
   auto run = [&](std::size_t begin, std::size_t end,
                  const std::vector<waveform::DigitalTrace>& inputs,
-                 sim::SimSession::Scratch* scratch) {
-    sim::SimSession session(*circuit, begin, end, inputs, 0.0,
-                            sim::RunBudget{}, sim::Circuit::SimResult{},
-                            scratch);
+                 sim::SimSession::Scratch& scratch) {
+    sim::Circuit::SimResult result;
+    circuit->prepare_run(inputs, 0.0, t_end, result);
+    sim::RunGuard guard(sim::RunBudget{});
+    sim::SimSession session(*circuit, begin, end, 0.0, result.traces, scratch,
+                            guard);
     session.advance(t_end);
-    return session.take_result();
+    session.add_to(result);
+    return result;
   };
   sim::SimSession::Scratch shared;
   const struct {
@@ -147,8 +171,9 @@ TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {
   } order[] = {{0, n / 2, &stimuli}, {0, n, &other_stimuli},
                {0, n / 2, &stimuli}};
   for (const auto& step : order) {
-    const auto reused = run(step.begin, step.end, *step.inputs, &shared);
-    const auto fresh = run(step.begin, step.end, *step.inputs, nullptr);
+    sim::SimSession::Scratch own;
+    const auto reused = run(step.begin, step.end, *step.inputs, shared);
+    const auto fresh = run(step.begin, step.end, *step.inputs, own);
     ASSERT_TRUE(reused.ok());
     EXPECT_EQ(reused.n_events, fresh.n_events);
     EXPECT_EQ(reused.max_heap_depth, fresh.max_heap_depth);

