@@ -2,9 +2,9 @@
 // through the cell-library front-end: the classic MUX glitch circuit and a
 // marginal-pulse sweep, comparing channel models on glitch behaviour.
 //
-//   sel ----------------+----------------\
+//   sel ----------------+----------------.
 //                       |                 NOR2 (y1)
-//   a ---- INV ---- na --+--- NOR2 (x1) --/
+//   a ---- INV ---- na --+--- NOR2 (x1) --'
 //
 // With a = sel switching together, reconvergent paths create glitch
 // hazards whose propagation depends on the delay model.

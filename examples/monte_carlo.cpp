@@ -9,9 +9,9 @@
 // clones share the library's per-cell mode tables, so the mode derivation
 // happens exactly once per cell no matter how many runs or threads.
 //
-//   ./example_monte_carlo [n_runs] [n_threads] [netlist_file] [max_events] \
+//   ./example_monte_carlo [n_runs] [n_threads] [netlist_file] [max_events]
 //                         [sigma_vdd=S] [sigma_vth=S] [sigma_drive=S]
-//                         [deadline=T] [trace_out=F] [metrics_out=F] \
+//                         [deadline=T] [trace_out=F] [metrics_out=F]
 //                         [vcd_out=F]
 //
 // Counts and knob values are parsed strictly: a malformed number, a run

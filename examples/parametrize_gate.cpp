@@ -2,8 +2,8 @@
 // delays -- the workflow a user follows when they have their own SPICE
 // characterization data instead of our built-in substrate.
 //
-//   $ ./examples/parametrize_gate \
-//       --fall-minus-inf-ps 38 --fall-zero-ps 28 --fall-plus-inf-ps 39 \
+//   $ ./examples/parametrize_gate
+//       --fall-minus-inf-ps 38 --fall-zero-ps 28 --fall-plus-inf-ps 39
 //       --rise-minus-inf-ps 55.4 --rise-zero-ps 56.5 --rise-plus-inf-ps 53
 //
 // Defaults are the paper's Fig 2 values, so running it bare reproduces the

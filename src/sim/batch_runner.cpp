@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/trace_recorder.hpp"
 #include "sim/sim_session.hpp"
@@ -103,7 +104,6 @@ struct RunStats {
 
 RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
                  Circuit::SimResult& arena, SimSession::Scratch& scratch,
-                 std::vector<double>& stim_times,
                  const BatchConfig& config, const RunSpec& spec,
                  ProcessBinder* binder, double pulse_hi, double response_hi) {
   // Retarget the worker's clone to this run's process sample before any
@@ -135,15 +135,16 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
   // silently.
   if (!result.ok()) return stats;
 
-  // Stimulus transitions, merged and sorted once per run; every observed
-  // net's response delays sweep the same sequence.
-  stim_times.clear();
-  for (const auto& trace : stimuli) {
-    stim_times.insert(stim_times.end(), trace.transitions().begin(),
-                      trace.transitions().end());
-  }
-  std::sort(stim_times.begin(), stim_times.end());
-
+  // One cursor per input: the next transition of its stimulus, and the
+  // latest one at or before the time a net's sweep has reached (-inf before
+  // the first).
+  struct Cursor {
+    const double* next;
+    const double* end;
+    double latest;
+  };
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
+  std::vector<Cursor> cursors(stimuli.size());
   stats.nets.reserve(outputs.size());
   for (std::size_t n = 0; n < outputs.size(); ++n) {
     NetStats net;
@@ -157,20 +158,26 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
     }
 
     // Response delay: output transition time minus the latest stimulus
-    // transition at or before it. Both sequences are time-sorted, so one
-    // merged sweep suffices.
-    std::size_t si = 0;
-    for (std::size_t k = 0; k < out.n_transitions(); ++k) {
-      const double t = out.transitions()[k];
-      while (si + 1 < stim_times.size() && stim_times[si + 1] <= t) ++si;
-      if (si < stim_times.size() && stim_times[si] <= t) {
-        const double delay = t - stim_times[si];
-        net.response_delay.add(delay);
-        // Strict > ties the run's critical delay to the lowest net index.
-        if (delay > stats.critical_delay) {
-          stats.critical_delay = delay;
-          stats.critical_net = static_cast<int>(n);
-        }
+    // transition at or before it, the latest over every input. The output
+    // and each input's transitions are time-sorted, so each cursor only
+    // moves forward.
+    for (std::size_t i = 0; i < stimuli.size(); ++i) {
+      const std::vector<double>& times = stimuli[i].transitions();
+      cursors[i] = {times.data(), times.data() + times.size(), kNone};
+    }
+    for (const double t : out.transitions()) {
+      double latest = kNone;
+      for (Cursor& c : cursors) {
+        while (c.next != c.end && *c.next <= t) c.latest = *c.next++;
+        latest = std::max(latest, c.latest);
+      }
+      if (latest == kNone) continue;  // no stimulus transition yet
+      const double delay = t - latest;
+      net.response_delay.add(delay);
+      // Strict > ties the run's critical delay to the lowest net index.
+      if (delay > stats.critical_delay) {
+        stats.critical_delay = delay;
+        stats.critical_net = static_cast<int>(n);
       }
     }
     stats.nets.push_back(std::move(net));
@@ -267,8 +274,8 @@ BatchResult BatchRunner::run() {
         }
         try {
           per_run[run] = run_one(*w.circuit, w.outputs, w.arena, w.scratch,
-                                 w.stim_times, config_, spec, w.binder.get(),
-                                 pulse_hi, response_hi);
+                                 config_, spec, w.binder.get(), pulse_hi,
+                                 response_hi);
           obs_span.set_value1(per_run[run].n_events);
           if (config_.capture_run == static_cast<long>(run)) {
             // Copy out of the arena before this worker's next run resets it.

@@ -8,8 +8,8 @@
 // bit-identical no matter how many threads execute it.
 //
 // The pool, the per-worker circuit clones, and the per-worker simulation
-// arenas (trace storage, the session's stream, transition log and heap,
-// stimulus scratch) are built once -- on the first run() -- and reused by
+// arenas (trace storage, the session's stream, transition log and heap)
+// are built once -- on the first run() -- and reused by
 // every later run and run() of the same BatchRunner, so repeated batches
 // pay neither thread spin-up nor clone construction nor reallocation. Each
 // worker's state lives on its own cache lines.
@@ -215,7 +215,6 @@ class BatchRunner {
     std::vector<Circuit::NetId> outputs;  // observed nets, resolved per clone
     Circuit::SimResult arena;             // reused trace storage
     SimSession::Scratch scratch;          // reused session buffers
-    std::vector<double> stim_times;       // reused merged-stimulus scratch
     // Per-worker process retargeting (variation batches only). The
     // worker-local table copies are re-derived in place per run, so
     // rebinding never allocates.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <span>
 #include <type_traits>
 
@@ -9,16 +10,6 @@
 #include "util/error.hpp"
 
 namespace charlie::sim {
-
-namespace {
-
-template <typename Event>
-bool stream_before(const Event& a, const Event& b) {
-  if (a.t != b.t) return a.t < b.t;
-  return a.ext < b.ext;
-}
-
-}  // namespace
 
 SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                        std::size_t gate_end, double t_begin,
@@ -72,25 +63,18 @@ SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
 
   // --- stimulus stream -----------------------------------------------------
   // Every transition the external nets' traces hold is known up front: one
-  // sorted vector walked by an index beats pushing them through the gate
-  // heap. The external nets are in producer order, so sorting by (t,
-  // external index) puts equal times in producer order. Transitions beyond
-  // the final horizon simply never get processed.
-  s.stream.clear();
+  // vector in (t, external index) order, walked by an index, beats pushing
+  // them through the gate heap. The external nets are in producer order, so
+  // equal times come in producer order, and each trace is already in time
+  // order, so merging the traces builds the stream. Transitions beyond the
+  // final horizon simply never get processed.
+  std::vector<const waveform::DigitalTrace*> streamed(s.external.size());
   for (std::size_t k = 0; k < s.external.size(); ++k) {
     const Circuit::NetId net = s.external[k].net;
     s.net_value[n_own + k] = settled(net) ? 1 : 0;
-    const waveform::DigitalTrace& trace =
-        traces[static_cast<std::size_t>(net)];
-    for (std::size_t i = 0; i < trace.n_transitions(); ++i) {
-      s.stream.push_back({trace.transitions()[i],
-                          static_cast<std::uint32_t>(k), trace.is_rising(i)});
-    }
+    streamed[k] = &traces[static_cast<std::size_t>(net)];
   }
-  std::sort(s.stream.begin(), s.stream.end(),
-            [](const StreamEvent& a, const StreamEvent& b) {
-              return stream_before(a, b);
-            });
+  waveform::merge_transitions(streamed, s.stream);
   s.injected.clear();
   s.incoming.clear();
   s.log.clear();
@@ -138,21 +122,26 @@ void SimSession::collect_external_nets() {
       external.push_back({net, 0, 0});
     }
   } else {
+    // Mark the upstream producers the range reads; reading the marks in
+    // order lists their nets by producer, each once.
     const std::size_t first_own = c.n_inputs() + gate_begin_;
+    std::vector<std::uint64_t> read((first_own + 63) / 64, 0);
     for (std::size_t g = gate_begin_; g < gate_end_; ++g) {
       for (const Circuit::NetId net : c.gate_inputs(g)) {
-        if (c.producer(net) < first_own) external.push_back({net, 0, 0});
+        const std::uint32_t p = c.producer(net);
+        if (p < first_own) read[p / 64] |= std::uint64_t{1} << (p % 64);
       }
     }
-    std::sort(external.begin(), external.end(),
-              [&](const ExternalNet& a, const ExternalNet& b) {
-                return c.producer(a.net) < c.producer(b.net);
-              });
-    external.erase(std::unique(external.begin(), external.end(),
-                               [](const ExternalNet& a, const ExternalNet& b) {
-                                 return a.net == b.net;
-                               }),
-                   external.end());
+    for (std::size_t w = 0; w < read.size(); ++w) {
+      for (std::uint64_t bits = read[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const Circuit::NetId net =
+            p < c.n_inputs() ? c.primary_inputs_[p]
+                             : c.gates_[p - c.n_inputs()].output;
+        external.push_back({net, 0, 0});
+      }
+    }
   }
   // Each net's in-range readers: its list is in gate order, so they are
   // one contiguous run of it.
@@ -164,8 +153,6 @@ void SimSession::collect_external_nets() {
                               return entry.gate < g;
                             });
   };
-  s.external_by_net.clear();
-  s.external_by_net.reserve(external.size());
   for (std::size_t k = 0; k < external.size(); ++k) {
     const std::span<const Circuit::Fanout> readers =
         c.fanout(static_cast<std::size_t>(external[k].net));
@@ -174,10 +161,7 @@ void SimSession::collect_external_nets() {
         offset + (first_at_or_after(readers, gate_begin_) - readers.begin()));
     external[k].fanout_end = static_cast<std::uint32_t>(
         offset + (first_at_or_after(readers, gate_end_) - readers.begin()));
-    s.external_by_net.emplace_back(external[k].net,
-                                   static_cast<std::uint32_t>(k));
   }
-  std::sort(s.external_by_net.begin(), s.external_by_net.end());
 }
 
 void SimSession::reschedule(std::size_t slot,
@@ -237,16 +221,20 @@ void SimSession::fail(const std::exception& e) {
 void SimSession::inject(Circuit::NetId net, double t, bool net_value) {
   CHARLIE_ASSERT_MSG(t > horizon_,
                      "sim session: injected event at or before the horizon");
-  const auto& index = s_->external_by_net;
+  // The external nets are sorted by producer.
+  const Circuit& c = *circuit_;
+  const std::vector<ExternalNet>& external = s_->external;
   const auto it = std::lower_bound(
-      index.begin(), index.end(), net,
-      [](const std::pair<Circuit::NetId, std::uint32_t>& entry,
-         Circuit::NetId n) { return entry.first < n; });
-  CHARLIE_ASSERT_MSG(it != index.end() && it->first == net &&
-                         circuit_->producer(net) >= circuit_->n_inputs(),
+      external.begin(), external.end(), c.producer(net),
+      [&](const ExternalNet& entry, std::uint32_t producer) {
+        return c.producer(entry.net) < producer;
+      });
+  CHARLIE_ASSERT_MSG(it != external.end() && it->net == net &&
+                         c.producer(net) >= c.n_inputs(),
                      "sim session: injected net is not an upstream net the "
                      "range reads");
-  s_->incoming.push_back({t, it->second, net_value});
+  s_->incoming.push_back(
+      {t, static_cast<std::uint32_t>(it - external.begin()), net_value});
 }
 
 void SimSession::merge_injected() {
@@ -258,15 +246,12 @@ void SimSession::merge_injected() {
                    s.injected.begin() +
                        static_cast<std::ptrdiff_t>(injected_index_));
   injected_index_ = 0;
-  auto by_key = [](const StreamEvent& a, const StreamEvent& b) {
-    return stream_before(a, b);
-  };
-  std::stable_sort(s.incoming.begin(), s.incoming.end(), by_key);
+  std::stable_sort(s.incoming.begin(), s.incoming.end(), waveform::precedes);
   const std::size_t mid = s.injected.size();
   s.injected.insert(s.injected.end(), s.incoming.begin(), s.incoming.end());
   std::inplace_merge(s.injected.begin(),
                      s.injected.begin() + static_cast<std::ptrdiff_t>(mid),
-                     s.injected.end(), by_key);
+                     s.injected.end(), waveform::precedes);
   s.incoming.clear();
 }
 
@@ -322,7 +307,7 @@ void SimSession::run_window() {
     if (stream_index_ < s.stream.size()) next = &s.stream[stream_index_];
     if (injected_index_ < s.injected.size()) {
       const StreamEvent& head = s.injected[injected_index_];
-      if (next == nullptr || stream_before(head, *next)) {
+      if (next == nullptr || waveform::precedes(head, *next)) {
         next = &head;
         injected = true;
       }
@@ -355,8 +340,8 @@ void SimSession::run_window() {
       ++n_stimulus_events_;
       if (ev.t == t_processed_) ++equal_time_ties_;
       t_processed_ = ev.t;
-      const ExternalNet& ext = s.external[ev.ext];
-      std::uint8_t& value = s.net_value[n_own + ev.ext];
+      const ExternalNet& ext = s.external[ev.source];
+      std::uint8_t& value = s.net_value[n_own + ev.source];
       if ((value != 0) != ev.value) {  // defensive: transitions alternate
         value = ev.value ? 1 : 0;
         deliver(fanout + ext.fanout_begin, fanout + ext.fanout_end, ev.t,

@@ -81,7 +81,6 @@
 #include <exception>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/circuit.hpp"
@@ -93,13 +92,9 @@ namespace charlie::sim {
 
 class SimSession {
  private:
-  // One stimulus-stream transition on external net `ext` (an index into
-  // the session's external nets, which are sorted by producer).
-  struct StreamEvent {
-    double t = 0.0;
-    std::uint32_t ext = 0;
-    bool value = false;
-  };
+  // One stimulus-stream transition; its source is an index into the
+  // session's external nets, which are sorted by producer.
+  using StreamEvent = waveform::IndexedTransition;
   struct LoggedTransition {
     double t = 0.0;
     Circuit::NetId net = -1;
@@ -128,7 +123,6 @@ class SimSession {
     EventHeap heap;
     std::vector<std::uint8_t> net_value;  // own nets, then external nets
     std::vector<ExternalNet> external;    // by producer
-    std::vector<std::pair<Circuit::NetId, std::uint32_t>> external_by_net;
   };
 
   /// Settle gates [gate_begin, gate_end) of `circuit` at t_begin and queue

@@ -1,6 +1,7 @@
 #include "waveform/digital_trace.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -69,6 +70,54 @@ DigitalTrace DigitalTrace::window(double t0, double t1) const {
     if (t > t0 && t <= t1) out.append_transition(t);
   }
   return out;
+}
+
+void merge_transitions(std::span<const DigitalTrace* const> traces,
+                       std::vector<IndexedTransition>& out) {
+  CHARLIE_ASSERT(traces.size() <= std::numeric_limits<std::uint32_t>::max());
+  // The traces, concatenated in index order, are the runs
+  // [bounds[r], bounds[r + 1]) of `out`, one per non-empty trace.
+  std::size_t total = 0;
+  for (const DigitalTrace* trace : traces) total += trace->n_transitions();
+  out.clear();
+  out.reserve(total);
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    bool value = traces[k]->initial_value();
+    for (const double t : traces[k]->transitions()) {
+      value = !value;
+      out.push_back({t, static_cast<std::uint32_t>(k), value});
+    }
+    if (out.size() > bounds.back()) bounds.push_back(out.size());
+  }
+  if (bounds.size() <= 2) return;
+  // Each pass merges neighbouring runs into the other buffer, halving
+  // their number: run m of the next pass is runs 2m and 2m + 1 of this one
+  // (or a last odd run alone), and each bound is read before it is
+  // overwritten.
+  std::vector<IndexedTransition> spare(out.size());
+  std::vector<IndexedTransition>* from = &out;
+  std::vector<IndexedTransition>* to = &spare;
+  while (bounds.size() > 2) {
+    const auto run = [&](std::vector<IndexedTransition>* buffer,
+                         std::size_t r) {
+      return buffer->begin() + static_cast<std::ptrdiff_t>(bounds[r]);
+    };
+    std::size_t merged = 0;
+    std::size_t r = 0;
+    for (; r + 2 < bounds.size(); r += 2) {
+      std::merge(run(from, r), run(from, r + 1), run(from, r + 1),
+                 run(from, r + 2), run(to, r), precedes);
+      bounds[++merged] = bounds[r + 2];
+    }
+    if (r + 2 == bounds.size()) {
+      std::copy(run(from, r), run(from, r + 1), run(to, r));
+      bounds[++merged] = bounds[r + 1];
+    }
+    bounds.resize(merged + 1);
+    std::swap(from, to);
+  }
+  if (from != &out) out.swap(spare);
 }
 
 }  // namespace charlie::waveform

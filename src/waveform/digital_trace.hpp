@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace charlie::waveform {
@@ -51,5 +53,26 @@ class DigitalTrace {
   bool initial_ = false;
   std::vector<double> transitions_;
 };
+
+/// One transition of a set of traces: its time, the index of its trace in
+/// the set, and the value the trace switches to.
+struct IndexedTransition {
+  double t = 0.0;
+  std::uint32_t source = 0;
+  bool value = false;
+};
+
+/// (t, source) order. Each trace's times strictly increase, so this is a
+/// strict total order on the transitions of one set of traces.
+inline bool precedes(const IndexedTransition& a, const IndexedTransition& b) {
+  return a.t != b.t ? a.t < b.t : a.source < b.source;
+}
+
+/// Every transition of `traces` in (t, source) order, written over `out`.
+/// The traces are already sorted, so they are merged pairwise rather than
+/// sorted: one pass per halving of the number of non-empty traces, between
+/// `out` and one transient buffer of the same size.
+void merge_transitions(std::span<const DigitalTrace* const> traces,
+                       std::vector<IndexedTransition>& out);
 
 }  // namespace charlie::waveform

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cell/cell_library.hpp"
@@ -261,6 +263,89 @@ TEST(BatchRunner, C432NetlistIsBitIdenticalAcrossThreadCounts) {
                 one.nets[n].response_delay.bins());
       EXPECT_EQ(many.nets[n].response_delay.sum(),
                 one.nets[n].response_delay.sum());
+    }
+  }
+}
+
+void expect_same_histogram(const Histogram& expected, const Histogram& actual,
+                           const std::string& label) {
+  EXPECT_EQ(expected.bins(), actual.bins()) << label;
+  EXPECT_EQ(expected.underflow(), actual.underflow()) << label;
+  EXPECT_EQ(expected.overflow(), actual.overflow()) << label;
+  EXPECT_EQ(expected.count(), actual.count()) << label;
+  EXPECT_EQ(expected.sum(), actual.sum()) << label;
+}
+
+TEST(BatchRunner, ResponseDelaysMatchABruteForceSweep) {
+  // A response delay runs from the latest stimulus transition at or before
+  // an output transition. The reference finds it by scanning every input's
+  // captured trace and rebuilds both histograms and the run's critical
+  // delay from scratch. GLOBAL stimuli leave some inputs without any
+  // transition.
+  const auto library = std::make_shared<const cell::CellLibrary>(
+      cell::CellLibrary::reference());
+  const auto desc = cell::read_netlist_file(
+      CHARLIE_SOURCE_DIR "/examples/netlists/c432.net");
+  const sim::CircuitBuilder builder(library);
+  const std::size_t n_inputs = builder.build(desc)->n_inputs();
+  const std::size_t n_outputs = desc.outputs.size();
+  for (const bool global : {false, true}) {
+    for (const std::uint64_t seed : {1u, 5u, 20221u}) {
+      const std::string label = std::string(global ? "GLOBAL" : "LOCAL") +
+                                " seed " + std::to_string(seed);
+      BatchConfig config = small_config();
+      config.n_runs = 1;
+      config.base_seed = seed;
+      config.trace.global_mode = global;
+      config.trace.n_transitions = global ? 30 : 200;
+      config.capture_run = 0;
+      BatchRunner runner([&] { return builder.build(desc); }, desc.outputs,
+                         config);
+      const BatchResult result = runner.run();
+      ASSERT_TRUE(result.all_ok()) << label;
+      ASSERT_EQ(result.captured.size(), n_inputs + n_outputs) << label;
+      std::size_t silent_inputs = 0;
+      for (std::size_t i = 0; i < n_inputs; ++i) {
+        if (result.captured[i].trace.empty()) ++silent_inputs;
+      }
+      if (global) {
+        EXPECT_GT(silent_inputs, 0u) << label;
+      }
+
+      double critical = -1.0;
+      std::uint64_t samples = 0;
+      for (std::size_t n = 0; n < n_outputs; ++n) {
+        const waveform::DigitalTrace& out =
+            result.captured[n_inputs + n].trace;
+        Histogram pulse(0.0, 4.0 * config.trace.mu, config.histogram_bins);
+        Histogram response(0.0, config.trace.mu, config.histogram_bins);
+        for (std::size_t k = 1; k < out.n_transitions(); ++k) {
+          pulse.add(out.transitions()[k] - out.transitions()[k - 1]);
+        }
+        for (const double t : out.transitions()) {
+          bool found = false;
+          double latest = 0.0;
+          for (std::size_t i = 0; i < n_inputs; ++i) {
+            for (const double s : result.captured[i].trace.transitions()) {
+              if (s <= t && (!found || s > latest)) {
+                latest = s;
+                found = true;
+              }
+            }
+          }
+          if (!found) continue;
+          response.add(t - latest);
+          critical = std::max(critical, t - latest);
+        }
+        samples += response.count();
+        const std::string where = label + " net " + desc.outputs[n];
+        ASSERT_EQ(result.nets[n].net, desc.outputs[n]) << where;
+        expect_same_histogram(pulse, result.nets[n].pulse_width, where);
+        expect_same_histogram(response, result.nets[n].response_delay, where);
+      }
+      EXPECT_GT(samples, 0u) << label;
+      ASSERT_EQ(result.critical_delays.size(), 1u) << label;
+      EXPECT_EQ(result.critical_delays[0], critical) << label;
     }
   }
 }

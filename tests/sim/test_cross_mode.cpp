@@ -1,7 +1,8 @@
 // Cross-mode bit-identity over every channel kind: one circuit and one
-// stimulus set must give identical traces under monolithic simulate, split
-// SimSession ranges fed through inject, ShardedCircuit at several shard,
-// thread and window configurations, and BatchRunner's captured run. The
+// stimulus set must give identical traces under monolithic simulate, one
+// session over every gate, split SimSession ranges fed through inject,
+// ShardedCircuit at several shard, thread and window configurations, and
+// BatchRunner's captured run. The
 // inputs cover the three channel kinds the circuit stores by value (hybrid
 // MIS gates, inertial SIS gates, RC wires) and boxed channels (a pure-delay
 // SIS channel and Exp/SumExp SIS gate models behind the MIS interface), and
@@ -122,11 +123,11 @@ std::unique_ptr<Circuit> tie_circuit() {
   return c;
 }
 
-Factory generated_factory(std::uint64_t seed) {
+Factory generated_factory(std::uint64_t seed, std::size_t n_gates = 2000) {
   static const auto library =
       std::make_shared<const cell::CellLibrary>(cell::CellLibrary::reference());
   cell::NetlistGenConfig config;
-  config.n_gates = 2000;
+  config.n_gates = n_gates;
   config.wire_fraction = 0.05;
   config.seed = seed;
   auto desc = std::make_shared<const cell::NetlistDesc>(
@@ -150,6 +151,139 @@ void expect_same(const waveform::DigitalTrace& expected,
   EXPECT_EQ(expected.transitions(), actual.transitions()) << label;
 }
 
+// One session over every gate of a fresh circuit: every net and n_events
+// must match `mono`.
+void expect_one_session_matches(
+    const Factory& factory, const std::vector<waveform::DigitalTrace>& stimuli,
+    double t_end, const Circuit::SimResult& mono, const std::string& label) {
+  const auto circuit = factory();
+  Circuit::SimResult whole;
+  circuit->prepare_run(stimuli, 0.0, t_end, whole);
+  SimSession::Scratch scratch;
+  RunGuard guard(RunBudget{});
+  SimSession session(*circuit, 0, circuit->n_gates(), 0.0, whole.traces,
+                     scratch, guard);
+  session.advance(t_end);
+  session.add_to(whole);
+  ASSERT_TRUE(whole.ok()) << label;
+  EXPECT_EQ(whole.n_events, mono.n_events) << label;
+  for (std::size_t n = 0; n < whole.traces.size(); ++n) {
+    expect_same(mono.traces[n], whole.traces[n],
+                label + " one session net " +
+                    circuit->net_name(static_cast<Circuit::NetId>(n)));
+  }
+}
+
+// Splits the circuit into three ranges of one run, fed upstream
+// transitions through inject over five windows; every net and n_events
+// must match `mono`.
+void expect_split_sessions_match(
+    const Factory& factory, const std::vector<waveform::DigitalTrace>& stimuli,
+    double t_end, const Circuit::SimResult& mono, const std::string& label) {
+  auto circuit = factory();
+  const std::size_t n = circuit->n_gates();
+  const std::vector<std::size_t> cut{0, n / 3, 2 * n / 3, n};
+  // The sessions share the run's traces, as the sharded runner's do:
+  // upstream nets hold their settled values when the sessions are built.
+  Circuit::SimResult run;
+  circuit->prepare_run(stimuli, 0.0, t_end, run);
+  RunGuard guard(RunBudget{});
+  std::vector<SimSession::Scratch> scratch(cut.size() - 1);
+  std::vector<std::unique_ptr<SimSession>> sessions;
+  for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
+    sessions.push_back(std::make_unique<SimSession>(
+        *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard));
+  }
+  // The range driving each net; -1 for primary inputs.
+  std::vector<long> owner(circuit->n_nets(), -1);
+  for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
+    for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
+      owner[static_cast<std::size_t>(circuit->gate_output(g))] =
+          static_cast<long>(s);
+    }
+  }
+  // For each range, the nets it reads from earlier ranges.
+  struct Feed {
+    Circuit::NetId net;
+    std::size_t from;
+    std::size_t to;
+    std::size_t exported = 0;
+  };
+  std::vector<Feed> feeds;
+  for (std::size_t s = 1; s + 1 < cut.size(); ++s) {
+    std::vector<Circuit::NetId> seen;
+    for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
+      for (const Circuit::NetId net : circuit->gate_inputs(g)) {
+        const long from = owner[static_cast<std::size_t>(net)];
+        if (from < 0 || static_cast<std::size_t>(from) >= s ||
+            std::find(seen.begin(), seen.end(), net) != seen.end()) {
+          continue;
+        }
+        seen.push_back(net);
+        feeds.push_back({net, static_cast<std::size_t>(from), s});
+      }
+    }
+  }
+  const int n_windows = 5;
+  for (int w = 1; w <= n_windows; ++w) {
+    const double horizon =
+        w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+      for (Feed& feed : feeds) {
+        if (feed.to != s) continue;
+        const auto& produced = sessions[feed.from]->trace(feed.net);
+        for (; feed.exported < produced.n_transitions(); ++feed.exported) {
+          sessions[s]->inject(feed.net,
+                              produced.transitions()[feed.exported],
+                              produced.is_rising(feed.exported));
+        }
+      }
+      sessions[s]->advance(horizon);
+      ASSERT_EQ(sessions[s]->status(), RunStatus::kOk) << label;
+    }
+  }
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
+      const Circuit::NetId net = circuit->gate_output(g);
+      expect_same(mono.trace(net), sessions[s]->trace(net),
+                  label + " split net " + circuit->net_name(net));
+    }
+    sessions[s]->add_to(run);
+  }
+  EXPECT_EQ(run.n_events, mono.n_events) << label;
+}
+
+// ShardedCircuit at each K in `shard_counts`, on 1 and 4 threads, in one
+// window and in windows of t_end / 3; every net and n_events must match
+// `mono`.
+void expect_sharded_matches(const Factory& factory,
+                            const std::vector<waveform::DigitalTrace>& stimuli,
+                            double t_end, const Circuit::SimResult& mono,
+                            const std::vector<std::size_t>& shard_counts,
+                            const std::string& label) {
+  const std::vector<std::string> names = net_names(*factory());
+  for (const std::size_t k : shard_counts) {
+    ShardedCircuit sharded(factory(), k);
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const double window : {0.0, t_end / 3.0}) {
+        ShardedSimConfig config;
+        config.n_threads = threads;
+        config.window = window;
+        const auto result = sharded.simulate(stimuli, 0.0, t_end, config);
+        const std::string where = label + " sharded K=" + std::to_string(k) +
+                                  " threads=" + std::to_string(threads) +
+                                  " window=" + std::to_string(window);
+        ASSERT_TRUE(result.ok()) << where;
+        EXPECT_EQ(result.n_events, mono.n_events) << where;
+        for (std::size_t n = 0; n < names.size(); ++n) {
+          expect_same(mono.traces[n], result.trace(names[n]),
+                      where + " net " + names[n]);
+        }
+      }
+    }
+  }
+}
+
 // Runs one input through every mode against its monolithic result. The
 // stimuli are BatchRunner's captured run, so the batch leg compares the
 // nets it captured and the other modes replay the same inputs.
@@ -157,7 +291,6 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
                       const std::string& label,
                       const std::vector<std::string>& active = {}) {
   const auto probe = factory();
-  const std::vector<std::string> names = net_names(*probe);
   std::vector<std::string> observed;
   for (std::size_t g = 0; g < probe->n_gates(); ++g) {
     observed.push_back(probe->net_name(probe->gate_output(g)));
@@ -203,101 +336,10 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
   }
 
   // --- split SimSession ranges, fed through inject -----------------------
-  {
-    auto circuit = factory();
-    const std::size_t n = circuit->n_gates();
-    const std::vector<std::size_t> cut{0, n / 3, 2 * n / 3, n};
-    // The sessions share the run's traces, as the sharded runner's do:
-    // upstream nets hold their settled values when the sessions are built.
-    Circuit::SimResult run;
-    circuit->prepare_run(stimuli, 0.0, t_end, run);
-    RunGuard guard(RunBudget{});
-    std::vector<SimSession::Scratch> scratch(cut.size() - 1);
-    std::vector<std::unique_ptr<SimSession>> sessions;
-    for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
-      sessions.push_back(std::make_unique<SimSession>(
-          *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard));
-    }
-    // The range driving each net; -1 for primary inputs.
-    std::vector<long> owner(circuit->n_nets(), -1);
-    for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
-      for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
-        owner[static_cast<std::size_t>(circuit->gate_output(g))] =
-            static_cast<long>(s);
-      }
-    }
-    // For each range, the nets it reads from earlier ranges.
-    struct Feed {
-      Circuit::NetId net;
-      std::size_t from;
-      std::size_t to;
-      std::size_t exported = 0;
-    };
-    std::vector<Feed> feeds;
-    for (std::size_t s = 1; s + 1 < cut.size(); ++s) {
-      std::vector<Circuit::NetId> seen;
-      for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
-        for (const Circuit::NetId net : circuit->gate_inputs(g)) {
-          const long from = owner[static_cast<std::size_t>(net)];
-          if (from < 0 || static_cast<std::size_t>(from) >= s ||
-              std::find(seen.begin(), seen.end(), net) != seen.end()) {
-            continue;
-          }
-          seen.push_back(net);
-          feeds.push_back({net, static_cast<std::size_t>(from), s});
-        }
-      }
-    }
-    const int n_windows = 5;
-    for (int w = 1; w <= n_windows; ++w) {
-      const double horizon =
-          w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
-      for (std::size_t s = 0; s < sessions.size(); ++s) {
-        for (Feed& feed : feeds) {
-          if (feed.to != s) continue;
-          const auto& produced = sessions[feed.from]->trace(feed.net);
-          for (; feed.exported < produced.n_transitions(); ++feed.exported) {
-            sessions[s]->inject(feed.net,
-                                produced.transitions()[feed.exported],
-                                produced.is_rising(feed.exported));
-          }
-        }
-        sessions[s]->advance(horizon);
-        ASSERT_EQ(sessions[s]->status(), RunStatus::kOk) << label;
-      }
-    }
-    for (std::size_t s = 0; s < sessions.size(); ++s) {
-      for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
-        const Circuit::NetId net = circuit->gate_output(g);
-        expect_same(mono.trace(net), sessions[s]->trace(net),
-                    label + " split net " + circuit->net_name(net));
-      }
-      sessions[s]->add_to(run);
-    }
-    EXPECT_EQ(run.n_events, mono.n_events) << label;
-  }
+  expect_split_sessions_match(factory, stimuli, t_end, mono, label);
 
   // --- sharded: K in {1, 2, 4}, 1 and 4 threads, two window quanta -------
-  for (const std::size_t k : {1u, 2u, 4u}) {
-    ShardedCircuit sharded(factory(), k);
-    for (const std::size_t threads : {1u, 4u}) {
-      for (const double window : {0.0, t_end / 3.0}) {
-        ShardedSimConfig config;
-        config.n_threads = threads;
-        config.window = window;
-        const auto result = sharded.simulate(stimuli, 0.0, t_end, config);
-        const std::string where = label + " sharded K=" + std::to_string(k) +
-                                  " threads=" + std::to_string(threads) +
-                                  " window=" + std::to_string(window);
-        ASSERT_TRUE(result.ok()) << where;
-        EXPECT_EQ(result.n_events, mono.n_events) << where;
-        for (std::size_t n = 0; n < names.size(); ++n) {
-          expect_same(mono.traces[n], result.trace(names[n]),
-                      where + " net " + names[n]);
-        }
-      }
-    }
-  }
+  expect_sharded_matches(factory, stimuli, t_end, mono, {1, 2, 4}, label);
 }
 
 TEST(CrossMode, GeneratedNetlistsWithWiresAgreeInEveryMode) {
@@ -361,24 +403,9 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
 
   // One session over every gate: the blocked Circuit::simulate above must
   // match it on every net and in n_events.
+  expect_one_session_matches([&] { return builder.build(desc); }, stimuli,
+                             t_end, mono, "gen20k");
   const std::vector<std::string> names = net_names(*mono_circuit);
-  {
-    const auto circuit = builder.build(desc);
-    Circuit::SimResult whole;
-    circuit->prepare_run(stimuli, 0.0, t_end, whole);
-    SimSession::Scratch scratch;
-    RunGuard guard(RunBudget{});
-    SimSession session(*circuit, 0, circuit->n_gates(), 0.0, whole.traces,
-                       scratch, guard);
-    session.advance(t_end);
-    session.add_to(whole);
-    ASSERT_TRUE(whole.ok());
-    EXPECT_EQ(whole.n_events, mono.n_events);
-    for (std::size_t n = 0; n < names.size(); ++n) {
-      expect_same(whole.traces[n], mono.traces[n],
-                  "gen20k one session net " + names[n]);
-    }
-  }
   for (const auto& [k, threads] :
        std::vector<std::pair<std::size_t, std::size_t>>{
            {1, 2}, {64, 1}, {64, 4}, {256, 4}}) {
@@ -399,6 +426,34 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
                   where + " net " + names[n]);
     }
   }
+}
+
+TEST(CrossMode, SimultaneousInputEdgesAgreeInEveryMode) {
+  // Every primary input switches at the same instants, so each instant is
+  // an exact tie across all of them, which every stimulus stream must
+  // break by input order whatever the range, cut, window or thread. Odd
+  // inputs start high, so gates still see differing inputs. The design is
+  // larger than one block, so Circuit::simulate runs two.
+  const Factory factory =
+      generated_factory(3, Circuit::kGatesPerBlock + 1000);
+  const auto mono_circuit = factory();
+  ASSERT_GT(mono_circuit->n_gates(), Circuit::kGatesPerBlock);
+  std::vector<double> edges;
+  for (int k = 1; k <= 24; ++k) edges.push_back(k * 137e-12);
+  std::vector<waveform::DigitalTrace> stimuli;
+  for (std::size_t i = 0; i < mono_circuit->n_inputs(); ++i) {
+    stimuli.emplace_back(i % 2 == 1, edges);
+  }
+  const double t_end = edges.back() + 1e-9;
+  const Circuit::SimResult mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(mono.ok()) << mono.diagnostics.summary();
+  EXPECT_GE(mono.equal_time_ties,
+            static_cast<long>(edges.size() * (mono_circuit->n_inputs() - 1)));
+
+  const std::string label = "simultaneous edges";
+  expect_one_session_matches(factory, stimuli, t_end, mono, label);
+  expect_split_sessions_match(factory, stimuli, t_end, mono, label);
+  expect_sharded_matches(factory, stimuli, t_end, mono, {2, 4, 16}, label);
 }
 
 TEST(CrossMode, MixedBuiltInAndBoxedChannelsAgreeInEveryMode) {

@@ -26,8 +26,7 @@ TEST(Cells, Nor2FunctionalSimulation) {
   // a: 0 0 1 1, b: 0 1 0 1, each phase 500 ps.
   const waveform::DigitalTrace a(false, {1000e-12});
   const waveform::DigitalTrace b(false, {500e-12, 1000e-12, 1500e-12});
-  const auto sim = run_nor2(tech, a, b, 2200e-12, TransientOptions{
-                                                      .t_end = 0.0});
+  const auto sim = run_nor2(tech, a, b, 2200e-12, TransientOptions{});
   const auto out = waveform::digitize(sim.vo, tech.vth());
   // Phases: (0,0)->1, (0,1)->0, (1,0)->0, (1,1)->0. Output: high then low
   // (with a possible glitch near 1000 ps where b falls as a rises).

@@ -2,7 +2,7 @@
 // corner/SSTA screening out.
 //
 //   sta_report --netlist examples/netlists/c432.net --deadline 5e-9
-//   sta_report --netlist big.net --deadline 2e-9 --corners 64 \
+//   sta_report --netlist big.net --deadline 2e-9 --corners 64
 //              --sigma-vdd 0.05 --sigma-vth 0.02 --sigma-drive 0.05
 //
 // Flags:

@@ -3,8 +3,8 @@
 // trace-event JSON, load in Perfetto / chrome://tracing), metrics registry
 // JSON, and VCD waveforms (load in GTKWave).
 //
-//   trace_run --netlist examples/netlists/c432.net --runs 8 --threads 4 \
-//             --trace-out run.trace.json --metrics-out run.metrics.json \
+//   trace_run --netlist examples/netlists/c432.net --runs 8 --threads 4
+//             --trace-out run.trace.json --metrics-out run.metrics.json
 //             --vcd-out run.vcd
 //   trace_run --netlist big.net --shards 4 --trace-out wavefront.json
 //   trace_run --netlist big.net --shards 4 --repeat 2
