@@ -24,11 +24,6 @@ ShardedCircuit::ShardedCircuit(std::unique_ptr<Circuit> circuit,
       std::max(min_blocks, circuit_->blocks_.size() - 1)));
 }
 
-std::size_t ShardedCircuit::shard_of(std::size_t gate) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(cut_.begin(), cut_.end(), gate) - cut_.begin() - 1);
-}
-
 void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
   const std::size_t n_gates = circuit_->n_gates();
   CHARLIE_ASSERT(cut.size() >= 2 && cut.front() == 0 &&
@@ -41,38 +36,21 @@ void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
   cut_ = std::move(cut);
   const std::size_t n_shards = cut_.size() - 1;
 
-  // Boundary edges: per consumer shard, the nets its gates read from
-  // earlier shards, in producer (topological) order -- deterministic.
-  edges_.clear();
+  // Boundary edges: per consumer shard, the distinct nets its gates read
+  // from earlier shards.
+  n_boundary_edges_ = 0;
   std::vector<std::size_t> seen_by(circuit_->n_nets(), n_shards);
-  std::vector<std::size_t> producers;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    producers.clear();
     for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
       for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
         const int d = driver(net);
         if (d < 0 || static_cast<std::size_t>(d) >= cut_[s]) continue;
         if (seen_by[static_cast<std::size_t>(net)] == s) continue;
         seen_by[static_cast<std::size_t>(net)] = s;
-        producers.push_back(static_cast<std::size_t>(d));
+        ++n_boundary_edges_;
       }
     }
-    std::sort(producers.begin(), producers.end());
-    for (const std::size_t d : producers) {
-      edges_.push_back({circuit_->gate_output(d), shard_of(d), s});
-    }
   }
-  out_edges_.assign(n_shards, {});
-  in_edges_.assign(n_shards, {});
-  ring_begin_.assign(edges_.size() + 1, 0);
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    out_edges_[edges_[i].from_shard].push_back(i);
-    in_edges_[edges_[i].to_shard].push_back(i);
-    ring_begin_[i + 1] =
-        ring_begin_[i] + edges_[i].to_shard - edges_[i].from_shard + 1;
-  }
-  rings_.clear();
-  rings_.resize(ring_begin_.back());
 }
 
 std::vector<std::size_t> ShardedCircuit::balanced_cut(
@@ -205,8 +183,10 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   const std::size_t n_shards = this->n_shards();
   // The coordinator's guard: its clock starts with the run.
   RunGuard guard(config.budget);
-  Circuit::SimResult run;
-  circuit_->prepare_run(stimuli, t_begin, t_end, run);
+  Result result;
+  result.owner = this;
+  result.cut = cut_;
+  circuit_->prepare_run(stimuli, t_begin, t_end, result);
 
   // --- window schedule -----------------------------------------------------
   // W windows of quantum q; the last window's end is exactly t_end, and every
@@ -220,6 +200,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   std::size_t n_windows =
       static_cast<std::size_t>(std::ceil(span / quantum));
   n_windows = std::max<std::size_t>(n_windows, 1);
+  result.n_windows = n_windows;
   auto window_end = [&](std::size_t w) {
     return w + 1 == n_windows ? t_end
                               : t_begin + static_cast<double>(w + 1) * quantum;
@@ -238,7 +219,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // Every session starts its range from the run's prepared traces and
   // appends its nets' transitions to them. The nets a block reads from
   // upstream hold only their settled values yet; their transitions arrive
-  // through inject().
+  // through pull().
   scratch_.resize(n_shards);
   std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
   // Block tasks poll only the wall clock and the cancellation token, each
@@ -252,52 +233,38 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // its own gates' state and scratch.
   pool_->parallel_for(n_shards, 1, [&](std::size_t /*worker*/, std::size_t s) {
     sessions[s] = std::make_unique<SimSession>(*circuit_, cut_[s], cut_[s + 1],
-                                               t_begin, run.traces,
+                                               t_begin, result.traces,
                                                scratch_[s], task_guards[s]);
   });
-  Result result;
-  result.owner = this;
-  result.cut = cut_;
-  result.n_windows = n_windows;
-
-  // --- exchange rings ------------------------------------------------------
-  // Edge e's window-w bucket is filled at wavefront step from_shard + w and
-  // drained (then emptied) at step to_shard + w; its ring has to - from + 1
-  // buckets, so the bucket a producer fills is never the one its consumer
-  // drains in the same step, and no locking is needed. A terminated run
-  // may have left transitions behind.
-  for (auto& bucket : rings_) bucket.clear();
-  auto bucket_of = [&](std::size_t e, std::size_t w)
-      -> std::vector<BoundaryEvent>& {
-    const BoundaryEdge& edge = edges_[e];
-    return rings_[ring_begin_[e] +
-                  w % (edge.to_shard - edge.from_shard + 1)];
-  };
-  std::vector<std::size_t> export_cursor(edges_.size(), 0);
-  // Drained bucket sizes, per consumer block (its tasks run one at a time).
-  std::vector<obs::LogHistogram> bucket_sizes(n_shards);
 
   // Per-(block, window) event counts, written by the owning task (distinct
   // slot per task, so no synchronization beyond the pool's step barrier).
   // Recorded unconditionally: a subtraction per window task is free next to
   // the window's event processing, and it is the data load_imbalance() and
   // the shard.* metrics summarize.
-  std::vector<std::vector<long>> shard_window_events(
-      n_shards, std::vector<long>(n_windows, 0));
+  result.shard_window_events.assign(n_shards,
+                                    std::vector<long>(n_windows, 0));
 
   // --- conservative wavefront ----------------------------------------------
-  // Task (block k, window w) runs at step k + w; all tasks of one step are
-  // mutually independent (distinct sessions over disjoint gate ranges,
-  // disjoint buckets and traces), so each step is one parallel_for. Grain
-  // 1: block/window tasks are coarse already.
+  // Task (block k, window w) runs at step k + w. A step's blocks first pull
+  // what their upstream blocks appended -- every transition through window
+  // w, which each upstream block finished by the previous step -- while no
+  // session appends; then they advance, each appending only to its own
+  // nets' traces. All tasks of one phase are mutually independent (distinct
+  // sessions over disjoint gate ranges), so each phase is one parallel_for.
+  // Grain 1: block/window tasks are coarse already.
   RunStatus stopped = RunStatus::kOk;  // by the pool or the event ceiling
   std::string pool_error;
   for (std::size_t step = 0; step + 1 < n_shards + n_windows; ++step) {
     const std::size_t k_lo = step >= n_windows ? step - n_windows + 1 : 0;
-    const std::size_t k_hi = std::min(n_shards - 1, step);
+    const std::size_t n_tasks = std::min(n_shards - 1, step) - k_lo + 1;
     try {
       pool_->parallel_for(
-          k_hi - k_lo + 1, 1, [&](std::size_t /*worker*/, std::size_t task) {
+          n_tasks, 1, [&](std::size_t /*worker*/, std::size_t task) {
+            sessions[k_lo + task]->pull();
+          });
+      pool_->parallel_for(
+          n_tasks, 1, [&](std::size_t /*worker*/, std::size_t task) {
             const std::size_t k = k_lo + task;
             const std::size_t w = step - k;
             SimSession& session = *sessions[k];
@@ -306,38 +273,14 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                                      static_cast<long long>(w));
             const long events_before =
                 session.n_stimulus_events() + session.n_gate_events();
-            // This window's boundary transitions; the session merges them
-            // into its stream in canonical (t, producer) order.
-            for (const std::size_t edge_index : in_edges_[k]) {
-              const Circuit::NetId net = edges_[edge_index].net;
-              std::vector<BoundaryEvent>& bucket = bucket_of(edge_index, w);
-              for (const BoundaryEvent& ev : bucket) {
-                session.inject(net, ev.t, ev.value);
-              }
-              bucket_sizes[k].add(static_cast<double>(bucket.size()));
-              bucket.clear();
-            }
             session.advance(window_end(w));
-            shard_window_events[k][w] = session.n_stimulus_events() +
-                                        session.n_gate_events() -
-                                        events_before;
-            // Export this window's production on every out-edge: all
-            // not-yet-exported transitions up to the new horizon.
-            for (const std::size_t edge_index : out_edges_[k]) {
-              const waveform::DigitalTrace& produced =
-                  session.trace(edges_[edge_index].net);
-              std::size_t& cursor = export_cursor[edge_index];
-              std::vector<BoundaryEvent>& bucket = bucket_of(edge_index, w);
-              while (cursor < produced.n_transitions() &&
-                     produced.transitions()[cursor] <= session.t_horizon()) {
-                bucket.push_back({produced.transitions()[cursor],
-                                  produced.is_rising(cursor)});
-                ++cursor;
-              }
-            }
+            result.shard_window_events[k][w] = session.n_stimulus_events() +
+                                               session.n_gate_events() -
+                                               events_before;
           });
     } catch (const std::exception& e) {
-      // A fault outside every session (the pool itself).
+      // A fault outside every session's advance(): the pool itself, or a
+      // pull() assertion.
       stopped = RunStatus::kFailed;
       pool_error = e.what();
       break;
@@ -363,11 +306,12 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // The sessions fold into the run's totals as in Circuit::simulate: a
   // failure outranks a trip, and a failed run reports the lowest-numbered
   // failed block's error, unless the pool itself failed.
-  result.shard_window_events = std::move(shard_window_events);
   result.metrics.add("shard.count", static_cast<long long>(n_shards));
   result.metrics.add("shard.windows", static_cast<long long>(n_windows));
+  long long pulled = 0;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    sessions[s]->add_to(run);
+    sessions[s]->add_to(result);
+    pulled += sessions[s]->n_pulled();
     long shard_total = 0;
     for (const long n : result.shard_window_events[s]) {
       shard_total += n;
@@ -376,28 +320,17 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     result.metrics.observe("shard.events", static_cast<double>(shard_total));
     result.metrics.observe("sim.max_heap_depth",
                            static_cast<double>(sessions[s]->max_heap_depth()));
-    if (bucket_sizes[s].count() > 0) {
-      result.metrics.merge("shard.boundary_bucket", bucket_sizes[s]);
-    }
   }
   if (stopped == RunStatus::kFailed) {
-    run.status = RunStatus::kFailed;
-    run.diagnostics.error = pool_error;
-  } else if (run.status == RunStatus::kOk) {
-    run.status = stopped;
+    result.status = RunStatus::kFailed;
+    result.diagnostics.error = pool_error;
+  } else if (result.status == RunStatus::kOk) {
+    result.status = stopped;
   }
-  run.diagnostics.status = run.status;
-  const obs::LogHistogram* buckets =
-      result.metrics.histogram("shard.boundary_bucket");
-  result.metrics.add(
-      "shard.boundary_transitions",
-      buckets != nullptr ? static_cast<long long>(buckets->sum()) : 0);
-  result.metrics.add("sim.equal_time_ties", run.equal_time_ties);
-  obs::absorb_run_counters(result.metrics, run.diagnostics.counters);
-  result.n_events = run.n_events;
-  result.status = run.status;
-  result.diagnostics = std::move(run.diagnostics);
-  result.traces = std::move(run.traces);
+  result.diagnostics.status = result.status;
+  result.metrics.add("shard.boundary_transitions", pulled);
+  result.metrics.add("sim.equal_time_ties", result.equal_time_ties);
+  obs::absorb_run_counters(result.metrics, result.diagnostics.counters);
 
   // Re-cut on this run's measured work for the next run.
   if (result.ok() && result.n_events > 0) {

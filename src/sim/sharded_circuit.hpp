@@ -39,13 +39,15 @@
 // quanta, and block k may advance through window w as soon as (a) it has
 // finished window w-1 and (b) every block feeding it has finished window w
 // -- at which point all boundary transitions with t <= the window end are
-// known and injected. Steps of this wavefront run on the worker pool:
+// in the run's traces. Steps of this wavefront run on the worker pool:
 // within one step, the runnable (block, window) pairs are mutually
 // independent, so B blocks and W windows expose min(B, W) - 1 steps of
-// pipeline parallelism with no speculation and no rollback. Each boundary
-// edge keeps a ring of (to - from + 1) window buckets: the producer fills
-// window w's bucket at step from + w, the consumer drains it at step
-// to + w, and only the windows in flight between the two hold memory.
+// pipeline parallelism with no speculation and no rollback. The traces
+// are the only exchange: each step has two phases, one parallel_for each.
+// First every block of the step pulls what its upstream blocks appended
+// to the traces it reads (SimSession::pull), while no session appends;
+// then the blocks advance through their windows, each appending only to
+// its own nets' traces.
 //
 // Determinism: every (block, window) task consumes exactly the boundary
 // transitions its upstream blocks produce, and every session processes
@@ -60,7 +62,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,28 +105,24 @@ class ShardedCircuit {
   std::size_t n_gates() const { return circuit_->n_gates(); }
   std::size_t n_inputs() const { return circuit_->n_inputs(); }
   /// Cross-block (net, consumer block) pairs of the current cut.
-  std::size_t n_boundary_edges() const { return edges_.size(); }
+  std::size_t n_boundary_edges() const { return n_boundary_edges_; }
   /// The cut the next simulate() runs with: block s owns gates
   /// [cut()[s], cut()[s + 1]).
   const std::vector<std::size_t>& cut() const { return cut_; }
 
-  /// Simulation result, addressed by net name. Keeps a pointer to this
+  /// Circuit::simulate's result -- traces by NetId, n_events, status and
+  /// diagnostics, the same fold of the block sessions -- plus the sharded
+  /// run's schedule and metrics. A run terminated early (budget, deadline,
+  /// cancellation, a failure captured by a block's session) stops the
+  /// wavefront at the end of the step that tripped; its traces are
+  /// best-effort up to diagnostics.t_horizon, and the pool stays usable.
+  /// Nets are also addressed by name, through a pointer to this
   /// ShardedCircuit -- the circuit must outlive the result.
-  struct Result {
-    long n_events = 0;       // matches Circuit::simulate's count
-    std::size_t n_windows = 0;
-    /// kOk unless the run terminated early: budget/deadline/cancellation
-    /// trip, or a failure captured by a block's session (the wavefront
-    /// stops at the end of the step that tripped; traces are best-effort
-    /// up to diagnostics.t_horizon, the lowest horizon any block fully
-    /// reached). The pool stays usable either way.
-    RunStatus status = RunStatus::kOk;
-    /// diagnostics.counters sums the sessions' guard counters in block
-    /// order; diagnostics.error is the lowest-numbered failed block's.
-    RunDiagnostics diagnostics;
-
-    bool ok() const { return status == RunStatus::kOk; }
+  struct Result : Circuit::SimResult {
+    using Circuit::SimResult::trace;
     const waveform::DigitalTrace& trace(const std::string& net) const;
+
+    std::size_t n_windows = 0;
 
     /// The cut this run used: block s owned gates [cut[s], cut[s + 1]).
     std::vector<std::size_t> cut;
@@ -142,16 +139,12 @@ class ShardedCircuit {
     double load_imbalance() const;
 
     /// Observability aggregate for this run: shard.* counters and
-    /// histograms (per-task window events, per-block totals, exchange
-    /// bucket occupancy) of this run's cut, sim.* per-block counters and
-    /// the run.* guard counters, filled in deterministic block/edge order.
+    /// histograms (per-task window events, per-block totals, pulled
+    /// upstream transitions) of this run's cut, sim.* per-block counters
+    /// and the run.* guard counters, filled in deterministic block order.
     /// docs/observability.md lists the names.
     obs::MetricsRegistry metrics;
 
-    /// Traces by NetId of the sharded circuit: primary inputs carry the
-    /// windowed stimuli, every other net the trace its driving block's
-    /// session appended. Address them by name through trace().
-    std::vector<waveform::DigitalTrace> traces;
     const ShardedCircuit* owner = nullptr;
   };
 
@@ -164,22 +157,7 @@ class ShardedCircuit {
                   const ShardedSimConfig& config = {});
 
  private:
-  /// One cross-block net: `net`, driven in from_shard, read in to_shard. A
-  /// net read by several blocks has one edge per consumer.
-  struct BoundaryEdge {
-    Circuit::NetId net = -1;
-    std::size_t from_shard = 0;
-    std::size_t to_shard = 0;
-  };
-  // One cross-block transition in flight between a producer's window and
-  // the matching consumer window.
-  struct BoundaryEvent {
-    double t = 0.0;
-    bool value = false;
-  };
-
   void set_cut(std::vector<std::size_t> cut);
-  std::size_t shard_of(std::size_t gate) const;
   std::vector<std::size_t> balanced_cut(
       const std::vector<waveform::DigitalTrace>& traces) const;
 
@@ -191,16 +169,7 @@ class ShardedCircuit {
 
   std::unique_ptr<Circuit> circuit_;
   std::vector<std::size_t> cut_;
-  // Boundary edges of the current cut, by consumer block then producer
-  // gate, and their indices grouped by producer / consumer block in that
-  // order.
-  std::vector<BoundaryEdge> edges_;
-  std::vector<std::vector<std::size_t>> out_edges_;  // by from_shard
-  std::vector<std::vector<std::size_t>> in_edges_;   // by to_shard
-  // Edge e's window-w bucket is rings_[ring_begin_[e] + w % (to - from +
-  // 1)]: a producer runs at most to - from windows ahead of its consumer.
-  std::vector<std::size_t> ring_begin_;
-  std::vector<std::vector<BoundaryEvent>> rings_;
+  std::size_t n_boundary_edges_ = 0;
   // Kept across runs: each block's session buffers.
   std::vector<SimSession::Scratch> scratch_;
   std::unique_ptr<util::ThreadPool> pool_;  // lazily (re)built in simulate

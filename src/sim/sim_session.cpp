@@ -70,13 +70,13 @@ SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
   // final horizon simply never get processed.
   std::vector<const waveform::DigitalTrace*> streamed(s.external.size());
   for (std::size_t k = 0; k < s.external.size(); ++k) {
-    const Circuit::NetId net = s.external[k].net;
-    s.net_value[n_own + k] = settled(net) ? 1 : 0;
-    streamed[k] = &traces[static_cast<std::size_t>(net)];
+    ExternalNet& ext = s.external[k];
+    s.net_value[n_own + k] = settled(ext.net) ? 1 : 0;
+    streamed[k] = &traces[static_cast<std::size_t>(ext.net)];
+    ext.queued = streamed[k]->n_transitions();
   }
   waveform::merge_transitions(streamed, s.stream);
-  s.injected.clear();
-  s.incoming.clear();
+  s.pulled.clear();
   s.log.clear();
   s.log.reserve(kTransitionLogCapacity);
   s.heap.reset(n_own);
@@ -218,41 +218,32 @@ void SimSession::fail(const std::exception& e) {
   error_ = e.what();
 }
 
-void SimSession::inject(Circuit::NetId net, double t, bool net_value) {
-  CHARLIE_ASSERT_MSG(t > horizon_,
-                     "sim session: injected event at or before the horizon");
-  // The external nets are sorted by producer.
-  const Circuit& c = *circuit_;
-  const std::vector<ExternalNet>& external = s_->external;
-  const auto it = std::lower_bound(
-      external.begin(), external.end(), c.producer(net),
-      [&](const ExternalNet& entry, std::uint32_t producer) {
-        return c.producer(entry.net) < producer;
-      });
-  CHARLIE_ASSERT_MSG(it != external.end() && it->net == net &&
-                         c.producer(net) >= c.n_inputs(),
-                     "sim session: injected net is not an upstream net the "
-                     "range reads");
-  s_->incoming.push_back(
-      {t, static_cast<std::uint32_t>(it - external.begin()), net_value});
-}
-
-void SimSession::merge_injected() {
+void SimSession::pull() {
+  if (status_ != RunStatus::kOk) return;
   Scratch& s = *s_;
-  if (s.incoming.empty()) return;
-  // What is left of the merged stream lies beyond the previous horizon;
-  // the new transitions join it in (t, producer) order.
-  s.injected.erase(s.injected.begin(),
-                   s.injected.begin() +
-                       static_cast<std::ptrdiff_t>(injected_index_));
-  injected_index_ = 0;
-  std::stable_sort(s.incoming.begin(), s.incoming.end(), waveform::precedes);
-  const std::size_t mid = s.injected.size();
-  s.injected.insert(s.injected.end(), s.incoming.begin(), s.incoming.end());
-  std::inplace_merge(s.injected.begin(),
-                     s.injected.begin() + static_cast<std::ptrdiff_t>(mid),
-                     s.injected.end(), waveform::precedes);
-  s.incoming.clear();
+  // What is left of the pulled stream lies beyond the horizon; the new
+  // transitions join it in (t, producer) order.
+  s.pulled.erase(s.pulled.begin(),
+                 s.pulled.begin() + static_cast<std::ptrdiff_t>(pulled_index_));
+  pulled_index_ = 0;
+  const std::size_t mid = s.pulled.size();
+  for (std::size_t k = 0; k < s.external.size(); ++k) {
+    ExternalNet& ext = s.external[k];
+    const waveform::DigitalTrace& trace =
+        (*traces_)[static_cast<std::size_t>(ext.net)];
+    for (; ext.queued < trace.n_transitions(); ++ext.queued) {
+      const double t = trace.transitions()[ext.queued];
+      CHARLIE_ASSERT_MSG(t > horizon_, "sim session: pulled transition at or "
+                                       "before the horizon");
+      s.pulled.push_back({t, static_cast<std::uint32_t>(k),
+                          trace.is_rising(ext.queued)});
+    }
+  }
+  n_pulled_ += static_cast<long>(s.pulled.size() - mid);
+  const auto fresh = s.pulled.begin() + static_cast<std::ptrdiff_t>(mid);
+  std::sort(fresh, s.pulled.end(), waveform::precedes);
+  std::inplace_merge(s.pulled.begin(), fresh, s.pulled.end(),
+                     waveform::precedes);
 }
 
 void SimSession::advance(double t_horizon) {
@@ -285,7 +276,6 @@ void SimSession::run_window() {
   // windowed schedules (sharded wavefront) show per-window event volume.
   const long events_before = n_stimulus_events_ + n_gate_events_;
   obs::ScopedSpan obs_span("sim.advance", "events", 0);
-  merge_injected();
 
   Circuit& c = *circuit_;
   Scratch& s = *s_;
@@ -299,17 +289,17 @@ void SimSession::run_window() {
 
   // --- event loop ----------------------------------------------------------
   // Equal times go in producer order (see the header): the streamed and
-  // injected heads by (t, external index), the stream before the range's
+  // pulled heads by (t, external index), the streams before the range's
   // own gates, and those by (t, slot).
   while (true) {
     const StreamEvent* next = nullptr;
-    bool injected = false;
+    bool pulled = false;
     if (stream_index_ < s.stream.size()) next = &s.stream[stream_index_];
-    if (injected_index_ < s.injected.size()) {
-      const StreamEvent& head = s.injected[injected_index_];
+    if (pulled_index_ < s.pulled.size()) {
+      const StreamEvent& head = s.pulled[pulled_index_];
       if (next == nullptr || waveform::precedes(head, *next)) {
         next = &head;
-        injected = true;
+        pulled = true;
       }
     }
     const bool stream_due = next != nullptr && next->t <= horizon_;
@@ -332,8 +322,8 @@ void SimSession::run_window() {
     }
     if (from_stream) {
       const StreamEvent ev = *next;
-      if (injected) {
-        ++injected_index_;
+      if (pulled) {
+        ++pulled_index_;
       } else {
         ++stream_index_;
       }

@@ -10,7 +10,7 @@
 // runs a circuit's blocks one after another over the whole window
 // (Circuit::simulate and BatchRunner); the sharded runner
 // (sim/sharded_circuit.hpp) advances one session per block a conservative
-// window quantum at a time, injecting the transitions of upstream blocks
+// window quantum at a time, each pulling what its upstream blocks appended
 // between advances. A session borrows the channel state of the gates in
 // its range, so at most one session may be active per gate at a time;
 // sessions over disjoint ranges of one Circuit may run concurrently.
@@ -24,9 +24,10 @@
 // the session over the first gates (gate_begin 0) takes every primary
 // input, read or not. It streams the transitions its external nets' traces
 // hold when it is built -- the stimuli, and the complete traces of upstream
-// blocks that already ran -- plus those inject(net, t, value) adds later,
+// blocks that already ran -- plus those each pull() finds appended since,
 // walks only the in-range part of each fanout list, and appends only to
-// the traces of the nets its gates drive.
+// the traces of the nets its gates drive. The run's traces are thus the
+// only exchange between blocks.
 //
 // Events and budgets. A run's events are its primary-input transitions and
 // its gate firings. The session over the first gates counts every
@@ -100,15 +101,17 @@ class SimSession {
     Circuit::NetId net = -1;
   };
   // A net the range reads but does not drive, with its in-range readers:
-  // fanout records [fanout_begin, fanout_end) of the circuit's CSR.
+  // fanout records [fanout_begin, fanout_end) of the circuit's CSR. The
+  // first `queued` transitions of its trace are in the session's streams.
   struct ExternalNet {
     Circuit::NetId net = -1;
     std::uint32_t fanout_begin = 0;
     std::uint32_t fanout_end = 0;
+    std::size_t queued = 0;
   };
 
  public:
-  /// The buffers a session works in: stimulus stream, injected
+  /// The buffers a session works in: stimulus stream, pulled
   /// transitions, transition log, event heap and per-net state. A session
   /// borrows one and leaves its capacity behind, so a caller that passes
   /// one Scratch to successive sessions (one at a time) allocates them
@@ -117,8 +120,7 @@ class SimSession {
    private:
     friend class SimSession;
     std::vector<StreamEvent> stream;    // transitions held at construction
-    std::vector<StreamEvent> injected;  // merged injected transitions
-    std::vector<StreamEvent> incoming;  // inject()s since the last advance
+    std::vector<StreamEvent> pulled;    // merged pull()s, not yet processed
     std::vector<LoggedTransition> log;  // recorded, not yet in a trace
     EventHeap heap;
     std::vector<std::uint8_t> net_value;  // own nets, then external nets
@@ -142,8 +144,8 @@ class SimSession {
   /// by `budget`: prepares `result` (Circuit::prepare_run), then runs the
   /// circuit's blocks (circuit.hpp) one after another over the whole
   /// window -- each block's session is built after its upstream blocks
-  /// have finished, so it streams their complete traces and needs no
-  /// injection -- and folds them into `result` in block order. A
+  /// have finished, so it streams their complete traces and pulls nothing
+  /// -- and folds them into `result` in block order. A
   /// terminated block ends the run; the blocks after it keep their settled
   /// traces, and diagnostics.t_horizon drops to t_begin. `result`'s traces
   /// and `scratch` are reset in place, keeping their capacity. Never throws
@@ -157,15 +159,16 @@ class SimSession {
   SimSession(const SimSession&) = delete;
   SimSession& operator=(const SimSession&) = delete;
 
-  /// Current horizon: all events with t <= t_horizon() are processed.
-  double t_horizon() const { return horizon_; }
+  /// Queue, in (t, producer) order, the transitions the traces of the
+  /// session's external nets have gained since it was built or last
+  /// pulled: what upstream sessions appended meanwhile (sharded
+  /// wavefront). Every one must lie beyond the horizon -- the last
+  /// advance() target, t_begin before the first -- (an assertion), and no
+  /// session may append to those traces during the call. A terminated
+  /// session pulls nothing.
+  void pull();
 
-  /// Queue an externally produced transition on `net`, which the session's
-  /// gates read but none of them drives (shard boundary exchange). Must
-  /// satisfy t > t_horizon(); takes effect on the next advance().
-  void inject(Circuit::NetId net, double t, bool net_value);
-
-  /// Process every event with t <= t_horizon (stimuli, injected boundary
+  /// Process every event with t <= t_horizon (stimuli, pulled upstream
   /// transitions, and gate firings). Horizons must not decrease. A run
   /// failure or budget trip ends the session instead of throwing; further
   /// calls are then no-ops.
@@ -173,6 +176,8 @@ class SimSession {
 
   long n_stimulus_events() const { return n_stimulus_events_; }
   long n_gate_events() const { return n_gate_events_; }
+  /// Transitions pull() has queued so far.
+  long n_pulled() const { return n_pulled_; }
   /// The run's events this session processed (see the header): its gate
   /// firings, plus its stimulus events for the session over the first
   /// gates.
@@ -209,7 +214,6 @@ class SimSession {
 
   void collect_external_nets();
   void run_window();
-  void merge_injected();
   void flush_log();
   void fail(const std::exception& e);
   void reschedule(std::size_t slot,
@@ -230,10 +234,11 @@ class SimSession {
   double t_processed_ = 0.0;      // time of the last processed event
   std::vector<waveform::DigitalTrace>* traces_;  // by NetId
   Scratch* s_;
-  std::size_t stream_index_ = 0;    // next streamed transition
-  std::size_t injected_index_ = 0;  // next injected transition
+  std::size_t stream_index_ = 0;  // next streamed transition
+  std::size_t pulled_index_ = 0;  // next pulled transition
   long n_stimulus_events_ = 0;
   long n_gate_events_ = 0;
+  long n_pulled_ = 0;
   long max_heap_depth_ = 0;
   long equal_time_ties_ = 0;
 };

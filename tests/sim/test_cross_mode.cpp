@@ -1,8 +1,8 @@
 // Cross-mode bit-identity over every channel kind: one circuit and one
 // stimulus set must give identical traces under monolithic simulate, one
-// session over every gate, split SimSession ranges fed through inject,
-// ShardedCircuit at several shard, thread and window configurations, and
-// BatchRunner's captured run. The
+// session over every gate, split SimSession ranges pulling from shared
+// traces, ShardedCircuit at several shard, thread and window
+// configurations, and BatchRunner's captured run. The
 // inputs cover the three channel kinds the circuit stores by value (hybrid
 // MIS gates, inertial SIS gates, RC wires) and boxed channels (a pure-delay
 // SIS channel and Exp/SumExp SIS gate models behind the MIS interface), and
@@ -174,9 +174,9 @@ void expect_one_session_matches(
   }
 }
 
-// Splits the circuit into three ranges of one run, fed upstream
-// transitions through inject over five windows; every net and n_events
-// must match `mono`.
+// Splits the circuit into three ranges of one run, each pulling its
+// upstream transitions from the run's shared traces before each of five
+// windows; every net and n_events must match `mono`.
 void expect_split_sessions_match(
     const Factory& factory, const std::vector<waveform::DigitalTrace>& stimuli,
     double t_end, const Circuit::SimResult& mono, const std::string& label) {
@@ -194,50 +194,12 @@ void expect_split_sessions_match(
     sessions.push_back(std::make_unique<SimSession>(
         *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard));
   }
-  // The range driving each net; -1 for primary inputs.
-  std::vector<long> owner(circuit->n_nets(), -1);
-  for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
-    for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
-      owner[static_cast<std::size_t>(circuit->gate_output(g))] =
-          static_cast<long>(s);
-    }
-  }
-  // For each range, the nets it reads from earlier ranges.
-  struct Feed {
-    Circuit::NetId net;
-    std::size_t from;
-    std::size_t to;
-    std::size_t exported = 0;
-  };
-  std::vector<Feed> feeds;
-  for (std::size_t s = 1; s + 1 < cut.size(); ++s) {
-    std::vector<Circuit::NetId> seen;
-    for (std::size_t g = cut[s]; g < cut[s + 1]; ++g) {
-      for (const Circuit::NetId net : circuit->gate_inputs(g)) {
-        const long from = owner[static_cast<std::size_t>(net)];
-        if (from < 0 || static_cast<std::size_t>(from) >= s ||
-            std::find(seen.begin(), seen.end(), net) != seen.end()) {
-          continue;
-        }
-        seen.push_back(net);
-        feeds.push_back({net, static_cast<std::size_t>(from), s});
-      }
-    }
-  }
   const int n_windows = 5;
   for (int w = 1; w <= n_windows; ++w) {
     const double horizon =
         w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
     for (std::size_t s = 0; s < sessions.size(); ++s) {
-      for (Feed& feed : feeds) {
-        if (feed.to != s) continue;
-        const auto& produced = sessions[feed.from]->trace(feed.net);
-        for (; feed.exported < produced.n_transitions(); ++feed.exported) {
-          sessions[s]->inject(feed.net,
-                              produced.transitions()[feed.exported],
-                              produced.is_rising(feed.exported));
-        }
-      }
+      sessions[s]->pull();
       sessions[s]->advance(horizon);
       ASSERT_EQ(sessions[s]->status(), RunStatus::kOk) << label;
     }
@@ -335,7 +297,7 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
                 captured.trace, label + " batch net " + captured.net);
   }
 
-  // --- split SimSession ranges, fed through inject -----------------------
+  // --- split SimSession ranges, pulling from shared traces --------------
   expect_split_sessions_match(factory, stimuli, t_end, mono, label);
 
   // --- sharded: K in {1, 2, 4}, 1 and 4 threads, two window quanta -------

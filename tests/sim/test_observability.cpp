@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "cell/netlist_gen.hpp"
 #include "core/gate_mode_tables.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch_runner.hpp"
@@ -230,9 +232,10 @@ TEST(ShardedCircuitObservability, ShardWindowEventsAccountForEverything) {
     for (const long n : per_window) total += n;
   }
   // Per-task deltas count what each shard session processed, which
-  // includes boundary injections and primary inputs fanned out to several
-  // shards; the global n_events de-duplicates those, so the task view is
-  // an upper bound that exceeds it by at least the boundary traffic.
+  // includes pulled upstream transitions and primary inputs fanned out to
+  // several shards; the global n_events de-duplicates those, so the task
+  // view is an upper bound that exceeds it by at least the boundary
+  // traffic.
   const long long boundary =
       result.metrics.counter("shard.boundary_transitions");
   EXPECT_GT(boundary, 0);
@@ -251,6 +254,71 @@ TEST(ShardedCircuitObservability, ShardWindowEventsAccountForEverything) {
   EXPECT_EQ(result.metrics.histogram("shard.events")->count(), n_shards);
   EXPECT_DOUBLE_EQ(result.metrics.histogram("shard.events")->sum(),
                    static_cast<double>(total));
+}
+
+// shard.boundary_transitions recounted from a run: for each block of
+// result.cut, the transitions of every distinct net it reads from an
+// earlier block. `twin` is a build() of the same design, for its nets.
+long long upstream_transitions(const Circuit& twin,
+                               const ShardedCircuit::Result& result) {
+  const std::vector<std::size_t>& cut = result.cut;
+  const std::size_t n_blocks = cut.size() - 1;
+  // The block driving each net; n_blocks for a primary input.
+  std::vector<std::size_t> driver_block(twin.n_nets(), n_blocks);
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    for (std::size_t g = cut[b]; g < cut[b + 1]; ++g) {
+      driver_block[static_cast<std::size_t>(twin.gate_output(g))] = b;
+    }
+  }
+  long long total = 0;
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    std::set<Circuit::NetId> upstream;
+    for (std::size_t g = cut[b]; g < cut[b + 1]; ++g) {
+      for (const Circuit::NetId net : twin.gate_inputs(g)) {
+        if (driver_block[static_cast<std::size_t>(net)] < b) {
+          upstream.insert(net);
+        }
+      }
+    }
+    for (const Circuit::NetId net : upstream) {
+      total += static_cast<long long>(
+          result.traces[static_cast<std::size_t>(net)].n_transitions());
+    }
+  }
+  return total;
+}
+
+TEST(ShardedCircuitObservability, BoundaryTransitionsCountWhatBlocksRead) {
+  // Each block pulls every transition of each distinct net it reads from
+  // an earlier block, once, whatever the thread count: on c432 cut into 4
+  // blocks, and on a generated design larger than one block.
+  cell::NetlistGenConfig gen;
+  gen.n_gates = Circuit::kGatesPerBlock + 1000;
+  gen.seed = 5;
+  const cell::NetlistDesc generated = cell::generate_netlist(gen);
+  const struct {
+    const cell::NetlistDesc* desc;
+    std::size_t min_blocks;
+  } designs[] = {{&c432(), 4}, {&generated, 1}};
+  for (const auto& design : designs) {
+    const auto twin = builder().build(*design.desc);
+    const auto stimuli = stimuli_for(design.desc->inputs.size());
+    const double t_end = t_end_for(stimuli);
+    for (const std::size_t threads : {1u, 4u}) {
+      const auto sharded =
+          builder().build_sharded(*design.desc, design.min_blocks);
+      ASSERT_GT(sharded->n_shards(), 1u);
+      ShardedSimConfig config;
+      config.n_threads = threads;
+      const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+      ASSERT_TRUE(result.ok());
+      const long long pulled =
+          result.metrics.counter("shard.boundary_transitions");
+      EXPECT_GT(pulled, 0);
+      EXPECT_EQ(pulled, upstream_transitions(*twin, result))
+          << twin->n_gates() << " gates, " << threads << " threads";
+    }
+  }
 }
 
 TEST(ShardedCircuitObservability, SingleShardTaskViewMatchesGlobalCount) {

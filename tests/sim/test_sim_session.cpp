@@ -1,6 +1,7 @@
 // SimSession as a building block: gate-range sessions over one circuit,
-// fed through inject(), must reproduce the whole-circuit engine; and a
-// fresh run must not reserve trace storage it never fills.
+// pulling from one run's traces, must reproduce the whole-circuit engine;
+// pull() must keep its contract; and a fresh run must not reserve trace
+// storage it never fills.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "sim/circuit_builder.hpp"
 #include "sim/run_guard.hpp"
 #include "sim/sim_session.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "waveform/generator.hpp"
 
@@ -45,26 +47,16 @@ double t_end_for(const std::vector<waveform::DigitalTrace>& stimuli) {
   return t_last + 2e-9;
 }
 
-TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
-  const auto mono_circuit = build_c432();
-  const auto stimuli = stimuli_for(mono_circuit->n_inputs());
-  const double t_end = t_end_for(stimuli);
-  const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
-  ASSERT_TRUE(mono.ok()) << mono.diagnostics.summary();
-
-  // Two sessions over [0, m) and [m, n) of one circuit, advanced window by
-  // window; between windows the upper one receives the lower one's new
-  // transitions on every net it reads from below.
-  const auto circuit = build_c432();
-  const std::size_t n = circuit->n_gates();
-  const std::size_t m = n / 2;
+// The nets gates [m, n) read from gates [0, m), each once.
+std::vector<sim::Circuit::NetId> crossing_nets(const sim::Circuit& circuit,
+                                               std::size_t m) {
   std::set<sim::Circuit::NetId> lower_nets;
   for (std::size_t g = 0; g < m; ++g) {
-    lower_nets.insert(circuit->gate_output(g));
+    lower_nets.insert(circuit.gate_output(g));
   }
-  std::vector<sim::Circuit::NetId> crossing;  // read above m, driven below
-  for (std::size_t g = m; g < n; ++g) {
-    for (const sim::Circuit::NetId net : circuit->gate_inputs(g)) {
+  std::vector<sim::Circuit::NetId> crossing;
+  for (std::size_t g = m; g < circuit.n_gates(); ++g) {
+    for (const sim::Circuit::NetId net : circuit.gate_inputs(g)) {
       if (lower_nets.count(net) > 0 &&
           std::find(crossing.begin(), crossing.end(), net) ==
               crossing.end()) {
@@ -72,59 +64,79 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
       }
     }
   }
+  return crossing;
+}
+
+TEST(SimSession, GateRangesFedThroughPullReproduceMonolithic) {
+  const auto mono_circuit = build_c432();
+  const auto stimuli = stimuli_for(mono_circuit->n_inputs());
+  const double t_end = t_end_for(stimuli);
+  const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  ASSERT_TRUE(mono.ok()) << mono.diagnostics.summary();
+
+  // Two sessions over [0, m) and [m, n) of one circuit, appending into one
+  // run's traces and advanced window by window; before each advance a
+  // session pulls what the other appended to the nets it reads.
+  const auto circuit = build_c432();
+  const std::size_t n = circuit->n_gates();
+  const std::size_t m = n / 2;
+  const std::vector<sim::Circuit::NetId> crossing = crossing_nets(*circuit, m);
   ASSERT_FALSE(crossing.empty());
 
-  // Each session appends into a trace array of its own, both prepared for
-  // the run, so every trace a session does not drive stays as prepared.
-  sim::Circuit::SimResult lower_run;
-  sim::Circuit::SimResult upper_run;
-  circuit->prepare_run(stimuli, 0.0, t_end, lower_run);
-  circuit->prepare_run(stimuli, 0.0, t_end, upper_run);
+  sim::Circuit::SimResult run;
+  circuit->prepare_run(stimuli, 0.0, t_end, run);
   sim::SimSession::Scratch lower_scratch;
   sim::SimSession::Scratch upper_scratch;
   sim::RunGuard guard(sim::RunBudget{});
-  sim::SimSession lower(*circuit, 0, m, 0.0, lower_run.traces, lower_scratch,
+  sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
                         guard);
-  sim::SimSession upper(*circuit, m, n, 0.0, upper_run.traces, upper_scratch,
+  sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
                         guard);
-  std::vector<std::size_t> exported(crossing.size(), 0);
   const int n_windows = 7;
   for (int w = 1; w <= n_windows; ++w) {
     const double horizon =
         w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
+    lower.pull();
     lower.advance(horizon);
-    for (std::size_t i = 0; i < crossing.size(); ++i) {
-      const waveform::DigitalTrace& produced = lower.trace(crossing[i]);
-      for (; exported[i] < produced.n_transitions(); ++exported[i]) {
-        upper.inject(crossing[i], produced.transitions()[exported[i]],
-                     produced.is_rising(exported[i]));
+    // Partial ranges record only the nets their gates drive: until the
+    // upper range first advances, its nets hold their settled values ...
+    if (w == 1) {
+      for (std::size_t g = m; g < n; ++g) {
+        EXPECT_TRUE(run.traces[static_cast<std::size_t>(
+                                   circuit->gate_output(g))]
+                        .empty());
       }
     }
+    // ... and the upper range leaves the nets it reads from below as the
+    // lower range wrote them.
+    std::vector<std::vector<double>> from_below;
+    for (const sim::Circuit::NetId net : crossing) {
+      from_below.push_back(upper.trace(net).transitions());
+    }
+    upper.pull();
     upper.advance(horizon);
+    for (std::size_t i = 0; i < crossing.size(); ++i) {
+      EXPECT_EQ(upper.trace(crossing[i]).transitions(), from_below[i]);
+    }
   }
 
-  for (std::size_t g = 0; g < n; ++g) {
-    const sim::Circuit::NetId net = circuit->gate_output(g);
-    const sim::SimSession& owner = g < m ? lower : upper;
-    EXPECT_EQ(owner.trace(net).initial_value(),
-              mono.trace(net).initial_value())
-        << circuit->net_name(net);
-    EXPECT_EQ(owner.trace(net).transitions(), mono.trace(net).transitions())
-        << circuit->net_name(net);
+  for (std::size_t net = 0; net < circuit->n_nets(); ++net) {
+    EXPECT_EQ(run.traces[net].initial_value(),
+              mono.traces[net].initial_value())
+        << circuit->net_name(static_cast<sim::Circuit::NetId>(net));
+    EXPECT_EQ(run.traces[net].transitions(), mono.traces[net].transitions())
+        << circuit->net_name(static_cast<sim::Circuit::NetId>(net));
   }
-  // Partial ranges record only the nets their gates drive: the primary
-  // inputs keep their prepared stimuli, and upstream nets their settled
-  // values.
-  for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
-    const sim::Circuit::NetId net = circuit->input_net(i);
-    EXPECT_EQ(lower.trace(net).transitions(), mono.trace(net).transitions());
-  }
-  for (std::size_t g = m; g < n; ++g) {
-    EXPECT_TRUE(lower.trace(circuit->gate_output(g)).empty());
-  }
+  // The upper range pulled every transition of the nets it reads from
+  // below, once each; the session over the first gates reads only primary
+  // inputs, whose traces are complete when it is built, so it pulls
+  // nothing.
+  long from_lower = 0;
   for (const sim::Circuit::NetId net : crossing) {
-    EXPECT_TRUE(upper.trace(net).empty());
+    from_lower += static_cast<long>(mono.trace(net).n_transitions());
   }
+  EXPECT_EQ(upper.n_pulled(), from_lower);
+  EXPECT_EQ(lower.n_pulled(), 0);
   long n_stimulus = 0;
   for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
     n_stimulus += static_cast<long>(
@@ -135,6 +147,82 @@ TEST(SimSession, GateRangesFedThroughInjectReproduceMonolithic) {
   // The session over the first gates counts the primary inputs.
   EXPECT_EQ(lower.n_events(), n_stimulus + lower.n_gate_events());
   EXPECT_EQ(upper.n_events(), upper.n_gate_events());
+}
+
+TEST(SimSession, PullRejectsAnUpstreamTransitionAtOrBeforeTheHorizon) {
+  // The upper range advances to h first; the lower range then appends
+  // transitions at or before h, which the upper range can no longer
+  // process in order.
+  const auto circuit = build_c432();
+  const auto stimuli = stimuli_for(circuit->n_inputs());
+  const double t_end = t_end_for(stimuli);
+  const double h = t_end / 2;
+  const std::size_t n = circuit->n_gates();
+  const std::size_t m = n / 2;
+  sim::Circuit::SimResult run;
+  circuit->prepare_run(stimuli, 0.0, t_end, run);
+  sim::SimSession::Scratch lower_scratch;
+  sim::SimSession::Scratch upper_scratch;
+  sim::RunGuard guard(sim::RunBudget{});
+  sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
+                        guard);
+  sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
+                        guard);
+  upper.advance(h);
+  lower.advance(t_end);
+  bool late = false;
+  for (const sim::Circuit::NetId net : crossing_nets(*circuit, m)) {
+    const waveform::DigitalTrace& trace =
+        run.traces[static_cast<std::size_t>(net)];
+    late = late || (!trace.empty() && trace.transitions().front() <= h);
+  }
+  ASSERT_TRUE(late);
+  EXPECT_THROW(upper.pull(), AssertionError);
+}
+
+TEST(SimSession, PullOnATerminatedSessionIsANoOp) {
+  // The upper range trips its event budget on its way to t_end / 2; the
+  // lower range, at t_end / 4 then, goes on to append transitions on both
+  // sides of t_end / 2. A live session would reject those at or before
+  // its horizon; the tripped one queues nothing and stays where it
+  // stopped.
+  const auto circuit = build_c432();
+  const auto stimuli = stimuli_for(circuit->n_inputs());
+  const double t_end = t_end_for(stimuli);
+  const std::size_t n = circuit->n_gates();
+  const std::size_t m = n / 2;
+  sim::Circuit::SimResult run;
+  circuit->prepare_run(stimuli, 0.0, t_end, run);
+  sim::SimSession::Scratch lower_scratch;
+  sim::SimSession::Scratch upper_scratch;
+  sim::RunGuard unlimited(sim::RunBudget{});
+  sim::RunBudget budget;
+  budget.max_events = 1;
+  sim::RunGuard tight(budget);
+  sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
+                        unlimited);
+  sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
+                        tight);
+  lower.advance(t_end / 4);
+  upper.pull();
+  upper.advance(t_end / 2);
+  ASSERT_EQ(upper.status(), sim::RunStatus::kBudgetExhausted);
+  const long pulled = upper.n_pulled();
+  const long events = upper.n_events();
+  lower.advance(t_end);
+  bool late = false;
+  for (const sim::Circuit::NetId net : crossing_nets(*circuit, m)) {
+    for (const double t : run.traces[static_cast<std::size_t>(net)]
+                              .transitions()) {
+      late = late || (t > t_end / 4 && t <= t_end / 2);
+    }
+  }
+  ASSERT_TRUE(late);
+  EXPECT_NO_THROW(upper.pull());
+  EXPECT_EQ(upper.n_pulled(), pulled);
+  upper.advance(t_end);
+  EXPECT_EQ(upper.status(), sim::RunStatus::kBudgetExhausted);
+  EXPECT_EQ(upper.n_events(), events);
 }
 
 TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {

@@ -2,9 +2,11 @@
 # Build the ThreadSanitizer preset and run the concurrency-bearing test
 # suites under it: the worker pool (chunked atomic work claiming), the
 # Monte-Carlo batch runner (per-worker clones + shared reduction buffers),
-# and the sharded single-circuit engine (wavefront exchange buckets). Any
-# data-race report aborts the offending test (-fno-sanitize-recover=all),
-# so a green run means TSan sees no races on these paths.
+# and the sharded single-circuit engine (each wavefront step's blocks pull
+# upstream transitions from the run's shared traces, then append to their
+# own). Any data-race report aborts the offending test
+# (-fno-sanitize-recover=all), so a green run means TSan sees no races on
+# these paths.
 #
 # The threaded suites are selected by test-name regex rather than running
 # everything: the full suite under TSan multiplies runtime ~10x for files
