@@ -3,13 +3,16 @@
 // sim::CircuitBuilder and driven through sim::BatchRunner -- the
 // realistic-workload complement to the NOR-mesh numbers in
 // bench_batch_throughput.cpp. Also tracks the front-end itself:
-// parse + validate + instantiate cost per circuit clone, and the event
-// engine's cost per event on generated designs of growing size.
+// parse + validate + instantiate cost per circuit clone, the parse of a
+// 100k-gate generated netlist, and the event engine's cost per event on
+// generated designs of growing size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
@@ -111,6 +114,25 @@ void BM_NetlistParseAndBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetlistParseAndBuild);
+
+// Netlist text to NetlistDesc for a generated design (gen_netlist seed 1,
+// 2% RC wires) of range(0) gates: the parse layer of the file-driven
+// front-end, without the file read. At 100k gates this is the netlist the
+// perfbench 100k workloads parse.
+void BM_GeneratedNetlistParse(benchmark::State& state) {
+  cell::NetlistGenConfig gen;
+  gen.n_gates = static_cast<std::size_t>(state.range(0));
+  gen.seed = 1;
+  gen.wire_fraction = 0.02;
+  const std::string text = cell::write_netlist(cell::generate_netlist(gen));
+  for (auto _ : state) {
+    const cell::NetlistDesc desc = cell::parse_netlist(text);
+    benchmark::DoNotOptimize(desc.instances.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_GeneratedNetlistParse)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // Single-thread Circuit::simulate on a generated design (gen_netlist seed
 // 1, 2% RC wires) of range(0) gates, driven like the shard_gen100k

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/csv.hpp"
@@ -22,7 +23,16 @@ using util::trim_ascii;
   throw ConfigError(source + ":" + std::to_string(line) + ": " + why);
 }
 
-bool is_identifier(const std::string& name) {
+std::string quoted(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  out += text;
+  out += '"';
+  return out;
+}
+
+bool is_identifier(std::string_view name) {
   if (name.empty()) return false;
   if (!std::isalpha(static_cast<unsigned char>(name[0])) && name[0] != '_') {
     return false;
@@ -34,79 +44,85 @@ bool is_identifier(const std::string& name) {
 
 // One `head(arg, arg, ...)` statement, already comment-stripped and
 // trimmed. Arguments are either net identifiers or `key=value` parameter
-// assignments (WIRE statements only; validated by the caller).
+// assignments (WIRE statements only; validated by the caller). Every field
+// is a view into the netlist text.
 struct Argument {
-  std::string text;   // identifier, or the key for assignments
-  std::string value;  // assignment value; empty means plain identifier
+  std::string_view text;   // identifier, or the key for assignments
+  std::string_view value;  // assignment value; empty means plain identifier
   bool is_assignment = false;
 };
 
 struct Statement {
-  std::string head;
+  std::string_view head;
   std::vector<Argument> args;
 };
 
-Statement parse_statement(const std::string& text, int line,
-                          const std::string& source) {
+// Parses `text` into `s`, reusing its argument storage across lines.
+void parse_statement(std::string_view text, int line,
+                     const std::string& source, Statement& s) {
   const auto open = text.find('(');
-  if (open == std::string::npos) {
-    syntax_error(source, line, "expected `cell(out, in, ...)`, got \"" + text + "\"");
+  if (open == std::string_view::npos) {
+    syntax_error(source, line,
+                 "expected `cell(out, in, ...)`, got " + quoted(text));
   }
-  Statement s;
   s.head = trim_ascii(text.substr(0, open));
+  s.args.clear();
   if (!is_identifier(s.head)) {
-    syntax_error(source, line, "bad cell name \"" + s.head + "\"");
+    syntax_error(source, line, "bad cell name " + quoted(s.head));
   }
   const auto close = text.find(')', open);
-  if (close == std::string::npos) syntax_error(source, line, "missing `)`");
-  const std::string tail = trim_ascii(text.substr(close + 1));
+  if (close == std::string_view::npos) {
+    syntax_error(source, line, "missing `)`");
+  }
+  const std::string_view tail = trim_ascii(text.substr(close + 1));
   if (!tail.empty() && tail != ";") {
-    syntax_error(source, line, "trailing text after `)`: \"" + tail + "\"");
+    syntax_error(source, line, "trailing text after `)`: " + quoted(tail));
   }
 
-  std::string args = text.substr(open + 1, close - open - 1);
+  const std::string_view args = text.substr(open + 1, close - open - 1);
   std::size_t pos = 0;
   while (true) {
     const auto comma = args.find(',', pos);
-    const std::string arg = trim_ascii(
-        comma == std::string::npos ? args.substr(pos)
-                                   : args.substr(pos, comma - pos));
-    if (arg.empty() && comma == std::string::npos && s.args.empty()) {
+    const std::string_view arg = trim_ascii(
+        comma == std::string_view::npos ? args.substr(pos)
+                                        : args.substr(pos, comma - pos));
+    if (arg.empty() && comma == std::string_view::npos && s.args.empty()) {
       break;  // empty argument list: `cell()`
     }
     Argument parsed;
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (eq != std::string_view::npos) {
       parsed.is_assignment = true;
       parsed.text = trim_ascii(arg.substr(0, eq));
       parsed.value = trim_ascii(arg.substr(eq + 1));
       if (!is_identifier(parsed.text)) {
-        syntax_error(source, line, "bad parameter name \"" + parsed.text + "\"");
+        syntax_error(source, line, "bad parameter name " + quoted(parsed.text));
       }
       if (parsed.value.empty()) {
         syntax_error(source, line,
-                     "parameter \"" + parsed.text + "\" needs a value");
+                     "parameter " + quoted(parsed.text) + " needs a value");
       }
     } else {
       parsed.text = arg;
       if (!is_identifier(parsed.text)) {
-        syntax_error(source, line, "bad net name \"" + arg + "\"");
+        syntax_error(source, line, "bad net name " + quoted(arg));
       }
     }
-    s.args.push_back(std::move(parsed));
-    if (comma == std::string::npos) break;
+    s.args.push_back(parsed);
+    if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
-  return s;
 }
 
 // The i-th argument as a plain net identifier (rejects assignments).
-const std::string& net_argument(const Statement& s, std::size_t i, int line,
-                                const std::string& source) {
+std::string_view net_argument(const Statement& s, std::size_t i, int line,
+                              const std::string& source) {
   const Argument& arg = s.args[i];
   if (arg.is_assignment) {
-    syntax_error(source, line, "expected a net name, got parameter assignment \"" +
-                           arg.text + "=" + arg.value + "\"");
+    syntax_error(source, line,
+                 "expected a net name, got parameter assignment \"" +
+                     std::string(arg.text) + "=" + std::string(arg.value) +
+                     "\"");
   }
   return arg.text;
 }
@@ -127,32 +143,33 @@ NetlistWire parse_wire(const Statement& s, int line,
     const Argument& arg = s.args[i];
     if (!arg.is_assignment) {
       syntax_error(source, line, "WIRE takes key=value parameters after the two "
-                         "nets, got net name \"" +
-                             arg.text + "\"");
+                         "nets, got net name " +
+                             quoted(arg.text));
     }
-    const std::string key = util::to_lower_ascii(arg.text);
+    const std::string key = util::to_lower_ascii(std::string(arg.text));
     if (!seen.insert(key).second) {
       syntax_error(source, line, "WIRE parameter \"" + key + "\" given twice");
     }
+    const std::string value(arg.value);
     const std::string context =
         source + ":" + std::to_string(line) + ": WIRE parameter " + key;
     if (key == "r") {
-      wire.r_total = util::parse_double_field(arg.value, context);
+      wire.r_total = util::parse_double_field(value, context);
       have_r = true;
     } else if (key == "c") {
-      wire.c_total = util::parse_double_field(arg.value, context);
+      wire.c_total = util::parse_double_field(value, context);
       have_c = true;
     } else if (key == "sections") {
       wire.sections = static_cast<int>(
-          util::parse_long_field(arg.value, context));
+          util::parse_long_field(value, context));
     } else if (key == "rdrive") {
-      wire.r_drive = util::parse_double_field(arg.value, context);
+      wire.r_drive = util::parse_double_field(value, context);
     } else if (key == "cload") {
-      wire.c_load = util::parse_double_field(arg.value, context);
+      wire.c_load = util::parse_double_field(value, context);
     } else if (key == "tdrive") {
-      wire.t_drive = util::parse_double_field(arg.value, context);
+      wire.t_drive = util::parse_double_field(value, context);
     } else if (key == "vdd") {
-      wire.vdd = util::parse_double_field(arg.value, context);
+      wire.vdd = util::parse_double_field(value, context);
     } else {
       syntax_error(source, line, "unknown WIRE parameter \"" + key +
                              "\" (expected r, c, sections, rdrive, cload, "
@@ -165,59 +182,63 @@ NetlistWire parse_wire(const Statement& s, int line,
   return wire;
 }
 
+// Appends a declaration's nets to `nets`, rejecting a name `declared`
+// already holds; `kind` names the declaration in messages.
+void declare_nets(const Statement& s, int line, const std::string& source,
+                  const char* kind,
+                  std::unordered_set<std::string_view>& declared,
+                  std::vector<std::string>& nets) {
+  for (std::size_t i = 0; i < s.args.size(); ++i) {
+    const std::string_view name = net_argument(s, i, line, source);
+    if (!declared.insert(name).second) {
+      syntax_error(source, line, std::string("primary ") + kind + " " +
+                                     quoted(name) + " declared twice");
+    }
+    nets.emplace_back(name);
+  }
+}
+
 }  // namespace
 
 NetlistDesc parse_netlist(const std::string& text,
                           const std::string& source) {
   NetlistDesc desc;
-  std::unordered_set<std::string> declared_inputs;
-  std::unordered_set<std::string> declared_outputs;
+  // Views into `text`, which outlives the parse.
+  std::unordered_set<std::string_view> declared_inputs;
+  std::unordered_set<std::string_view> declared_outputs;
+  Statement s;
 
   int line_no = 0;
+  const std::string_view all(text);
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto eol = text.find('\n', pos);
-    std::string line = eol == std::string::npos
-                           ? text.substr(pos)
-                           : text.substr(pos, eol - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
+  while (pos <= all.size()) {
+    const auto eol = all.find('\n', pos);
+    std::string_view line = eol == std::string_view::npos
+                                ? all.substr(pos)
+                                : all.substr(pos, eol - pos);
+    pos = eol == std::string_view::npos ? all.size() + 1 : eol + 1;
     ++line_no;
 
-    for (const char* marker : {"#", "//"}) {
-      const auto at = line.find(marker);
-      if (at != std::string::npos) line.erase(at);
-    }
+    // A comment runs from the first `#` or `//` to the end of the line.
+    line = line.substr(0, std::min(line.find('#'), line.find("//")));
     line = trim_ascii(line);
     if (line.empty()) continue;
 
-    const Statement s = parse_statement(line, line_no, source);
-    const std::string head = to_upper_ascii(s.head);
+    parse_statement(line, line_no, source, s);
+    const std::string head = to_upper_ascii(std::string(s.head));
     if (head == "INPUT") {
       if (s.args.empty()) {
         syntax_error(source, line_no, "input() needs at least one net name");
       }
-      for (std::size_t i = 0; i < s.args.size(); ++i) {
-        const std::string& name = net_argument(s, i, line_no, source);
-        if (!declared_inputs.insert(name).second) {
-          syntax_error(source, line_no, "primary input \"" + name +
-                                    "\" declared twice");
-        }
-        desc.inputs.push_back(name);
-      }
+      declare_nets(s, line_no, source, "input", declared_inputs, desc.inputs);
       continue;
     }
     if (head == "OUTPUT") {
       if (s.args.empty()) {
         syntax_error(source, line_no, "output() needs at least one net name");
       }
-      for (std::size_t i = 0; i < s.args.size(); ++i) {
-        const std::string& name = net_argument(s, i, line_no, source);
-        if (!declared_outputs.insert(name).second) {
-          syntax_error(source, line_no, "primary output \"" + name +
-                                    "\" declared twice");
-        }
-        desc.outputs.push_back(name);
-      }
+      declare_nets(s, line_no, source, "output", declared_outputs,
+                   desc.outputs);
       continue;
     }
     if (head == "WIRE") {
@@ -225,18 +246,17 @@ NetlistDesc parse_netlist(const std::string& text,
       continue;
     }
     if (s.args.empty()) {
-      syntax_error(source, line_no,
-                   "instance needs an output net: " + s.head + "(...)");
+      syntax_error(source, line_no, "instance needs an output net: " +
+                                        std::string(s.head) + "(...)");
     }
-    NetlistInstance inst;
+    NetlistInstance& inst = desc.instances.emplace_back();
     inst.cell = head;
     inst.output = net_argument(s, 0, line_no, source);
     inst.inputs.reserve(s.args.size() - 1);
     for (std::size_t i = 1; i < s.args.size(); ++i) {
-      inst.inputs.push_back(net_argument(s, i, line_no, source));
+      inst.inputs.emplace_back(net_argument(s, i, line_no, source));
     }
     inst.line = line_no;
-    desc.instances.push_back(std::move(inst));
   }
   return desc;
 }

@@ -15,12 +15,11 @@ bool eval_gate(GateKind kind, std::span<const bool> in) {
 }
 
 Circuit::NetId Circuit::new_net(const std::string& name) {
-  if (net_ids_.count(name) > 0) {
+  const NetId id = static_cast<NetId>(net_names_.size());
+  if (!net_ids_.emplace(name, id).second) {
     throw ConfigError("circuit: duplicate net name: " + name);
   }
-  const NetId id = static_cast<NetId>(net_names_.size());
   net_names_.push_back(name);
-  net_ids_[name] = id;
   return id;
 }
 

@@ -43,18 +43,23 @@
 namespace charlie::sim {
 
 /// Validated netlist topology, ready for emission or static analysis: the
-/// resolved cell spec per instance, the driver map, and the element
-/// topological order. Elements use unified indexing -- gates first in
-/// netlist order, wires after, so element e >= desc.instances.size() is
-/// wire e - desc.instances.size(). Produced by
-/// CircuitBuilder::analyze_topology (which performs the full build()
-/// validation pass) and consumed by build() internally and by the sta
-/// layer's timing graph construction.
+/// resolved cell spec per instance, every net reference resolved to an
+/// integer net id, and the element topological order. Elements use unified
+/// indexing -- gates first in netlist order, wires after, so element e >=
+/// desc.instances.size() is wire e - desc.instances.size(). Net ids follow
+/// the producers: primary input i is net i, and element e's output is net
+/// desc.inputs.size() + e (net_name maps an id back to its name).
+/// Produced by CircuitBuilder::analyze_topology (which performs the full
+/// build() validation pass) and consumed by build() internally and by the
+/// sta layer's timing graph construction, so each name is resolved once.
 struct NetlistTopology {
-  std::vector<const cell::CellSpec*> specs;     // per instance, netlist order
-  std::unordered_map<std::string, int> driver;  // net -> -1 (primary input)
-                                                //     or element index
-  std::vector<int> order;                       // elements, topo order
+  std::vector<const cell::CellSpec*> specs;  // per instance, netlist order
+  // Element e reads nets input_net[input_begin[e] .. input_begin[e + 1]),
+  // in pin order (a wire has one pin).
+  std::vector<std::size_t> input_begin;
+  std::vector<int> input_net;
+  std::vector<int> output_net;  // per declared output, desc.outputs order
+  std::vector<int> order;       // elements, topo order
 
   static bool is_wire(const cell::NetlistDesc& desc, std::size_t e) {
     return e >= desc.instances.size();
@@ -68,14 +73,12 @@ struct NetlistTopology {
     return is_wire(desc, e) ? wire_of(desc, e).output
                             : desc.instances[e].output;
   }
-  template <typename Visit>
-  static void for_each_input(const cell::NetlistDesc& desc, std::size_t e,
-                             Visit&& visit) {
-    if (is_wire(desc, e)) {
-      visit(wire_of(desc, e).input);
-    } else {
-      for (const auto& input : desc.instances[e].inputs) visit(input);
-    }
+  /// The name of net id `net`: a primary input or an element's output.
+  static const std::string& net_name(const cell::NetlistDesc& desc,
+                                     std::size_t net) {
+    return net < desc.inputs.size()
+               ? desc.inputs[net]
+               : output_of(desc, net - desc.inputs.size());
   }
 };
 
@@ -133,11 +136,13 @@ class CircuitBuilder {
   std::shared_ptr<const wire::WireModeTables> wire_tables_for(
       const cell::NetlistWire& wire) const;
 
-  /// Emit one validated element (gate or wire) of `desc` into `circuit`;
-  /// `specs` is the per-instance resolved cell spec list.
-  void emit_element(Circuit& circuit, const cell::NetlistDesc& desc,
-                    const std::vector<const cell::CellSpec*>& specs,
-                    std::size_t e) const;
+  /// Emit one validated element (gate or wire) of `desc` into `circuit`
+  /// and return its output net; `net_of` maps topology net ids to the
+  /// circuit's nets emitted so far.
+  Circuit::NetId emit_element(Circuit& circuit, const cell::NetlistDesc& desc,
+                              const NetlistTopology& topo,
+                              const std::vector<Circuit::NetId>& net_of,
+                              std::size_t e) const;
 
   std::shared_ptr<const cell::CellLibrary> library_;
   // One collapsed table per distinct WireParams fingerprint, shared by

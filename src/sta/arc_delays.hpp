@@ -32,7 +32,7 @@ namespace charlie::sta {
 /// unified indexing (gates first in netlist order, wires after;
 /// sim::NetlistTopology); element e owns the entries
 /// [offsets[e], offsets[e + 1]) of `rise` and `fall`, one per input pin in
-/// pin order. rise[offsets[e] + i] bounds the delay from input i's
+/// pin order -- the topology's input_begin layout. rise[offsets[e] + i] bounds the delay from input i's
 /// transition to element e's output rising crossing, fall[...] the falling
 /// one. V is double (ArcSet) or sta::Canonical (CanonicalArcSet).
 template <typename V>

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/circuit_builder.hpp"
@@ -30,76 +29,57 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
     : library_(std::move(library)) {
   const sim::CircuitBuilder builder(library_);
   const sim::NetlistTopology topo = builder.analyze_topology(desc);
+  const std::size_t n_inputs = desc.inputs.size();
   const std::size_t n_gates = desc.instances.size();
   const std::size_t n_elems = n_gates + desc.wires.size();
-
-  std::unordered_map<std::string, std::uint32_t> net_index;
-  std::vector<int> element_of;  // net id -> driving element or -1
-  auto add_net = [&](const std::string& name, int driver) {
-    net_names_.push_back(name);
-    element_of.push_back(driver);
-    return net_index
-        .emplace(name, static_cast<std::uint32_t>(net_names_.size() - 1))
-        .first->second;
-  };
-  const auto net_id = [&](const std::string& name) {
-    const auto it = net_index.find(name);
-    CHARLIE_ASSERT_MSG(it != net_index.end(), "timing graph: unknown net");
-    return it->second;
-  };
-
-  // Times live in 32-bit (fall, rise) slots, arcs behind 32-bit indices.
-  constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
-  const std::size_t n_nets = desc.inputs.size() + n_elems;
-  if (n_nets > kMaxIndex / 2) {
-    throw ConfigError("timing graph: netlist exceeds 2^31 nets");
-  }
-
+  // The topology's net ids are this graph's: primary inputs first, then
+  // element outputs in element order (analyze_topology bounds them by
+  // 2^31, so the 32-bit (fall, rise) slots below cannot overflow).
+  const std::size_t n_nets = n_inputs + n_elems;
   net_names_.reserve(n_nets);
-  for (const auto& name : desc.inputs) add_net(name, -1);
-  std::vector<std::uint32_t> output(n_elems);  // element -> output net
-  for (std::size_t e = 0; e < n_elems; ++e) {
-    output[e] =
-        add_net(sim::NetlistTopology::output_of(desc, e), static_cast<int>(e));
+  for (std::size_t n = 0; n < n_nets; ++n) {
+    net_names_.push_back(sim::NetlistTopology::net_name(desc, n));
   }
 
-  // One arc per input pin, in element order: the ArcSet layout every arc
-  // set shares through the offsets of nominal_arcs_.
+  // One arc per input pin, in element order: the topology's pin layout,
+  // which every arc set shares through the offsets of nominal_arcs_.
   std::vector<std::size_t>& offsets = nominal_arcs_.offsets;
-  offsets.assign(1, 0);
-  offsets.reserve(n_elems + 1);
-  std::vector<std::uint32_t> fanin;  // input net per arc
+  offsets = topo.input_begin;
+  const std::vector<int>& fanin = topo.input_net;  // input net per arc
   std::vector<Unate> unate(n_elems);
   for (std::size_t e = 0; e < n_elems; ++e) {
     unate[e] = unateness(sim::NetlistTopology::is_wire(desc, e)
                              ? sim::GateKind::kBuf
                              : topo.specs[e]->kind);
-    sim::NetlistTopology::for_each_input(
-        desc, e, [&](const std::string& in) { fanin.push_back(net_id(in)); });
-    offsets.push_back(fanin.size());
     const std::size_t arity = offsets[e + 1] - offsets[e];
     CHARLIE_ASSERT_MSG(arity >= 1 && arity <= sim::kMaxGateArity,
                        "timing graph: element arity out of range");
   }
   const std::size_t n_arcs = fanin.size();
-  if (n_arcs > kMaxIndex) {
+  if (n_arcs > std::numeric_limits<std::uint32_t>::max()) {
     throw ConfigError("timing graph: netlist exceeds 2^32 arcs");
   }
 
-  endpoints_ = desc.outputs;
-  if (endpoints_.empty() && !desc.instances.empty()) {
-    endpoints_.push_back(desc.instances.back().output);
+  // Endpoints: the declared outputs, else the last instance's output, else
+  // the last wire's.
+  std::vector<int> endpoint_nets = topo.output_net;
+  if (endpoint_nets.empty() && n_gates > 0) {
+    endpoint_nets.push_back(static_cast<int>(n_inputs + n_gates - 1));
   }
-  if (endpoints_.empty() && !desc.wires.empty()) {
-    endpoints_.push_back(desc.wires.back().output);
+  if (endpoint_nets.empty() && n_elems > n_gates) {
+    endpoint_nets.push_back(static_cast<int>(n_nets - 1));
   }
-  if (endpoints_.empty()) {
+  if (endpoint_nets.empty()) {
     throw ConfigError(
         "timing graph: netlist has no endpoint (no output, instance or "
         "wire)");
   }
-  endpoint_ids_.reserve(endpoints_.size());
-  for (const auto& name : endpoints_) endpoint_ids_.push_back(net_id(name));
+  endpoints_.reserve(endpoint_nets.size());
+  endpoint_ids_.reserve(endpoint_nets.size());
+  for (const int net : endpoint_nets) {
+    endpoints_.push_back(net_names_[static_cast<std::size_t>(net)]);
+    endpoint_ids_.push_back(static_cast<std::uint32_t>(net));
+  }
 
   // Sweep schedule: a counting sort of the elements by (level, unateness,
   // arity), stable in element order -- three unateness classes, arity 1 to
@@ -112,9 +92,9 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
     for (const int te : topo.order) {
       const auto e = static_cast<std::size_t>(te);
       for (std::size_t a = offsets[e]; a < offsets[e + 1]; ++a) {
-        const int d = element_of[fanin[a]];
-        if (d >= 0) {
-          level[e] = std::max(level[e], level[static_cast<std::size_t>(d)] + 1);
+        const auto net = static_cast<std::size_t>(fanin[a]);
+        if (net >= n_inputs) {
+          level[e] = std::max(level[e], level[net - n_inputs] + 1);
         }
       }
       const std::size_t arity = offsets[e + 1] - offsets[e];
@@ -136,14 +116,16 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
   for (std::size_t p = 0; p < n_elems; ++p) {
     const std::size_t e = element_at[p];
     Step& step = schedule_[p];
-    step.out = 2 * output[e];
+    const std::size_t out = n_inputs + e;
+    step.out = static_cast<std::uint32_t>(2 * out);
     step.first_pin = static_cast<std::uint32_t>(pins_.size());
     step.unate = unate[e];
     step.n_pins = static_cast<std::uint8_t>(offsets[e + 1] - offsets[e]);
     for (std::size_t a = offsets[e]; a < offsets[e + 1]; ++a) {
-      pins_.push_back({2 * fanin[a], static_cast<std::uint32_t>(a)});
+      pins_.push_back({2 * static_cast<std::uint32_t>(fanin[a]),
+                       static_cast<std::uint32_t>(a)});
     }
-    driver_[output[e]] = static_cast<std::int32_t>(p);
+    driver_[out] = static_cast<std::int32_t>(p);
   }
 
   // Each gate's cell as an index into specs(), which at_corner preserves,
@@ -327,15 +309,28 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
     const double af = at[step.out];
     const double ar = at[step.out + 1];
     const Pin* pin = pins_.data() + step.first_pin;
-    for (const Pin* end = pin + step.n_pins; pin != end; ++pin) {
-      if (step.unate != Unate::kNegative) {
-        relax(pin->slot, sf, af, fall[pin->arc]);
-        relax(pin->slot + 1, sr, ar, rise[pin->arc]);
-      }
-      if (step.unate != Unate::kPositive) {
-        relax(pin->slot + 1, sf, af, fall[pin->arc]);
-        relax(pin->slot, sr, ar, rise[pin->arc]);
-      }
+    const Pin* const end = pin + step.n_pins;
+    switch (step.unate) {
+      case Unate::kPositive:
+        for (; pin != end; ++pin) {
+          relax(pin->slot, sf, af, fall[pin->arc]);
+          relax(pin->slot + 1, sr, ar, rise[pin->arc]);
+        }
+        break;
+      case Unate::kNegative:
+        for (; pin != end; ++pin) {
+          relax(pin->slot + 1, sf, af, fall[pin->arc]);
+          relax(pin->slot, sr, ar, rise[pin->arc]);
+        }
+        break;
+      case Unate::kNon:
+        for (; pin != end; ++pin) {
+          relax(pin->slot, sf, af, fall[pin->arc]);
+          relax(pin->slot + 1, sr, ar, rise[pin->arc]);
+          relax(pin->slot + 1, sf, af, fall[pin->arc]);
+          relax(pin->slot, sr, ar, rise[pin->arc]);
+        }
+        break;
     }
   }
 

@@ -1,8 +1,9 @@
 // Levelized block-based static timing analysis over a validated netlist.
 //
-// TimingGraph reuses CircuitBuilder's validation and topological order
-// (sim::NetlistTopology) -- the exact graph the event engine simulates --
-// and propagates per-direction (rise/fall) worst-case times over it:
+// TimingGraph reuses CircuitBuilder's validation, net ids and topological
+// order (sim::NetlistTopology) -- the exact graph the event engine
+// simulates -- and propagates per-direction (rise/fall) worst-case times
+// over it:
 //
 //   * deterministic mode: latest arrival per (net, direction) forward,
 //     slack per net backward from the endpoints against a deadline, and

@@ -19,9 +19,9 @@ std::string to_lower_ascii(std::string s) {
   return s;
 }
 
-std::string trim_ascii(const std::string& text) {
+std::string_view trim_ascii(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
+  if (begin == std::string_view::npos) return {};
   const auto end = text.find_last_not_of(" \t\r\n");
   return text.substr(begin, end - begin + 1);
 }

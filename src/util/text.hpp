@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace charlie::util {
 
@@ -12,7 +13,8 @@ std::string to_upper_ascii(std::string s);
 /// Copy of `s` with ASCII letters lower-cased (locale-independent).
 std::string to_lower_ascii(std::string s);
 
-/// Copy of `text` with leading/trailing spaces, tabs, CR, and LF removed.
-std::string trim_ascii(const std::string& text);
+/// `text` without its leading/trailing spaces, tabs, CR, and LF: a view
+/// into the same characters.
+std::string_view trim_ascii(std::string_view text);
 
 }  // namespace charlie::util

@@ -1,13 +1,21 @@
 // sim::CircuitBuilder semantics: netlist validation (unknown cell, arity
-// mismatch, duplicate/undriven nets, cycles), topological instantiation
-// order, and the guarantee that a hand-wired Circuit::add_mis_gate +
+// mismatch, duplicate/undriven nets, cycles) and which error comes first,
+// the topology's net ids and topological order against a string-keyed
+// reference, and the guarantee that a hand-wired Circuit::add_mis_gate +
 // HybridGateChannel circuit is bit-identical to the builder + CellLibrary
 // path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "cell/cell_library.hpp"
+#include "cell/netlist.hpp"
+#include "cell/netlist_gen.hpp"
 #include "core/gate_params.hpp"
 #include "sim/circuit.hpp"
 #include "sim/circuit_builder.hpp"
@@ -112,6 +120,148 @@ TEST(CircuitBuilder, RejectsCombinationalCycles) {
   // Self-loop.
   EXPECT_THROW(reference_builder().build_text("input(a)\nNAND2(x, a, x)\n"),
                ConfigError);
+}
+
+// The message of the first ConfigError build() throws on `text`.
+std::string first_build_error(const std::string& text) {
+  try {
+    reference_builder().build_text(text);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(CircuitBuilder, CompetingFaultsReportTheFirstCheckedOne) {
+  // Per instance in netlist order: the cell, its arity, then its output
+  // driver; so an unknown cell listed first wins over a later duplicate
+  // driver, and a duplicate listed first wins over a later unknown cell.
+  EXPECT_EQ(first_build_error("input(a, b)\nFROB(y, a)\nINV(x, a)\n"
+                              "INV(x, b)\n"),
+            "circuit builder: FROB(y, ...) (line 2): unknown cell \"FROB\"");
+  EXPECT_EQ(first_build_error("input(a, b)\nINV(x, a)\nINV(x, b)\n"
+                              "FROB(y, a)\n"),
+            "circuit builder: INV(x, ...) (line 3): net \"x\" is defined "
+            "twice");
+  // Every driver and input is checked before the topological sort, so an
+  // undriven input wins over a cycle listed before it.
+  EXPECT_EQ(first_build_error("input(a)\nNOR2(y, a, z)\nNOR2(z, a, y)\n"
+                              "NOR2(x, a, ghost)\n"),
+            "circuit builder: NOR2(x, ...) (line 4): input net \"ghost\" is "
+            "driven by no gate, wire, or primary input");
+  // Instance inputs are resolved before wire inputs, whatever the lines.
+  EXPECT_EQ(first_build_error("input(a)\nWIRE(w, ghost, r=1e3, c=1e-15)\n"
+                              "INV(q, ghost2)\n"),
+            "circuit builder: INV(q, ...) (line 3): input net \"ghost2\" is "
+            "driven by no gate, wire, or primary input");
+  // Wire parameters are checked with the drivers, before any input.
+  EXPECT_EQ(first_build_error("input(a)\nINV(q, ghost)\n"
+                              "WIRE(w, a, r=-1, c=1e-15)\n"),
+            "circuit builder: WIRE(w, a) (line 3): wire: r_total must be "
+            "positive, got -1.000000");
+  // Declared outputs are resolved after every input, before the sort.
+  EXPECT_EQ(first_build_error("input(a)\nINV(x, a)\noutput(nope)\n"
+                              "NOR2(y, x, y)\n"),
+            "circuit builder: declared primary output \"nope\" is driven by "
+            "no gate, wire, or primary input");
+}
+
+// --- topology: net ids and order ------------------------------------------
+
+// Kahn's algorithm over net names: a string-keyed driver map, per-driver
+// user lists in element then pin order, and a FIFO ready list seeded in
+// element order.
+std::vector<int> reference_order(const cell::NetlistDesc& desc) {
+  const std::size_t n_elems = desc.instances.size() + desc.wires.size();
+  std::unordered_map<std::string, int> driver;
+  for (const auto& name : desc.inputs) driver.emplace(name, -1);
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    driver.emplace(sim::NetlistTopology::output_of(desc, e),
+                   static_cast<int>(e));
+  }
+  std::vector<int> missing(n_elems, 0);
+  std::unordered_map<int, std::vector<int>> users;
+  std::vector<int> ready;
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    std::vector<std::string> inputs;
+    if (sim::NetlistTopology::is_wire(desc, e)) {
+      inputs.push_back(sim::NetlistTopology::wire_of(desc, e).input);
+    } else {
+      inputs = desc.instances[e].inputs;
+    }
+    for (const auto& input : inputs) {
+      const int d = driver.at(input);
+      if (d >= 0) {
+        ++missing[e];
+        users[d].push_back(static_cast<int>(e));
+      }
+    }
+    if (missing[e] == 0) ready.push_back(static_cast<int>(e));
+  }
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    for (const int user : users[ready[head]]) {
+      if (--missing[static_cast<std::size_t>(user)] == 0) {
+        ready.push_back(user);
+      }
+    }
+  }
+  return ready;
+}
+
+// analyze_topology's order equals the reference, and every net id names
+// the string it replaced.
+void expect_topology_matches(const cell::NetlistDesc& desc) {
+  const sim::NetlistTopology topo =
+      reference_builder().analyze_topology(desc);
+  EXPECT_EQ(topo.order, reference_order(desc));
+  const std::size_t n_elems = desc.instances.size() + desc.wires.size();
+  ASSERT_EQ(topo.input_begin.size(), n_elems + 1);
+  ASSERT_EQ(topo.input_begin.back(), topo.input_net.size());
+  const auto name = [&](int net) {
+    return sim::NetlistTopology::net_name(desc, static_cast<std::size_t>(net));
+  };
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    const std::size_t a = topo.input_begin[e];
+    if (sim::NetlistTopology::is_wire(desc, e)) {
+      ASSERT_EQ(topo.input_begin[e + 1] - a, 1u);
+      EXPECT_EQ(name(topo.input_net[a]),
+                sim::NetlistTopology::wire_of(desc, e).input);
+      continue;
+    }
+    const auto& inputs = desc.instances[e].inputs;
+    ASSERT_EQ(topo.input_begin[e + 1] - a, inputs.size());
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      EXPECT_EQ(name(topo.input_net[a + k]), inputs[k]) << "element " << e;
+    }
+  }
+  ASSERT_EQ(topo.output_net.size(), desc.outputs.size());
+  for (std::size_t i = 0; i < desc.outputs.size(); ++i) {
+    EXPECT_EQ(name(topo.output_net[i]), desc.outputs[i]);
+  }
+}
+
+TEST(CircuitBuilder, TopologyMatchesAStringKeyedKahnOnShippedNetlists) {
+  for (const char* file : {"c17.net", "c432.net", "mixed_tree.net"}) {
+    SCOPED_TRACE(file);
+    expect_topology_matches(cell::read_netlist_file(
+        std::string(CHARLIE_SOURCE_DIR "/examples/netlists/") + file));
+  }
+}
+
+TEST(CircuitBuilder, TopologyMatchesAStringKeyedKahnOnAGeneratedDesign) {
+  cell::NetlistGenConfig config;
+  config.n_gates = 3000;
+  config.layer_width = 64;
+  config.wire_fraction = 0.1;
+  config.seed = 5;
+  cell::NetlistDesc desc = cell::generate_netlist(config);
+  ASSERT_GT(desc.n_wires(), 0u);
+  expect_topology_matches(desc);
+  // Listed out of order, the elements are sorted by the same FIFO.
+  std::mt19937 rng(25);
+  std::shuffle(desc.instances.begin(), desc.instances.end(), rng);
+  std::shuffle(desc.wires.begin(), desc.wires.end(), rng);
+  expect_topology_matches(desc);
 }
 
 // --- hand-wired circuit vs builder bit-identity ----------------------------
