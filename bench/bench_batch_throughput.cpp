@@ -4,7 +4,6 @@
 // channel microbenches in bench_runtime_overhead.cpp.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "core/gate_mode_tables.hpp"
@@ -89,11 +88,7 @@ void BM_CircuitMeshTrace(benchmark::State& state) {
   waveform::TraceConfig trace = batch_config(1, 1).trace;
   const auto stimuli =
       waveform::generate_traces(trace, circuit->n_inputs(), rng);
-  double t_last = trace.t_start;
-  for (const auto& t : stimuli) {
-    if (!t.empty()) t_last = std::max(t_last, t.transitions().back());
-  }
-  const double t_end = t_last + 1e-9;
+  const double t_end = waveform::end_time(stimuli, trace.t_start, 1e-9);
   long long events = 0;
   for (auto _ : state) {
     const auto result = circuit->simulate(stimuli, 0.0, t_end);

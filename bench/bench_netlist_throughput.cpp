@@ -8,7 +8,6 @@
 // generated designs of growing size.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -157,15 +156,12 @@ void BM_GeneratedNetlistSimulate(benchmark::State& state) {
   util::Rng rng(1);
   const auto stimuli =
       waveform::generate_traces(trace, circuit->n_inputs(), rng);
-  double t_last = trace.t_start;
-  for (const auto& t : stimuli) {
-    if (!t.empty()) t_last = std::max(t_last, t.transitions().back());
-  }
+  const double t_end = waveform::end_time(stimuli, trace.t_start, 1e-9);
   long long events = 0;
   double seconds = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto result = circuit->simulate(stimuli, 0.0, t_last + 1e-9);
+    const auto result = circuit->simulate(stimuli, 0.0, t_end);
     seconds += std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
                    .count();

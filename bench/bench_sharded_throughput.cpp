@@ -10,7 +10,6 @@
 // process CPU time (MeasureProcessCPUTime) exposes the parallel overhead.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "cell/cell_library.hpp"
@@ -54,14 +53,6 @@ std::vector<waveform::DigitalTrace> stimuli() {
   return waveform::generate_traces(config, big_netlist().inputs.size(), rng);
 }
 
-double end_time(const std::vector<waveform::DigitalTrace>& traces) {
-  double t_last = 0.0;
-  for (const auto& trace : traces) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  return t_last + 2e-9;
-}
-
 void BM_ShardedCircuitThroughput(benchmark::State& state) {
   const auto n_shards = static_cast<std::size_t>(state.range(0));
   const auto n_threads = static_cast<std::size_t>(state.range(1));
@@ -71,7 +62,7 @@ void BM_ShardedCircuitThroughput(benchmark::State& state) {
   // after the first iteration the loop times the re-balanced cut.
   auto sharded = builder().build_sharded(big_netlist(), n_shards);
   const auto traces = stimuli();
-  const double t_end = end_time(traces);
+  const double t_end = waveform::end_time(traces, 0.0, 2e-9);
   sim::ShardedSimConfig config;
   config.n_threads = n_threads;
 

@@ -27,8 +27,9 @@
 //
 // The observed nets are the netlist's `output(...)` declarations (all of
 // them -- each gets its own aggregate); a netlist without declarations
-// falls back to the last instance's output. Try
-// examples/netlists/c432.net for a large multi-output workload.
+// falls back to the last instance's output, then the last wire's
+// (cell::observed_nets). Try examples/netlists/c432.net for a large
+// multi-output workload.
 //
 // Variation mode: any non-zero sigma_* knob (key=value arguments, any
 // position) switches the batch to statistical timing -- every run draws its
@@ -50,14 +51,13 @@
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
-#include "obs/trace_recorder.hpp"
+#include "cell/run_export.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/run_guard.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
-#include "waveform/vcd.hpp"
 
 using namespace charlie;
 
@@ -99,9 +99,7 @@ int run(int argc, char** argv) {
   // key=value knobs may sit at any position; the rest stay positional.
   sim::ProcessVariation variation;
   double deadline = 0.0;
-  std::string trace_out;
-  std::string metrics_out;
-  std::string vcd_out;
+  cell::RunExport exports;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -112,15 +110,15 @@ int run(int argc, char** argv) {
     }
     const std::string key = arg.substr(0, eq);
     if (key == "trace_out") {
-      trace_out = arg.substr(eq + 1);
+      exports.trace_out = arg.substr(eq + 1);
       continue;
     }
     if (key == "metrics_out") {
-      metrics_out = arg.substr(eq + 1);
+      exports.metrics_out = arg.substr(eq + 1);
       continue;
     }
     if (key == "vcd_out") {
-      vcd_out = arg.substr(eq + 1);
+      exports.vcd_out = arg.substr(eq + 1);
       continue;
     }
     const double value = util::parse_double_field(arg.substr(eq + 1), key);
@@ -165,49 +163,25 @@ int run(int argc, char** argv) {
       positional.size() > 2 && !positional[2].empty()
           ? cell::read_netlist_file(positional[2])
           : cell::parse_netlist(kNorChain);  // "" = embedded chain
-  if (netlist.instances.empty()) throw ConfigError("netlist has no gates");
-  std::vector<std::string> out_nets = netlist.outputs;
-  if (out_nets.empty()) out_nets.push_back(netlist.instances.back().output);
+  const std::vector<std::string> out_nets = cell::observed_nets(netlist);
 
   sim::CircuitBuilder builder(library);
   auto factory = [&builder, &netlist] { return builder.build(netlist); };
 
   sim::BatchConfig config;
-  config.trace.mu = 150e-12;
-  config.trace.sigma = 60e-12;
-  config.trace.n_transitions = 400;
+  config.trace = cell::driver_stimulus(400);
   config.n_runs = n_runs;
   config.n_threads = n_threads;
   config.base_seed = 2022;
   config.budget.max_events = max_events;  // 0 = unlimited
   config.variation = variation;
   config.stat_deadline = deadline;
-  if (!vcd_out.empty()) config.capture_run = 0;
+  if (!exports.vcd_out.empty()) config.capture_run = 0;
 
   sim::BatchRunner runner(factory, out_nets, config);
-  if (!trace_out.empty()) obs::TraceRecorder::start();
+  exports.arm();
   const auto result = runner.run();
-  if (!trace_out.empty()) {
-    obs::TraceRecorder::stop();
-    const auto snapshot = obs::TraceRecorder::collect();
-    obs::write_chrome_trace(snapshot, trace_out);
-    std::printf("trace           : %zu events -> %s\n", snapshot.events.size(),
-                trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    result.metrics.write_json(metrics_out);
-    std::printf("metrics         : %s\n", metrics_out.c_str());
-  }
-  if (!vcd_out.empty()) {
-    std::vector<waveform::VcdDigitalSignal> signals;
-    signals.reserve(result.captured.size());
-    for (const auto& captured : result.captured) {
-      signals.push_back({captured.net, &captured.trace});
-    }
-    waveform::write_vcd(vcd_out, signals);
-    std::printf("vcd             : run 0, %zu signals -> %s\n", signals.size(),
-                vcd_out.c_str());
-  }
+  exports.write(result.metrics, netlist, cell::captured_traces(result));
 
   std::printf("gates           : %zu (observing %zu net%s)\n",
               netlist.n_gates(), out_nets.size(),

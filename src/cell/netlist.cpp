@@ -267,6 +267,13 @@ NetlistDesc read_netlist_file(const std::string& path) {
   return parse_netlist(util::read_text_file(path), path);
 }
 
+std::vector<std::string> observed_nets(const NetlistDesc& desc) {
+  if (!desc.outputs.empty()) return desc.outputs;
+  if (!desc.instances.empty()) return {desc.instances.back().output};
+  if (!desc.wires.empty()) return {desc.wires.back().output};
+  throw ConfigError("netlist has no output, instance or wire to observe");
+}
+
 namespace {
 
 // Full-precision doubles so write/parse round-trips bit-exact wire params.

@@ -75,6 +75,11 @@ NetlistDesc parse_netlist(const std::string& text,
 /// Read and parse a netlist file (errors carry `path:line:`).
 NetlistDesc read_netlist_file(const std::string& path);
 
+/// The nets a run of `desc` observes and its timing report ends at: the
+/// declared outputs, else the last instance's output, else the last wire's.
+/// Throws ConfigError for a netlist with none of these (inputs only).
+std::vector<std::string> observed_nets(const NetlistDesc& desc);
+
 /// Serialize to the text format above; parse_netlist(write_netlist(d))
 /// round-trips every field (doubles are written with full precision).
 std::string write_netlist(const NetlistDesc& desc);

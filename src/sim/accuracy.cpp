@@ -50,11 +50,8 @@ AccuracyResult evaluate_gate_accuracy(const spice::Technology& tech,
     waveform::TraceConfig cfg = config;
     cfg.t_start = std::max(cfg.t_start, 2.0 * tech.input_rise_time);
     const auto traces = waveform::generate_traces(cfg, n_inputs, rep_rng);
-    double t_last = cfg.t_start;
-    for (const auto& trace : traces) {
-      if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-    }
-    const double t_end = t_last + options.tail_time;
+    const double t_end =
+        waveform::end_time(traces, cfg.t_start, options.tail_time);
 
     // Golden analog reference.
     const auto analog =
@@ -134,9 +131,8 @@ AccuracyResult evaluate_wire_accuracy(
     cfg.t_start = std::max(cfg.t_start, 2.0 * options.drive_rise_time);
     const auto traces = waveform::generate_traces(cfg, 1, rep_rng);
     const auto& drive = traces.front();
-    double t_last = cfg.t_start;
-    if (!drive.empty()) t_last = std::max(t_last, drive.transitions().back());
-    const double t_end = t_last + options.tail_time;
+    const double t_end =
+        waveform::end_time(traces, cfg.t_start, options.tail_time);
 
     // Golden: the full uncollapsed ladder on the analog substrate.
     const auto analog = spice::run_rc_line(spec, drive, options.drive_rise_time,

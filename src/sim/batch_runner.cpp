@@ -112,11 +112,8 @@ RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
   util::Rng rng(spec.stimulus_seed);
   const auto stimuli =
       waveform::generate_traces(config.trace, circuit.n_inputs(), rng);
-  double t_last = config.trace.t_start;
-  for (const auto& trace : stimuli) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  const double t_end = t_last + config.t_settle;
+  const double t_end =
+      waveform::end_time(stimuli, config.trace.t_start, config.t_settle);
   // Circuit::simulate's routine over the worker's trace arena and scratch:
   // storage is reset in place, not reallocated. It never throws for a run
   // failure -- a failure or budget trip comes back as a structured non-kOk
@@ -237,12 +234,8 @@ BatchResult BatchRunner::run() {
   ensure_workers();
   const std::size_t n_workers = pool_->n_threads();
 
-  const double pulse_hi = config_.pulse_width_hi > 0.0
-                              ? config_.pulse_width_hi
-                              : 4.0 * config_.trace.mu;
-  const double response_hi = config_.response_delay_hi > 0.0
-                                 ? config_.response_delay_hi
-                                 : config_.trace.mu;
+  const double pulse_hi = 4.0 * config_.trace.mu;
+  const double response_hi = config_.trace.mu;
 
   // Per-run results indexed by run (not worker): the reduction below walks
   // them in run order, which is what makes the aggregate independent of

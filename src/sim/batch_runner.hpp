@@ -73,11 +73,9 @@ struct BatchConfig {
   std::uint64_t first_run_index = 0;  // global index of this batch's run 0
   std::size_t n_threads = 1;     // 0 = hardware concurrency
   double t_settle = 1e-9;        // simulated tail after the last stimulus edge
+  // Histogram bins over [0, 4 mu) for pulse widths and [0, mu) for
+  // response delays.
   std::size_t histogram_bins = 32;
-  // Histogram ranges; 0 = auto (pulse widths up to 4 mu, response delays up
-  // to mu).
-  double pulse_width_hi = 0.0;
-  double response_delay_hi = 0.0;
   // Per-run execution budget (event ceiling, wall-clock deadline,
   // cancellation token). Default: no limits. A tripped run terminates with
   // the corresponding status in BatchResult::diagnostics; the batch

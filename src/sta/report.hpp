@@ -78,7 +78,7 @@ struct Report {
 
 /// Full STA pass over `desc` at `library`'s process point. Throws
 /// ConfigError for the same netlist/library problems CircuitBuilder::build
-/// rejects, and for a netlist with no endpoint (TimingGraph).
+/// rejects, and for a netlist with no endpoint (cell::observed_nets).
 Report analyze(const cell::NetlistDesc& desc,
                std::shared_ptr<const cell::CellLibrary> library,
                const StaOptions& options);

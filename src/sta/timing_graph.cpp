@@ -60,26 +60,16 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
     throw ConfigError("timing graph: netlist exceeds 2^32 arcs");
   }
 
-  // Endpoints: the declared outputs, else the last instance's output, else
-  // the last wire's.
+  // Endpoints: the observed nets. Declared outputs come resolved from the
+  // topology; the one fallback net is found by name.
+  endpoints_ = cell::observed_nets(desc);
   std::vector<int> endpoint_nets = topo.output_net;
-  if (endpoint_nets.empty() && n_gates > 0) {
-    endpoint_nets.push_back(static_cast<int>(n_inputs + n_gates - 1));
-  }
-  if (endpoint_nets.empty() && n_elems > n_gates) {
-    endpoint_nets.push_back(static_cast<int>(n_nets - 1));
-  }
   if (endpoint_nets.empty()) {
-    throw ConfigError(
-        "timing graph: netlist has no endpoint (no output, instance or "
-        "wire)");
+    const auto it =
+        std::find(net_names_.begin(), net_names_.end(), endpoints_.front());
+    endpoint_nets.push_back(static_cast<int>(it - net_names_.begin()));
   }
-  endpoints_.reserve(endpoint_nets.size());
-  endpoint_ids_.reserve(endpoint_nets.size());
-  for (const int net : endpoint_nets) {
-    endpoints_.push_back(net_names_[static_cast<std::size_t>(net)]);
-    endpoint_ids_.push_back(static_cast<std::uint32_t>(net));
-  }
+  endpoint_ids_.assign(endpoint_nets.begin(), endpoint_nets.end());
 
   // Sweep schedule: a counting sort of the elements by (level, unateness,
   // arity), stable in element order -- three unateness classes, arity 1 to

@@ -89,10 +89,9 @@ class TimingGraph {
   /// Validates `desc` against `library` (same checks and ConfigError
   /// diagnostics as CircuitBuilder::build), maps each gate instance to its
   /// cell, builds the sweep schedule and extracts the nominal arc set.
-  /// Endpoints are the declared `output(...)` nets, falling back to the
-  /// last instance's output, then the last wire's (BatchRunner's
-  /// observation convention); a netlist with none of them has nothing to
-  /// time and throws ConfigError.
+  /// Endpoints are cell::observed_nets(desc), the nets the drivers observe
+  /// in a run; a netlist with none of them has nothing to time and throws
+  /// its ConfigError.
   TimingGraph(const cell::NetlistDesc& desc,
               std::shared_ptr<const cell::CellLibrary> library);
 

@@ -53,6 +53,15 @@ std::vector<DigitalTrace> generate_traces(const TraceConfig& config,
   return traces;
 }
 
+double end_time(const std::vector<DigitalTrace>& traces, double t_start,
+                double tail) {
+  double t_last = t_start;
+  for (const DigitalTrace& trace : traces) {
+    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
+  }
+  return t_last + tail;
+}
+
 std::vector<TraceConfig> paper_fig7_configs() {
   using units::ps;
   std::vector<TraceConfig> configs(4);

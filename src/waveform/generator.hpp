@@ -41,6 +41,11 @@ std::vector<DigitalTrace> generate_traces(const TraceConfig& config,
                                           std::size_t n_inputs,
                                           util::Rng& rng);
 
+/// End time of a run over `traces`: `tail` after their last transition,
+/// or after `t_start` when none has one.
+double end_time(const std::vector<DigitalTrace>& traces, double t_start,
+                double tail);
+
 /// The four waveform configurations evaluated in the paper's Fig 7.
 std::vector<TraceConfig> paper_fig7_configs();
 

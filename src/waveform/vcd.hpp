@@ -1,22 +1,19 @@
 // Value Change Dump (IEEE 1364 §18) export of simulation traces.
 //
-// write_vcd() serializes DigitalTraces -- and optionally analog sample
-// series such as a hybrid channel's (u, V_O) state -- into the standard
-// VCD text format GTKWave and every other waveform viewer load directly.
-// Times are quantized to an integer timescale (default 1 fs, comfortably
-// below the engine's crossing-solve resolution), digital signals become
-// 1-bit wires, analog series become $var real dumps.
+// write_vcd() serializes DigitalTraces into the standard VCD text format
+// GTKWave and every other waveform viewer load directly: one 1-bit wire
+// per trace in a single `charlie` scope, times quantized to a 1 fs
+// timescale (comfortably below the engine's crossing-solve resolution).
 //
-// parse_vcd() is the minimal inverse for the digital subset this writer
-// emits (single flat scope, 1-bit wires, real vars ignored): enough to
-// round-trip our own output and diff edges against the source traces,
-// which is how tests/waveform/test_vcd.cpp locks the format.
+// parse_vcd() reads the digital subset of VCD (single flat scope, 1-bit
+// wires, any legal timescale, real vars skipped): enough to round-trip our
+// own output and diff edges against the source traces, which is how
+// tests/waveform/test_vcd.cpp locks the format.
 #pragma once
 
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "waveform/digital_trace.hpp"
@@ -28,30 +25,14 @@ struct VcdDigitalSignal {
   const DigitalTrace* trace = nullptr;  // borrowed; must outlive the call
 };
 
-struct VcdAnalogSignal {
-  std::string name;
-  /// Time-sorted (t, value) samples.
-  std::vector<std::pair<double, double>> samples;
-};
-
-struct VcdOptions {
-  /// Seconds per VCD time unit; transition times are rounded to the nearest
-  /// tick. 1 fs keeps sub-ps crossing times to < 0.5 fs quantization error.
-  double timescale = 1e-15;
-  /// Name of the single $scope module wrapping all signals.
-  std::string module = "charlie";
-};
-
-/// Write header + $dumpvars + time-ordered value changes. Signal names must
-/// be unique; traces quantizing two transitions of one signal onto the same
-/// tick keep both (the later change wins visually, as in any VCD).
-void write_vcd(std::ostream& os, const std::vector<VcdDigitalSignal>& digital,
-               const std::vector<VcdAnalogSignal>& analog = {},
-               const VcdOptions& options = {});
+/// Write header + $dumpvars + time-ordered value changes. Transition times
+/// are rounded to the nearest 1 fs tick (< 0.5 fs quantization error).
+/// Signal names must be unique; traces quantizing two transitions of one
+/// signal onto the same tick keep both (the later change wins visually, as
+/// in any VCD).
+void write_vcd(std::ostream& os, const std::vector<VcdDigitalSignal>& digital);
 void write_vcd(const std::string& path,
-               const std::vector<VcdDigitalSignal>& digital,
-               const std::vector<VcdAnalogSignal>& analog = {},
-               const VcdOptions& options = {});
+               const std::vector<VcdDigitalSignal>& digital);
 
 struct VcdData {
   double timescale = 1e-15;  // seconds per tick
@@ -59,7 +40,7 @@ struct VcdData {
   std::map<std::string, DigitalTrace> digital;
 };
 
-/// Parse the digital subset write_vcd emits. Throws ConfigError on
+/// Parse the digital subset of VCD. Throws ConfigError on
 /// structurally invalid input (unknown id codes, missing header sections).
 VcdData parse_vcd(std::istream& is);
 VcdData parse_vcd_file(const std::string& path);

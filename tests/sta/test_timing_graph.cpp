@@ -5,7 +5,8 @@
 // (against brute force, and on an exactly tied path family), and the
 // degenerate (deterministic) SSTA pass. On generated netlists: every
 // analyze() field against a reference computed from the definitions, and
-// results independent of the instance order.
+// results independent of the instance order. On the example, generated and
+// wire-only netlists: endpoints equal to cell::observed_nets.
 #include "sta/timing_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -420,6 +421,21 @@ TEST(TimingGraph, NetlistWithoutEndpointIsAConfigError) {
       "input(a)\n"
       "input(b)\n");
   EXPECT_THROW(TimingGraph(desc, test_library()), ConfigError);
+  // The graph's error is the observed-net rule's, word for word.
+  std::string rule_error;
+  std::string graph_error;
+  try {
+    cell::observed_nets(desc);
+  } catch (const ConfigError& e) {
+    rule_error = e.what();
+  }
+  try {
+    TimingGraph(desc, test_library());
+  } catch (const ConfigError& e) {
+    graph_error = e.what();
+  }
+  EXPECT_FALSE(rule_error.empty());
+  EXPECT_EQ(graph_error, rule_error);
 
   StaOptions options;
   options.n_corners = 4;
@@ -660,6 +676,44 @@ TEST(TimingGraph, ResultsDoNotDependOnInstanceOrder) {
     EXPECT_EQ(x.sens[axis], y.sens[axis]) << "axis " << axis;
   }
   EXPECT_EQ(x.sigma_rand, y.sigma_rand);
+}
+
+// The endpoints are the nets the drivers observe (cell::observed_nets):
+// declared outputs, else the last instance's output, else the last wire's.
+TEST(TimingGraph, EndpointsAreTheObservedNets) {
+  const auto library = std::make_shared<const cell::CellLibrary>(
+      cell::CellLibrary::reference());
+  const std::string dir = std::string(CHARLIE_SOURCE_DIR) + "/examples/netlists/";
+  const cell::NetlistDesc wires = cell::parse_netlist(
+      "input(a)\n"
+      "WIRE(w1, a, r=12e3, c=2.5e-15)\n"
+      "WIRE(w2, w1, r=8e3, c=1.5e-15)\n");
+  EXPECT_EQ(cell::observed_nets(wires), std::vector<std::string>{"w2"});
+  std::vector<std::pair<std::string, cell::NetlistDesc>> cases = {
+      {"c17", cell::read_netlist_file(dir + "c17.net")},
+      {"c432", cell::read_netlist_file(dir + "c432.net")},
+      {"mixed_tree", cell::read_netlist_file(dir + "mixed_tree.net")},
+      {"generated", generated_netlist(1)},
+      {"wires only", wires},
+  };
+  for (std::size_t i = 0, n = cases.size(); i < n; ++i) {
+    if (cases[i].second.outputs.empty()) continue;
+    cell::NetlistDesc stripped = cases[i].second;
+    stripped.outputs.clear();
+    cases.emplace_back(cases[i].first + " without outputs", stripped);
+  }
+  for (const auto& [name, desc] : cases) {
+    SCOPED_TRACE(name);
+    const std::vector<std::string> observed = cell::observed_nets(desc);
+    const TimingGraph graph(desc, library);
+    EXPECT_EQ(graph.endpoints(), observed);
+    if (desc.outputs.empty()) {
+      // One fallback endpoint: the nominal critical path must end on it.
+      ASSERT_EQ(observed.size(), 1u);
+      EXPECT_EQ(graph.analyze(graph.nominal_arcs(), 0.0).critical_endpoint,
+                observed.front());
+    }
+  }
 }
 
 }  // namespace

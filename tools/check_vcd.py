@@ -13,8 +13,8 @@ by a standards-following viewer:
   * '#' time marks are non-decreasing integers
 
 Exits 0 and prints a one-line summary on success; exits 1 with a message
-on the first structural violation. CI (the obs-smoke job) runs this over
-tools/trace_run output to lock the writer against regressions.
+on the first structural violation. CI (the obs-smoke and stat-smoke jobs)
+runs this over every driver's VCD to lock the writer against regressions.
 """
 
 import argparse

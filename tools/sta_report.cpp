@@ -20,8 +20,9 @@
 //   --metrics-out FILE
 //                     write the report's obs::MetricsRegistry as JSON
 //   --vcd-out FILE    additionally run one seeded event-engine simulation
-//                     of the netlist and dump its input/output waveforms as
-//                     VCD (GTKWave-loadable; docs/observability.md)
+//                     of the netlist and dump the waveforms of its inputs
+//                     and observed nets as VCD (GTKWave-loadable;
+//                     docs/observability.md)
 //
 // Exit status: 0 when the design meets the deadline at nominal and at every
 // sampled corner, 1 on negative slack (or bad arguments) -- so CI can gate
@@ -29,22 +30,20 @@
 // delay the event engine can produce at the analyzed points (docs/sta.md).
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "cell/run_export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_recorder.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sta/report.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
-#include "waveform/generator.hpp"
-#include "waveform/vcd.hpp"
 
 using namespace charlie;
 
@@ -59,6 +58,21 @@ std::string format_path(const sta::CriticalPath& path) {
     out += step.rising ? "^" : "v";
   }
   return out;
+}
+
+// The report's shape and distributions as metrics (docs/observability.md).
+obs::MetricsRegistry report_metrics(const sta::Report& report) {
+  obs::MetricsRegistry metrics;
+  metrics.add("sta.endpoints", static_cast<long long>(report.endpoints.size()));
+  metrics.add("sta.paths", static_cast<long long>(report.paths.size()));
+  metrics.add("sta.corners", static_cast<long long>(report.corners.size()));
+  for (const sta::NetTiming& t : report.nominal.nets) {
+    metrics.observe("sta.arrival", std::max(t.arrival_rise, t.arrival_fall));
+  }
+  for (const sta::CornerSummary& corner : report.corners) {
+    metrics.observe("sta.corner_delay", corner.critical_delay);
+  }
+  return metrics;
 }
 
 }  // namespace
@@ -76,9 +90,9 @@ int main(int argc, char** argv) {
     options.variation.vth_sigma = cli.get_double("--sigma-vth", 0.0);
     options.variation.drive_sigma = cli.get_double("--sigma-drive", 0.0);
     const bool all_nets = cli.has_flag("--all-nets");
-    const std::string trace_out = cli.get_string("--trace-out", "");
-    const std::string metrics_out = cli.get_string("--metrics-out", "");
-    const std::string vcd_out = cli.get_string("--vcd-out", "");
+    const cell::RunExport exports{cli.get_string("--trace-out", ""),
+                                  cli.get_string("--metrics-out", ""),
+                                  cli.get_string("--vcd-out", "")};
     cli.finish();
     if (netlist_path.empty()) {
       throw ConfigError("--netlist is required");
@@ -87,75 +101,28 @@ int main(int argc, char** argv) {
     const cell::NetlistDesc desc = cell::read_netlist_file(netlist_path);
     const auto library = std::make_shared<const cell::CellLibrary>(
         cell::CellLibrary::reference());
-    if (!trace_out.empty()) obs::TraceRecorder::start();
+    exports.arm();
     const sta::Report report = sta::analyze(desc, library, options);
 
-    // One seeded event-engine run of the same netlist, dumped as VCD: the
+    // One seeded event-engine run of the same netlist for the VCD: the
     // waveforms that realize (one sample of) the delays the report bounds.
-    if (!vcd_out.empty()) {
-      const sim::CircuitBuilder builder(library);
-      const auto circuit = builder.build(desc);
-      waveform::TraceConfig trace_config;
-      trace_config.mu = 150e-12;
-      trace_config.sigma = 60e-12;
-      trace_config.n_transitions = 64;
-      util::Rng rng(options.base_seed);
-      const auto stimuli = waveform::generate_traces(
-          trace_config, circuit->n_inputs(), rng);
-      double t_last = trace_config.t_start;
-      for (const auto& trace : stimuli) {
-        if (!trace.empty()) {
-          t_last = std::max(t_last, trace.transitions().back());
-        }
-      }
-      const sim::Circuit::SimResult sim_result =
-          circuit->simulate(stimuli, 0.0, t_last + 1e-9);
-      if (!sim_result.ok()) {
+    std::unique_ptr<sim::Circuit> circuit;
+    sim::Circuit::SimResult run;
+    if (!exports.vcd_out.empty()) {
+      circuit = sim::CircuitBuilder(library).build(desc);
+      const cell::SeededStimulus stimulus =
+          cell::seeded_stimulus(circuit->n_inputs(), 64, options.base_seed);
+      run = circuit->simulate(stimulus.traces, 0.0, stimulus.t_end);
+      if (!run.ok()) {
         std::fprintf(stderr, "sta_report: --vcd-out run: %s\n",
-                     sim_result.diagnostics.summary().c_str());
+                     run.diagnostics.summary().c_str());
         return 1;
       }
-      std::vector<waveform::VcdDigitalSignal> signals;
-      for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
-        const sim::Circuit::NetId id = circuit->input_net(i);
-        signals.push_back({circuit->net_name(id), &sim_result.trace(id)});
-      }
-      std::vector<std::string> out_nets = desc.outputs;
-      if (out_nets.empty() && !desc.instances.empty()) {
-        out_nets.push_back(desc.instances.back().output);
-      }
-      for (const std::string& net : out_nets) {
-        signals.push_back({net, &sim_result.trace(circuit->find_net(net))});
-      }
-      waveform::write_vcd(vcd_out, signals);
-      std::printf("vcd              : %zu signals -> %s\n", signals.size(),
-                  vcd_out.c_str());
     }
-
-    if (!trace_out.empty()) {
-      obs::TraceRecorder::stop();
-      const auto snapshot = obs::TraceRecorder::collect();
-      obs::write_chrome_trace(snapshot, trace_out);
-      std::printf("trace            : %zu events -> %s\n",
-                  snapshot.events.size(), trace_out.c_str());
-    }
-    if (!metrics_out.empty()) {
-      obs::MetricsRegistry metrics;
-      metrics.add("sta.endpoints",
-                  static_cast<long long>(report.endpoints.size()));
-      metrics.add("sta.paths", static_cast<long long>(report.paths.size()));
-      metrics.add("sta.corners",
-                  static_cast<long long>(report.corners.size()));
-      for (const sta::NetTiming& t : report.nominal.nets) {
-        metrics.observe("sta.arrival",
-                        std::max(t.arrival_rise, t.arrival_fall));
-      }
-      for (const sta::CornerSummary& corner : report.corners) {
-        metrics.observe("sta.corner_delay", corner.critical_delay);
-      }
-      metrics.write_json(metrics_out);
-      std::printf("metrics          : %s\n", metrics_out.c_str());
-    }
+    exports.write(report_metrics(report), desc,
+                  [&](const std::string& net) -> const waveform::DigitalTrace& {
+                    return run.trace(circuit->find_net(net));
+                  });
 
     std::printf("netlist          : %s (%zu gates, %zu wires, %zu inputs, "
                 "%zu outputs)\n",

@@ -27,31 +27,25 @@
 //   --transitions N   stimulus transitions per input (default 64)
 //   --trace-out FILE  Chrome trace-event JSON of the armed run
 //   --metrics-out FILE metrics registry JSON (schema: docs/observability.md)
-//   --vcd-out FILE    VCD waveforms (batch: run 0's inputs + observed nets;
-//                     sharded: the last run's inputs + outputs)
+//   --vcd-out FILE    VCD waveforms of the inputs and observed nets (batch:
+//                     run 0; sharded: the last run)
 //
 // The tracer is armed for the (last) simulation only when --trace-out is
 // given; with no output flags the tool still runs and prints the summary
 // (useful as a smoke check). Exit status 0 iff every run finished kOk.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace_recorder.hpp"
+#include "cell/run_export.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/sharded_circuit.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
-#include "waveform/generator.hpp"
-#include "waveform/vcd.hpp"
 
 using namespace charlie;
 
@@ -64,9 +58,9 @@ int main(int argc, char** argv) {
     const std::size_t n_shards = cli.get_count("--shards", 0);
     const auto seed = static_cast<std::uint64_t>(cli.get_int("--seed", 2022));
     const std::size_t n_transitions = cli.get_count("--transitions", 64, 1);
-    const std::string trace_out = cli.get_string("--trace-out", "");
-    const std::string metrics_out = cli.get_string("--metrics-out", "");
-    const std::string vcd_out = cli.get_string("--vcd-out", "");
+    const cell::RunExport exports{cli.get_string("--trace-out", ""),
+                                  cli.get_string("--metrics-out", ""),
+                                  cli.get_string("--vcd-out", "")};
     const std::size_t n_repeat = cli.get_count("--repeat", 1, 1);
     cli.finish();
     if (netlist_path.empty()) throw ConfigError("--netlist is required");
@@ -75,49 +69,28 @@ int main(int argc, char** argv) {
     }
 
     const cell::NetlistDesc desc = cell::read_netlist_file(netlist_path);
+    // Resolved up front in both modes: a netlist with nothing to observe
+    // fails here, before any build or run.
+    const std::vector<std::string> out_nets = cell::observed_nets(desc);
     const auto library = std::make_shared<const cell::CellLibrary>(
         cell::CellLibrary::reference());
     const sim::CircuitBuilder builder(library);
-    std::vector<std::string> out_nets = desc.outputs;
-    if (out_nets.empty() && !desc.instances.empty()) {
-      out_nets.push_back(desc.instances.back().output);
-    }
-
-    waveform::TraceConfig trace_config;
-    trace_config.mu = 150e-12;
-    trace_config.sigma = 60e-12;
-    trace_config.n_transitions = n_transitions;
-
-    obs::MetricsRegistry metrics;
-    std::vector<waveform::VcdDigitalSignal> vcd_signals;
     bool all_ok = true;
 
-    sim::BatchResult batch;           // kept alive for captured traces
-    // Backing storage for vcd_signals in the sharded path (the batch path
-    // borrows BatchResult::captured instead); keeps pointers into `circuit`.
-    sim::ShardedCircuit::Result sharded;
-    std::unique_ptr<sim::ShardedCircuit> circuit;
     if (n_shards > 0) {
       // Sharded mode: one simulation of the whole netlist, wavefront-
       // parallel across shards.
-      circuit = builder.build_sharded(desc, n_shards);
-      util::Rng rng(seed);
-      const auto stimuli = waveform::generate_traces(
-          trace_config, circuit->n_inputs(), rng);
-      double t_last = trace_config.t_start;
-      for (const auto& trace : stimuli) {
-        if (!trace.empty()) {
-          t_last = std::max(t_last, trace.transitions().back());
-        }
-      }
+      const auto circuit = builder.build_sharded(desc, n_shards);
+      const cell::SeededStimulus stimulus =
+          cell::seeded_stimulus(circuit->n_inputs(), n_transitions, seed);
       sim::ShardedSimConfig config;
       config.n_threads = n_threads;
+      sim::ShardedCircuit::Result sharded;  // points into `circuit`
       for (std::size_t run = 1; run <= n_repeat; ++run) {
-        if (run == n_repeat && !trace_out.empty()) {
-          obs::TraceRecorder::start();
-        }
+        if (run == n_repeat) exports.arm();
         const auto t0 = std::chrono::steady_clock::now();
-        sharded = circuit->simulate(stimuli, 0.0, t_last + 1e-9, config);
+        sharded = circuit->simulate(stimulus.traces, 0.0, stimulus.t_end,
+                                    config);
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - t0;
         all_ok = all_ok && sharded.ok();
@@ -130,65 +103,32 @@ int main(int argc, char** argv) {
                       sharded.load_imbalance());
         }
       }
-      metrics = sharded.metrics;
       std::printf("mode            : sharded (%zu blocks, %zu windows)\n",
                   circuit->n_shards(), sharded.n_windows);
       std::printf("engine events   : %ld\n", sharded.n_events);
       std::printf("load imbalance  : %.3f (1.0 = balanced)\n",
                   sharded.load_imbalance());
-      if (!vcd_out.empty()) {
-        for (std::size_t i = 0; i < desc.inputs.size(); ++i) {
-          vcd_signals.push_back(
-              {desc.inputs[i], &sharded.trace(desc.inputs[i])});
-        }
-        for (const std::string& net : out_nets) {
-          vcd_signals.push_back({net, &sharded.trace(net)});
-        }
-      }
+      exports.write(sharded.metrics, desc,
+                    [&](const std::string& net)
+                        -> const waveform::DigitalTrace& {
+                      return sharded.trace(net);
+                    });
     } else {
       sim::BatchConfig config;
-      config.trace = trace_config;
+      config.trace = cell::driver_stimulus(n_transitions);
       config.n_runs = n_runs;
       config.n_threads = n_threads;
       config.base_seed = seed;
-      if (!vcd_out.empty()) config.capture_run = 0;
-      if (!trace_out.empty()) obs::TraceRecorder::start();
+      if (!exports.vcd_out.empty()) config.capture_run = 0;
+      exports.arm();
       sim::BatchRunner runner([&] { return builder.build(desc); }, out_nets,
                               config);
-      batch = runner.run();
+      const sim::BatchResult batch = runner.run();
       all_ok = batch.all_ok();
-      metrics = batch.metrics;
       std::printf("mode            : batch (%zu runs, %zu threads)\n",
                   batch.n_runs, batch.n_threads);
       std::printf("engine events   : %lld\n", batch.total_events);
-      if (!vcd_out.empty()) {
-        for (const auto& captured : batch.captured) {
-          vcd_signals.push_back({captured.net, &captured.trace});
-        }
-      }
-    }
-
-    if (!trace_out.empty()) {
-      obs::TraceRecorder::stop();
-      const auto snapshot = obs::TraceRecorder::collect();
-      obs::write_chrome_trace(snapshot, trace_out);
-      metrics.add("trace.events",
-                  static_cast<long long>(snapshot.events.size()));
-      metrics.add("trace.dropped",
-                  static_cast<long long>(snapshot.n_dropped));
-      std::printf("trace           : %zu events -> %s%s\n",
-                  snapshot.events.size(), trace_out.c_str(),
-                  snapshot.n_dropped > 0 ? " (ring overflow, raise capacity)"
-                                         : "");
-    }
-    if (!metrics_out.empty()) {
-      metrics.write_json(metrics_out);
-      std::printf("metrics         : %s\n", metrics_out.c_str());
-    }
-    if (!vcd_out.empty()) {
-      waveform::write_vcd(vcd_out, vcd_signals);
-      std::printf("vcd             : %zu signals -> %s\n", vcd_signals.size(),
-                  vcd_out.c_str());
+      exports.write(batch.metrics, desc, cell::captured_traces(batch));
     }
     return all_ok ? 0 : 1;
   } catch (const std::exception& e) {
