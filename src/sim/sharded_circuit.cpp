@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -11,6 +13,151 @@
 #include "util/error.hpp"
 
 namespace charlie::sim {
+
+namespace {
+
+// The dataflow schedule of one run: B block builds, then the B x W
+// (block, window) tasks, handed to the workers that call work(). The
+// builds come first and in any order; task (0, 0) is ready once every
+// session is built, and task (k, w) once (k - 1, w) and (k, w - 1) have
+// finished. Ready tasks go out in wavefront order, (k + w, then k). A
+// gated schedule starts the tasks of step s = k + w only once step s - 1
+// has finished and the gate has agreed. Idle workers wait on a condition
+// variable, woken one per task that becomes runnable; the schedule stops
+// handing out work when a task reports a stop or a worker throws.
+class Wavefront {
+ public:
+  Wavefront(std::size_t n_blocks, std::size_t n_windows, bool gated)
+      : n_blocks_(n_blocks), n_windows_(n_windows),
+        finished_(n_blocks, 0), n_left_(n_blocks * n_windows),
+        open_(gated ? 0 : std::numeric_limits<std::size_t>::max()) {
+    ready_.reserve(n_blocks);
+    if (gated) {
+      // Step s holds the tasks of blocks max(0, s - W + 1) .. min(B - 1, s).
+      step_left_.resize(n_blocks + n_windows - 1);
+      for (std::size_t s = 0; s < step_left_.size(); ++s) {
+        const std::size_t k_lo = s >= n_windows ? s - n_windows + 1 : 0;
+        step_left_[s] = std::min(n_blocks - 1, s) - k_lo + 1;
+      }
+    }
+  }
+
+  // One worker's share: build(k) builds block k's session; run(k, w) runs
+  // task (k, w) and returns false to stop the schedule; gate(), called in
+  // a gated schedule once a step has finished and before the next starts,
+  // returns false to stop instead. Returns once every task has finished
+  // or the schedule has stopped and holds nothing else for it. A throw
+  // stops the schedule and propagates.
+  template <class Build, class Run, class Gate>
+  void work(const Build& build, const Run& run, const Gate& gate) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    try {
+      while (true) {
+        ++n_waiting_;
+        wake_.wait(lock, [&] { return over() || has_work(); });
+        --n_waiting_;
+        if (over()) break;
+        if (n_builds_started_ < n_blocks_) {
+          const std::size_t k = n_builds_started_++;
+          lock.unlock();
+          build(k);
+          lock.lock();
+          // The last build's worker takes task (0, 0) itself.
+          if (++n_builds_done_ == n_blocks_) queue({0, 0});
+          continue;
+        }
+        std::pop_heap(ready_.begin(), ready_.end(), later);
+        const Task task = ready_.back();
+        ready_.pop_back();
+        lock.unlock();
+        const bool go_on = run(task.block, task.step - task.block);
+        lock.lock();
+        finish(task, go_on, gate);
+      }
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      stop_ = true;
+      wake_.notify_all();
+      throw;
+    }
+    wake_.notify_all();
+  }
+
+ private:
+  struct Task {
+    std::size_t step = 0;
+    std::size_t block = 0;
+  };
+  // Heap order: the top is the first task in wavefront order.
+  static bool later(const Task& a, const Task& b) {
+    return a.step != b.step ? a.step > b.step : a.block > b.block;
+  }
+
+  bool over() const { return stop_ || n_left_ == 0; }
+  bool has_work() const {
+    return n_builds_started_ < n_blocks_ ||
+           (!ready_.empty() && ready_.front().step <= open_);
+  }
+
+  // Queues a task whose predecessors have finished; true if it may start.
+  bool queue(const Task& task) {
+    ready_.push_back(task);
+    std::push_heap(ready_.begin(), ready_.end(), later);
+    return task.step <= open_;
+  }
+
+  template <class Gate>
+  void finish(const Task& task, bool go_on, const Gate& gate) {
+    --n_left_;
+    const std::size_t k = task.block;
+    const std::size_t w = task.step - k;
+    finished_[k] = w + 1;
+    if (!go_on) {
+      stop_ = true;
+      return;
+    }
+    std::size_t runnable = 0;
+    if (w + 1 < n_windows_ && (k == 0 || finished_[k - 1] > w + 1)) {
+      runnable += queue({task.step + 1, k}) ? 1 : 0;
+    }
+    if (k + 1 < n_blocks_ && finished_[k + 1] == w) {
+      runnable += queue({task.step + 1, k + 1}) ? 1 : 0;
+    }
+    if (!step_left_.empty() && --step_left_[task.step] == 0 &&
+        task.step + 1 < step_left_.size()) {
+      // Every task of this step and the ones before has finished, none of
+      // the next has started, and all of the next are queued. The gate
+      // reads the blocks' sessions, so it runs under the lock: no task
+      // starts meanwhile.
+      if (!gate()) {
+        stop_ = true;
+        return;
+      }
+      open_ = task.step + 1;
+      runnable = ready_.size();
+    }
+    // This worker takes one of them itself.
+    for (std::size_t i = 1; i < runnable && i <= n_waiting_; ++i) {
+      wake_.notify_one();
+    }
+  }
+
+  const std::size_t n_blocks_;
+  const std::size_t n_windows_;
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::vector<std::size_t> finished_;   // windows each block has finished
+  std::vector<std::size_t> step_left_;  // gated: unfinished tasks per step
+  std::vector<Task> ready_;             // a heap, by later()
+  std::size_t n_left_;                  // unfinished tasks
+  std::size_t open_;                    // last step whose tasks may start
+  std::size_t n_builds_started_ = 0;
+  std::size_t n_builds_done_ = 0;
+  std::size_t n_waiting_ = 0;           // workers waiting on wake_
+  bool stop_ = false;
+};
+
+}  // namespace
 
 ShardedCircuit::ShardedCircuit(std::unique_ptr<Circuit> circuit,
                                std::size_t min_blocks)
@@ -206,100 +353,88 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                               : t_begin + static_cast<double>(w + 1) * quantum;
   };
 
+  // At most B tasks are ever ready at once: more threads would only wait.
   std::size_t n_threads = config.n_threads;
   if (n_threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
-    n_threads = std::min<std::size_t>(n_shards, hw > 0 ? hw : 1);
+    n_threads = hw > 0 ? hw : 1;
   }
+  n_threads = std::min(n_threads, n_shards);
+  result.n_threads = n_threads;
   if (pool_ == nullptr || pool_->n_threads() != n_threads) {
     pool_ = std::make_unique<util::ThreadPool>(n_threads);
   }
 
   // --- sessions, one per block ---------------------------------------------
   // Every session starts its range from the run's prepared traces and
-  // appends its nets' transitions to them. The nets a block reads from
-  // upstream hold only their settled values yet; their transitions arrive
-  // through pull().
+  // appends its nets' transitions to them, under its block's lock. The
+  // nets a block reads from upstream hold only their settled values yet;
+  // their transitions arrive through pull().
   scratch_.resize(n_shards);
   std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
+  SimSession::BlockLocks locks(cut_);
   // Block tasks poll only the wall clock and the cancellation token, each
-  // through a guard of its own; the event ceiling is enforced below, on the
-  // coordinating thread at step granularity, so a budget trip is
-  // deterministic for a fixed config.
+  // through a guard of its own; the event ceiling is enforced between
+  // steps below, so a budget trip is deterministic for a fixed config.
   RunBudget task_budget = config.budget;
   task_budget.max_events = 0;
   std::vector<RunGuard> task_guards(n_shards, RunGuard(task_budget));
-  // Sessions over disjoint ranges initialize concurrently: each writes only
-  // its own gates' state and scratch.
-  pool_->parallel_for(n_shards, 1, [&](std::size_t /*worker*/, std::size_t s) {
-    sessions[s] = std::make_unique<SimSession>(*circuit_, cut_[s], cut_[s + 1],
-                                               t_begin, result.traces,
-                                               scratch_[s], task_guards[s]);
-  });
 
   // Per-(block, window) event counts, written by the owning task (distinct
-  // slot per task, so no synchronization beyond the pool's step barrier).
-  // Recorded unconditionally: a subtraction per window task is free next to
-  // the window's event processing, and it is the data load_imbalance() and
+  // slot per task, read after the pool's barrier). Recorded
+  // unconditionally: a subtraction per window task is free next to the
+  // window's event processing, and it is the data load_imbalance() and
   // the shard.* metrics summarize.
   result.shard_window_events.assign(n_shards,
                                     std::vector<long>(n_windows, 0));
 
-  // --- conservative wavefront ----------------------------------------------
-  // Task (block k, window w) runs at step k + w. A step's blocks first pull
-  // what their upstream blocks appended -- every transition through window
-  // w, which each upstream block finished by the previous step -- while no
-  // session appends; then they advance, each appending only to its own
-  // nets' traces. All tasks of one phase are mutually independent (distinct
-  // sessions over disjoint gate ranges), so each phase is one parallel_for.
-  // Grain 1: block/window tasks are coarse already.
+  // --- dataflow wavefront --------------------------------------------------
+  // Task (block k, window w) starts once (k - 1, w) and (k, w - 1) have
+  // finished: by induction every upstream block has then finished window
+  // w, and every transition up to its end is in the run's traces. The task
+  // pulls those, then advances; sessions over disjoint gate ranges, each
+  // appending only to its own nets' traces. With an event ceiling, step s
+  // = k + w starts only once step s - 1 has finished under the ceiling:
+  // the summed event count after a completed step does not depend on
+  // thread timing. A terminated session stops the schedule; the tasks in
+  // flight finish.
+  Wavefront wavefront(n_shards, n_windows, config.budget.max_events > 0);
   RunStatus stopped = RunStatus::kOk;  // by the pool or the event ceiling
   std::string pool_error;
-  for (std::size_t step = 0; step + 1 < n_shards + n_windows; ++step) {
-    const std::size_t k_lo = step >= n_windows ? step - n_windows + 1 : 0;
-    const std::size_t n_tasks = std::min(n_shards - 1, step) - k_lo + 1;
-    try {
-      pool_->parallel_for(
-          n_tasks, 1, [&](std::size_t /*worker*/, std::size_t task) {
-            sessions[k_lo + task]->pull();
-          });
-      pool_->parallel_for(
-          n_tasks, 1, [&](std::size_t /*worker*/, std::size_t task) {
-            const std::size_t k = k_lo + task;
-            const std::size_t w = step - k;
-            SimSession& session = *sessions[k];
-            obs::ScopedSpan obs_span("shard.task", "shard",
-                                     static_cast<long long>(k), "window",
-                                     static_cast<long long>(w));
-            const long events_before =
-                session.n_stimulus_events() + session.n_gate_events();
-            session.advance(window_end(w));
-            result.shard_window_events[k][w] = session.n_stimulus_events() +
-                                               session.n_gate_events() -
-                                               events_before;
-          });
-    } catch (const std::exception& e) {
-      // A fault outside every session's advance(): the pool itself, or a
-      // pull() assertion.
-      stopped = RunStatus::kFailed;
-      pool_error = e.what();
-      break;
-    }
-    // Failures and deadline/cancellation trips are sticky in the session;
-    // stop scheduling further steps once any block has terminated.
+  auto build = [&](std::size_t k) {
+    sessions[k] = std::make_unique<SimSession>(
+        *circuit_, cut_[k], cut_[k + 1], t_begin, result.traces, scratch_[k],
+        task_guards[k], &locks);
+  };
+  auto run = [&](std::size_t k, std::size_t w) {
+    SimSession& session = *sessions[k];
+    obs::ScopedSpan obs_span("shard.task", "shard", static_cast<long long>(k),
+                             "window", static_cast<long long>(w));
+    const long events_before =
+        session.n_stimulus_events() + session.n_gate_events();
+    session.pull(window_end(w));
+    session.advance(window_end(w));
+    result.shard_window_events[k][w] =
+        session.n_stimulus_events() + session.n_gate_events() - events_before;
+    return session.status() == RunStatus::kOk;
+  };
+  auto gate = [&] {
     long n_processed = 0;
-    bool terminated = false;
-    for (const auto& session : sessions) {
-      n_processed += session->n_events();
-      terminated = terminated || session->status() != RunStatus::kOk;
-    }
-    if (terminated) break;
-    // Deterministic event-budget check at step granularity: the summed
-    // event count after a completed step does not depend on thread count.
-    if (config.budget.enabled()) {
-      stopped = guard.check(n_processed);
-      if (stopped != RunStatus::kOk) break;
-    }
+    for (const auto& session : sessions) n_processed += session->n_events();
+    stopped = guard.check(n_processed);
+    return stopped == RunStatus::kOk;
+  };
+  try {
+    // One item per worker; each runs the schedule until it ends.
+    pool_->parallel_for(n_threads, 1,
+                        [&](std::size_t /*worker*/, std::size_t /*item*/) {
+                          wavefront.work(build, run, gate);
+                        });
+  } catch (const std::exception& e) {
+    // A fault outside every session's advance(): the pool itself, a
+    // session's construction or a pull() assertion.
+    stopped = RunStatus::kFailed;
+    pool_error = e.what();
   }
 
   // --- reduction, in block order -------------------------------------------
@@ -310,16 +445,25 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   result.metrics.add("shard.windows", static_cast<long long>(n_windows));
   long long pulled = 0;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    sessions[s]->add_to(result);
-    pulled += sessions[s]->n_pulled();
+    const SimSession* session = sessions[s].get();
+    if (session != nullptr) {
+      session->add_to(result);
+      pulled += session->n_pulled();
+    } else {
+      // Never built (the run failed first): its nets keep their settled
+      // values.
+      result.diagnostics.t_horizon = t_begin;
+    }
     long shard_total = 0;
     for (const long n : result.shard_window_events[s]) {
       shard_total += n;
       result.metrics.observe("shard.window_events", static_cast<double>(n));
     }
     result.metrics.observe("shard.events", static_cast<double>(shard_total));
-    result.metrics.observe("sim.max_heap_depth",
-                           static_cast<double>(sessions[s]->max_heap_depth()));
+    result.metrics.observe(
+        "sim.max_heap_depth",
+        static_cast<double>(session != nullptr ? session->max_heap_depth()
+                                               : 0));
   }
   if (stopped == RunStatus::kFailed) {
     result.status = RunStatus::kFailed;

@@ -39,15 +39,17 @@
 // quanta, and block k may advance through window w as soon as (a) it has
 // finished window w-1 and (b) every block feeding it has finished window w
 // -- at which point all boundary transitions with t <= the window end are
-// in the run's traces. Steps of this wavefront run on the worker pool:
-// within one step, the runnable (block, window) pairs are mutually
-// independent, so B blocks and W windows expose min(B, W) - 1 steps of
-// pipeline parallelism with no speculation and no rollback. The traces
-// are the only exchange: each step has two phases, one parallel_for each.
-// First every block of the step pulls what its upstream blocks appended
-// to the traces it reads (SimSession::pull), while no session appends;
-// then the blocks advance through their windows, each appending only to
-// its own nets' traces.
+// in the run's traces. The schedule is a dataflow wavefront on the worker
+// pool, one parallel_for per run: task (k, w) is released once (k-1, w)
+// and (k, w-1) have finished, which by induction is rule (b), and idle
+// workers take released tasks in wavefront order (k + w, then k), so one
+// thread runs them step by step. B blocks and W windows expose up to
+// min(B, W) concurrent tasks with no speculation and no rollback. The
+// traces are the only exchange: a task first pulls what its upstream
+// blocks appended up to its window's end (SimSession::pull), then
+// advances, appending only to its own nets' traces. Upstream blocks may
+// append while a downstream task pulls, so each block's traces have a
+// reader-writer lock for the run (SimSession::BlockLocks).
 //
 // Determinism: every (block, window) task consumes exactly the boundary
 // transitions its upstream blocks produce, and every session processes
@@ -77,16 +79,18 @@ namespace charlie::sim {
 struct ShardedSimConfig {
   /// Synchronization quantum [s]; 0 picks (t_end - t_begin) /
   /// max(n_shards(), ShardedCircuit::kMinWindows). Smaller windows expose
-  /// more pipeline overlap at more barrier and cache-refill cost; the
+  /// more pipeline overlap at more scheduling and cache-refill cost; the
   /// result is bit-identical either way.
   double window = 0.0;
-  /// Worker threads; 0 = min(n_shards(), hardware concurrency).
+  /// Worker threads (0 = hardware concurrency), at most n_shards(): no
+  /// more tasks than blocks are ever ready at once.
   std::size_t n_threads = 0;
   /// Execution budget for the whole sharded run. The event ceiling on the
-  /// run's events (SimSession::n_events) is enforced on the coordinating
-  /// thread at wavefront-step granularity (deterministic for a fixed cut
-  /// and window config); deadlines and cancellation are additionally
-  /// polled inside each shard task.
+  /// run's events (SimSession::n_events) is checked between wavefront
+  /// steps: with a ceiling, the tasks of step k + w start only once the
+  /// previous step has finished under it, so a trip is deterministic for a
+  /// fixed cut and window config. Deadlines and cancellation are polled
+  /// inside each block task.
   RunBudget budget;
 };
 
@@ -113,9 +117,10 @@ class ShardedCircuit {
   /// Circuit::simulate's result -- traces by NetId, n_events, status and
   /// diagnostics, the same fold of the block sessions -- plus the sharded
   /// run's schedule and metrics. A run terminated early (budget, deadline,
-  /// cancellation, a failure captured by a block's session) stops the
-  /// wavefront at the end of the step that tripped; its traces are
-  /// best-effort up to diagnostics.t_horizon, and the pool stays usable.
+  /// cancellation, a failure captured by a block's session or a fault in
+  /// the pool) releases no further task once it trips; the tasks in flight
+  /// finish. Its traces are best-effort up to diagnostics.t_horizon, and
+  /// the pool stays usable.
   /// Nets are also addressed by name, through a pointer to this
   /// ShardedCircuit -- the circuit must outlive the result.
   struct Result : Circuit::SimResult {
@@ -123,6 +128,9 @@ class ShardedCircuit {
     const waveform::DigitalTrace& trace(const std::string& net) const;
 
     std::size_t n_windows = 0;
+    /// Worker threads the run used (ShardedSimConfig::n_threads, resolved
+    /// and clamped to the block count).
+    std::size_t n_threads = 0;
 
     /// The cut this run used: block s owned gates [cut[s], cut[s + 1]).
     std::vector<std::size_t> cut;

@@ -3,29 +3,47 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <mutex>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 #include "obs/trace_recorder.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sim {
 
+SimSession::BlockLocks::BlockLocks(std::span<const std::size_t> cut)
+    : cut_(cut.begin(), cut.end()),
+      blocks_(std::make_unique<Block[]>(cut.size() - 1)) {
+  CHARLIE_ASSERT(cut.size() >= 2);
+}
+
 SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                        std::size_t gate_end, double t_begin,
                        std::vector<waveform::DigitalTrace>& traces,
-                       Scratch& scratch, RunGuard& guard)
+                       Scratch& scratch, RunGuard& guard, BlockLocks* locks)
     : circuit_(&circuit), gate_begin_(gate_begin), gate_end_(gate_end),
       horizon_(t_begin), guard_(&guard), guard_active_(guard.enabled()),
-      t_processed_(t_begin), traces_(&traces), s_(&scratch) {
+      t_processed_(t_begin), traces_(&traces), s_(&scratch), locks_(locks) {
   CHARLIE_ASSERT_MSG(gate_begin <= gate_end && gate_end <= circuit.n_gates(),
                      "sim session: gate range out of bounds");
   CHARLIE_ASSERT(traces.size() == circuit.n_nets());
+  if (locks != nullptr) {
+    const std::vector<std::size_t>& cut = locks->cut_;
+    const auto first = std::lower_bound(cut.begin(), cut.end() - 1,
+                                        gate_begin);
+    CHARLIE_ASSERT_MSG(*first == gate_begin && first[1] == gate_end,
+                       "sim session: range is not a block of its locks");
+    own_block_ = &locks->blocks_[static_cast<std::size_t>(first -
+                                                          cut.begin())];
+  }
   circuit.finish_fanout();
   // Guard sites bump the executing thread's counters: each call adds its
   // own increments, on whichever thread runs it.
   const util::RunCounters before = util::RunCounters::local();
   collect_external_nets();
+  collect_upstream_blocks();
   Circuit& c = circuit;
   Scratch& s = scratch;
   const std::size_t n_own = gate_end - gate_begin;
@@ -164,6 +182,33 @@ void SimSession::collect_external_nets() {
   }
 }
 
+void SimSession::collect_upstream_blocks() {
+  const Circuit& c = *circuit_;
+  Scratch& s = *s_;
+  // The external nets are in producer order: the primary inputs, whose
+  // traces are complete already, then the upstream gates' nets. Blocks are
+  // contiguous producer ranges, so one walk along the cut groups the
+  // latter by the block driving them. Each block's append count is read
+  // before its nets' traces are: a later append moves it.
+  s.upstream.clear();
+  if (locks_ == nullptr) return;
+  const std::vector<std::size_t>& cut = locks_->cut_;
+  std::size_t b = 0;
+  for (std::size_t k = 0; k < s.external.size(); ++k) {
+    const std::uint32_t p = c.producer(s.external[k].net);
+    if (p < c.n_inputs()) continue;
+    const std::size_t gate = p - c.n_inputs();
+    if (s.upstream.empty() || gate >= cut[b + 1]) {
+      while (gate >= cut[b + 1]) ++b;
+      s.upstream.push_back(
+          {static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(k),
+           static_cast<std::uint32_t>(b),
+           locks_->blocks_[b].appended.load(std::memory_order_relaxed)});
+    }
+    ++s.upstream.back().end;
+  }
+}
+
 void SimSession::reschedule(std::size_t slot,
                             const std::optional<PendingEvent>& pending) {
   // A firing beyond the current horizon stays in the heap: the loop stops
@@ -206,6 +251,19 @@ void SimSession::flush_log() {
     std::vector<LoggedTransition>& log;
     ~Clear() { log.clear(); }
   } clear{s_->log};
+  if (s_->log.empty()) return;
+  // Downstream sessions read these traces under the block's lock in shared
+  // mode. The count is read outside the lock only to pass over a block
+  // that appended nothing; whatever a reader needs was appended before the
+  // task it waits on finished, and the scheduler orders the rest.
+  std::unique_lock<std::shared_mutex> lock;
+  if (own_block_ != nullptr) {
+    lock = std::unique_lock<std::shared_mutex>(own_block_->mutex);
+    own_block_->appended.store(
+        own_block_->appended.load(std::memory_order_relaxed) +
+            s_->log.size(),
+        std::memory_order_relaxed);
+  }
   std::vector<waveform::DigitalTrace>& traces = *traces_;
   for (const LoggedTransition& entry : s_->log) {
     traces[static_cast<std::size_t>(entry.net)].append_transition(entry.t);
@@ -218,32 +276,69 @@ void SimSession::fail(const std::exception& e) {
   error_ = e.what();
 }
 
-void SimSession::pull() {
+void SimSession::pull(double t_horizon) {
   if (status_ != RunStatus::kOk) return;
   Scratch& s = *s_;
-  // What is left of the pulled stream lies beyond the horizon; the new
-  // transitions join it in (t, producer) order.
-  s.pulled.erase(s.pulled.begin(),
-                 s.pulled.begin() + static_cast<std::ptrdiff_t>(pulled_index_));
+  CHARLIE_ASSERT_MSG(pulled_index_ == s.pulled.size(),
+                     "sim session: pull before the last pull was processed");
+  s.pulled.clear();
   pulled_index_ = 0;
-  const std::size_t mid = s.pulled.size();
-  for (std::size_t k = 0; k < s.external.size(); ++k) {
-    ExternalNet& ext = s.external[k];
-    const waveform::DigitalTrace& trace =
-        (*traces_)[static_cast<std::size_t>(ext.net)];
-    for (; ext.queued < trace.n_transitions(); ++ext.queued) {
-      const double t = trace.transitions()[ext.queued];
-      CHARLIE_ASSERT_MSG(t > horizon_, "sim session: pulled transition at or "
-                                       "before the horizon");
-      s.pulled.push_back({t, static_cast<std::uint32_t>(k),
-                          trace.is_rising(ext.queued)});
+  // Each net's new transitions up to t_horizon are copied out, a sorted
+  // run per net, while the block's lock is held (its session may be
+  // appending), then merged. The copies belong to the thread: a sharded
+  // run has a session per block but only a few workers, and a thread
+  // pulls for one session at a time.
+  using Run = std::pair<std::size_t, std::size_t>;  // [first, second)
+  thread_local std::vector<StreamEvent> staged;
+  thread_local std::vector<Run> runs;
+  staged.clear();
+  runs.clear();
+  for (UpstreamBlock& group : s.upstream) {
+    BlockLocks::Block& block = locks_->blocks_[group.block];
+    if (group.drained &&
+        block.appended.load(std::memory_order_relaxed) == group.appended) {
+      continue;
+    }
+    const std::shared_lock<std::shared_mutex> lock(block.mutex);
+    group.appended = block.appended.load(std::memory_order_relaxed);
+    group.drained = true;
+    for (std::uint32_t k = group.begin; k < group.end; ++k) {
+      ExternalNet& ext = s.external[k];
+      const waveform::DigitalTrace& trace =
+          (*traces_)[static_cast<std::size_t>(ext.net)];
+      const std::vector<double>& times = trace.transitions();
+      if (ext.queued == times.size()) continue;
+      // A trace's times strictly increase: its first new one is its earliest.
+      CHARLIE_ASSERT_MSG(times[ext.queued] > horizon_,
+                         "sim session: pulled transition at or before the "
+                         "horizon");
+      const std::size_t first = staged.size();
+      bool value = trace.is_rising(ext.queued);
+      for (; ext.queued < times.size() && times[ext.queued] <= t_horizon;
+           ++ext.queued) {
+        staged.push_back({times[ext.queued], k, value});
+        value = !value;
+      }
+      if (staged.size() > first) runs.emplace_back(first, staged.size());
+      group.drained = group.drained && ext.queued == times.size();
     }
   }
-  n_pulled_ += static_cast<long>(s.pulled.size() - mid);
-  const auto fresh = s.pulled.begin() + static_cast<std::ptrdiff_t>(mid);
-  std::sort(fresh, s.pulled.end(), waveform::precedes);
-  std::inplace_merge(s.pulled.begin(), fresh, s.pulled.end(),
-                     waveform::precedes);
+  n_pulled_ += static_cast<long>(staged.size());
+  // A k-way merge of the runs, in (t, external index) order.
+  auto later = [](const Run& a, const Run& b) {
+    return waveform::precedes(staged[b.first], staged[a.first]);
+  };
+  std::make_heap(runs.begin(), runs.end(), later);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    Run& head = runs.back();
+    s.pulled.push_back(staged[head.first]);
+    if (++head.first == head.second) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
+  }
 }
 
 void SimSession::advance(double t_horizon) {

@@ -10,10 +10,12 @@
 // runs a circuit's blocks one after another over the whole window
 // (Circuit::simulate and BatchRunner); the sharded runner
 // (sim/sharded_circuit.hpp) advances one session per block a conservative
-// window quantum at a time, each pulling what its upstream blocks appended
-// between advances. A session borrows the channel state of the gates in
-// its range, so at most one session may be active per gate at a time;
-// sessions over disjoint ranges of one Circuit may run concurrently.
+// window quantum at a time, each first pulling what its upstream blocks
+// appended up to the window's end. A session borrows the channel state of
+// the gates in its range, so at most one session may be active per gate at
+// a time; sessions over disjoint ranges of one Circuit may run
+// concurrently, an upstream block appending while a downstream one pulls,
+// when they share the run's BlockLocks.
 //
 // Gate ranges: a Circuit's gates are in topological order by construction
 // (every input net exists before the gate that reads it), so a contiguous
@@ -27,7 +29,11 @@
 // blocks that already ran -- plus those each pull() finds appended since,
 // walks only the in-range part of each fanout list, and appends only to
 // the traces of the nets its gates drive. The run's traces are thus the
-// only exchange between blocks.
+// only exchange between blocks. A session built with the run's BlockLocks
+// appends under its own block's lock and counts its appends there; pull()
+// reads each upstream block's nets under that block's lock in shared mode,
+// and passes over a block whose count has not moved since the session
+// last queued everything it held.
 //
 // Events and budgets. A run's events are its primary-input transitions and
 // its gate firings. The session over the first gates counts every
@@ -77,10 +83,14 @@
 // sessions passes to each in turn, so they are allocated once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <optional>
+#include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,6 +119,16 @@ class SimSession {
     std::uint32_t fanout_end = 0;
     std::size_t queued = 0;
   };
+  // The external nets [begin, end) that one upstream block drives, and
+  // that block's append count when pull() last looked; `drained` when
+  // that pull left nothing of theirs unqueued.
+  struct UpstreamBlock {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint32_t block = 0;
+    std::uint64_t appended = 0;
+    bool drained = true;
+  };
 
  public:
   /// The buffers a session works in: stimulus stream, pulled
@@ -120,11 +140,35 @@ class SimSession {
    private:
     friend class SimSession;
     std::vector<StreamEvent> stream;    // transitions held at construction
-    std::vector<StreamEvent> pulled;    // merged pull()s, not yet processed
+    std::vector<StreamEvent> pulled;    // the last pull(), in stream order
     std::vector<LoggedTransition> log;  // recorded, not yet in a trace
     EventHeap heap;
     std::vector<std::uint8_t> net_value;  // own nets, then external nets
     std::vector<ExternalNet> external;    // by producer
+    std::vector<UpstreamBlock> upstream;  // external upstream nets by block
+  };
+
+  /// One reader-writer lock and one append count per block of a cut (block
+  /// b owns gates [cut[b], cut[b + 1])), for the sessions of one run that
+  /// advance concurrently. Sessions built over them append under their own
+  /// block's lock and pull under their upstream blocks' (see the header).
+  class BlockLocks {
+   public:
+    explicit BlockLocks(std::span<const std::size_t> cut);
+    // Sessions keep its address.
+    BlockLocks(const BlockLocks&) = delete;
+    BlockLocks& operator=(const BlockLocks&) = delete;
+
+   private:
+    friend class SimSession;
+    struct alignas(64) Block {
+      std::shared_mutex mutex;
+      // Transitions appended to the block's nets; written under the
+      // exclusive lock.
+      std::atomic<std::uint64_t> appended{0};
+    };
+    std::vector<std::size_t> cut_;
+    std::unique_ptr<Block[]> blocks_;
   };
 
   /// Settle gates [gate_begin, gate_end) of `circuit` at t_begin and queue
@@ -133,19 +177,23 @@ class SimSession {
   /// Circuit::prepare_run and shared by the run's sessions: the session
   /// appends its own nets' transitions (every net has one driver, so
   /// concurrent sessions never touch the same trace). advance() polls
-  /// `guard`, the run's, before each event the session counts. `traces`,
-  /// `scratch` and `guard` must outlive the session. A range out of bounds
-  /// throws.
+  /// `guard`, the run's, before each event the session counts. With
+  /// `locks`, the range is one of their blocks, and the session appends
+  /// under its block's lock and pulls from the blocks before it; without,
+  /// it pulls nothing, so its upstream blocks must have finished before it
+  /// is built (run_blocks). `traces`, `scratch`, `guard` and `locks` must
+  /// outlive the session. A range out of bounds, or not a block of
+  /// `locks`, throws.
   SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
              double t_begin, std::vector<waveform::DigitalTrace>& traces,
-             Scratch& scratch, RunGuard& guard);
+             Scratch& scratch, RunGuard& guard, BlockLocks* locks = nullptr);
 
   /// One run of every gate of `circuit` over (t_begin, t_end], supervised
   /// by `budget`: prepares `result` (Circuit::prepare_run), then runs the
   /// circuit's blocks (circuit.hpp) one after another over the whole
   /// window -- each block's session is built after its upstream blocks
-  /// have finished, so it streams their complete traces and pulls nothing
-  /// -- and folds them into `result` in block order. A
+  /// have finished, so it streams their complete traces, pulls nothing
+  /// and takes no lock -- and folds them into `result` in block order. A
   /// terminated block ends the run; the blocks after it keep their settled
   /// traces, and diagnostics.t_horizon drops to t_begin. `result`'s traces
   /// and `scratch` are reset in place, keeping their capacity. Never throws
@@ -159,14 +207,17 @@ class SimSession {
   SimSession(const SimSession&) = delete;
   SimSession& operator=(const SimSession&) = delete;
 
-  /// Queue, in (t, producer) order, the transitions the traces of the
-  /// session's external nets have gained since it was built or last
-  /// pulled: what upstream sessions appended meanwhile (sharded
-  /// wavefront). Every one must lie beyond the horizon -- the last
-  /// advance() target, t_begin before the first -- (an assertion), and no
-  /// session may append to those traces during the call. A terminated
-  /// session pulls nothing.
-  void pull();
+  /// Queue, in (t, producer) order, the transitions up to t_horizon that
+  /// the traces of the session's upstream nets have gained since it was
+  /// built or last pulled: what the sessions of the blocks before it in
+  /// its BlockLocks appended meanwhile (sharded wavefront). Primary
+  /// inputs' traces are complete when a session is built, so only
+  /// upstream gates' nets are read. Every transition queued must lie
+  /// beyond the horizon -- the last advance() target, t_begin before the
+  /// first -- and the previous pull's must all have been processed, by an
+  /// advance() to at least its t_horizon (assertions). A terminated
+  /// session, or one built without BlockLocks, pulls nothing.
+  void pull(double t_horizon);
 
   /// Process every event with t <= t_horizon (stimuli, pulled upstream
   /// transitions, and gate firings). Horizons must not decrease. A run
@@ -213,6 +264,7 @@ class SimSession {
   static constexpr std::size_t kTransitionLogCapacity = 4096;
 
   void collect_external_nets();
+  void collect_upstream_blocks();
   void run_window();
   void flush_log();
   void fail(const std::exception& e);
@@ -234,6 +286,8 @@ class SimSession {
   double t_processed_ = 0.0;      // time of the last processed event
   std::vector<waveform::DigitalTrace>* traces_;  // by NetId
   Scratch* s_;
+  BlockLocks* locks_;                 // null: no concurrent sessions
+  BlockLocks::Block* own_block_ = nullptr;
   std::size_t stream_index_ = 0;  // next streamed transition
   std::size_t pulled_index_ = 0;  // next pulled transition
   long n_stimulus_events_ = 0;

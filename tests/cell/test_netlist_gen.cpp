@@ -88,11 +88,7 @@ TEST(NetlistGen, GeneratedNetlistBuildsAndShardsBitIdentically) {
   util::Rng rng(5);
   const auto stimuli =
       waveform::generate_traces(trace, mono->n_inputs(), rng);
-  double t_last = 0.0;
-  for (const auto& t : stimuli) {
-    if (!t.empty()) t_last = std::max(t_last, t.transitions().back());
-  }
-  const double t_end = t_last + 2e-9;
+  const double t_end = waveform::end_time(stimuli, 0.0, 2e-9);
 
   const auto expected = mono->simulate(stimuli, 0.0, t_end);
   ASSERT_TRUE(expected.ok()) << expected.diagnostics.summary();

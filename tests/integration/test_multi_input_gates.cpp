@@ -16,6 +16,7 @@
 #include "spice/characterize.hpp"
 #include "util/math.hpp"
 #include "waveform/digitize.hpp"
+#include "waveform/generator.hpp"
 #include "waveform/metrics.hpp"
 
 namespace charlie {
@@ -149,11 +150,7 @@ TEST_P(MultiInputCell, HybridChannelTracksAnalogOnRandomTrace) {
   cfg.n_transitions = 24;
   cfg.t_start = 2.0 * cal.tech.input_rise_time;
   const auto traces = waveform::generate_traces(cfg, n, rng);
-  double t_last = cfg.t_start;
-  for (const auto& trace : traces) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  const double t_end = t_last + 500e-12;
+  const double t_end = waveform::end_time(traces, cfg.t_start, 500e-12);
   spice::TransientOptions topt;
   topt.v_abstol = 5e-5;
   topt.v_reltol = 5e-4;

@@ -188,18 +188,20 @@ void expect_split_sessions_match(
   Circuit::SimResult run;
   circuit->prepare_run(stimuli, 0.0, t_end, run);
   RunGuard guard(RunBudget{});
+  SimSession::BlockLocks locks(cut);
   std::vector<SimSession::Scratch> scratch(cut.size() - 1);
   std::vector<std::unique_ptr<SimSession>> sessions;
   for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
     sessions.push_back(std::make_unique<SimSession>(
-        *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard));
+        *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard,
+        &locks));
   }
   const int n_windows = 5;
   for (int w = 1; w <= n_windows; ++w) {
     const double horizon =
         w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
     for (std::size_t s = 0; s < sessions.size(); ++s) {
-      sessions[s]->pull();
+      sessions[s]->pull(horizon);
       sessions[s]->advance(horizon);
       ASSERT_EQ(sessions[s]->status(), RunStatus::kOk) << label;
     }
@@ -273,14 +275,11 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
   ASSERT_EQ(batched.captured.size(), probe->n_inputs() + observed.size())
       << label;
   std::vector<waveform::DigitalTrace> stimuli;
-  double t_last = batch.trace.t_start;
   for (std::size_t i = 0; i < probe->n_inputs(); ++i) {
     stimuli.push_back(batched.captured[i].trace);
-    if (!stimuli.back().empty()) {
-      t_last = std::max(t_last, stimuli.back().transitions().back());
-    }
   }
-  const double t_end = t_last + batch.t_settle;
+  const double t_end =
+      waveform::end_time(stimuli, batch.trace.t_start, batch.t_settle);
 
   // --- monolithic reference ---------------------------------------------
   auto mono_circuit = factory();
@@ -354,11 +353,7 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
   util::Rng rng(1);
   const auto stimuli =
       waveform::generate_traces(trace, mono_circuit->n_inputs(), rng);
-  double t_last = trace.t_start;
-  for (const auto& s : stimuli) {
-    if (!s.empty()) t_last = std::max(t_last, s.transitions().back());
-  }
-  const double t_end = t_last + 1e-9;
+  const double t_end = waveform::end_time(stimuli, trace.t_start, 1e-9);
   const Circuit::SimResult mono = mono_circuit->simulate(stimuli, 0.0, t_end);
   ASSERT_TRUE(mono.ok());
   EXPECT_GT(mono.equal_time_ties, 0);

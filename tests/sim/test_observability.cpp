@@ -6,7 +6,6 @@
 // regex (tools/run_tsan_tests.sh) exercises armed tracing under both pools.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -212,11 +211,7 @@ std::vector<waveform::DigitalTrace> stimuli_for(std::size_t n_inputs) {
 }
 
 double t_end_for(const std::vector<waveform::DigitalTrace>& stimuli) {
-  double t_last = 0.0;
-  for (const auto& trace : stimuli) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  return t_last + 2e-9;
+  return waveform::end_time(stimuli, 0.0, 2e-9);
 }
 
 TEST(ShardedCircuitObservability, ShardWindowEventsAccountForEverything) {
@@ -339,18 +334,23 @@ TEST(ShardedCircuitObservability, SingleShardTaskViewMatchesGlobalCount) {
 
 TEST(ShardedCircuitObservability, MetricsBitIdenticalAcrossThreadCounts) {
   // A completed run re-cuts its instance, so each compared run starts from
-  // a fresh build_sharded: same run history, same cut.
+  // a fresh build_sharded: same run history, same cut. With the default
+  // windows and with 64 short ones, where most tasks start while other
+  // blocks are still appending.
   const auto stimuli = stimuli_for(c432().inputs.size());
   const double t_end = t_end_for(stimuli);
-  auto metrics_with = [&](std::size_t n_threads) {
-    const auto sharded = builder().build_sharded(c432(), 4);
-    ShardedSimConfig config;
-    config.n_threads = n_threads;
-    return sharded->simulate(stimuli, 0.0, t_end, config).metrics.to_json();
-  };
-  const std::string one = metrics_with(1);
-  EXPECT_EQ(metrics_with(2), one);
-  EXPECT_EQ(metrics_with(4), one);
+  for (const double window : {0.0, t_end / 64}) {
+    auto metrics_with = [&](std::size_t n_threads) {
+      const auto sharded = builder().build_sharded(c432(), 4);
+      ShardedSimConfig config;
+      config.n_threads = n_threads;
+      config.window = window;
+      return sharded->simulate(stimuli, 0.0, t_end, config).metrics.to_json();
+    };
+    const std::string one = metrics_with(1);
+    EXPECT_EQ(metrics_with(2), one) << "window " << window;
+    EXPECT_EQ(metrics_with(4), one) << "window " << window;
+  }
 }
 
 TEST(ShardedCircuitObservability, EqualTimeTiesSumOverBlocks) {

@@ -418,12 +418,9 @@ TEST(BatchStats, RunCSimulatesExactlyTheAtCornerCircuit) {
     util::Rng rng(util::CounterRng(config.base_seed, index).next_u64());
     const auto stimuli =
         waveform::generate_traces(config.trace, circuit->n_inputs(), rng);
-    double t_last = config.trace.t_start;
-    for (const auto& trace : stimuli) {
-      if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-    }
-    const auto result =
-        circuit->simulate(stimuli, 0.0, t_last + config.t_settle);
+    const auto result = circuit->simulate(
+        stimuli, 0.0,
+        waveform::end_time(stimuli, config.trace.t_start, config.t_settle));
     ASSERT_TRUE(result.ok());
 
     std::vector<Circuit::NetId> nets;

@@ -48,11 +48,7 @@ std::vector<waveform::DigitalTrace> stimuli_for(
 }
 
 double t_end_for(const std::vector<waveform::DigitalTrace>& stimuli) {
-  double t_last = 0.0;
-  for (const auto& trace : stimuli) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  return t_last + 2e-9;  // settle tail
+  return waveform::end_time(stimuli, 0.0, 2e-9);  // settle tail
 }
 
 // Every net the monolithic circuit knows, by name (inputs included).
@@ -131,16 +127,39 @@ TEST(ShardedCircuit, BitIdenticalForAnyWindowQuantum) {
 
   auto sharded = b.build_sharded(c432(), 4);
   // From one giant window (pure sequential shard sweep) down to quanta far
-  // below the gate delays (every boundary event crosses windows).
+  // below the gate delays (every boundary event crosses windows), on one
+  // thread (tasks in wavefront order) and on one per block.
   for (const double window : {t_end * 2.0, t_end / 3.0, 1e-10, 7e-12}) {
-    sim::ShardedSimConfig config;
-    config.window = window;
-    config.n_threads = 2;
-    const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
-    EXPECT_GE(result.n_windows, 1u);
-    expect_bit_identical(mono, *mono_circuit, result, c432(),
-                         "window=" + std::to_string(window));
+    for (const std::size_t n_threads : {1u, 4u}) {
+      sim::ShardedSimConfig config;
+      config.window = window;
+      config.n_threads = n_threads;
+      const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+      EXPECT_GE(result.n_windows, 1u);
+      expect_bit_identical(mono, *mono_circuit, result, c432(),
+                           "window=" + std::to_string(window) + " threads=" +
+                               std::to_string(n_threads));
+    }
   }
+}
+
+TEST(ShardedCircuit, ThreadCountIsClampedToTheBlockCount) {
+  // No more than one task per block is ever ready, so a run starts at most
+  // one worker per block, whatever it asks for.
+  const auto b = builder();
+  const auto mono_circuit = b.build(c432());
+  const auto stimuli = stimuli_for(mono_circuit->n_inputs(), 7);
+  const double t_end = t_end_for(stimuli);
+  const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  auto sharded = b.build_sharded(c432(), 2);
+  ASSERT_EQ(sharded->n_shards(), 2u);
+  sim::ShardedSimConfig config;
+  config.n_threads = sharded->n_shards() + 2;
+  const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+  EXPECT_EQ(result.n_threads, sharded->n_shards());
+  expect_bit_identical(mono, *mono_circuit, result, c432(), "clamped");
+  config.n_threads = 1;
+  EXPECT_EQ(sharded->simulate(stimuli, 0.0, t_end, config).n_threads, 1u);
 }
 
 TEST(ShardedCircuit, RepeatedSimulationsOnOneInstanceAgree) {
@@ -247,6 +266,7 @@ TEST(ShardedCircuit, EventBudgetTripIsThreadCountInvariant) {
   sim::ShardedSimConfig config;
   config.budget.max_events = full_events / 2;
   long first_partial = -1;
+  std::string first_metrics;
   for (const std::size_t n_threads : {1u, 2u, 4u}) {
     config.n_threads = n_threads;
     const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
@@ -255,10 +275,15 @@ TEST(ShardedCircuit, EventBudgetTripIsThreadCountInvariant) {
     EXPECT_GT(result.n_events, 0);
     EXPECT_LT(result.n_events, full_events);
     EXPECT_LT(result.diagnostics.t_horizon, t_end);
+    // The tripped run's per-task events and pulled transitions too: each
+    // task pulls only up to its own window's end.
     if (first_partial < 0) {
       first_partial = result.n_events;
+      first_metrics = result.metrics.to_json();
     } else {
       EXPECT_EQ(result.n_events, first_partial) << n_threads << " threads";
+      EXPECT_EQ(result.metrics.to_json(), first_metrics)
+          << n_threads << " threads";
     }
   }
 }
@@ -343,6 +368,69 @@ TEST(ShardedCircuit, InjectedShardFaultYieldsStructuredFailure) {
   EXPECT_EQ(clean.status, sim::RunStatus::kOk);
   expect_bit_identical(mono, *mono_circuit, clean, c432(),
                        "recovery after injected shard fault");
+}
+
+TEST(ShardedCircuit, SessionFailingMidRunStopsTheWavefront) {
+  // A block fails after its worker's first mode switches, in one of many
+  // short windows on one worker per block: the schedule stops releasing
+  // tasks, the other workers return instead of waiting for tasks that
+  // never come, and the run reports the failure.
+  util::FaultInjector::Scope scope;
+  const auto b = builder();
+  const auto stimuli = stimuli_for(c432().inputs.size(), 7);
+  const double t_end = t_end_for(stimuli);
+  auto sharded = b.build_sharded(c432(), 4);
+  sim::ShardedSimConfig config;
+  config.n_threads = 4;
+  config.window = t_end / 64;
+  util::FaultInjector::arm("hybrid_channel.state",
+                           {util::FaultInjector::Action::kNanValue, 50, 1});
+  const auto faulted = sharded->simulate(stimuli, 0.0, t_end, config);
+  EXPECT_EQ(faulted.n_windows, 64u);
+  EXPECT_EQ(faulted.status, sim::RunStatus::kFailed);
+  EXPECT_NE(faulted.diagnostics.error.find("non-finite"), std::string::npos)
+      << faulted.diagnostics.error;
+  EXPECT_LT(faulted.diagnostics.t_horizon, t_end);
+  EXPECT_GE(util::FaultInjector::fires("hybrid_channel.state"), 1);
+}
+
+TEST(ShardedCircuit, PoolFaultFailsTheRunWithoutHanging) {
+  // The first work item each pool thread claims throws before it starts
+  // its share of the schedule: on one thread no block ever runs; on more,
+  // the workers that do start run every task. Either way the run reports
+  // kFailed with the pool's error and returns, and the instance stays
+  // usable.
+  util::FaultInjector::Scope scope;
+  const auto b = builder();
+  const auto mono_circuit = b.build(c432());
+  const auto stimuli = stimuli_for(mono_circuit->n_inputs(), 7);
+  const double t_end = t_end_for(stimuli);
+  const auto mono = mono_circuit->simulate(stimuli, 0.0, t_end);
+  auto sharded = b.build_sharded(c432(), 4);
+  for (const std::size_t n_threads : {1u, 2u, 4u}) {
+    const std::string label = "threads=" + std::to_string(n_threads);
+    sim::ShardedSimConfig config;
+    config.n_threads = n_threads;
+    // A thread count the instance has not run yet: a new pool, whose
+    // threads each fire once.
+    util::FaultInjector::arm(
+        "thread_pool.item",
+        {util::FaultInjector::Action::kRuntimeError, 0, 1});
+    const auto faulted = sharded->simulate(stimuli, 0.0, t_end, config);
+    EXPECT_EQ(faulted.status, sim::RunStatus::kFailed) << label;
+    EXPECT_EQ(faulted.diagnostics.status, sim::RunStatus::kFailed) << label;
+    EXPECT_NE(faulted.diagnostics.error.find("thread_pool.item"),
+              std::string::npos)
+        << label << ": " << faulted.diagnostics.error;
+    if (n_threads == 1) {
+      EXPECT_EQ(faulted.n_events, 0) << label;
+      EXPECT_EQ(faulted.diagnostics.t_horizon, 0.0) << label;
+    }
+    util::FaultInjector::disarm("thread_pool.item");
+    const auto clean = sharded->simulate(stimuli, 0.0, t_end, config);
+    expect_bit_identical(mono, *mono_circuit, clean, c432(),
+                         "recovery after a pool fault, " + label);
+  }
 }
 
 }  // namespace

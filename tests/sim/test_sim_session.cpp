@@ -40,11 +40,7 @@ std::vector<waveform::DigitalTrace> stimuli_for(std::size_t n_inputs) {
 }
 
 double t_end_for(const std::vector<waveform::DigitalTrace>& stimuli) {
-  double t_last = 0.0;
-  for (const auto& trace : stimuli) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  return t_last + 2e-9;
+  return waveform::end_time(stimuli, 0.0, 2e-9);
 }
 
 // The nets gates [m, n) read from gates [0, m), each once.
@@ -75,8 +71,9 @@ TEST(SimSession, GateRangesFedThroughPullReproduceMonolithic) {
   ASSERT_TRUE(mono.ok()) << mono.diagnostics.summary();
 
   // Two sessions over [0, m) and [m, n) of one circuit, appending into one
-  // run's traces and advanced window by window; before each advance a
-  // session pulls what the other appended to the nets it reads.
+  // run's traces under the run's block locks and advanced window by
+  // window; before each advance a session pulls what the other appended to
+  // the nets it reads.
   const auto circuit = build_c432();
   const std::size_t n = circuit->n_gates();
   const std::size_t m = n / 2;
@@ -88,15 +85,17 @@ TEST(SimSession, GateRangesFedThroughPullReproduceMonolithic) {
   sim::SimSession::Scratch lower_scratch;
   sim::SimSession::Scratch upper_scratch;
   sim::RunGuard guard(sim::RunBudget{});
+  const std::vector<std::size_t> cut{0, m, n};
+  sim::SimSession::BlockLocks locks(cut);
   sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
-                        guard);
+                        guard, &locks);
   sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
-                        guard);
+                        guard, &locks);
   const int n_windows = 7;
   for (int w = 1; w <= n_windows; ++w) {
     const double horizon =
         w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
-    lower.pull();
+    lower.pull(horizon);
     lower.advance(horizon);
     // Partial ranges record only the nets their gates drive: until the
     // upper range first advances, its nets hold their settled values ...
@@ -113,7 +112,7 @@ TEST(SimSession, GateRangesFedThroughPullReproduceMonolithic) {
     for (const sim::Circuit::NetId net : crossing) {
       from_below.push_back(upper.trace(net).transitions());
     }
-    upper.pull();
+    upper.pull(horizon);
     upper.advance(horizon);
     for (std::size_t i = 0; i < crossing.size(); ++i) {
       EXPECT_EQ(upper.trace(crossing[i]).transitions(), from_below[i]);
@@ -164,10 +163,12 @@ TEST(SimSession, PullRejectsAnUpstreamTransitionAtOrBeforeTheHorizon) {
   sim::SimSession::Scratch lower_scratch;
   sim::SimSession::Scratch upper_scratch;
   sim::RunGuard guard(sim::RunBudget{});
+  const std::vector<std::size_t> cut{0, m, n};
+  sim::SimSession::BlockLocks locks(cut);
   sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
-                        guard);
+                        guard, &locks);
   sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
-                        guard);
+                        guard, &locks);
   upper.advance(h);
   lower.advance(t_end);
   bool late = false;
@@ -177,7 +178,7 @@ TEST(SimSession, PullRejectsAnUpstreamTransitionAtOrBeforeTheHorizon) {
     late = late || (!trace.empty() && trace.transitions().front() <= h);
   }
   ASSERT_TRUE(late);
-  EXPECT_THROW(upper.pull(), AssertionError);
+  EXPECT_THROW(upper.pull(t_end), AssertionError);
 }
 
 TEST(SimSession, PullOnATerminatedSessionIsANoOp) {
@@ -199,12 +200,14 @@ TEST(SimSession, PullOnATerminatedSessionIsANoOp) {
   sim::RunBudget budget;
   budget.max_events = 1;
   sim::RunGuard tight(budget);
+  const std::vector<std::size_t> cut{0, m, n};
+  sim::SimSession::BlockLocks locks(cut);
   sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
-                        unlimited);
+                        unlimited, &locks);
   sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
-                        tight);
+                        tight, &locks);
   lower.advance(t_end / 4);
-  upper.pull();
+  upper.pull(t_end / 2);
   upper.advance(t_end / 2);
   ASSERT_EQ(upper.status(), sim::RunStatus::kBudgetExhausted);
   const long pulled = upper.n_pulled();
@@ -218,7 +221,7 @@ TEST(SimSession, PullOnATerminatedSessionIsANoOp) {
     }
   }
   ASSERT_TRUE(late);
-  EXPECT_NO_THROW(upper.pull());
+  EXPECT_NO_THROW(upper.pull(t_end));
   EXPECT_EQ(upper.n_pulled(), pulled);
   upper.advance(t_end);
   EXPECT_EQ(upper.status(), sim::RunStatus::kBudgetExhausted);

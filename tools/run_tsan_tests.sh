@@ -2,11 +2,15 @@
 # Build the ThreadSanitizer preset and run the concurrency-bearing test
 # suites under it: the worker pool (chunked atomic work claiming), the
 # Monte-Carlo batch runner (per-worker clones + shared reduction buffers),
-# and the sharded single-circuit engine (each wavefront step's blocks pull
-# upstream transitions from the run's shared traces, then append to their
-# own). Any data-race report aborts the offending test
-# (-fno-sanitize-recover=all), so a green run means TSan sees no races on
-# these paths.
+# and the sharded single-circuit engine (a dataflow scheduler hands
+# (block, window) tasks to workers waiting on one condition variable; each
+# task pulls upstream transitions from the run's shared traces under the
+# upstream blocks' reader-writer locks while those blocks may append, then
+# appends to its own nets under its block's). Any data-race report aborts
+# the offending test (-fno-sanitize-recover=all), so a green run means TSan
+# sees no races on these paths. A lost wake-up shows as a hang instead:
+# CI repeats the sharded suites with `--repeat until-fail:5 --timeout 300`,
+# which extra ctest args pass through here too.
 #
 # The threaded suites are selected by test-name regex rather than running
 # everything: the full suite under TSan multiplies runtime ~10x for files

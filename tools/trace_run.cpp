@@ -12,7 +12,8 @@
 // Flags:
 //   --netlist FILE    netlist to simulate (docs/netlist_format.md); required
 //   --runs N          Monte-Carlo batch size (default 4; batch mode only)
-//   --threads N       worker threads (default 0 = hardware concurrency)
+//   --threads N       worker threads (default 0 = hardware concurrency;
+//                     sharded mode runs at most one per block)
 //   --shards K        K > 0 switches to the sharded single-circuit engine:
 //                     one simulation of the netlist partitioned into at
 //                     least K blocks (a large netlist runs more, cache-
@@ -103,8 +104,9 @@ int main(int argc, char** argv) {
                       sharded.load_imbalance());
         }
       }
-      std::printf("mode            : sharded (%zu blocks, %zu windows)\n",
-                  circuit->n_shards(), sharded.n_windows);
+      std::printf("mode            : sharded (%zu blocks, %zu windows, "
+                  "%zu threads)\n",
+                  circuit->n_shards(), sharded.n_windows, sharded.n_threads);
       std::printf("engine events   : %ld\n", sharded.n_events);
       std::printf("load imbalance  : %.3f (1.0 = balanced)\n",
                   sharded.load_imbalance());
