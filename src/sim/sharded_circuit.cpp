@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -16,22 +17,23 @@ namespace charlie::sim {
 
 namespace {
 
-// The dataflow schedule of one run: B block builds, then the B x W
-// (block, window) tasks, handed to the workers that call work(). The
-// builds come first and in any order; task (0, 0) is ready once every
-// session is built, and task (k, w) once (k - 1, w) and (k, w - 1) have
-// finished. Ready tasks go out in wavefront order, (k + w, then k). A
-// gated schedule starts the tasks of step s = k + w only once step s - 1
-// has finished and the gate has agreed. Idle workers wait on a condition
-// variable, woken one per task that becomes runnable; the schedule stops
-// handing out work when a task reports a stop or a worker throws.
+// The dataflow schedule of one run: the B x W (block, window) tasks,
+// handed to the workers that call work(). Task (k, w) is ready once
+// (k - 1, w) and (k, w - 1) have finished, and ready tasks go out in
+// wavefront order (k + w, then k). A gated schedule starts the tasks of
+// step s = k + w only once step s - 1 has finished and the gate has
+// agreed. A task that reports a stop at step s leaves the tasks of steps
+// up to s to run and releases none after it. Idle workers wait on a
+// condition variable, woken one per task that becomes runnable; the
+// schedule ends once no task runs and none may start, or when a worker
+// throws.
 class Wavefront {
  public:
   Wavefront(std::size_t n_blocks, std::size_t n_windows, bool gated)
-      : n_blocks_(n_blocks), n_windows_(n_windows),
-        finished_(n_blocks, 0), n_left_(n_blocks * n_windows),
-        open_(gated ? 0 : std::numeric_limits<std::size_t>::max()) {
+      : n_blocks_(n_blocks), n_windows_(n_windows), finished_(n_blocks, 0),
+        open_(gated ? 0 : kAll) {
     ready_.reserve(n_blocks);
+    ready_.push_back({0, 0});
     if (gated) {
       // Step s holds the tasks of blocks max(0, s - W + 1) .. min(B - 1, s).
       step_left_.resize(n_blocks + n_windows - 1);
@@ -42,14 +44,13 @@ class Wavefront {
     }
   }
 
-  // One worker's share: build(k) builds block k's session; run(k, w) runs
-  // task (k, w) and returns false to stop the schedule; gate(), called in
-  // a gated schedule once a step has finished and before the next starts,
-  // returns false to stop instead. Returns once every task has finished
-  // or the schedule has stopped and holds nothing else for it. A throw
-  // stops the schedule and propagates.
-  template <class Build, class Run, class Gate>
-  void work(const Build& build, const Run& run, const Gate& gate) {
+  // One worker's share: run(k, w) runs task (k, w) and returns false to
+  // stop the schedule after its step; gate(), called in a gated schedule
+  // once a step has finished and before the next starts, returns false to
+  // stop instead. Returns once the schedule holds nothing else for it. A
+  // throw stops the schedule and propagates.
+  template <class Run, class Gate>
+  void work(const Run& run, const Gate& gate) {
     std::unique_lock<std::mutex> lock(mutex_);
     try {
       while (true) {
@@ -57,18 +58,10 @@ class Wavefront {
         wake_.wait(lock, [&] { return over() || has_work(); });
         --n_waiting_;
         if (over()) break;
-        if (n_builds_started_ < n_blocks_) {
-          const std::size_t k = n_builds_started_++;
-          lock.unlock();
-          build(k);
-          lock.lock();
-          // The last build's worker takes task (0, 0) itself.
-          if (++n_builds_done_ == n_blocks_) queue({0, 0});
-          continue;
-        }
         std::pop_heap(ready_.begin(), ready_.end(), later);
         const Task task = ready_.back();
         ready_.pop_back();
+        ++n_running_;
         lock.unlock();
         const bool go_on = run(task.block, task.step - task.block);
         lock.lock();
@@ -84,6 +77,7 @@ class Wavefront {
   }
 
  private:
+  static constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
   struct Task {
     std::size_t step = 0;
     std::size_t block = 0;
@@ -93,29 +87,31 @@ class Wavefront {
     return a.step != b.step ? a.step > b.step : a.block > b.block;
   }
 
-  bool over() const { return stop_ || n_left_ == 0; }
-  bool has_work() const {
-    return n_builds_started_ < n_blocks_ ||
-           (!ready_.empty() && ready_.front().step <= open_);
+  bool may_start(const Task& task) const {
+    return task.step <= open_ && task.step <= last_;
   }
+  bool has_work() const { return !ready_.empty() && may_start(ready_.front()); }
+  // Releases happen only as tasks finish: with none running and none
+  // startable, none ever will be.
+  bool over() const { return stop_ || (n_running_ == 0 && !has_work()); }
 
   // Queues a task whose predecessors have finished; true if it may start.
   bool queue(const Task& task) {
     ready_.push_back(task);
     std::push_heap(ready_.begin(), ready_.end(), later);
-    return task.step <= open_;
+    return may_start(task);
   }
 
   template <class Gate>
   void finish(const Task& task, bool go_on, const Gate& gate) {
-    --n_left_;
+    --n_running_;
     const std::size_t k = task.block;
     const std::size_t w = task.step - k;
     finished_[k] = w + 1;
-    if (!go_on) {
-      stop_ = true;
-      return;
-    }
+    // The steps up to a stop still run whole: which tasks run, and so
+    // which sessions have stopped by then, does not depend on thread
+    // timing.
+    if (!go_on) last_ = std::min(last_, task.step);
     std::size_t runnable = 0;
     if (w + 1 < n_windows_ && (k == 0 || finished_[k - 1] > w + 1)) {
       runnable += queue({task.step + 1, k}) ? 1 : 0;
@@ -124,7 +120,7 @@ class Wavefront {
       runnable += queue({task.step + 1, k + 1}) ? 1 : 0;
     }
     if (!step_left_.empty() && --step_left_[task.step] == 0 &&
-        task.step + 1 < step_left_.size()) {
+        task.step < last_ && task.step + 1 < step_left_.size()) {
       // Every task of this step and the ones before has finished, none of
       // the next has started, and all of the next are queued. The gate
       // reads the blocks' sessions, so it runs under the lock: no task
@@ -149,12 +145,11 @@ class Wavefront {
   std::vector<std::size_t> finished_;   // windows each block has finished
   std::vector<std::size_t> step_left_;  // gated: unfinished tasks per step
   std::vector<Task> ready_;             // a heap, by later()
-  std::size_t n_left_;                  // unfinished tasks
-  std::size_t open_;                    // last step whose tasks may start
-  std::size_t n_builds_started_ = 0;
-  std::size_t n_builds_done_ = 0;
+  std::size_t open_;                    // gated: last step the gate opened
+  std::size_t last_ = kAll;             // the lowest step that stopped
+  std::size_t n_running_ = 0;
   std::size_t n_waiting_ = 0;           // workers waiting on wake_
-  bool stop_ = false;
+  bool stop_ = false;                   // gate refused or a worker threw
 };
 
 }  // namespace
@@ -387,6 +382,9 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // the shard.* metrics summarize.
   result.shard_window_events.assign(n_shards,
                                     std::vector<long>(n_windows, 0));
+  // The window in which each block's session stopped; n_windows if it
+  // never did.
+  std::vector<std::size_t> stopped_in(n_shards, n_windows);
 
   // --- dataflow wavefront --------------------------------------------------
   // Task (block k, window w) starts once (k - 1, w) and (k, w - 1) have
@@ -396,16 +394,12 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // appending only to its own nets' traces. With an event ceiling, step s
   // = k + w starts only once step s - 1 has finished under the ceiling:
   // the summed event count after a completed step does not depend on
-  // thread timing. A terminated session stops the schedule; the tasks in
+  // thread timing. A session that stops at step s lets the rest of the
+  // steps up to s run and stops the release after them; the tasks in
   // flight finish.
   Wavefront wavefront(n_shards, n_windows, config.budget.max_events > 0);
   RunStatus stopped = RunStatus::kOk;  // by the pool or the event ceiling
   std::string pool_error;
-  auto build = [&](std::size_t k) {
-    sessions[k] = std::make_unique<SimSession>(
-        *circuit_, cut_[k], cut_[k + 1], t_begin, result.traces, scratch_[k],
-        task_guards[k], &locks);
-  };
   auto run = [&](std::size_t k, std::size_t w) {
     SimSession& session = *sessions[k];
     obs::ScopedSpan obs_span("shard.task", "shard", static_cast<long long>(k),
@@ -416,7 +410,9 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     session.advance(window_end(w));
     result.shard_window_events[k][w] =
         session.n_stimulus_events() + session.n_gate_events() - events_before;
-    return session.status() == RunStatus::kOk;
+    if (session.status() == RunStatus::kOk) return true;
+    stopped_in[k] = w;
+    return false;
   };
   auto gate = [&] {
     long n_processed = 0;
@@ -425,10 +421,19 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     return stopped == RunStatus::kOk;
   };
   try {
+    // Sessions over disjoint ranges initialize concurrently: each writes
+    // only its own gates' state and scratch.
+    pool_->parallel_for(n_shards, 1,
+                        [&](std::size_t /*worker*/, std::size_t k) {
+                          sessions[k] = std::make_unique<SimSession>(
+                              *circuit_, cut_[k], cut_[k + 1], t_begin,
+                              result.traces, scratch_[k], task_guards[k],
+                              &locks);
+                        });
     // One item per worker; each runs the schedule until it ends.
     pool_->parallel_for(n_threads, 1,
                         [&](std::size_t /*worker*/, std::size_t /*item*/) {
-                          wavefront.work(build, run, gate);
+                          wavefront.work(run, gate);
                         });
   } catch (const std::exception& e) {
     // A fault outside every session's advance(): the pool itself, a
@@ -437,23 +442,34 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     pool_error = e.what();
   }
 
-  // --- reduction, in block order -------------------------------------------
-  // The sessions fold into the run's totals as in Circuit::simulate: a
-  // failure outranks a trip, and a failed run reports the lowest-numbered
-  // failed block's error, unless the pool itself failed.
-  result.metrics.add("shard.count", static_cast<long long>(n_shards));
-  result.metrics.add("shard.windows", static_cast<long long>(n_windows));
-  long long pulled = 0;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    const SimSession* session = sessions[s].get();
-    if (session != nullptr) {
-      session->add_to(result);
-      pulled += session->n_pulled();
+  // --- reduction -----------------------------------------------------------
+  // The sessions fold into the run's totals as in Circuit::simulate, by
+  // the step at which each stopped (one past its last if it never did),
+  // then by block: a failure outranks a trip, and a failed run reports the
+  // error of the first failed task in wavefront order, unless the pool
+  // itself failed. Every task up to the first stop's step ran, so that
+  // task does not depend on thread timing. The metrics go in block order.
+  std::vector<std::size_t> fold_order(n_shards);
+  std::iota(fold_order.begin(), fold_order.end(), std::size_t{0});
+  std::stable_sort(fold_order.begin(), fold_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return a + stopped_in[a] < b + stopped_in[b];
+                   });
+  for (const std::size_t s : fold_order) {
+    if (sessions[s] != nullptr) {
+      sessions[s]->add_to(result);
     } else {
       // Never built (the run failed first): its nets keep their settled
       // values.
       result.diagnostics.t_horizon = t_begin;
     }
+  }
+  result.metrics.add("shard.count", static_cast<long long>(n_shards));
+  result.metrics.add("shard.windows", static_cast<long long>(n_windows));
+  long long pulled = 0;
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    const SimSession* session = sessions[s].get();
+    if (session != nullptr) pulled += session->n_pulled();
     long shard_total = 0;
     for (const long n : result.shard_window_events[s]) {
       shard_total += n;
@@ -470,6 +486,13 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     result.diagnostics.error = pool_error;
   } else if (result.status == RunStatus::kOk) {
     result.status = stopped;
+  }
+  // The ceiling is checked between steps only: a run that finished every
+  // step past it trips too, as Circuit::simulate's does; one that ends at
+  // exactly the ceiling is kOk there and here.
+  if (result.status == RunStatus::kOk && config.budget.max_events > 0 &&
+      result.n_events > config.budget.max_events) {
+    result.status = RunStatus::kBudgetExhausted;
   }
   result.diagnostics.status = result.status;
   result.metrics.add("shard.boundary_transitions", pulled);

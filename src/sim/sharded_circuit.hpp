@@ -39,11 +39,12 @@
 // quanta, and block k may advance through window w as soon as (a) it has
 // finished window w-1 and (b) every block feeding it has finished window w
 // -- at which point all boundary transitions with t <= the window end are
-// in the run's traces. The schedule is a dataflow wavefront on the worker
-// pool, one parallel_for per run: task (k, w) is released once (k-1, w)
-// and (k, w-1) have finished, which by induction is rule (b), and idle
-// workers take released tasks in wavefront order (k + w, then k), so one
-// thread runs them step by step. B blocks and W windows expose up to
+// in the run's traces. The sessions are built in one parallel_for over
+// the blocks; the schedule is then a dataflow wavefront on the worker
+// pool, a second parallel_for with one item per worker: task (k, w) is
+// released once (k-1, w) and (k, w-1) have finished, which by induction
+// is rule (b), and idle workers take released tasks in wavefront order
+// (k + w, then k), so one thread runs them step by step. B blocks and W windows expose up to
 // min(B, W) concurrent tasks with no speculation and no rollback. The
 // traces are the only exchange: a task first pulls what its upstream
 // blocks appended up to its window's end (SimSession::pull), then
@@ -89,8 +90,9 @@ struct ShardedSimConfig {
   /// run's events (SimSession::n_events) is checked between wavefront
   /// steps: with a ceiling, the tasks of step k + w start only once the
   /// previous step has finished under it, so a trip is deterministic for a
-  /// fixed cut and window config. Deadlines and cancellation are polled
-  /// inside each block task.
+  /// fixed cut and window config. A run whose last step takes it past the
+  /// ceiling trips after it. Deadlines and cancellation are polled inside
+  /// each block task.
   RunBudget budget;
 };
 
@@ -118,9 +120,11 @@ class ShardedCircuit {
   /// diagnostics, the same fold of the block sessions -- plus the sharded
   /// run's schedule and metrics. A run terminated early (budget, deadline,
   /// cancellation, a failure captured by a block's session or a fault in
-  /// the pool) releases no further task once it trips; the tasks in flight
-  /// finish. Its traces are best-effort up to diagnostics.t_horizon, and
-  /// the pool stays usable.
+  /// the pool) runs the rest of the wavefront step at which it stopped and
+  /// releases no task after it; the tasks in flight finish. It reports the
+  /// first failure in wavefront order (step, then block), else the first
+  /// trip. Its traces are best-effort up to diagnostics.t_horizon, and the
+  /// pool stays usable.
   /// Nets are also addressed by name, through a pointer to this
   /// ShardedCircuit -- the circuit must outlive the result.
   struct Result : Circuit::SimResult {

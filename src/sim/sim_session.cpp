@@ -6,7 +6,6 @@
 #include <mutex>
 #include <span>
 #include <type_traits>
-#include <utility>
 
 #include "obs/trace_recorder.hpp"
 #include "util/error.hpp"
@@ -188,8 +187,7 @@ void SimSession::collect_upstream_blocks() {
   // The external nets are in producer order: the primary inputs, whose
   // traces are complete already, then the upstream gates' nets. Blocks are
   // contiguous producer ranges, so one walk along the cut groups the
-  // latter by the block driving them. Each block's append count is read
-  // before its nets' traces are: a later append moves it.
+  // latter by the block driving them.
   s.upstream.clear();
   if (locks_ == nullptr) return;
   const std::vector<std::size_t>& cut = locks_->cut_;
@@ -200,10 +198,9 @@ void SimSession::collect_upstream_blocks() {
     const std::size_t gate = p - c.n_inputs();
     if (s.upstream.empty() || gate >= cut[b + 1]) {
       while (gate >= cut[b + 1]) ++b;
-      s.upstream.push_back(
-          {static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(k),
-           static_cast<std::uint32_t>(b),
-           locks_->blocks_[b].appended.load(std::memory_order_relaxed)});
+      s.upstream.push_back({static_cast<std::uint32_t>(k),
+                            static_cast<std::uint32_t>(k),
+                            static_cast<std::uint32_t>(b)});
     }
     ++s.upstream.back().end;
   }
@@ -252,17 +249,12 @@ void SimSession::flush_log() {
     ~Clear() { log.clear(); }
   } clear{s_->log};
   if (s_->log.empty()) return;
-  // Downstream sessions read these traces under the block's lock in shared
-  // mode. The count is read outside the lock only to pass over a block
-  // that appended nothing; whatever a reader needs was appended before the
-  // task it waits on finished, and the scheduler orders the rest.
+  // Downstream sessions read these traces, and the block's append count,
+  // under the block's lock in shared mode.
   std::unique_lock<std::shared_mutex> lock;
   if (own_block_ != nullptr) {
     lock = std::unique_lock<std::shared_mutex>(own_block_->mutex);
-    own_block_->appended.store(
-        own_block_->appended.load(std::memory_order_relaxed) +
-            s_->log.size(),
-        std::memory_order_relaxed);
+    own_block_->appended += s_->log.size();
   }
   std::vector<waveform::DigitalTrace>& traces = *traces_;
   for (const LoggedTransition& entry : s_->log) {
@@ -283,24 +275,16 @@ void SimSession::pull(double t_horizon) {
                      "sim session: pull before the last pull was processed");
   s.pulled.clear();
   pulled_index_ = 0;
-  // Each net's new transitions up to t_horizon are copied out, a sorted
-  // run per net, while the block's lock is held (its session may be
-  // appending), then merged. The copies belong to the thread: a sharded
-  // run has a session per block but only a few workers, and a thread
-  // pulls for one session at a time.
-  using Run = std::pair<std::size_t, std::size_t>;  // [first, second)
-  thread_local std::vector<StreamEvent> staged;
-  thread_local std::vector<Run> runs;
-  staged.clear();
-  runs.clear();
+  // Each net's new transitions up to t_horizon are copied out while its
+  // block's lock is held (that block's session may be appending), then
+  // sorted into (t, external index) order. A block that has appended
+  // nothing since a pull left none of its nets' transitions unqueued is
+  // passed over without reading its nets' traces.
   for (UpstreamBlock& group : s.upstream) {
     BlockLocks::Block& block = locks_->blocks_[group.block];
-    if (group.drained &&
-        block.appended.load(std::memory_order_relaxed) == group.appended) {
-      continue;
-    }
     const std::shared_lock<std::shared_mutex> lock(block.mutex);
-    group.appended = block.appended.load(std::memory_order_relaxed);
+    if (group.drained && block.appended == group.appended) continue;
+    group.appended = block.appended;
     group.drained = true;
     for (std::uint32_t k = group.begin; k < group.end; ++k) {
       ExternalNet& ext = s.external[k];
@@ -312,33 +296,22 @@ void SimSession::pull(double t_horizon) {
       CHARLIE_ASSERT_MSG(times[ext.queued] > horizon_,
                          "sim session: pulled transition at or before the "
                          "horizon");
-      const std::size_t first = staged.size();
       bool value = trace.is_rising(ext.queued);
       for (; ext.queued < times.size() && times[ext.queued] <= t_horizon;
            ++ext.queued) {
-        staged.push_back({times[ext.queued], k, value});
+        s.pulled.push_back({times[ext.queued], k, value});
         value = !value;
       }
-      if (staged.size() > first) runs.emplace_back(first, staged.size());
       group.drained = group.drained && ext.queued == times.size();
     }
   }
-  n_pulled_ += static_cast<long>(staged.size());
-  // A k-way merge of the runs, in (t, external index) order.
-  auto later = [](const Run& a, const Run& b) {
-    return waveform::precedes(staged[b.first], staged[a.first]);
-  };
-  std::make_heap(runs.begin(), runs.end(), later);
-  while (!runs.empty()) {
-    std::pop_heap(runs.begin(), runs.end(), later);
-    Run& head = runs.back();
-    s.pulled.push_back(staged[head.first]);
-    if (++head.first == head.second) {
-      runs.pop_back();
-    } else {
-      std::push_heap(runs.begin(), runs.end(), later);
-    }
-  }
+  n_pulled_ += static_cast<long>(s.pulled.size());
+  // Each net's run is in time order and no two transitions compare equal,
+  // so the sort gives the one stream order.
+  std::sort(s.pulled.begin(), s.pulled.end(),
+            [](const StreamEvent& a, const StreamEvent& b) {
+              return waveform::precedes(a, b);
+            });
 }
 
 void SimSession::advance(double t_horizon) {

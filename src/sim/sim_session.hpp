@@ -31,9 +31,9 @@
 // the traces of the nets its gates drive. The run's traces are thus the
 // only exchange between blocks. A session built with the run's BlockLocks
 // appends under its own block's lock and counts its appends there; pull()
-// reads each upstream block's nets under that block's lock in shared mode,
-// and passes over a block whose count has not moved since the session
-// last queued everything it held.
+// reads each upstream block's count and nets under that block's lock in
+// shared mode, and passes over a block whose count has not moved since the
+// session last queued everything its nets held.
 //
 // Events and budgets. A run's events are its primary-input transitions and
 // its gate firings. The session over the first gates counts every
@@ -83,7 +83,6 @@
 // sessions passes to each in turn, so they are allocated once.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -120,8 +119,8 @@ class SimSession {
     std::size_t queued = 0;
   };
   // The external nets [begin, end) that one upstream block drives, and
-  // that block's append count when pull() last looked; `drained` when
-  // that pull left nothing of theirs unqueued.
+  // that block's append count when pull() last read their traces;
+  // `drained` when that pull left none of their transitions unqueued.
   struct UpstreamBlock {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
@@ -163,9 +162,8 @@ class SimSession {
     friend class SimSession;
     struct alignas(64) Block {
       std::shared_mutex mutex;
-      // Transitions appended to the block's nets; written under the
-      // exclusive lock.
-      std::atomic<std::uint64_t> appended{0};
+      // Transitions the block's session has appended; guarded by `mutex`.
+      std::uint64_t appended = 0;
     };
     std::vector<std::size_t> cut_;
     std::unique_ptr<Block[]> blocks_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -286,6 +287,23 @@ TEST(ShardedCircuit, EventBudgetTripIsThreadCountInvariant) {
           << n_threads << " threads";
     }
   }
+
+  // A ceiling inside the last step: with one window, the last step is the
+  // last block's whole run. Every task runs, and the run trips once it is
+  // over, as Circuit::simulate's does.
+  config.window = t_end;
+  config.budget.max_events = full_events - 1;
+  for (const std::size_t n_threads : {1u, 2u, 4u}) {
+    config.n_threads = n_threads;
+    const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+    ASSERT_EQ(result.n_windows, 1u);
+    EXPECT_GT(result.shard_window_events.back().front(), 1);
+    EXPECT_EQ(result.status, sim::RunStatus::kBudgetExhausted)
+        << n_threads << " threads";
+    EXPECT_EQ(result.diagnostics.status, sim::RunStatus::kBudgetExhausted)
+        << n_threads << " threads";
+    EXPECT_EQ(result.n_events, full_events) << n_threads << " threads";
+  }
 }
 
 TEST(ShardedCircuit, PresetCancellationStopsTheWavefront) {
@@ -394,10 +412,66 @@ TEST(ShardedCircuit, SessionFailingMidRunStopsTheWavefront) {
   EXPECT_GE(util::FaultInjector::fires("hybrid_channel.state"), 1);
 }
 
+TEST(ShardedCircuit, FailedStepRunsWholeAtAnyThreadCount) {
+  // Two inverter chains: a short one from input a into the one hybrid
+  // gate, and a long one from input c, which starts toggling first. Gates
+  // are in topological order, so block 1 holds the hybrid gate and block 2
+  // the deep end of c's chain. Every hybrid mode switch fails, so block 1
+  // fails at a's first edge, while c's edges keep block 2 busy in the same
+  // wavefront step. Under an event ceiling no task runs ahead of its step,
+  // and a failure at step s still lets the rest of step s run, so how far
+  // each block gets, and with it the whole partial result, does not depend
+  // on the thread count.
+  std::string text = "input(a, b, c)\n";
+  auto chain = [&](const std::string& name, const std::string& from, int n) {
+    std::string in = from;
+    for (int i = 1; i <= n; ++i) {
+      const std::string out = name + std::to_string(i);
+      text += "INV(" + out + ", " + in + ")\n";
+      in = out;
+    }
+  };
+  chain("x", "a", 4);
+  text += "NOR2(y, x4, b)\n";
+  chain("z", "c", 30);
+  const cell::NetlistDesc desc = cell::parse_netlist(text);
+  auto sharded = builder().build_sharded(desc, 3);
+  ASSERT_EQ(sharded->n_shards(), 3u);
+  std::vector<double> c_edges;
+  for (int i = 0; i < 40; ++i) c_edges.push_back((0.1 + 0.2 * i) * 1e-9);
+  const std::vector<waveform::DigitalTrace> stimuli{
+      {false, {4.0e-9, 4.6e-9}}, {false, {}}, {false, c_edges}};
+  const double t_end = t_end_for(stimuli);
+
+  util::FaultInjector::Scope scope;
+  util::FaultInjector::arm(
+      "hybrid_channel.state", {util::FaultInjector::Action::kNanValue, 0, -1});
+  sim::ShardedSimConfig config;
+  config.window = t_end / 256;
+  config.budget.max_events = std::numeric_limits<long>::max();
+  config.n_threads = 1;
+  const auto first = sharded->simulate(stimuli, 0.0, t_end, config);
+  EXPECT_EQ(first.status, sim::RunStatus::kFailed);
+  EXPECT_NE(first.diagnostics.error.find("non-finite"), std::string::npos)
+      << first.diagnostics.error;
+  for (const std::size_t n_threads : {2u, 3u}) {
+    const std::string label = "threads=" + std::to_string(n_threads);
+    config.n_threads = n_threads;
+    const auto faulted = sharded->simulate(stimuli, 0.0, t_end, config);
+    EXPECT_EQ(faulted.status, sim::RunStatus::kFailed) << label;
+    EXPECT_EQ(faulted.diagnostics.error, first.diagnostics.error) << label;
+    EXPECT_EQ(faulted.n_events, first.n_events) << label;
+    EXPECT_EQ(faulted.diagnostics.t_horizon, first.diagnostics.t_horizon)
+        << label;
+    EXPECT_EQ(faulted.shard_window_events, first.shard_window_events)
+        << label;
+    EXPECT_EQ(faulted.metrics.to_json(), first.metrics.to_json()) << label;
+  }
+}
+
 TEST(ShardedCircuit, PoolFaultFailsTheRunWithoutHanging) {
-  // The first work item each pool thread claims throws before it starts
-  // its share of the schedule: on one thread no block ever runs; on more,
-  // the workers that do start run every task. Either way the run reports
+  // The first work item each pool thread claims, a block session's
+  // construction, throws: the schedule never starts, the run reports
   // kFailed with the pool's error and returns, and the instance stays
   // usable.
   util::FaultInjector::Scope scope;
@@ -422,10 +496,8 @@ TEST(ShardedCircuit, PoolFaultFailsTheRunWithoutHanging) {
     EXPECT_NE(faulted.diagnostics.error.find("thread_pool.item"),
               std::string::npos)
         << label << ": " << faulted.diagnostics.error;
-    if (n_threads == 1) {
-      EXPECT_EQ(faulted.n_events, 0) << label;
-      EXPECT_EQ(faulted.diagnostics.t_horizon, 0.0) << label;
-    }
+    EXPECT_EQ(faulted.n_events, 0) << label;
+    EXPECT_EQ(faulted.diagnostics.t_horizon, 0.0) << label;
     util::FaultInjector::disarm("thread_pool.item");
     const auto clean = sharded->simulate(stimuli, 0.0, t_end, config);
     expect_bit_identical(mono, *mono_circuit, clean, c432(),
