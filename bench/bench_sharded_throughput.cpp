@@ -76,8 +76,6 @@ void BM_ShardedCircuitThroughput(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["gates"] =
       benchmark::Counter(static_cast<double>(sharded->n_gates()));
-  state.counters["boundary_edges"] =
-      benchmark::Counter(static_cast<double>(sharded->n_boundary_edges()));
 }
 BENCHMARK(BM_ShardedCircuitThroughput)
     ->ArgNames({"shards", "threads"})

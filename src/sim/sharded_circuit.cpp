@@ -176,23 +176,6 @@ void ShardedCircuit::set_cut(std::vector<std::size_t> cut) {
     CHARLIE_ASSERT(cut[s] < cut[s + 1] || n_gates == 0);
   }
   cut_ = std::move(cut);
-  const std::size_t n_shards = cut_.size() - 1;
-
-  // Boundary edges: per consumer shard, the distinct nets its gates read
-  // from earlier shards.
-  n_boundary_edges_ = 0;
-  std::vector<std::size_t> seen_by(circuit_->n_nets(), n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    for (std::size_t g = cut_[s]; g < cut_[s + 1]; ++g) {
-      for (const Circuit::NetId net : circuit_->gate_inputs(g)) {
-        const int d = driver(net);
-        if (d < 0 || static_cast<std::size_t>(d) >= cut_[s]) continue;
-        if (seen_by[static_cast<std::size_t>(net)] == s) continue;
-        seen_by[static_cast<std::size_t>(net)] = s;
-        ++n_boundary_edges_;
-      }
-    }
-  }
 }
 
 std::vector<std::size_t> ShardedCircuit::balanced_cut(
@@ -363,8 +346,8 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // --- sessions, one per block ---------------------------------------------
   // Every session starts its range from the run's prepared traces and
   // appends its nets' transitions to them, under its block's lock. The
-  // nets a block reads from upstream hold only their settled values yet;
-  // their transitions arrive through pull().
+  // transitions of the nets a block reads, primary inputs included, arrive
+  // through pull().
   scratch_.resize(n_shards);
   std::vector<std::unique_ptr<SimSession>> sessions(n_shards);
   SimSession::BlockLocks locks(cut_);
@@ -428,7 +411,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                           sessions[k] = std::make_unique<SimSession>(
                               *circuit_, cut_[k], cut_[k + 1], t_begin,
                               result.traces, scratch_[k], task_guards[k],
-                              &locks);
+                              locks);
                         });
     // One item per worker; each runs the schedule until it ends.
     pool_->parallel_for(n_threads, 1,

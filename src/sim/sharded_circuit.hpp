@@ -110,8 +110,6 @@ class ShardedCircuit {
   std::size_t n_shards() const { return cut_.size() - 1; }
   std::size_t n_gates() const { return circuit_->n_gates(); }
   std::size_t n_inputs() const { return circuit_->n_inputs(); }
-  /// Cross-block (net, consumer block) pairs of the current cut.
-  std::size_t n_boundary_edges() const { return n_boundary_edges_; }
   /// The cut the next simulate() runs with: block s owns gates
   /// [cut()[s], cut()[s + 1]).
   const std::vector<std::size_t>& cut() const { return cut_; }
@@ -181,7 +179,6 @@ class ShardedCircuit {
 
   std::unique_ptr<Circuit> circuit_;
   std::vector<std::size_t> cut_;
-  std::size_t n_boundary_edges_ = 0;
   // Kept across runs: each block's session buffers.
   std::vector<SimSession::Scratch> scratch_;
   std::unique_ptr<util::ThreadPool> pool_;  // lazily (re)built in simulate

@@ -13,30 +13,29 @@
 namespace charlie::sim {
 
 SimSession::BlockLocks::BlockLocks(std::span<const std::size_t> cut)
-    : cut_(cut.begin(), cut.end()),
-      blocks_(std::make_unique<Block[]>(cut.size() - 1)) {
+    : cut_(cut.begin(), cut.end()) {
   CHARLIE_ASSERT(cut.size() >= 2);
+  blocks_ = std::make_unique<Block[]>(cut.size() - 1);
 }
 
 SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
                        std::size_t gate_end, double t_begin,
                        std::vector<waveform::DigitalTrace>& traces,
-                       Scratch& scratch, RunGuard& guard, BlockLocks* locks)
+                       Scratch& scratch, RunGuard& guard, BlockLocks& locks)
     : circuit_(&circuit), gate_begin_(gate_begin), gate_end_(gate_end),
-      horizon_(t_begin), guard_(&guard), guard_active_(guard.enabled()),
-      t_processed_(t_begin), traces_(&traces), s_(&scratch), locks_(locks) {
+      horizon_(t_begin), pulled_to_(t_begin), guard_(&guard),
+      guard_active_(guard.enabled()), t_processed_(t_begin),
+      traces_(&traces), s_(&scratch), locks_(&locks) {
   CHARLIE_ASSERT_MSG(gate_begin <= gate_end && gate_end <= circuit.n_gates(),
                      "sim session: gate range out of bounds");
   CHARLIE_ASSERT(traces.size() == circuit.n_nets());
-  if (locks != nullptr) {
-    const std::vector<std::size_t>& cut = locks->cut_;
-    const auto first = std::lower_bound(cut.begin(), cut.end() - 1,
-                                        gate_begin);
-    CHARLIE_ASSERT_MSG(*first == gate_begin && first[1] == gate_end,
-                       "sim session: range is not a block of its locks");
-    own_block_ = &locks->blocks_[static_cast<std::size_t>(first -
-                                                          cut.begin())];
-  }
+  // The block starting at gate_begin, if any: a bound before the last.
+  const std::vector<std::size_t>& cut = locks.cut_;
+  const auto first = std::lower_bound(cut.begin(), cut.end() - 1, gate_begin);
+  CHARLIE_ASSERT_MSG(first != cut.end() - 1 && *first == gate_begin &&
+                         first[1] == gate_end,
+                     "sim session: range is not a block of its locks");
+  own_block_ = &locks.blocks_[static_cast<std::size_t>(first - cut.begin())];
   circuit.finish_fanout();
   // Guard sites bump the executing thread's counters: each call adds its
   // own increments, on whichever thread runs it.
@@ -77,23 +76,11 @@ SimSession::SimSession(Circuit& circuit, std::size_t gate_begin,
       }
     });
   }
-
-  // --- stimulus stream -----------------------------------------------------
-  // Every transition the external nets' traces hold is known up front: one
-  // vector in (t, external index) order, walked by an index, beats pushing
-  // them through the gate heap. The external nets are in producer order, so
-  // equal times come in producer order, and each trace is already in time
-  // order, so merging the traces builds the stream. Transitions beyond the
-  // final horizon simply never get processed.
-  std::vector<const waveform::DigitalTrace*> streamed(s.external.size());
+  // The external nets' transitions arrive through pull().
   for (std::size_t k = 0; k < s.external.size(); ++k) {
-    ExternalNet& ext = s.external[k];
-    s.net_value[n_own + k] = settled(ext.net) ? 1 : 0;
-    streamed[k] = &traces[static_cast<std::size_t>(ext.net)];
-    ext.queued = streamed[k]->n_transitions();
+    s.net_value[n_own + k] = settled(s.external[k].net) ? 1 : 0;
   }
-  waveform::merge_transitions(streamed, s.stream);
-  s.pulled.clear();
+  s.stream.clear();
   s.log.clear();
   s.log.reserve(kTransitionLogCapacity);
   s.heap.reset(n_own);
@@ -111,9 +98,11 @@ void SimSession::run_blocks(Circuit& circuit,
   circuit.prepare_run(stimuli, t_begin, t_end, result);
   circuit.finish_fanout();
   const std::vector<std::size_t>& cut = circuit.blocks_;
+  BlockLocks locks(cut);
   for (std::size_t b = 0; b + 1 < cut.size(); ++b) {
     SimSession session(circuit, cut[b], cut[b + 1], t_begin, result.traces,
-                       scratch, guard);
+                       scratch, guard, locks);
+    session.pull(t_end);
     session.advance(t_end);
     session.add_to(result);
     if (session.status() != RunStatus::kOk) {
@@ -189,7 +178,6 @@ void SimSession::collect_upstream_blocks() {
   // contiguous producer ranges, so one walk along the cut groups the
   // latter by the block driving them.
   s.upstream.clear();
-  if (locks_ == nullptr) return;
   const std::vector<std::size_t>& cut = locks_->cut_;
   std::size_t b = 0;
   for (std::size_t k = 0; k < s.external.size(); ++k) {
@@ -251,11 +239,8 @@ void SimSession::flush_log() {
   if (s_->log.empty()) return;
   // Downstream sessions read these traces, and the block's append count,
   // under the block's lock in shared mode.
-  std::unique_lock<std::shared_mutex> lock;
-  if (own_block_ != nullptr) {
-    lock = std::unique_lock<std::shared_mutex>(own_block_->mutex);
-    own_block_->appended += s_->log.size();
-  }
+  const std::unique_lock<std::shared_mutex> lock(own_block_->mutex);
+  own_block_->appended += s_->log.size();
   std::vector<waveform::DigitalTrace>& traces = *traces_;
   for (const LoggedTransition& entry : s_->log) {
     traces[static_cast<std::size_t>(entry.net)].append_transition(entry.t);
@@ -271,47 +256,67 @@ void SimSession::fail(const std::exception& e) {
 void SimSession::pull(double t_horizon) {
   if (status_ != RunStatus::kOk) return;
   Scratch& s = *s_;
-  CHARLIE_ASSERT_MSG(pulled_index_ == s.pulled.size(),
+  CHARLIE_ASSERT_MSG(stream_index_ == s.stream.size(),
                      "sim session: pull before the last pull was processed");
-  s.pulled.clear();
-  pulled_index_ = 0;
-  // Each net's new transitions up to t_horizon are copied out while its
-  // block's lock is held (that block's session may be appending), then
-  // sorted into (t, external index) order. A block that has appended
-  // nothing since a pull left none of its nets' transitions unqueued is
-  // passed over without reading its nets' traces.
+  s.stream.clear();
+  s.runs.assign(1, 0);
+  stream_index_ = 0;
+  pulled_to_ = std::max(pulled_to_, t_horizon);
+  // Appends each of external nets [begin, end)'s new transitions up to
+  // t_horizon to the stream as one run; true if it leaves none of them
+  // unqueued. The nets are in producer order, so the runs are too. What
+  // the loop reads per net is held in the closure and in locals: through
+  // the members, every append to the stream would make the compiler load
+  // it again.
+  const auto queue = [&s, traces = traces_->data(), horizon = horizon_,
+                      t_horizon](std::uint32_t begin, std::uint32_t end) {
+    bool drained = true;
+    ExternalNet* const external = s.external.data();
+    for (std::uint32_t k = begin; k < end; ++k) {
+      ExternalNet& ext = external[k];
+      const waveform::DigitalTrace& trace =
+          traces[static_cast<std::size_t>(ext.net)];
+      const double* const times = trace.transitions().data();
+      const std::size_t n = trace.n_transitions();
+      std::size_t q = ext.queued;
+      if (q == n) continue;
+      // A trace's times strictly increase: its first new one is its earliest.
+      CHARLIE_ASSERT_MSG(times[q] > horizon,
+                         "sim session: pulled transition at or before the "
+                         "horizon");
+      if (times[q] > t_horizon) {
+        drained = false;
+        continue;
+      }
+      bool value = trace.is_rising(q);
+      do {
+        s.stream.push_back({times[q], k, value});
+        value = !value;
+      } while (++q < n && times[q] <= t_horizon);
+      ext.queued = q;
+      s.runs.push_back(s.stream.size());
+      drained = drained && q == n;
+    }
+    return drained;
+  };
+  // The primary inputs come first in producer order. Their traces do not
+  // change during a run.
+  queue(0, s.upstream.empty() ? static_cast<std::uint32_t>(s.external.size())
+                              : s.upstream.front().begin);
+  const std::size_t from_inputs = s.stream.size();
+  // Each upstream net's new transitions are copied out while its block's
+  // lock is held (that block's session may be appending). A block that has
+  // appended nothing since a pull left none of its nets' transitions
+  // unqueued is passed over without reading its nets' traces.
   for (UpstreamBlock& group : s.upstream) {
     BlockLocks::Block& block = locks_->blocks_[group.block];
     const std::shared_lock<std::shared_mutex> lock(block.mutex);
     if (group.drained && block.appended == group.appended) continue;
     group.appended = block.appended;
-    group.drained = true;
-    for (std::uint32_t k = group.begin; k < group.end; ++k) {
-      ExternalNet& ext = s.external[k];
-      const waveform::DigitalTrace& trace =
-          (*traces_)[static_cast<std::size_t>(ext.net)];
-      const std::vector<double>& times = trace.transitions();
-      if (ext.queued == times.size()) continue;
-      // A trace's times strictly increase: its first new one is its earliest.
-      CHARLIE_ASSERT_MSG(times[ext.queued] > horizon_,
-                         "sim session: pulled transition at or before the "
-                         "horizon");
-      bool value = trace.is_rising(ext.queued);
-      for (; ext.queued < times.size() && times[ext.queued] <= t_horizon;
-           ++ext.queued) {
-        s.pulled.push_back({times[ext.queued], k, value});
-        value = !value;
-      }
-      group.drained = group.drained && ext.queued == times.size();
-    }
+    group.drained = queue(group.begin, group.end);
   }
-  n_pulled_ += static_cast<long>(s.pulled.size());
-  // Each net's run is in time order and no two transitions compare equal,
-  // so the sort gives the one stream order.
-  std::sort(s.pulled.begin(), s.pulled.end(),
-            [](const StreamEvent& a, const StreamEvent& b) {
-              return waveform::precedes(a, b);
-            });
+  n_pulled_ += static_cast<long>(s.stream.size() - from_inputs);
+  waveform::merge_transitions(s.stream, s.runs, s.spare);
 }
 
 void SimSession::advance(double t_horizon) {
@@ -320,6 +325,8 @@ void SimSession::advance(double t_horizon) {
   // not resurrect a tripped or failed run.
   if (status_ != RunStatus::kOk) return;
   CHARLIE_ASSERT(t_horizon >= horizon_);
+  CHARLIE_ASSERT_MSG(t_horizon <= pulled_to_,
+                     "sim session: advance past the pulled horizon");
   horizon_ = t_horizon;
   const util::RunCounters before = util::RunCounters::local();
   // The no-throw boundary: a failure anywhere in the run (solver
@@ -356,25 +363,16 @@ void SimSession::run_window() {
   };
 
   // --- event loop ----------------------------------------------------------
-  // Equal times go in producer order (see the header): the streamed and
-  // pulled heads by (t, external index), the streams before the range's
-  // own gates, and those by (t, slot).
+  // Equal times go in producer order (see the header): the stream, in (t,
+  // external index) order, before the range's own gates, and those by (t,
+  // slot).
   while (true) {
-    const StreamEvent* next = nullptr;
-    bool pulled = false;
-    if (stream_index_ < s.stream.size()) next = &s.stream[stream_index_];
-    if (pulled_index_ < s.pulled.size()) {
-      const StreamEvent& head = s.pulled[pulled_index_];
-      if (next == nullptr || waveform::precedes(head, *next)) {
-        next = &head;
-        pulled = true;
-      }
-    }
-    const bool stream_due = next != nullptr && next->t <= horizon_;
+    const bool stream_due = stream_index_ < s.stream.size() &&
+                            s.stream[stream_index_].t <= horizon_;
     const bool heap_due = !heap.empty() && heap.top().t <= horizon_;
     if (!stream_due && !heap_due) break;
     const bool from_stream =
-        stream_due && (!heap_due || next->t <= heap.top().t);
+        stream_due && (!heap_due || s.stream[stream_index_].t <= heap.top().t);
     // Budget poll before the next event the run counts (see the header): a
     // trip leaves exactly the run's max_events processed and the remaining
     // events pending, so the partial traces are a deterministic prefix of
@@ -389,12 +387,7 @@ void SimSession::run_window() {
       }
     }
     if (from_stream) {
-      const StreamEvent ev = *next;
-      if (pulled) {
-        ++pulled_index_;
-      } else {
-        ++stream_index_;
-      }
+      const StreamEvent ev = s.stream[stream_index_++];
       ++n_stimulus_events_;
       if (ev.t == t_processed_) ++equal_time_ties_;
       t_processed_ = ev.t;

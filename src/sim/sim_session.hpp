@@ -6,16 +6,17 @@
 // per net, reset to the net's settled value at t_begin, the primary inputs'
 // traces holding their stimulus transitions in the window. Its sessions
 // then simulate contiguous gate ranges (blocks) into those traces and fold
-// their totals into the run's result in block order (add_to). run_blocks()
-// runs a circuit's blocks one after another over the whole window
+// their totals into the run's result in block order (add_to). Every
+// session is one block of its run's BlockLocks. run_blocks() runs a
+// circuit's blocks one after another over the whole window
 // (Circuit::simulate and BatchRunner); the sharded runner
 // (sim/sharded_circuit.hpp) advances one session per block a conservative
-// window quantum at a time, each first pulling what its upstream blocks
-// appended up to the window's end. A session borrows the channel state of
-// the gates in its range, so at most one session may be active per gate at
-// a time; sessions over disjoint ranges of one Circuit may run
-// concurrently, an upstream block appending while a downstream one pulls,
-// when they share the run's BlockLocks.
+// window quantum at a time. Either way a session pulls, then advances: a
+// pull up to t must come before an advance to t. A session borrows the
+// channel state of the gates in its range, so at most one session may be
+// active per gate at a time; sessions over disjoint blocks of one run's
+// BlockLocks may run concurrently, an upstream block appending while a
+// downstream one pulls.
 //
 // Gate ranges: a Circuit's gates are in topological order by construction
 // (every input net exists before the gate that reads it), so a contiguous
@@ -24,21 +25,22 @@
 // its gates read or drive: its own nets, indexed like its gates, and its
 // external nets -- the primary inputs and upstream gates' nets it reads;
 // the session over the first gates (gate_begin 0) takes every primary
-// input, read or not. It streams the transitions its external nets' traces
-// hold when it is built -- the stimuli, and the complete traces of upstream
-// blocks that already ran -- plus those each pull() finds appended since,
-// walks only the in-range part of each fanout list, and appends only to
-// the traces of the nets its gates drive. The run's traces are thus the
-// only exchange between blocks. A session built with the run's BlockLocks
-// appends under its own block's lock and counts its appends there; pull()
-// reads each upstream block's count and nets under that block's lock in
-// shared mode, and passes over a block whose count has not moved since the
-// session last queued everything its nets held.
+// input, read or not. pull() is the one way transitions enter a session:
+// it copies what its external nets' traces hold up to its horizon and it
+// has not yet queued -- stimuli, and what upstream blocks have appended --
+// into the session's stream. The session walks only the in-range part of
+// each fanout list, and appends only to the traces of the nets its gates
+// drive. The run's traces are thus the only exchange between blocks. A
+// session appends under its own block's lock and counts its appends there;
+// pull() reads each upstream block's count and nets under that block's
+// lock in shared mode, and passes over a block whose count has not moved
+// since the session last queued everything its nets held. Primary inputs'
+// traces are complete before the first session exists and take no lock.
 //
 // Events and budgets. A run's events are its primary-input transitions and
 // its gate firings. The session over the first gates counts every
-// primary-input transition it streams; any other session counts only its
-// gate firings, since everything it streams is a primary input the first
+// primary-input transition it pulls; any other session counts only its
+// gate firings, since everything it pulls is a primary input the first
 // session counts or an upstream gate's firing. n_events() is that count,
 // and a run's sessions add up to the run's count, whatever the cut. Before
 // each event it counts, a session polls the run's RunGuard with the run's
@@ -49,22 +51,24 @@
 // Canonical event order. Every net has one producer: primary input i, or
 // the gate driving it. Producers are numbered primary inputs first, in
 // declaration order, then gates in construction order. Events at equal
-// times are processed in producer order: the stimulus stream (primary
-// inputs and upstream transitions, which all precede the range's own
-// gates) merged by (t, producer), then gate firings by (t, gate) from the
-// event heap. In a one-session run this is exactly the order in which
-// equal-time events happen anyway: an event at t can only schedule readers
-// of its net, which come later in construction order. A range session
-// therefore sees its inputs and its own firings in the same order as a
-// session over every gate does, whatever the range, the window or the
-// thread that runs it; that is what makes every cut, block schedule and
-// window schedule bit-identical.
+// times are processed in producer order: the stream (primary inputs and
+// upstream transitions, which all precede the range's own gates) by (t,
+// producer), then gate firings by (t, gate) from the event heap. A pull
+// copies each external net's new transitions as one run, the nets in
+// producer order, and merges the runs pairwise
+// (waveform::merge_transitions). In a one-session run this is exactly the
+// order in which equal-time events happen anyway: an event at t can only
+// schedule readers of its net, which come later in construction order. A
+// range session therefore sees its inputs and its own firings in the same
+// order as a session over every gate does, whatever the range, the window
+// or the thread that runs it; that is what makes every cut, block schedule
+// and window schedule bit-identical.
 //
 // Window convention (same as Circuit::simulate): construction settles the
 // range at t_begin from its nets' settled values, the traces' initial
-// values; each advance(t) call then processes every event in (previous
-// horizon, t]. A gate firing beyond the current horizon stays in the heap
-// and fires in a later window.
+// values, and queues nothing; each advance(t) call then processes every
+// event in (previous horizon, t]. A gate firing beyond the current horizon
+// stays in the heap and fires in a later window.
 //
 // advance() is the engine's no-throw boundary: an exception out of a run
 // ends the session with a sticky kFailed status and its what() text. The
@@ -102,8 +106,8 @@ namespace charlie::sim {
 
 class SimSession {
  private:
-  // One stimulus-stream transition; its source is an index into the
-  // session's external nets, which are sorted by producer.
+  // One stream transition; its source is an index into the session's
+  // external nets, which are sorted by producer.
   using StreamEvent = waveform::IndexedTransition;
   struct LoggedTransition {
     double t = 0.0;
@@ -111,7 +115,7 @@ class SimSession {
   };
   // A net the range reads but does not drive, with its in-range readers:
   // fanout records [fanout_begin, fanout_end) of the circuit's CSR. The
-  // first `queued` transitions of its trace are in the session's streams.
+  // first `queued` transitions of its trace have been pulled.
   struct ExternalNet {
     Circuit::NetId net = -1;
     std::uint32_t fanout_begin = 0;
@@ -130,16 +134,16 @@ class SimSession {
   };
 
  public:
-  /// The buffers a session works in: stimulus stream, pulled
-  /// transitions, transition log, event heap and per-net state. A session
-  /// borrows one and leaves its capacity behind, so a caller that passes
-  /// one Scratch to successive sessions (one at a time) allocates them
-  /// once.
+  /// The buffers a session works in: stream, merge buffers, transition
+  /// log, event heap and per-net state. A session borrows one and leaves
+  /// its capacity behind, so a caller that passes one Scratch to
+  /// successive sessions (one at a time) allocates them once.
   class Scratch {
    private:
     friend class SimSession;
-    std::vector<StreamEvent> stream;    // transitions held at construction
-    std::vector<StreamEvent> pulled;    // the last pull(), in stream order
+    std::vector<StreamEvent> stream;    // the last pull(), by (t, source)
+    std::vector<std::size_t> runs;      // its run bounds before the merge
+    std::vector<StreamEvent> spare;     // the merge's other buffer
     std::vector<LoggedTransition> log;  // recorded, not yet in a trace
     EventHeap heap;
     std::vector<std::uint8_t> net_value;  // own nets, then external nets
@@ -147,10 +151,11 @@ class SimSession {
     std::vector<UpstreamBlock> upstream;  // external upstream nets by block
   };
 
-  /// One reader-writer lock and one append count per block of a cut (block
-  /// b owns gates [cut[b], cut[b + 1])), for the sessions of one run that
-  /// advance concurrently. Sessions built over them append under their own
-  /// block's lock and pull under their upstream blocks' (see the header).
+  /// One reader-writer lock and one append count per block of a run's cut
+  /// (block b owns gates [cut[b], cut[b + 1])). Each session of the run is
+  /// one of these blocks: it appends under its own block's lock and pulls
+  /// under its upstream blocks' (see the header). A cut of fewer than two
+  /// bounds throws.
   class BlockLocks {
    public:
     explicit BlockLocks(std::span<const std::size_t> cut);
@@ -169,34 +174,31 @@ class SimSession {
     std::unique_ptr<Block[]> blocks_;
   };
 
-  /// Settle gates [gate_begin, gate_end) of `circuit` at t_begin and queue
-  /// the transitions its external nets' traces hold; [0, circuit.n_gates())
-  /// is the whole circuit. `traces` holds one trace per net, prepared by
-  /// Circuit::prepare_run and shared by the run's sessions: the session
-  /// appends its own nets' transitions (every net has one driver, so
-  /// concurrent sessions never touch the same trace). advance() polls
-  /// `guard`, the run's, before each event the session counts. With
-  /// `locks`, the range is one of their blocks, and the session appends
-  /// under its block's lock and pulls from the blocks before it; without,
-  /// it pulls nothing, so its upstream blocks must have finished before it
-  /// is built (run_blocks). `traces`, `scratch`, `guard` and `locks` must
-  /// outlive the session. A range out of bounds, or not a block of
-  /// `locks`, throws.
+  /// Settle gates [gate_begin, gate_end) of `circuit` at t_begin; the
+  /// range must be one block of `locks`, and [0, circuit.n_gates()) is the
+  /// whole circuit. Nothing is queued until pull(). `traces` holds one
+  /// trace per net, prepared by Circuit::prepare_run and shared by the
+  /// run's sessions: the session appends its own nets' transitions under
+  /// its block's lock (every net has one driver, so concurrent sessions
+  /// never touch the same trace). advance() polls `guard`, the run's,
+  /// before each event the session counts. `traces`, `scratch`, `guard`
+  /// and `locks` must outlive the session. A range out of bounds, or not a
+  /// block of `locks`, throws.
   SimSession(Circuit& circuit, std::size_t gate_begin, std::size_t gate_end,
              double t_begin, std::vector<waveform::DigitalTrace>& traces,
-             Scratch& scratch, RunGuard& guard, BlockLocks* locks = nullptr);
+             Scratch& scratch, RunGuard& guard, BlockLocks& locks);
 
   /// One run of every gate of `circuit` over (t_begin, t_end], supervised
   /// by `budget`: prepares `result` (Circuit::prepare_run), then runs the
-  /// circuit's blocks (circuit.hpp) one after another over the whole
-  /// window -- each block's session is built after its upstream blocks
-  /// have finished, so it streams their complete traces, pulls nothing
-  /// and takes no lock -- and folds them into `result` in block order. A
-  /// terminated block ends the run; the blocks after it keep their settled
-  /// traces, and diagnostics.t_horizon drops to t_begin. `result`'s traces
-  /// and `scratch` are reset in place, keeping their capacity. Never throws
-  /// for a run failure; misuse (a stimulus count that does not match the
-  /// primary inputs) throws.
+  /// circuit's blocks (circuit.hpp), each one block of the run's
+  /// BlockLocks, one after another over the whole window -- each session
+  /// pulls its inputs up to t_end, its upstream blocks having finished,
+  /// then advances to t_end -- and folds them into `result` in block
+  /// order. A terminated block ends the run; the blocks after it keep
+  /// their settled traces, and diagnostics.t_horizon drops to t_begin.
+  /// `result`'s traces and `scratch` are reset in place, keeping their
+  /// capacity. Never throws for a run failure; misuse (a stimulus count
+  /// that does not match the primary inputs) throws.
   static void run_blocks(Circuit& circuit,
                          const std::vector<waveform::DigitalTrace>& stimuli,
                          double t_begin, double t_end, const RunBudget& budget,
@@ -206,26 +208,25 @@ class SimSession {
   SimSession& operator=(const SimSession&) = delete;
 
   /// Queue, in (t, producer) order, the transitions up to t_horizon that
-  /// the traces of the session's upstream nets have gained since it was
-  /// built or last pulled: what the sessions of the blocks before it in
-  /// its BlockLocks appended meanwhile (sharded wavefront). Primary
-  /// inputs' traces are complete when a session is built, so only
-  /// upstream gates' nets are read. Every transition queued must lie
-  /// beyond the horizon -- the last advance() target, t_begin before the
-  /// first -- and the previous pull's must all have been processed, by an
-  /// advance() to at least its t_horizon (assertions). A terminated
-  /// session, or one built without BlockLocks, pulls nothing.
+  /// the traces of the session's external nets hold and no earlier pull
+  /// queued: the primary inputs' stimuli, and what the sessions of the
+  /// blocks before it appended. Those blocks must have finished up to
+  /// t_horizon. Every transition queued must lie beyond the horizon -- the
+  /// last advance() target, t_begin before the first -- and the previous
+  /// pull's must all have been processed, by an advance() to at least its
+  /// t_horizon (assertions). A terminated session pulls nothing.
   void pull(double t_horizon);
 
-  /// Process every event with t <= t_horizon (stimuli, pulled upstream
-  /// transitions, and gate firings). Horizons must not decrease. A run
-  /// failure or budget trip ends the session instead of throwing; further
-  /// calls are then no-ops.
+  /// Process every event with t <= t_horizon (pulled transitions and gate
+  /// firings). Horizons must not decrease, and a pull must have reached
+  /// t_horizon (assertions). A run failure or budget trip ends the session
+  /// instead of throwing; further calls are then no-ops.
   void advance(double t_horizon);
 
   long n_stimulus_events() const { return n_stimulus_events_; }
   long n_gate_events() const { return n_gate_events_; }
-  /// Transitions pull() has queued so far.
+  /// Upstream gates' transitions pull() has queued so far; primary inputs
+  /// are not counted.
   long n_pulled() const { return n_pulled_; }
   /// The run's events this session processed (see the header): its gate
   /// firings, plus its stimulus events for the session over the first
@@ -276,6 +277,7 @@ class SimSession {
   std::size_t gate_begin_ = 0;    // the session's gates: [gate_begin_,
   std::size_t gate_end_ = 0;      // gate_end_); heap slots are offsets
   double horizon_ = 0.0;
+  double pulled_to_ = 0.0;        // the highest pull() horizon
   RunGuard* guard_;
   bool guard_active_ = false;     // false: the loop skips every poll
   RunStatus status_ = RunStatus::kOk;
@@ -284,10 +286,9 @@ class SimSession {
   double t_processed_ = 0.0;      // time of the last processed event
   std::vector<waveform::DigitalTrace>* traces_;  // by NetId
   Scratch* s_;
-  BlockLocks* locks_;                 // null: no concurrent sessions
+  BlockLocks* locks_;
   BlockLocks::Block* own_block_ = nullptr;
   std::size_t stream_index_ = 0;  // next streamed transition
-  std::size_t pulled_index_ = 0;  // next pulled transition
   long n_stimulus_events_ = 0;
   long n_gate_events_ = 0;
   long n_pulled_ = 0;

@@ -1,7 +1,6 @@
 #include "waveform/digital_trace.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -72,31 +71,18 @@ DigitalTrace DigitalTrace::window(double t0, double t1) const {
   return out;
 }
 
-void merge_transitions(std::span<const DigitalTrace* const> traces,
-                       std::vector<IndexedTransition>& out) {
-  CHARLIE_ASSERT(traces.size() <= std::numeric_limits<std::uint32_t>::max());
-  // The traces, concatenated in index order, are the runs
-  // [bounds[r], bounds[r + 1]) of `out`, one per non-empty trace.
-  std::size_t total = 0;
-  for (const DigitalTrace* trace : traces) total += trace->n_transitions();
-  out.clear();
-  out.reserve(total);
-  std::vector<std::size_t> bounds{0};
-  for (std::size_t k = 0; k < traces.size(); ++k) {
-    bool value = traces[k]->initial_value();
-    for (const double t : traces[k]->transitions()) {
-      value = !value;
-      out.push_back({t, static_cast<std::uint32_t>(k), value});
-    }
-    if (out.size() > bounds.back()) bounds.push_back(out.size());
-  }
+void merge_transitions(std::vector<IndexedTransition>& items,
+                       std::vector<std::size_t>& bounds,
+                       std::vector<IndexedTransition>& spare) {
+  CHARLIE_ASSERT(!bounds.empty() && bounds.front() == 0 &&
+                 bounds.back() == items.size());
   if (bounds.size() <= 2) return;
   // Each pass merges neighbouring runs into the other buffer, halving
   // their number: run m of the next pass is runs 2m and 2m + 1 of this one
   // (or a last odd run alone), and each bound is read before it is
   // overwritten.
-  std::vector<IndexedTransition> spare(out.size());
-  std::vector<IndexedTransition>* from = &out;
+  spare.resize(items.size());
+  std::vector<IndexedTransition>* from = &items;
   std::vector<IndexedTransition>* to = &spare;
   while (bounds.size() > 2) {
     const auto run = [&](std::vector<IndexedTransition>* buffer,
@@ -117,7 +103,7 @@ void merge_transitions(std::span<const DigitalTrace* const> traces,
     bounds.resize(merged + 1);
     std::swap(from, to);
   }
-  if (from != &out) out.swap(spare);
+  if (from != &items) items.swap(spare);
 }
 
 }  // namespace charlie::waveform

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace charlie::waveform {
@@ -68,11 +67,14 @@ inline bool precedes(const IndexedTransition& a, const IndexedTransition& b) {
   return a.t != b.t ? a.t < b.t : a.source < b.source;
 }
 
-/// Every transition of `traces` in (t, source) order, written over `out`.
-/// The traces are already sorted, so they are merged pairwise rather than
-/// sorted: one pass per halving of the number of non-empty traces, between
-/// `out` and one transient buffer of the same size.
-void merge_transitions(std::span<const DigitalTrace* const> traces,
-                       std::vector<IndexedTransition>& out);
+/// Puts `items` in (t, source) order, given that they are the runs
+/// [bounds[r], bounds[r + 1]) (bounds.front() == 0, bounds.back() ==
+/// items.size()), each already in that order. The runs are merged pairwise
+/// rather than sorted: one pass per halving of their number, between
+/// `items` and `spare`, whose content is lost and whose capacity a caller
+/// merging many times keeps. `bounds` is used up.
+void merge_transitions(std::vector<IndexedTransition>& items,
+                       std::vector<std::size_t>& bounds,
+                       std::vector<IndexedTransition>& spare);
 
 }  // namespace charlie::waveform

@@ -161,8 +161,11 @@ void expect_one_session_matches(
   circuit->prepare_run(stimuli, 0.0, t_end, whole);
   SimSession::Scratch scratch;
   RunGuard guard(RunBudget{});
+  const std::vector<std::size_t> cut{0, circuit->n_gates()};
+  SimSession::BlockLocks locks(cut);
   SimSession session(*circuit, 0, circuit->n_gates(), 0.0, whole.traces,
-                     scratch, guard);
+                     scratch, guard, locks);
+  session.pull(t_end);
   session.advance(t_end);
   session.add_to(whole);
   ASSERT_TRUE(whole.ok()) << label;
@@ -174,12 +177,24 @@ void expect_one_session_matches(
   }
 }
 
-// Splits the circuit into three ranges of one run, each pulling its
-// upstream transitions from the run's shared traces before each of five
-// windows; every net and n_events must match `mono`.
+// `n` equal windows of (0, t_end]: their ends, the last exactly t_end.
+std::vector<double> even_horizons(double t_end, int n) {
+  std::vector<double> horizons;
+  for (int w = 1; w < n; ++w) {
+    horizons.push_back(t_end * static_cast<double>(w) / n);
+  }
+  horizons.push_back(t_end);
+  return horizons;
+}
+
+// Splits the circuit into three ranges of one run, each pulling its inputs
+// from the run's shared traces before each advance to the next of
+// `horizons`, which ends at t_end; every net and n_events must match
+// `mono`.
 void expect_split_sessions_match(
     const Factory& factory, const std::vector<waveform::DigitalTrace>& stimuli,
-    double t_end, const Circuit::SimResult& mono, const std::string& label) {
+    double t_end, const Circuit::SimResult& mono,
+    const std::vector<double>& horizons, const std::string& label) {
   auto circuit = factory();
   const std::size_t n = circuit->n_gates();
   const std::vector<std::size_t> cut{0, n / 3, 2 * n / 3, n};
@@ -194,12 +209,9 @@ void expect_split_sessions_match(
   for (std::size_t s = 0; s + 1 < cut.size(); ++s) {
     sessions.push_back(std::make_unique<SimSession>(
         *circuit, cut[s], cut[s + 1], 0.0, run.traces, scratch[s], guard,
-        &locks));
+        locks));
   }
-  const int n_windows = 5;
-  for (int w = 1; w <= n_windows; ++w) {
-    const double horizon =
-        w == n_windows ? t_end : t_end * static_cast<double>(w) / n_windows;
+  for (const double horizon : horizons) {
     for (std::size_t s = 0; s < sessions.size(); ++s) {
       sessions[s]->pull(horizon);
       sessions[s]->advance(horizon);
@@ -217,19 +229,21 @@ void expect_split_sessions_match(
   EXPECT_EQ(run.n_events, mono.n_events) << label;
 }
 
-// ShardedCircuit at each K in `shard_counts`, on 1 and 4 threads, in one
-// window and in windows of t_end / 3; every net and n_events must match
-// `mono`.
+// ShardedCircuit at each K in `shard_counts`, on 1 and 4 threads, with the
+// default window quantum, windows of t_end / 3 and each of `windows`; every
+// net and n_events must match `mono`.
 void expect_sharded_matches(const Factory& factory,
                             const std::vector<waveform::DigitalTrace>& stimuli,
                             double t_end, const Circuit::SimResult& mono,
                             const std::vector<std::size_t>& shard_counts,
-                            const std::string& label) {
+                            const std::string& label,
+                            std::vector<double> windows = {}) {
   const std::vector<std::string> names = net_names(*factory());
+  windows.insert(windows.begin(), {0.0, t_end / 3.0});
   for (const std::size_t k : shard_counts) {
     ShardedCircuit sharded(factory(), k);
     for (const std::size_t threads : {1u, 4u}) {
-      for (const double window : {0.0, t_end / 3.0}) {
+      for (const double window : windows) {
         ShardedSimConfig config;
         config.n_threads = threads;
         config.window = window;
@@ -297,7 +311,8 @@ void check_every_mode(const Factory& factory, std::size_t n_transitions,
   }
 
   // --- split SimSession ranges, pulling from shared traces --------------
-  expect_split_sessions_match(factory, stimuli, t_end, mono, label);
+  expect_split_sessions_match(factory, stimuli, t_end, mono,
+                              even_horizons(t_end, 5), label);
 
   // --- sharded: K in {1, 2, 4}, 1 and 4 threads, two window quanta -------
   expect_sharded_matches(factory, stimuli, t_end, mono, {1, 2, 4}, label);
@@ -387,16 +402,20 @@ TEST(CrossMode, GeneratedTiesAgreeAtHighShardCounts) {
 
 TEST(CrossMode, SimultaneousInputEdgesAgreeInEveryMode) {
   // Every primary input switches at the same instants, so each instant is
-  // an exact tie across all of them, which every stimulus stream must
-  // break by input order whatever the range, cut, window or thread. Odd
-  // inputs start high, so gates still see differing inputs. The design is
-  // larger than one block, so Circuit::simulate runs two.
+  // an exact tie across all of them, which every stream must break by
+  // input order whatever the range, cut, window or thread. Odd inputs
+  // start high, so gates still see differing inputs. The design is larger
+  // than one block, so Circuit::simulate runs two. Primary inputs are
+  // pulled window by window too, so the split sessions also advance to
+  // horizons on the edge instants, and the sharded runs also use windows
+  // of the edge period, whose ends are the edge instants.
   const Factory factory =
       generated_factory(3, Circuit::kGatesPerBlock + 1000);
   const auto mono_circuit = factory();
   ASSERT_GT(mono_circuit->n_gates(), Circuit::kGatesPerBlock);
+  constexpr double kPeriod = 137e-12;
   std::vector<double> edges;
-  for (int k = 1; k <= 24; ++k) edges.push_back(k * 137e-12);
+  for (int k = 1; k <= 24; ++k) edges.push_back(k * kPeriod);
   std::vector<waveform::DigitalTrace> stimuli;
   for (std::size_t i = 0; i < mono_circuit->n_inputs(); ++i) {
     stimuli.emplace_back(i % 2 == 1, edges);
@@ -409,8 +428,14 @@ TEST(CrossMode, SimultaneousInputEdgesAgreeInEveryMode) {
 
   const std::string label = "simultaneous edges";
   expect_one_session_matches(factory, stimuli, t_end, mono, label);
-  expect_split_sessions_match(factory, stimuli, t_end, mono, label);
-  expect_sharded_matches(factory, stimuli, t_end, mono, {2, 4, 16}, label);
+  expect_split_sessions_match(factory, stimuli, t_end, mono,
+                              even_horizons(t_end, 5), label);
+  std::vector<double> on_edges = edges;
+  on_edges.push_back(t_end);
+  expect_split_sessions_match(factory, stimuli, t_end, mono, on_edges,
+                              label + " on edges");
+  expect_sharded_matches(factory, stimuli, t_end, mono, {2, 4, 16}, label,
+                         {kPeriod});
 }
 
 TEST(CrossMode, MixedBuiltInAndBoxedChannelsAgreeInEveryMode) {

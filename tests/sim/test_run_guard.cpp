@@ -292,12 +292,17 @@ TEST(RunGuard, SessionStatusIsStickyAcrossAdvances) {
   c->prepare_run({edges(10)}, 0.0, 1e-7, run);
   SimSession::Scratch scratch;
   RunGuard guard(budget);
-  SimSession session(*c, 0, c->n_gates(), 0.0, run.traces, scratch, guard);
+  const std::vector<std::size_t> cut{0, c->n_gates()};
+  SimSession::BlockLocks locks(cut);
+  SimSession session(*c, 0, c->n_gates(), 0.0, run.traces, scratch, guard,
+                     locks);
+  session.pull(5e-9);
   session.advance(5e-9);
   EXPECT_EQ(session.status(), RunStatus::kBudgetExhausted);
   const long events_at_trip =
       session.n_stimulus_events() + session.n_gate_events();
-  // Further windowed advances must not resurrect the run.
+  // Further windowed pulls and advances must not resurrect the run.
+  session.pull(1e-7);
   session.advance(1e-7);
   EXPECT_EQ(session.status(), RunStatus::kBudgetExhausted);
   EXPECT_EQ(session.n_stimulus_events() + session.n_gate_events(),

@@ -1,7 +1,8 @@
 // SimSession as a building block: gate-range sessions over one circuit,
 // pulling from one run's traces, must reproduce the whole-circuit engine;
-// pull() must keep its contract; and a fresh run must not reserve trace
-// storage it never fills.
+// a session must be a block of its locks, and pull() and advance() must
+// keep their contract; and a fresh run must not reserve trace storage it
+// never fills.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,9 +89,9 @@ TEST(SimSession, GateRangesFedThroughPullReproduceMonolithic) {
   const std::vector<std::size_t> cut{0, m, n};
   sim::SimSession::BlockLocks locks(cut);
   sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
-                        guard, &locks);
+                        guard, locks);
   sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
-                        guard, &locks);
+                        guard, locks);
   const int n_windows = 7;
   for (int w = 1; w <= n_windows; ++w) {
     const double horizon =
@@ -128,8 +129,7 @@ TEST(SimSession, GateRangesFedThroughPullReproduceMonolithic) {
   }
   // The upper range pulled every transition of the nets it reads from
   // below, once each; the session over the first gates reads only primary
-  // inputs, whose traces are complete when it is built, so it pulls
-  // nothing.
+  // inputs, which n_pulled() does not count.
   long from_lower = 0;
   for (const sim::Circuit::NetId net : crossing) {
     from_lower += static_cast<long>(mono.trace(net).n_transitions());
@@ -166,10 +166,12 @@ TEST(SimSession, PullRejectsAnUpstreamTransitionAtOrBeforeTheHorizon) {
   const std::vector<std::size_t> cut{0, m, n};
   sim::SimSession::BlockLocks locks(cut);
   sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
-                        guard, &locks);
+                        guard, locks);
   sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
-                        guard, &locks);
+                        guard, locks);
+  upper.pull(h);
   upper.advance(h);
+  lower.pull(t_end);
   lower.advance(t_end);
   bool late = false;
   for (const sim::Circuit::NetId net : crossing_nets(*circuit, m)) {
@@ -203,15 +205,17 @@ TEST(SimSession, PullOnATerminatedSessionIsANoOp) {
   const std::vector<std::size_t> cut{0, m, n};
   sim::SimSession::BlockLocks locks(cut);
   sim::SimSession lower(*circuit, 0, m, 0.0, run.traces, lower_scratch,
-                        unlimited, &locks);
+                        unlimited, locks);
   sim::SimSession upper(*circuit, m, n, 0.0, run.traces, upper_scratch,
-                        tight, &locks);
+                        tight, locks);
+  lower.pull(t_end / 4);
   lower.advance(t_end / 4);
   upper.pull(t_end / 2);
   upper.advance(t_end / 2);
   ASSERT_EQ(upper.status(), sim::RunStatus::kBudgetExhausted);
   const long pulled = upper.n_pulled();
   const long events = upper.n_events();
+  lower.pull(t_end);
   lower.advance(t_end);
   bool late = false;
   for (const sim::Circuit::NetId net : crossing_nets(*circuit, m)) {
@@ -226,6 +230,71 @@ TEST(SimSession, PullOnATerminatedSessionIsANoOp) {
   upper.advance(t_end);
   EXPECT_EQ(upper.status(), sim::RunStatus::kBudgetExhausted);
   EXPECT_EQ(upper.n_events(), events);
+}
+
+TEST(SimSession, RangeThatIsNotABlockThrows) {
+  const auto circuit = build_c432();
+  const auto stimuli = stimuli_for(circuit->n_inputs());
+  const std::size_t n = circuit->n_gates();
+  const std::size_t m = n / 2;
+  sim::Circuit::SimResult run;
+  circuit->prepare_run(stimuli, 0.0, t_end_for(stimuli), run);
+  sim::SimSession::Scratch scratch;
+  sim::RunGuard guard(sim::RunBudget{});
+  auto build = [&](std::size_t begin, std::size_t end,
+                   const std::vector<std::size_t>& cut) {
+    sim::SimSession::BlockLocks locks(cut);
+    sim::SimSession session(*circuit, begin, end, 0.0, run.traces, scratch,
+                            guard, locks);
+  };
+  EXPECT_NO_THROW(build(m, n, {0, m, n}));
+  // The empty range at a cut's last bound: no block starts there.
+  EXPECT_THROW(build(n, n, {0, n}), AssertionError);
+  // Two blocks, and part of one.
+  EXPECT_THROW(build(0, n, {0, m, n}), AssertionError);
+  EXPECT_THROW(build(0, m / 2, {0, m, n}), AssertionError);
+  // A cut of fewer than two bounds has no block.
+  const std::vector<std::size_t> no_bounds;
+  const std::vector<std::size_t> one_bound{0};
+  EXPECT_THROW(sim::SimSession::BlockLocks locks(no_bounds), AssertionError);
+  EXPECT_THROW(sim::SimSession::BlockLocks locks(one_bound), AssertionError);
+}
+
+TEST(SimSession, AdvancePastThePulledHorizonThrows) {
+  // Transitions enter a session only through pull(): an advance past the
+  // highest pull would pass over every input transition in between.
+  const auto circuit = build_c432();
+  const auto stimuli = stimuli_for(circuit->n_inputs());
+  const double t_end = t_end_for(stimuli);
+  const double h = t_end / 4;
+  const std::size_t n = circuit->n_gates();
+  sim::Circuit::SimResult run;
+  circuit->prepare_run(stimuli, 0.0, t_end, run);
+  sim::SimSession::Scratch scratch;
+  sim::RunGuard guard(sim::RunBudget{});
+  const std::vector<std::size_t> cut{0, n};
+  sim::SimSession::BlockLocks locks(cut);
+  sim::SimSession session(*circuit, 0, n, 0.0, run.traces, scratch, guard,
+                          locks);
+  EXPECT_THROW(session.advance(h), AssertionError);
+  session.pull(h);
+  EXPECT_THROW(session.advance(2 * h), AssertionError);
+  // Up to the pulled horizon, in any steps, every input transition is
+  // processed.
+  session.advance(h / 2);
+  session.advance(h);
+  ASSERT_EQ(session.status(), sim::RunStatus::kOk);
+  long up_to_h = 0;
+  for (std::size_t i = 0; i < circuit->n_inputs(); ++i) {
+    for (const double t :
+         run.traces[static_cast<std::size_t>(circuit->input_net(i))]
+             .transitions()) {
+      up_to_h += t <= h ? 1 : 0;
+    }
+  }
+  EXPECT_GT(up_to_h, 0);
+  EXPECT_EQ(session.n_stimulus_events(), up_to_h);
+  EXPECT_EQ(session.n_pulled(), 0);
 }
 
 TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {
@@ -243,28 +312,30 @@ TEST(SimSession, ScratchCarriesNothingFromOneSessionToTheNext) {
       waveform::generate_traces(other, circuit->n_inputs(), rng);
   const double t_end = t_end_for(stimuli);
   const std::size_t n = circuit->n_gates();
-  auto run = [&](std::size_t begin, std::size_t end,
+  auto run = [&](std::size_t end,
                  const std::vector<waveform::DigitalTrace>& inputs,
                  sim::SimSession::Scratch& scratch) {
     sim::Circuit::SimResult result;
     circuit->prepare_run(inputs, 0.0, t_end, result);
     sim::RunGuard guard(sim::RunBudget{});
-    sim::SimSession session(*circuit, begin, end, 0.0, result.traces, scratch,
-                            guard);
+    const std::vector<std::size_t> cut{0, end};
+    sim::SimSession::BlockLocks locks(cut);
+    sim::SimSession session(*circuit, 0, end, 0.0, result.traces, scratch,
+                            guard, locks);
+    session.pull(t_end);
     session.advance(t_end);
     session.add_to(result);
     return result;
   };
   sim::SimSession::Scratch shared;
   const struct {
-    std::size_t begin, end;
+    std::size_t end;
     const std::vector<waveform::DigitalTrace>* inputs;
-  } order[] = {{0, n / 2, &stimuli}, {0, n, &other_stimuli},
-               {0, n / 2, &stimuli}};
+  } order[] = {{n / 2, &stimuli}, {n, &other_stimuli}, {n / 2, &stimuli}};
   for (const auto& step : order) {
     sim::SimSession::Scratch own;
-    const auto reused = run(step.begin, step.end, *step.inputs, shared);
-    const auto fresh = run(step.begin, step.end, *step.inputs, own);
+    const auto reused = run(step.end, *step.inputs, shared);
+    const auto fresh = run(step.end, *step.inputs, own);
     ASSERT_TRUE(reused.ok());
     EXPECT_EQ(reused.n_events, fresh.n_events);
     EXPECT_EQ(reused.max_heap_depth, fresh.max_heap_depth);

@@ -103,13 +103,29 @@ std::vector<IndexedTransition> sorted_reference(
   return all;
 }
 
+// The traces' transitions the way a session pulls them: one run per
+// non-empty trace, the runs in trace order, and the run bounds.
+std::vector<IndexedTransition> concatenated_runs(
+    const std::vector<DigitalTrace>& traces, std::vector<std::size_t>& bounds) {
+  std::vector<IndexedTransition> items;
+  bounds.assign(1, 0);
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    for (std::size_t i = 0; i < traces[k].n_transitions(); ++i) {
+      items.push_back({traces[k].transitions()[i],
+                       static_cast<std::uint32_t>(k), traces[k].is_rising(i)});
+    }
+    if (items.size() > bounds.back()) bounds.push_back(items.size());
+  }
+  return items;
+}
+
 void expect_merge_matches_sort(const std::vector<DigitalTrace>& traces,
                                const char* label) {
-  std::vector<const DigitalTrace*> pointers;
-  for (const DigitalTrace& trace : traces) pointers.push_back(&trace);
-  // Stale content in the output buffer must not survive the merge.
-  std::vector<IndexedTransition> merged(7, IndexedTransition{-1.0, 99, true});
-  merge_transitions(pointers, merged);
+  std::vector<std::size_t> bounds;
+  std::vector<IndexedTransition> merged = concatenated_runs(traces, bounds);
+  // Stale content in the spare buffer must not survive the merge.
+  std::vector<IndexedTransition> spare(7, IndexedTransition{-1.0, 99, true});
+  merge_transitions(merged, bounds, spare);
   const std::vector<IndexedTransition> expected = sorted_reference(traces);
   ASSERT_EQ(merged.size(), expected.size()) << label;
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -148,6 +164,11 @@ TEST(MergeTransitions, MatchesASortByTimeThenTraceIndex) {
   expect_merge_matches_sort({DigitalTrace(true, {1.0, 2.0, 5.0})},
                             "single trace");
   expect_merge_matches_sort(
+      {DigitalTrace(false, {3.0}), DigitalTrace(true, {1.0}),
+       DigitalTrace(false, {3.0}), DigitalTrace(false, {2.0}),
+       DigitalTrace(true, {1.0})},
+      "runs of one transition, tied across runs");
+  expect_merge_matches_sort(
       {DigitalTrace(), DigitalTrace(false, {1.0, 3.0}), DigitalTrace(),
        DigitalTrace(true, {2.0}), DigitalTrace()},
       "empty traces around non-empty ones");
@@ -170,10 +191,10 @@ TEST(MergeTransitions, OrderIsStrictAcrossTies) {
   const std::vector<DigitalTrace> traces{DigitalTrace(false, {2.0, 3.0}),
                                          DigitalTrace(false, {1.0, 2.0}),
                                          DigitalTrace(true, {2.0})};
-  std::vector<const DigitalTrace*> pointers{&traces[0], &traces[1],
-                                            &traces[2]};
-  std::vector<IndexedTransition> merged;
-  merge_transitions(pointers, merged);
+  std::vector<std::size_t> bounds;
+  std::vector<IndexedTransition> merged = concatenated_runs(traces, bounds);
+  std::vector<IndexedTransition> spare;
+  merge_transitions(merged, bounds, spare);
   ASSERT_EQ(merged.size(), 5u);
   const double times[] = {1.0, 2.0, 2.0, 2.0, 3.0};
   const std::uint32_t sources[] = {1, 0, 1, 2, 0};
